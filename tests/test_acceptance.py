@@ -20,6 +20,8 @@ from invariance.sampling import sample_points
 
 SPECS_100 = ck.random_rotations(100, seed=0x507A)
 SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
+# ``invariance suite src/invariance/scenarios --json --no-timestamp``
+GOLDEN_SUITE = Path(__file__).parent / "golden" / "suite.json"
 
 
 def report(n, ok, detail):
@@ -209,6 +211,46 @@ def test_criterion_8_closure_restriction_rows():
            "G; compliant model passes {G,S1,S3,S4} + S6 2D limit")
 
 
+def residual_class(value, tol):
+    """rounding, converged (above rounding, within tol) or O(1); None for
+    the dead zone between tol and the FAIL floor, and for NaN."""
+    if value <= 1e-12:
+        return "rounding"
+    if value <= tol:
+        return "converged"
+    if value >= 1e-3:
+        return "O(1)"
+    return None
+
+
+def golden_drift(reports, golden):
+    """Differences from the golden suite: parts and expectations exactly,
+    residuals by class."""
+    got = {r["scenario"]: r for r in reports}
+    drift = []
+    want = {g["scenario"] for g in golden}
+    if set(got) != want:
+        drift.append("scenarios missing %s, added %s"
+                     % (sorted(want - set(got)), sorted(set(got) - want)))
+    for ref in golden:
+        name = ref["scenario"]
+        run = got.get(name)
+        if run is None:
+            continue
+        for key in ("parts", "expectation_met"):
+            if run.get(key) != ref[key]:
+                drift.append("%s %s: %r != %r" % (name, key, run.get(key),
+                                                  ref[key]))
+        for part, value in ref["residuals"].items():
+            now = run.get("residuals", {}).get(part, float("nan"))
+            want = residual_class(value, ref["tolerance"])
+            have = residual_class(now, run.get("tolerance", 0.0))
+            if have is None or have != want:
+                drift.append("%s %s residual %.3e (%s) was %.3e (%s)"
+                             % (name, part, now, have, value, want))
+    return drift
+
+
 def test_criterion_9_determinism():
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     first, code1 = run_suite(paths, no_timestamp=True)
@@ -216,6 +258,9 @@ def test_criterion_9_determinism():
     blob1 = json.dumps(first, sort_keys=True)
     blob2 = json.dumps(second, sort_keys=True)
     met = all(r.get("expectation_met") for r in first)
+    drift = golden_drift(first, json.loads(GOLDEN_SUITE.read_text()))
+    assert not drift, drift
     ok = blob1 == blob2 and code1 == code2 == 0 and met
     report(9, ok, "%d scenarios byte-identical across two --no-timestamp "
-           "runs; all expectations met" % len(paths))
+           "runs; all expectations met; verdicts and residual classes "
+           "match tests/golden/suite.json" % len(paths))
