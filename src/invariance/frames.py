@@ -1,37 +1,43 @@
-"""Catalogue of frame changes and their field-transformation rules.
+"""Catalogue of frame changes and of the Navier-Stokes symmetry group.
 
-Covers uniform rotations (axis-angle, Rodrigues evaluation), Galilei and
-Euclidean transformations, and the Navier-Stokes symmetry list G, S1-S6.
-Every spec knows its coordinate map, the inverse map as closed-form
-expressions, and the variance rules of the fields living in it.
+Frame changes: uniform rotations (``RotationSpec``, Rodrigues closed forms
+in numpy and as expressions), Galilei transformations (``GalileiSpec``)
+and time-dependent Euclidean frames (``EuclideanSpec``), whose numeric
+maps the mechanics checks evaluate.
+
+Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
+control R3D is one small frozen class in ``NS_SYMMETRIES``.  A class
+declares only its inverse map (the old coordinates as expressions of the
+new ones), its velocity action u~ = s M(t) (u o phi^-1) + offset, an
+optional pressure offset and its action on the viscosity.  Everything
+else is derived: ``transform_ns_fields`` builds u~ and
+p~ = s^2 (p o phi^-1) + offset (the pressure scales as s^2 under every
+symmetry), the Reynolds-ensemble check takes the fluctuation action
+(M at the sample times, s), and the scenario parser and the residual
+guards read the same classes.  Adding a symmetry means adding one class.
 
 Conventions:
     x_tilde = Q x, spin Omega := Q Qdot^T (constant, antisymmetric),
     velocity u_tilde = Q u - Omega x_tilde.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import expr as ex
 from .expr import (
-    Node, SCALAR, VEC, MAT,
+    Node, SCALAR, VEC,
     const, time, add, sub, mul, neg, dot, transpose, vec, mat, comp,
-    func, x_vector, vector_const, matrix_const,
+    func, x_vector, vector_const, matrix_const, zero, parse_field_expr,
     expand_derivatives, compose, differentiate,
 )
 
 __all__ = [
-    "RotationSpec", "GalileiSpec", "EuclideanSpec", "NSSymmetrySpec",
-    "VarianceRule", "LISTED_RULES",
-    "SCALAR_RULE", "CONTRA1", "COV1", "RANK2_CONJ",
-    "ns_galilei", "ns_s1", "ns_s2", "ns_s3", "ns_s4", "ns_s5", "ns_s6",
-    "ns_rotation_3d",
-    "rodrigues_q", "axis_cross", "axis_cross_mat",
-    "map_point", "map_point_inv", "jacobian",
-    "transform_field", "velocity_rule_for", "transform_ns_fields",
+    "RotationSpec", "GalileiSpec", "EuclideanSpec",
+    "rodrigues_q", "axis_cross_mat",
+    "NS_SYMMETRIES", "transform_ns_fields",
 ]
 
 
@@ -46,7 +52,17 @@ def axis_cross(axis):
 
 
 def _as_scalar(v):
-    return v if isinstance(v, Node) else const(v)
+    """A scalar node from a node, a number or field-DSL text."""
+    if isinstance(v, Node):
+        return v
+    return parse_field_expr(v) if isinstance(v, str) else const(v)
+
+
+def _d_dt(e, order):
+    e = expand_derivatives(e)
+    for _ in range(order):
+        e = differentiate(e, "t")
+    return e
 
 
 def axis_cross_mat(axis):
@@ -127,24 +143,20 @@ class RotationSpec:
         """Omega = Q Qdot^T = -rate*[axis]x (constant)."""
         return -self.rate * axis_cross(self.axis)
 
-    # symbolic closed forms ------------------------------------------------
-    def theta_expr(self, t_expr=None):
-        t_expr = t_expr if t_expr is not None else time()
-        return add(mul(const(self.rate), t_expr), const(self.phase))
+    # symbolic closed forms over the Time symbol ----------------------------
+    def theta_expr(self):
+        return add(mul(const(self.rate), time()), const(self.phase))
 
-    def q_expr(self, t_expr=None):
-        return rodrigues_q(self.axis, self.theta_expr(t_expr))
+    def q_expr(self):
+        return rodrigues_q(self.axis, self.theta_expr())
 
-    def qdot_expr(self, t_expr=None):
-        th = self.theta_expr(t_expr)
+    def qdot_expr(self):
+        th = self.theta_expr()
         k = axis_cross_mat(self.axis)
         k2 = dot(k, k)
         w = const(self.rate)
         return add(mul(mul(w, func("cos", th)), k),
                    mul(mul(w, func("sin", th)), k2))
-
-    def spin_expr(self):
-        return matrix_const(self.spin())
 
 
 @dataclass(frozen=True)
@@ -165,15 +177,6 @@ class GalileiSpec:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
 
-    def compose(self, first):
-        """The spec equivalent to applying ``first`` then ``self``."""
-        return GalileiSpec(
-            r=self.r @ first.r,
-            v=self.r @ first.v + self.v,
-            c=self.r @ first.c + self.v * first.tau + self.c,
-            tau=first.tau + self.tau,
-        )
-
     @staticmethod
     def random(rng):
         spec = RotationSpec(axis=rng.normal(size=3), rate=1.0,
@@ -191,529 +194,310 @@ class EuclideanSpec:
     tau: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "path", tuple(_as_scalar(p) for p in self.path))
+        object.__setattr__(self, "path", tuple(map(_as_scalar, self.path)))
         for p in self.path:
             if p.shape != SCALAR:
                 raise ValueError("path components must be scalar expressions")
 
-    def _path_eval(self, exprs, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        zeros = np.zeros((3, t.shape[0]))
-        return np.stack([ex.evaluate_many(p, t, zeros) for p in exprs])
+    def _path_eval(self, order, t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        zeros = np.zeros((3, ts.shape[0]))
+        out = np.stack([ex.evaluate_many(_d_dt(p, order), ts, zeros)
+                        for p in self.path])
+        return out[:, 0] if np.ndim(t) == 0 else out
 
     def c(self, t):
-        out = self._path_eval(self.path, t)
-        return out[:, 0] if np.ndim(t) == 0 else out
+        return self._path_eval(0, t)
 
     def cdot(self, t):
-        d = [differentiate(expand_derivatives(p), "t") for p in self.path]
-        out = self._path_eval(d, t)
-        return out[:, 0] if np.ndim(t) == 0 else out
+        return self._path_eval(1, t)
 
     def cddot(self, t):
-        d = [differentiate(differentiate(expand_derivatives(p), "t"), "t")
-             for p in self.path]
-        out = self._path_eval(d, t)
-        return out[:, 0] if np.ndim(t) == 0 else out
+        return self._path_eval(2, t)
 
 
 # ---------------------------------------------------------------------------
-# Navier-Stokes symmetry specs
-# ---------------------------------------------------------------------------
-
-_NS_TAGS = ("G", "S1", "S2", "S3", "S4", "S5approx", "S6approx", "R3D")
-
-
-@dataclass(frozen=True)
-class NSSymmetrySpec:
-    tag: str
-    c0: float = 0.0
-    a_mat: Optional[np.ndarray] = None
-    c1: Optional[np.ndarray] = None
-    c2: Optional[np.ndarray] = None
-    eps: float = 0.0
-    f: Optional[Tuple[Node, Node, Node]] = None
-    g: Optional[Node] = None
-    reflect_axis: int = 0
-    scale_a: float = 0.0
-    omega_z: float = 0.0
-    rotation: Optional[RotationSpec] = None
-
-    def __post_init__(self):
-        if self.tag not in _NS_TAGS:
-            raise ValueError("unknown symmetry tag %r" % self.tag)
-
-
-def ns_galilei(c0=0.0, a_mat=None, c1=None, c2=None):
-    a_mat = np.eye(3) if a_mat is None else np.asarray(a_mat, dtype=float)
-    if np.max(np.abs(a_mat @ a_mat.T - np.eye(3))) > 1e-12:
-        raise ValueError("A must be orthogonal")
-    c1 = np.zeros(3) if c1 is None else np.asarray(c1, dtype=float)
-    c2 = np.zeros(3) if c2 is None else np.asarray(c2, dtype=float)
-    return NSSymmetrySpec(tag="G", c0=float(c0), a_mat=a_mat, c1=c1, c2=c2)
-
-
-def ns_s1(eps):
-    return NSSymmetrySpec(tag="S1", eps=float(eps))
-
-
-def ns_s2(f, g=None):
-    """x_tilde = x + f(t); requires f'' not identically zero."""
-    f = tuple(_as_scalar(c) for c in f)
-    fdd = [differentiate(differentiate(expand_derivatives(c), "t"), "t")
-           for c in f]
-    ts = np.linspace(0.0, 1.0, 17)
-    vals = np.stack([ex.evaluate_many(d, ts, np.zeros((3, ts.size)))
-                     for d in fdd])
-    if np.max(np.abs(vals)) == 0.0:
-        raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
-                         "Galilei boost)")
-    return NSSymmetrySpec(tag="S2", f=f, g=_as_scalar(g if g is not None
-                                                      else 0.0))
-
-
-def ns_s3(axis):
-    if axis not in (0, 1, 2):
-        raise ValueError("reflection axis must be 0, 1 or 2")
-    return NSSymmetrySpec(tag="S3", reflect_axis=axis)
-
-
-def ns_s4():
-    return NSSymmetrySpec(tag="S4")
-
-
-def ns_s5(a):
-    return NSSymmetrySpec(tag="S5approx", scale_a=float(a))
-
-
-def ns_s6(omega_z):
-    rot = RotationSpec(axis=(0.0, 0.0, 1.0), rate=float(omega_z))
-    return NSSymmetrySpec(tag="S6approx", omega_z=float(omega_z),
-                          rotation=rot)
-
-
-def ns_rotation_3d(axis, rate):
-    """Time-dependent 3D rotation *without* pressure regauge: the negative
-    control showing that 3D MFI fails for Navier-Stokes."""
-    return NSSymmetrySpec(tag="R3D", rotation=RotationSpec(axis=axis,
-                                                           rate=float(rate)))
-
-
-# ---------------------------------------------------------------------------
-# variance rules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VarianceRule:
-    """Declared transformation law of a quantity's components."""
-
-    kind: str  # scalar | contra1 | cov1 | rank2-conj | inhomogeneous
-    multiplier: float = 1.0
-    offset: Optional[Node] = None  # expression in the new frame's coordinates
-
-    def __post_init__(self):
-        if self.kind not in ("scalar", "contra1", "cov1", "rank2-conj",
-                             "inhomogeneous"):
-            raise ValueError("unknown rule kind %r" % self.kind)
-
-
-SCALAR_RULE = VarianceRule("scalar")
-CONTRA1 = VarianceRule("contra1")
-COV1 = VarianceRule("cov1")
-RANK2_CONJ = VarianceRule("rank2-conj")
-
-
-class _ListedRules:
-    """Marker: the spec is not a plain coordinate transformation; use its
-    listed field rules instead of a Jacobian-induced velocity rule."""
-
-    def __repr__(self):
-        return "LISTED_RULES"
-
-
-LISTED_RULES = _ListedRules()
-
-
-# ---------------------------------------------------------------------------
-# coordinate maps
-# ---------------------------------------------------------------------------
-
-def map_point(spec, pt):
-    """(t, x) -> (t_tilde, x_tilde); accepts scalars or point batches."""
-    t, x = pt
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = t.ndim == 0
-    tb = np.atleast_1d(t)
-    xb = x.reshape(3, 1) if single else x
-
-    tt, xt = _map_arrays(spec, tb, xb)
-    if single:
-        return float(tt[0]), xt[:, 0]
-    return tt, xt
-
-
-def map_point_inv(spec, pt):
-    t, x = pt
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    single = t.ndim == 0
-    tb = np.atleast_1d(t)
-    xb = x.reshape(3, 1) if single else x
-
-    tt, xt = _map_arrays_inv(spec, tb, xb)
-    if single:
-        return float(tt[0]), xt[:, 0]
-    return tt, xt
-
-
-def _rot_apply(q, x):
-    return np.einsum("ijn,jn->in", q, x)
-
-
-def _map_arrays(spec, t, x):
-    if isinstance(spec, RotationSpec):
-        return t, _rot_apply(spec.matrix(t), x)
-    if isinstance(spec, GalileiSpec):
-        return t + spec.tau, spec.r @ x + np.outer(spec.v, t) + spec.c[:, None]
-    if isinstance(spec, EuclideanSpec):
-        q = spec.rotation.matrix(t)
-        return t + spec.tau, _rot_apply(q, x) + spec.c(t)
-    if isinstance(spec, NSSymmetrySpec):
-        return _map_arrays_ns(spec, t, x)
-    raise TypeError("unsupported spec %r" % (spec,))
-
-
-def _map_arrays_ns(spec, t, x):
-    tag = spec.tag
-    if tag == "G":
-        return (t + spec.c0,
-                spec.a_mat @ x + np.outer(spec.c1, t) + spec.c2[:, None])
-    if tag == "S1":
-        s = np.exp(spec.eps)
-        return s * s * t, s * x
-    if tag == "S2":
-        f_val = np.stack([ex.evaluate_many(c, t, x) for c in spec.f])
-        return t, x + f_val
-    if tag == "S3":
-        out = x.copy()
-        out[spec.reflect_axis] *= -1.0
-        return t, out
-    if tag == "S4":
-        return -t, x
-    if tag == "S5approx":
-        return t, np.exp(spec.scale_a) * x
-    if tag in ("S6approx", "R3D"):
-        return t, _rot_apply(spec.rotation.matrix(t), x)
-    raise TypeError("unsupported tag %r" % tag)
-
-
-def _map_arrays_inv(spec, t, x):
-    if isinstance(spec, RotationSpec):
-        q = spec.matrix(t)
-        return t, np.einsum("jin,jn->in", q, x)
-    if isinstance(spec, GalileiSpec):
-        t0 = t - spec.tau
-        return t0, spec.r.T @ (x - np.outer(spec.v, t0) - spec.c[:, None])
-    if isinstance(spec, EuclideanSpec):
-        t0 = t - spec.tau
-        q = spec.rotation.matrix(t0)
-        return t0, np.einsum("jin,jn->in", q, x - spec.c(t0))
-    if isinstance(spec, NSSymmetrySpec):
-        return _map_arrays_ns_inv(spec, t, x)
-    raise TypeError("unsupported spec %r" % (spec,))
-
-
-def _map_arrays_ns_inv(spec, t, x):
-    tag = spec.tag
-    if tag == "G":
-        t0 = t - spec.c0
-        return t0, spec.a_mat.T @ (x - np.outer(spec.c1, t0)
-                                   - spec.c2[:, None])
-    if tag == "S1":
-        s = np.exp(-spec.eps)
-        return s * s * t, s * x
-    if tag == "S2":
-        f_val = np.stack([ex.evaluate_many(c, t, x) for c in spec.f])
-        return t, x - f_val
-    if tag == "S3":
-        out = x.copy()
-        out[spec.reflect_axis] *= -1.0
-        return t, out
-    if tag == "S4":
-        return -t, x
-    if tag == "S5approx":
-        return t, np.exp(-spec.scale_a) * x
-    if tag in ("S6approx", "R3D"):
-        q = spec.rotation.matrix(t)
-        return t, np.einsum("jin,jn->in", q, x)
-    raise TypeError("unsupported tag %r" % tag)
-
-
-def jacobian(spec, t):
-    """d x_tilde / d x at time t (the spatial Jacobian)."""
-    if isinstance(spec, RotationSpec):
-        return spec.matrix(t)
-    if isinstance(spec, GalileiSpec):
-        return spec.r.copy()
-    if isinstance(spec, EuclideanSpec):
-        return spec.rotation.matrix(t)
-    if isinstance(spec, NSSymmetrySpec):
-        tag = spec.tag
-        if tag == "G":
-            return spec.a_mat.copy()
-        if tag == "S1":
-            return np.exp(spec.eps) * np.eye(3)
-        if tag == "S2":
-            return np.eye(3)
-        if tag == "S3":
-            d = np.ones(3)
-            d[spec.reflect_axis] = -1.0
-            return np.diag(d)
-        if tag == "S4":
-            return np.eye(3)
-        if tag == "S5approx":
-            return np.exp(spec.scale_a) * np.eye(3)
-        if tag in ("S6approx", "R3D"):
-            return spec.rotation.matrix(t)
-    raise TypeError("unsupported spec %r" % (spec,))
-
-
-# ---------------------------------------------------------------------------
-# inverse maps as closed-form expressions (new-frame coordinates)
+# Navier-Stokes symmetries
 # ---------------------------------------------------------------------------
 
 def _split_vec(v):
     return [comp(v, i) for i in range(3)]
 
 
-def inverse_map_exprs(spec):
-    """(x-exprs, t-expr) giving the *old* coordinates in terms of the new
-    ones; the Coord/Time symbols denote the new frame's coordinates."""
-    xt = x_vector()
-    tt = time()
-    if isinstance(spec, RotationSpec):
-        qt = spec.q_expr(tt)
-        return _split_vec(dot(transpose(qt), xt)), tt
-    if isinstance(spec, GalileiSpec):
-        t0 = sub(tt, const(spec.tau))
-        shift = add(mul(t0, vector_const(spec.v)), vector_const(spec.c))
-        return _split_vec(dot(matrix_const(spec.r.T), sub(xt, shift))), t0
-    if isinstance(spec, EuclideanSpec):
-        t0 = sub(tt, const(spec.tau))
-        qt = spec.rotation.q_expr(t0)
-        c_exprs = [compose(expand_derivatives(p), _split_vec(xt), t0)
-                   for p in spec.path]
-        c_vec = vec(*c_exprs)
-        return _split_vec(dot(transpose(qt), sub(xt, c_vec))), t0
-    if isinstance(spec, NSSymmetrySpec):
-        return _inverse_map_exprs_ns(spec, xt, tt)
-    raise TypeError("unsupported spec %r" % (spec,))
+def _vec3(v, name):
+    v = np.zeros(3) if v is None else np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError("%s must have 3 components" % name)
+    return v
 
 
-def _inverse_map_exprs_ns(spec, xt, tt):
-    tag = spec.tag
-    if tag == "G":
-        t0 = sub(tt, const(spec.c0))
-        shift = add(mul(t0, vector_const(spec.c1)), vector_const(spec.c2))
-        return _split_vec(dot(matrix_const(spec.a_mat.T), sub(xt, shift))), t0
-    if tag == "S1":
-        s = float(np.exp(-spec.eps))
-        return _split_vec(mul(const(s), xt)), mul(const(s * s), tt)
-    if tag == "S2":
-        f_t = vec(*[compose(expand_derivatives(c), _split_vec(xt), tt)
-                    for c in spec.f])
-        return _split_vec(sub(xt, f_t)), tt
-    if tag == "S3":
-        comps = _split_vec(xt)
-        comps[spec.reflect_axis] = neg(comps[spec.reflect_axis])
-        return comps, tt
-    if tag == "S4":
-        return _split_vec(xt), neg(tt)
-    if tag == "S5approx":
-        s = float(np.exp(-spec.scale_a))
-        return _split_vec(mul(const(s), xt)), tt
-    if tag in ("S6approx", "R3D"):
-        qt = spec.rotation.q_expr(tt)
-        return _split_vec(dot(transpose(qt), xt)), tt
-    raise TypeError("unsupported tag %r" % tag)
+class NSSymmetry:
+    """One Navier-Stokes symmetry; subclasses override what is not the
+    identity.  ``tag`` names it in reports, ``json_tag`` in scenarios;
+    ``euler_only`` / ``planar_only`` restrict the flows it maps to
+    solutions, and ``note`` is attached to its verdicts."""
+
+    tag = json_tag = None
+    s = 1.0
+    nu_action = 1.0
+    euler_only = planar_only = False
+    note = None
+
+    def inverse_map_exprs(self):
+        """(x-exprs, t-expr): the old coordinates in terms of the new."""
+        raise NotImplementedError
+
+    def pull(self, e):
+        """``e`` composed with the inverse map (a new-frame expression)."""
+        return compose(expand_derivatives(e), *self.inverse_map_exprs())
+
+    def matrix(self):
+        """M(t) of the velocity action, over the new frame's time."""
+        return matrix_const(np.eye(3))
+
+    def velocity_offset(self):
+        return zero(VEC)
+
+    def pressure_offset(self, psi):
+        """``psi`` is the analytic 2D stream function, or None."""
+        return zero(SCALAR)
+
+    @classmethod
+    def from_json(cls, d, **extra):
+        """The symmetry a scenario's ``symmetry`` object describes."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d},
+                   **extra)
 
 
-def _jacobian_exprs(spec):
-    """(B, B_inv) with B = d x_tilde/d x as matrix expressions of the new
-    frame's time coordinate."""
-    tt = time()
-    if isinstance(spec, RotationSpec):
-        q = spec.q_expr(tt)
-        return q, transpose(q)
-    if isinstance(spec, GalileiSpec):
-        return matrix_const(spec.r), matrix_const(spec.r.T)
-    if isinstance(spec, EuclideanSpec):
-        q = spec.rotation.q_expr(sub(tt, const(spec.tau)))
-        return q, transpose(q)
-    if isinstance(spec, NSSymmetrySpec):
-        tag = spec.tag
-        if tag == "G":
-            return matrix_const(spec.a_mat), matrix_const(spec.a_mat.T)
-        if tag in ("S1", "S5approx"):
-            s = spec.eps if tag == "S1" else spec.scale_a
-            fwd = matrix_const(np.exp(s) * np.eye(3))
-            bwd = matrix_const(np.exp(-s) * np.eye(3))
-            return fwd, bwd
-        if tag in ("S2", "S4"):
-            eye = matrix_const(np.eye(3))
-            return eye, eye
-        if tag == "S3":
-            j = matrix_const(jacobian(spec, 0.0))
-            return j, j
-        if tag in ("S6approx", "R3D"):
-            q = spec.rotation.q_expr(tt)
-            return q, transpose(q)
-    raise TypeError("unsupported spec %r" % (spec,))
+@dataclass(frozen=True)
+class Galilei(NSSymmetry):
+    """G: x~ = A x + c1 t + c2, t~ = t + c0 (A orthogonal); u~ = A u + c1."""
+
+    c0: float = 0.0
+    a_mat: Optional[np.ndarray] = None
+    c1: Optional[np.ndarray] = None
+    c2: Optional[np.ndarray] = None
+    tag = json_tag = "G"
+
+    def __post_init__(self):
+        a = np.eye(3) if self.a_mat is None else np.asarray(self.a_mat, float)
+        if a.shape != (3, 3) or np.max(np.abs(a @ a.T - np.eye(3))) > 1e-12:
+            raise ValueError("A must be orthogonal")
+        object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "a_mat", a)
+        object.__setattr__(self, "c1", _vec3(self.c1, "c1"))
+        object.__setattr__(self, "c2", _vec3(self.c2, "c2"))
+
+    @classmethod
+    def from_json(cls, d):
+        ar = d.get("a_rotation")
+        a = (None if ar is None
+             else RotationSpec(axis=ar["axis"]).matrix(float(ar["angle"])))
+        return super().from_json(d, a_mat=a)
+
+    def inverse_map_exprs(self):
+        t0 = sub(time(), const(self.c0))
+        shift = add(mul(t0, vector_const(self.c1)), vector_const(self.c2))
+        return (_split_vec(dot(matrix_const(self.a_mat.T),
+                               sub(x_vector(), shift))), t0)
+
+    def matrix(self):
+        return matrix_const(self.a_mat)
+
+    def velocity_offset(self):
+        return vector_const(self.c1)
 
 
-# ---------------------------------------------------------------------------
-# field transformation
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Scaling(NSSymmetry):
+    """S1: x~ = e^eps x, t~ = e^(2 eps) t; u~ = e^-eps u, p~ = e^(-2 eps) p."""
 
-def transform_field(field_expr, spec, rule):
-    """The transformed field as a closed-form expression in the new frame.
+    eps: float
+    tag = json_tag = "S1"
 
-    The result is the composition with the inverse coordinate map plus the
-    rule's matrix action, multiplier, and inhomogeneous offset.
+    def __post_init__(self):
+        object.__setattr__(self, "eps", float(self.eps))
+
+    @property
+    def s(self):
+        return float(np.exp(-self.eps))
+
+    def inverse_map_exprs(self):
+        s = self.s
+        return (_split_vec(mul(const(s), x_vector())),
+                mul(const(s * s), time()))
+
+
+@dataclass(frozen=True)
+class AcceleratedShift(NSSymmetry):
+    """S2: x~ = x + f(t); u~ = u + f', p~ = p - x . f'' + g(t).
+
+    Requires f'' not identically zero (otherwise it is a Galilei boost).
     """
-    x_exprs, t_expr = inverse_map_exprs(spec)
-    body = compose(expand_derivatives(field_expr), x_exprs, t_expr)
-    b_fwd, b_inv = _jacobian_exprs(spec)
 
-    kind = rule.kind
-    if kind == "scalar":
-        out = body
-        if field_expr.shape != SCALAR:
-            raise ex.ShapeError("scalar rule on a %s field" % field_expr.shape)
-    elif kind in ("contra1", "inhomogeneous"):
-        if field_expr.shape != VEC:
-            raise ex.ShapeError("%s rule needs a vector field" % kind)
-        out = dot(b_fwd, body)
-    elif kind == "cov1":
-        if field_expr.shape != VEC:
-            raise ex.ShapeError("cov1 rule needs a vector field")
-        out = dot(transpose(b_inv), body)
-    elif kind == "rank2-conj":
-        if field_expr.shape != MAT:
-            raise ex.ShapeError("rank2-conj rule needs a matrix field")
-        out = dot(b_fwd, dot(body, b_inv))
-    else:  # pragma: no cover - VarianceRule validates kinds
-        raise ValueError(kind)
+    f: Tuple[Node, Node, Node]
+    g: Optional[Node] = None
+    tag = json_tag = "S2"
 
-    if rule.multiplier != 1.0:
-        out = mul(const(rule.multiplier), out)
-    if rule.offset is not None:
-        out = add(out, rule.offset)
-    return out
+    def __post_init__(self):
+        f = tuple(_as_scalar(c) for c in self.f)
+        if len(f) != 3:
+            raise ValueError("S2 needs 3 components of f(t)")
+        if not np.any(EuclideanSpec(path=f).cddot(np.linspace(0, 1, 17))):
+            raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
+                             "Galilei boost)")
+        object.__setattr__(self, "f", f)
+        g = 0.0 if self.g is None else self.g
+        object.__setattr__(self, "g", _as_scalar(g))
+
+    def inverse_map_exprs(self):
+        f_t = vec(*[expand_derivatives(c) for c in self.f])
+        return _split_vec(sub(x_vector(), f_t)), time()
+
+    def velocity_offset(self):
+        return vec(*[self.pull(_d_dt(c, 1)) for c in self.f])
+
+    def pressure_offset(self, psi):
+        x_old = vec(*self.inverse_map_exprs()[0])
+        fdd = vec(*[self.pull(_d_dt(c, 2)) for c in self.f])
+        return add(neg(dot(x_old, fdd)), self.pull(self.g))
 
 
-def velocity_rule_for(spec):
-    """The physically consistent velocity rule u_tilde = (dx~/dx) u + dx~/dt.
+@dataclass(frozen=True)
+class Reflection(NSSymmetry):
+    """S3: reflection of the coordinate ``axis`` (0, 1 or 2); u~ = J u."""
 
-    Returns LISTED_RULES for the non-coordinate symmetries S1/S2/S5/S6,
-    which carry their own listed field rules.
+    axis: int
+    tag = json_tag = "S3"
+
+    def __post_init__(self):
+        if self.axis not in (0, 1, 2):
+            raise ValueError("reflection axis must be 0, 1 or 2")
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(int(d["axis"]) - 1)
+
+    def inverse_map_exprs(self):
+        comps = _split_vec(x_vector())
+        comps[self.axis] = neg(comps[self.axis])
+        return comps, time()
+
+    def matrix(self):
+        d = np.ones(3)
+        d[self.axis] = -1.0
+        return matrix_const(np.diag(d))
+
+
+@dataclass(frozen=True)
+class TimeReversal(NSSymmetry):
+    """S4: t~ = -t; u~ = -u and nu -> -nu."""
+
+    tag = json_tag = "S4"
+    s = -1.0
+    nu_action = -1.0
+
+    def inverse_map_exprs(self):
+        return _split_vec(x_vector()), neg(time())
+
+
+@dataclass(frozen=True)
+class EulerScaling(NSSymmetry):
+    """S5: x~ = e^a x, t~ = t; u~ = e^a u, p~ = e^(2a) p.
+
+    Exact only for the Euler equations (nu = 0).
     """
-    if isinstance(spec, RotationSpec):
-        # u_tilde = Q u - Omega x_tilde, Omega = Q Qdot^T
-        offset = neg(dot(spec.spin_expr(), x_vector()))
-        return VarianceRule("inhomogeneous", offset=offset)
-    if isinstance(spec, GalileiSpec):
-        return VarianceRule("inhomogeneous", offset=vector_const(spec.v))
-    if isinstance(spec, EuclideanSpec):
-        # u* = R u + Rdot x + cdot = R u + Rdot R^T (x* - c) + cdot
-        tt = time()
-        t0 = sub(tt, const(spec.tau))
-        q = spec.rotation.q_expr(t0)
-        qd = spec.rotation.qdot_expr(t0)
-        xt = x_vector()
-        c_exprs = vec(*[compose(expand_derivatives(p), _split_vec(xt), t0)
-                        for p in spec.path])
-        cd = vec(*[compose(differentiate(expand_derivatives(p), "t"),
-                           _split_vec(xt), t0) for p in spec.path])
-        offset = add(dot(dot(qd, transpose(q)), sub(xt, c_exprs)), cd)
-        return VarianceRule("inhomogeneous", offset=offset)
-    if isinstance(spec, NSSymmetrySpec):
-        if spec.tag == "G":
-            return VarianceRule("inhomogeneous",
-                                offset=vector_const(spec.c1))
-        if spec.tag == "S3":
-            return CONTRA1
-        if spec.tag == "S4":
-            return VarianceRule("contra1", multiplier=-1.0)
-        return LISTED_RULES
-    raise TypeError("unsupported spec %r" % (spec,))
+
+    a: float
+    tag, json_tag = "S5approx", "S5"
+    euler_only = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))
+
+    @property
+    def s(self):
+        return float(np.exp(self.a))
+
+    def inverse_map_exprs(self):
+        s = float(np.exp(-self.a))
+        return _split_vec(mul(const(s), x_vector())), time()
 
 
-def transform_ns_fields(u_expr, p_expr, spec, psi_expr=None):
-    """Transformed (u, p) expressions under an NS symmetry spec.
+class _Rotating(NSSymmetry):
+    """x~ = Q(t) x with u~ = Q u + Qdot Q^T x~; ``__post_init__`` sets the
+    ``rotation`` (a RotationSpec)."""
 
-    ``psi_expr`` is the analytic 2D stream function, required for S6's
-    pressure regauge.  Returns (u_tilde, p_tilde, nu_action) where
-    nu_action is the multiplier applied to the viscosity (-1 for S4).
-    """
-    x_exprs, t_expr = inverse_map_exprs(spec)
+    def inverse_map_exprs(self):
+        q = self.rotation.q_expr()
+        return _split_vec(dot(transpose(q), x_vector())), time()
 
-    def pull(e):
-        return compose(expand_derivatives(e), x_exprs, t_expr)
+    def matrix(self):
+        return self.rotation.q_expr()
 
-    tag = spec.tag
-    u0 = pull(u_expr)
-    p0 = pull(p_expr)
-    tt = time()
-    xt = x_vector()
+    def velocity_offset(self):
+        q = self.rotation.q_expr()
+        return dot(dot(self.rotation.qdot_expr(), transpose(q)), x_vector())
 
-    if tag == "G":
-        return (add(dot(matrix_const(spec.a_mat), u0),
-                    vector_const(spec.c1)), p0, 1.0)
-    if tag == "S1":
-        s = float(np.exp(-spec.eps))
-        return mul(const(s), u0), mul(const(s * s), p0), 1.0
-    if tag == "S2":
-        fd = vec(*[compose(differentiate(expand_derivatives(c), "t"),
-                           x_exprs, t_expr) for c in spec.f])
-        fdd = vec(*[compose(
-            differentiate(differentiate(expand_derivatives(c), "t"), "t"),
-            x_exprs, t_expr) for c in spec.f])
-        g_t = compose(expand_derivatives(spec.g), x_exprs, t_expr)
-        x_old = vec(*x_exprs)  # the original coordinates x = x~ - f(t)
-        p_t = add(sub(p0, dot(x_old, fdd)), g_t)
-        return add(u0, fd), p_t, 1.0
-    if tag == "S3":
-        j = matrix_const(jacobian(spec, 0.0))
-        return dot(j, u0), p0, 1.0
-    if tag == "S4":
-        return neg(u0), p0, -1.0
-    if tag == "S5approx":
-        s = float(np.exp(spec.scale_a))
-        return mul(const(s), u0), mul(const(s * s), p0), 1.0
-    if tag == "S6approx":
-        if psi_expr is None:
+
+@dataclass(frozen=True)
+class PlanarRotation(_Rotating):
+    """S6: rotation about x3 at rate ``omega``, for 2D flows only, with the
+    pressure regauge p~ = p + w^2 |x~_planar|^2 / 2 - 2 w psi."""
+
+    omega: float
+    tag, json_tag = "S6approx", "S6"
+    planar_only = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "rotation", RotationSpec(
+            axis=(0.0, 0.0, 1.0), rate=float(self.omega)))
+
+    def pressure_offset(self, psi):
+        if psi is None:
             raise ValueError("S6 needs the analytic stream function psi")
-        q = spec.rotation.q_expr(tt)
-        qd = spec.rotation.qdot_expr(tt)
-        u_t = add(dot(q, u0), dot(dot(qd, transpose(q)), xt))
-        w = spec.omega_z
+        xt = x_vector()
+        w = self.rotation.rate
         planar = add(mul(comp(xt, 0), comp(xt, 0)),
                      mul(comp(xt, 1), comp(xt, 1)))
-        psi0 = compose(expand_derivatives(psi_expr), x_exprs, t_expr)
         # With the counter-clockwise convention Q = exp(w t [z]x) and the
         # stream function fixed by d(psi) = -u^2 dx^1 + u^1 dx^2, the
         # consistent regauge carries -2w psi (verified by the exactness
         # oracle on the vortex solution and by the group property
         # S6(w) o S6(w') = S6(w+w')).
-        p_t = add(p0, add(mul(const(0.5 * w * w), planar),
-                          mul(const(-2.0 * w), psi0)))
-        return u_t, p_t, 1.0
-    if tag == "R3D":
-        q = spec.rotation.q_expr(tt)
-        qd = spec.rotation.qdot_expr(tt)
-        u_t = add(dot(q, u0), dot(dot(qd, transpose(q)), xt))
-        return u_t, p0, 1.0  # deliberately no pressure regauge
-    raise TypeError("unsupported tag %r" % tag)
+        return add(mul(const(0.5 * w * w), planar),
+                   mul(const(-2.0 * w), self.pull(psi)))
+
+
+@dataclass(frozen=True)
+class Rotation3D(_Rotating):
+    """R3D: time-dependent 3D rotation *without* pressure regauge; the
+    negative control showing that 3D MFI fails for Navier-Stokes."""
+
+    rate: float
+    axis: Tuple[float, float, float] = (0.0, 0.0, 1.0)
+    tag = json_tag = "R3D"
+    note = "negative control: 3D rotation without regauge (expected FAIL)"
+
+    def __post_init__(self):
+        object.__setattr__(self, "rotation", RotationSpec(
+            axis=_vec3(self.axis, "axis"), rate=float(self.rate)))
+
+
+NS_SYMMETRIES = {cls.json_tag: cls for cls in (
+    Galilei, Scaling, AcceleratedShift, Reflection, TimeReversal,
+    EulerScaling, PlanarRotation, Rotation3D)}
+
+
+def transform_ns_fields(u_expr, p_expr, spec, psi_expr=None):
+    """(u~, p~, nu action) under an NS symmetry.
+
+    u~ = s M (u o phi^-1) + velocity offset and p~ = s^2 (p o phi^-1) +
+    pressure offset; ``psi_expr`` is the analytic 2D stream function,
+    required by S6's pressure regauge.
+    """
+    s = spec.s
+    u_t = mul(const(s), dot(spec.matrix(), spec.pull(u_expr)))
+    p_t = mul(const(s * s), spec.pull(p_expr))
+    return (add(u_t, spec.velocity_offset()),
+            add(p_t, spec.pressure_offset(psi_expr)), spec.nu_action)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 ARG_NAMES = ("nu", "dt0", "r", "s", "q")
+# screened when a closure-screen scenario names no tags
+SCENARIO_TAGS = ("G", "S1", "S3", "S4", "S6approx")
 ARG_SYMS = {name: ex.SCALAR for name in ARG_NAMES}
 PHI_NAMES = ("phi1", "phi2", "phi3", "phi4", "phi5")
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import frames as fr
+from .. import expr as ex
 from ..checks.verdict import CheckPart, Verdict
 from ..sampling import sample_points
 
@@ -61,42 +61,18 @@ def reynolds_tau(fluct):
 
 
 def _fluctuation_action(spec, t_arr):
-    """(matrix, scale) acting on fluctuations under a symmetry spec.
-
-    matrix has shape (3, 3) or (3, 3, P); scale is a float.  Affine
-    pieces of each symmetry shift only the mean flow, so the fluctuation
-    rule is linear and homogeneous.
-    """
-    eye = np.eye(3)
-    tag = spec.tag
-    if tag == "G":
-        return np.asarray(spec.a_mat, float), 1.0
-    if tag == "S1":
-        return eye, float(np.exp(-spec.eps))
-    if tag == "S2":
-        return eye, 1.0
-    if tag == "S3":
-        refl = np.eye(3)
-        refl[spec.reflect_axis, spec.reflect_axis] = -1.0
-        return refl, 1.0
-    if tag == "S4":
-        return eye, -1.0
-    if tag == "S5approx":
-        return eye, float(np.exp(spec.scale_a))
-    if tag in ("S6approx", "R3D"):
-        return spec.rotation.matrix(np.atleast_1d(t_arr)), 1.0  # (3, 3, P)
-    raise ValueError("no fluctuation rule for tag %r" % tag)
+    """(M at the sample times (3, 3, P), s): the symmetry's velocity action
+    without its offsets, which move only the mean flow."""
+    t_arr = np.atleast_1d(t_arr)
+    m = ex.evaluate_many(spec.matrix(), t_arr, np.zeros((3, t_arr.size)))
+    return m, spec.s
 
 
 def _apply(mat, fluct):
-    if mat.ndim == 2:
-        return np.einsum("ij,njp->nip", mat, fluct)
     return np.einsum("ijp,njp->nip", mat, fluct)
 
 
 def _conjugate(mat, tau):
-    if mat.ndim == 2:
-        return np.einsum("ia,abp,jb->ijp", mat, tau, mat)
     return np.einsum("iap,abp,jbp->ijp", mat, tau, mat)
 
 

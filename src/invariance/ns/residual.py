@@ -134,8 +134,8 @@ SOLUTIONS = {
 
 def transform_flow(state, spec):
     """The transformed FlowState under an NS symmetry spec."""
-    if spec.tag == "S6approx" and state.dim != "2D":
-        raise ValueError("S6 is restricted to 2D fields")
+    if spec.planar_only and state.dim != "2D":
+        raise ValueError("%s is restricted to 2D fields" % spec.tag)
     u_t, p_t, nu_action = fr.transform_ns_fields(state.u, state.p, spec,
                                                  psi_expr=state.psi)
     return replace(state, u=u_t, p=p_t, nu=state.nu * nu_action,
@@ -145,13 +145,12 @@ def transform_flow(state, spec):
 def check_ns_symmetry(state, spec, n_points=200, tol=1e-9, seed=None):
     """PASS iff the transformed fields still solve the equations.
 
-    For S5 the state must be inviscid (the scaling is exact only for the
-    Euler residual); the R3D tag is the negative control: a 3D
-    time-dependent rotation without pressure regauge, expected to FAIL.
+    For an ``euler_only`` symmetry (S5) the state must be inviscid; the
+    spec's ``note`` (R3D, the negative control) goes into the verdict.
     """
-    if spec.tag == "S5approx" and state.nu != 0.0:
-        raise ValueError("S5 is exact only for the Euler equations; "
-                         "use an inviscid state")
+    if spec.euler_only and state.nu != 0.0:
+        raise ValueError("%s is exact only for the Euler equations; "
+                         "use an inviscid state" % spec.tag)
     transformed = transform_flow(state, spec)
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
@@ -160,10 +159,6 @@ def check_ns_symmetry(state, spec, n_points=200, tol=1e-9, seed=None):
     worst = int(np.argmax(res))
     part = CheckPart(passed=bool(res[worst] <= tol),
                      residual=float(res[worst]))
-    notes = ()
-    if spec.tag == "R3D":
-        notes = ("negative control: 3D rotation without regauge "
-                 "(expected FAIL)",)
     return Verdict(tolerance=tol, symmetry=part,
                    witness=(float(t[worst]), tuple(x[:, worst])),
-                   notes=notes)
+                   notes=(spec.note,) if spec.note else ())

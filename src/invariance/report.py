@@ -52,6 +52,12 @@ QUANTITIES = {
     "composite_norm": ck.composite_norm_quantity,
 }
 
+MECHANICS_MODELS = {
+    "oscillator": mech.oscillator_model,
+    "drag_gravity": mech.drag_gravity_model,
+    "absolute_velocity": mech.absolute_velocity_model,
+}
+
 CLOSURE_MODELS = {
     "compliant": ns_closure.compliant_model,
     "constant_phi2": ns_closure.constant_phi2_model,
@@ -61,32 +67,14 @@ CLOSURE_MODELS = {
 
 
 def _parse_ns_spec(d):
-    tag = d.get("tag")
-    if tag == "G":
-        a = np.eye(3)
-        if "a_rotation" in d:
-            ar = d["a_rotation"]
-            a = fr.RotationSpec(axis=ar["axis"]).matrix(float(ar["angle"]))
-        return fr.ns_galilei(c0=d.get("c0", 0.0), a_mat=a,
-                             c1=d.get("c1"), c2=d.get("c2"))
-    if tag == "S1":
-        return fr.ns_s1(float(d["eps"]))
-    if tag == "S2":
-        f = [ex.parse_field_expr(s) for s in d["f"]]
-        g = ex.parse_field_expr(d["g"]) if "g" in d else None
-        return fr.ns_s2(f, g)
-    if tag == "S3":
-        return fr.ns_s3(int(d["axis"]) - 1)
-    if tag == "S4":
-        return fr.ns_s4()
-    if tag == "S5":
-        return fr.ns_s5(float(d["a"]))
-    if tag == "S6":
-        return fr.ns_s6(float(d["omega"]))
-    if tag == "R3D":
-        return fr.ns_rotation_3d(d.get("axis", (0.0, 0.0, 1.0)),
-                                 float(d["rate"]))
-    raise SchemaError("unknown symmetry tag %r" % tag)
+    cls = fr.NS_SYMMETRIES.get(d.get("tag")) if isinstance(d, dict) else None
+    if cls is None:
+        raise SchemaError("unknown symmetry %r" % (d,))
+    try:
+        return cls.from_json(d)
+    except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
+        raise SchemaError("malformed %s symmetry %r: %s"
+                          % (cls.json_tag, d, exc))
 
 
 def _parts_of(verdict):
@@ -153,20 +141,11 @@ def _run_geometric_suite(payload, tol, seed):
     return parts, residuals, {"cases": cases}
 
 
-def _mechanics_model(payload):
-    name = payload.get("model", "oscillator")
-    params = payload.get("params", {})
-    if name == "oscillator":
-        return mech.oscillator_model(**params)
-    if name == "drag_gravity":
-        return mech.drag_gravity_model(**params)
-    if name == "absolute_velocity":
-        return mech.absolute_velocity_model(**params)
-    raise SchemaError("unknown mechanics model %r" % name)
-
-
 def _run_mechanics(payload, tol, seed):
-    model = _mechanics_model(payload)
+    name = payload.get("model", "oscillator")
+    if name not in MECHANICS_MODELS:
+        raise SchemaError("unknown mechanics model %r" % name)
+    model = MECHANICS_MODELS[name](**payload.get("params", {}))
     check = payload.get("check")
     dt = float(payload.get("dt", 1e-3))
     steps = int(payload.get("steps", 1000))
@@ -238,8 +217,7 @@ def _run_closure_screen(payload, tol, seed):
     if name not in CLOSURE_MODELS:
         raise SchemaError("unknown closure model %r" % name)
     model = CLOSURE_MODELS[name]()
-    tags = tuple(payload.get("tags",
-                             ("G", "S1", "S3", "S4", "S6approx")))
+    tags = tuple(payload.get("tags", ns_closure.SCENARIO_TAGS))
     reports = ns_closure.screen_closure(model, tags=tags, seed=seed)
     parts = {tag: v.symmetry.passed for tag, v in reports.items()}
     residuals = {tag: v.symmetry.residual for tag, v in reports.items()}

@@ -142,23 +142,24 @@ def test_criterion_6_ns_symmetry_verdicts():
     beltrami = ns.beltrami()
     a = fr.RotationSpec(axis=(1.0, 1.0, 0.0)).matrix(0.7)
     passing = [
-        fr.ns_galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4)),
-        fr.ns_s1(0.4),
-        fr.ns_s2([ex.parse_field_expr(s)
+        fr.Galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4)),
+        fr.Scaling(0.4),
+        fr.AcceleratedShift([ex.parse_field_expr(s)
                   for s in ("0.5*t*t", "sin(t)", "0.0")]),
-        fr.ns_s3(2),
-        fr.ns_s4(),
+        fr.Reflection(2),
+        fr.TimeReversal(),
     ]
     worst = 0.0
     for spec in passing:
         v = ns.check_ns_symmetry(beltrami, spec, tol=1e-8)
         assert v.symmetry.passed, spec.tag
         worst = max(worst, v.symmetry.residual)
-    s5 = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.ns_s5(0.25),
+    s5 = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25),
                               tol=1e-8)
-    s6 = ns.check_ns_symmetry(ns.taylor_green(), fr.ns_s6(0.8), tol=1e-8)
+    s6 = ns.check_ns_symmetry(ns.taylor_green(), fr.PlanarRotation(0.8),
+                              tol=1e-8)
     neg = ns.check_ns_symmetry(beltrami,
-                               fr.ns_rotation_3d((0.0, 1.0, 1.0), 0.9),
+                               fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9),
                                tol=1e-8)
     ok = (worst < 1e-8 and s5.symmetry.passed and s6.symmetry.passed
           and neg.symmetry.residual > 1e-2)
@@ -170,17 +171,18 @@ def test_criterion_6_ns_symmetry_verdicts():
 def test_criterion_7_reynolds_decomposition():
     ensemble = ns.Ensemble.random()          # N=4096, fixed seed
     a = fr.RotationSpec(axis=(0.0, 1.0, 1.0)).matrix(0.6)
-    galilei = fr.ns_galilei(c0=0.2, a_mat=a, c1=(0.1, 0.0, -0.3))
+    galilei = fr.Galilei(c0=0.2, a_mat=a, c1=(0.1, 0.0, -0.3))
     vg = ns.check_decomposed_symmetry(ensemble, galilei, tol=1e-13)
-    vs1 = ns.check_decomposed_symmetry(ensemble, fr.ns_s1(0.35), tol=1e-12)
+    vs1 = ns.check_decomposed_symmetry(ensemble, fr.Scaling(0.35), tol=1e-12)
 
     t, x = sample_points(100)
     mean_worst = 0.0
-    listed = [galilei, fr.ns_s1(0.35),
-              fr.ns_s2([ex.parse_field_expr(s)
-                        for s in ("t*t", "0.5*sin(t)", "0.0")]),
-              fr.ns_s3(0), fr.ns_s4(), fr.ns_s5(0.4), fr.ns_s6(0.7),
-              fr.ns_rotation_3d((1.0, 0.0, 1.0), 0.5)]
+    listed = [galilei, fr.Scaling(0.35),
+              fr.AcceleratedShift([ex.parse_field_expr(s)
+                                   for s in ("t*t", "0.5*sin(t)", "0.0")]),
+              fr.Reflection(0), fr.TimeReversal(), fr.EulerScaling(0.4),
+              fr.PlanarRotation(0.7),
+              fr.Rotation3D(axis=(1.0, 0.0, 1.0), rate=0.5)]
     from invariance.ns.ensemble import _apply, _fluctuation_action
     fluct = ensemble.fluctuations(x)
     for spec in listed:
@@ -243,11 +245,12 @@ def golden_drift(reports, golden):
                                                   ref[key]))
         for part, value in ref["residuals"].items():
             now = run.get("residuals", {}).get(part, float("nan"))
-            want = residual_class(value, ref["tolerance"])
-            have = residual_class(now, run.get("tolerance", 0.0))
-            if have is None or have != want:
+            was_class = residual_class(value, ref["tolerance"])
+            now_class = residual_class(now, run.get("tolerance", 0.0))
+            if now_class is None or now_class != was_class:
                 drift.append("%s %s residual %.3e (%s) was %.3e (%s)"
-                             % (name, part, now, have, value, want))
+                             % (name, part, now, now_class, value,
+                                was_class))
     return drift
 
 

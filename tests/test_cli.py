@@ -53,6 +53,21 @@ class TestRunScenario:
         report, code = run_scenario(str(p))
         assert code == 3 and report["error_kind"] == "execution"
 
+    @pytest.mark.parametrize("symmetry", [
+        {"tag": "S1"}, {"tag": "S3", "axis": 7}, "S1",
+        {"tag": "S5", "a": "x"}, {"tag": "G", "c1": [1, 2]},
+        {"tag": "S9"},
+    ], ids=["missing-eps", "bad-axis", "not-an-object", "non-numeric",
+            "short-vector", "unknown-tag"])
+    def test_malformed_symmetry_is_schema_error(self, tmp_path, symmetry):
+        doc = {"schema": 1, "name": "bad", "kind": "ns-symmetry",
+               "payload": {"solution": "beltrami", "symmetry": symmetry},
+               "expect": {}}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        report, code = run_scenario(str(p))
+        assert code == 2 and report["error_kind"] == "schema"
+
     def test_tolerance_override_flips_verdict(self):
         report, _ = run_scenario(shipped("classify_strain_rate"), tol=1e-30)
         assert report["parts"]["tensor"] is False

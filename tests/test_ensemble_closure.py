@@ -9,17 +9,17 @@ from invariance.sampling import sample_points
 
 ENSEMBLE = ns.Ensemble.random(1024)
 ALL_DECOMPOSED = [
-    ("G", lambda: fr.ns_galilei(
+    ("G", lambda: fr.Galilei(
         c0=0.2, a_mat=fr.RotationSpec(axis=(0, 1, 1)).matrix(0.6),
         c1=(0.1, 0.0, -0.3))),
-    ("S1", lambda: fr.ns_s1(0.35)),
-    ("S2", lambda: fr.ns_s2([parse_field_expr(s)
-                             for s in ("t*t", "0.5*sin(t)", "0.0")])),
-    ("S3", lambda: fr.ns_s3(1)),
-    ("S4", lambda: fr.ns_s4()),
-    ("S5", lambda: fr.ns_s5(0.4)),
-    ("S6", lambda: fr.ns_s6(0.7)),
-    ("R3D", lambda: fr.ns_rotation_3d((1.0, 0.0, 1.0), 0.5)),
+    ("S1", lambda: fr.Scaling(0.35)),
+    ("S2", lambda: fr.AcceleratedShift([parse_field_expr(s) for s in
+                                        ("t*t", "0.5*sin(t)", "0.0")])),
+    ("S3", lambda: fr.Reflection(1)),
+    ("S4", lambda: fr.TimeReversal()),
+    ("S5", lambda: fr.EulerScaling(0.4)),
+    ("S6", lambda: fr.PlanarRotation(0.7)),
+    ("R3D", lambda: fr.Rotation3D(axis=(1.0, 0.0, 1.0), rate=0.5)),
 ]
 
 
@@ -125,3 +125,4 @@ class TestClosureScreening:
         model = ns.compliant_model()
         reports = ns.screen_closure(model, tags=("S6approx",))
         assert reports["S6approx"].symmetry.passed
+

@@ -34,7 +34,7 @@ class TestSolutionLibrary:
 
 def galilei_spec():
     a = fr.RotationSpec(axis=(1.0, 1.0, 0.0)).matrix(0.7)
-    return fr.ns_galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4),
+    return fr.Galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4),
                          c2=(0.05, 0.0, -0.02))
 
 
@@ -44,49 +44,50 @@ class TestSymmetryVerdicts:
         assert v.symmetry.passed and v.symmetry.residual < 1e-8
 
     def test_s1_scaling_passes(self):
-        v = ns.check_ns_symmetry(ns.beltrami(), fr.ns_s1(0.4), tol=1e-8)
+        v = ns.check_ns_symmetry(ns.beltrami(), fr.Scaling(0.4), tol=1e-8)
         assert v.symmetry.passed
 
     def test_s2_accelerating_shift_passes(self):
         from invariance import expr as ex
         f = [ex.parse_field_expr(s) for s in
              ("0.5*t*t", "sin(t)", "0.0")]
-        v = ns.check_ns_symmetry(ns.beltrami(), fr.ns_s2(f), tol=1e-8)
+        v = ns.check_ns_symmetry(ns.beltrami(), fr.AcceleratedShift(f),
+                                 tol=1e-8)
         assert v.symmetry.passed
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_s3_reflection_passes(self, axis):
-        v = ns.check_ns_symmetry(ns.beltrami(), fr.ns_s3(axis), tol=1e-8)
+        v = ns.check_ns_symmetry(ns.beltrami(), fr.Reflection(axis), tol=1e-8)
         assert v.symmetry.passed
 
     def test_s4_time_reversal_passes(self):
-        v = ns.check_ns_symmetry(ns.beltrami(), fr.ns_s4(), tol=1e-8)
+        v = ns.check_ns_symmetry(ns.beltrami(), fr.TimeReversal(), tol=1e-8)
         assert v.symmetry.passed
 
     def test_s5_passes_on_euler_only(self):
-        v = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.ns_s5(0.25),
+        v = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25),
                                  tol=1e-8)
         assert v.symmetry.passed
         with pytest.raises(ValueError):
-            ns.check_ns_symmetry(ns.beltrami(), fr.ns_s5(0.25))
+            ns.check_ns_symmetry(ns.beltrami(), fr.EulerScaling(0.25))
 
     def test_s6_rotation_with_regauge_passes_on_taylor_green(self):
-        v = ns.check_ns_symmetry(ns.taylor_green(), fr.ns_s6(0.8),
+        v = ns.check_ns_symmetry(ns.taylor_green(), fr.PlanarRotation(0.8),
                                  tol=1e-8)
         assert v.symmetry.passed and v.symmetry.residual < 1e-8
 
     def test_s6_requires_2d(self):
         with pytest.raises(ValueError):
-            ns.check_ns_symmetry(ns.beltrami(), fr.ns_s6(0.8))
+            ns.check_ns_symmetry(ns.beltrami(), fr.PlanarRotation(0.8))
 
     def test_r3d_negative_control_fails(self):
-        spec = fr.ns_rotation_3d((0.0, 1.0, 1.0), 0.9)
+        spec = fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9)
         v = ns.check_ns_symmetry(ns.beltrami(), spec, tol=1e-8)
         assert not v.symmetry.passed and v.symmetry.residual > 1e-2
         assert any("negative control" in n for n in v.notes)
 
     def test_viscosity_flips_sign_under_time_reversal(self):
-        transformed = ns.transform_flow(ns.beltrami(), fr.ns_s4())
+        transformed = ns.transform_flow(ns.beltrami(), fr.TimeReversal())
         assert transformed.nu == -ns.beltrami().nu
 
 
@@ -98,10 +99,10 @@ class TestDeadZoneProperty:
         # residuals are either machine-level or macroscopic, never in
         # the ambiguous band between the PASS and FAIL thresholds
         tg = ns.taylor_green()
-        for spec in (fr.ns_s1(eps), fr.ns_s6(omega)):
+        for spec in (fr.Scaling(eps), fr.PlanarRotation(omega)):
             v = ns.check_ns_symmetry(tg, spec, n_points=50, tol=1e-8)
             assert v.symmetry.residual < 1e-8
-        bad = fr.ns_rotation_3d((1.0, 0.0, 0.5), 1.0 + abs(omega))
+        bad = fr.Rotation3D(axis=(1.0, 0.0, 0.5), rate=1.0 + abs(omega))
         v = ns.check_ns_symmetry(ns.beltrami(), bad, n_points=50, tol=1e-8)
         assert v.symmetry.residual > 1e-3
 
@@ -109,9 +110,9 @@ class TestDeadZoneProperty:
         # S1(e1) then S1(e2) equals S1(e1+e2) on the check level
         t, x = sample_points(30)
         once = ns.transform_flow(ns.transform_flow(ns.beltrami(),
-                                                   fr.ns_s1(0.2)),
-                                 fr.ns_s1(0.3))
-        direct = ns.transform_flow(ns.beltrami(), fr.ns_s1(0.5))
+                                                   fr.Scaling(0.2)),
+                                 fr.Scaling(0.3))
+        direct = ns.transform_flow(ns.beltrami(), fr.Scaling(0.5))
         from invariance import expr as ex
         d_u = (ex.evaluate_many(once.u, t, x)
                - ex.evaluate_many(direct.u, t, x))
