@@ -295,8 +295,7 @@ def _scan(q, specs, exprs_at, n_points, seed):
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
-    worst = -1.0
-    witness = None
+    worsts, witnesses = [], []
     for spec in specs:
         bind = _rotation_bindings(spec)
         xt = _mapped(spec, t, x)
@@ -305,11 +304,12 @@ def _scan(q, specs, exprs_at, n_points, seed):
             va = evaluate_many(ea, t, xt if ma else x, bind)
             vb = evaluate_many(eb, t, xt if mb else x, bind)
             total = np.maximum(total, _component_abs(va - vb))
+        # argmax lands on the first NaN, so a non-finite residual is kept
         i = int(np.argmax(total))
-        if total[i] > worst:
-            worst = float(total[i])
-            witness = (float(t[i]), tuple(x[:, i]))
-    return worst, witness
+        worsts.append(total[i])
+        witnesses.append((float(t[i]), tuple(x[:, i])))
+    k = int(np.argmax(worsts))
+    return float(worsts[k]), witnesses[k]
 
 
 def form_invariance_defect(q, spec, n_points=200, seed=None,

@@ -87,12 +87,12 @@ def _arg_samples(rng, n):
     }
 
 
-def _eval_coeffs(model, args):
+def _eval_coeffs(coeffs, args):
     n = args["nu"].shape[0]
     t = np.zeros(n)
     x = np.zeros((3, n))
     bind = {name: args[name] for name in ARG_NAMES}
-    return [ex.evaluate_many(p, t, x, bind) for p in model.phi]
+    return [ex.evaluate_many(p, t, x, bind) for p in coeffs]
 
 
 def _scaling_case(tag, group_param):
@@ -115,6 +115,17 @@ def _scaling_case(tag, group_param):
     else:
         raise ValueError("no coefficient scaling for tag %r" % tag)
     return amap, factors
+
+
+def _worst(cases):
+    """(worst residual, note naming its sample) over (residuals, argument
+    samples) pairs; argmax lands on the first NaN, so one is never lost."""
+    res = np.concatenate([r for r, _ in cases])
+    k = int(np.argmax(res))
+    n = res.size // len(cases)
+    args = cases[k // n][1]
+    return float(res[k]), "worst residual at " + ", ".join(
+        "%s=%.6g" % (name, args[name][k % n]) for name in ARG_NAMES)
 
 
 def structural_check(model):
@@ -143,31 +154,29 @@ def _screen_one(model, tag, rng, n_samples, tol):
         # have no divergence-free planar counterpart, so their declared
         # limiting coefficients must vanish identically
         args = _arg_samples(rng, n_samples)
-        worst = 0.0
-        for which in ("phi2", "phi4"):
-            coeff = model.limit_coeff(which)
-            t = np.zeros(n_samples)
-            x = np.zeros((3, n_samples))
-            bind = {name: args[name] for name in ARG_NAMES}
-            vals = ex.evaluate_many(coeff, t, x, bind)
-            worst = max(worst, float(np.max(np.abs(vals))))
+        limits = [model.limit_coeff(which) for which in ("phi2", "phi4")]
+        worst, at = _worst([(np.abs(v), args)
+                            for v in _eval_coeffs(limits, args)])
         return Verdict(tolerance=tol,
                        symmetry=CheckPart(passed=worst <= tol,
                                           residual=worst),
-                       notes=("planar limit requires phi2 == phi4 == 0",))
+                       notes=("planar limit requires phi2 == phi4 == 0",
+                              at))
 
-    worst = 0.0
+    cases = []
     for e in (0.3, -0.45, 0.8):
         amap, factors = _scaling_case(tag, e)
         args = _arg_samples(rng, n_samples)
-        base = _eval_coeffs(model, args)
+        base = _eval_coeffs(model.phi, args)
         mapped = {name: amap[name] * args[name] for name in ARG_NAMES}
-        moved = _eval_coeffs(model, mapped)
+        moved = _eval_coeffs(model.phi, mapped)
         for got, ref, fac in zip(moved, base, factors):
-            scale = 1.0 + np.abs(ref)
-            worst = max(worst, float(np.max(np.abs(got - fac * ref) / scale)))
+            cases.append((np.abs(got - fac * ref) / (1.0 + np.abs(ref)),
+                          args))
+    worst, at = _worst(cases)
     return Verdict(tolerance=tol,
-                   symmetry=CheckPart(passed=worst <= tol, residual=worst))
+                   symmetry=CheckPart(passed=worst <= tol, residual=worst),
+                   notes=(at,))
 
 
 def screen_closure(model, tags=("G", "S1", "S3", "S4", "S5approx",

@@ -57,8 +57,8 @@ def certify(state, n_points=200, tol=CERTIFY_TOL):
     """Verify the state solves the equations; raise if it does not."""
     t, x = sample_points(n_points)
     cont, mom = ns_residual(state, t, x)
-    worst = max(np.max(np.abs(cont)), np.max(np.abs(mom)))
-    if worst > tol:
+    worst = np.max([np.max(np.abs(cont)), np.max(np.abs(mom))])
+    if not worst <= tol:
         raise ValueError("state %r is not an exact solution "
                          "(residual %.3e)" % (state.name, worst))
     return worst

@@ -96,7 +96,10 @@ def _run_classify(payload, tol, seed):
     if name not in QUANTITIES:
         raise SchemaError("unknown quantity %r" % name)
     q = QUANTITIES[name]()
-    specs = ck.random_rotations(int(payload.get("rotations", 10)), seed=seed)
+    n_rotations = int(payload.get("rotations", 10))
+    if n_rotations < 1:
+        raise SchemaError("'rotations' must be at least 1")
+    specs = ck.random_rotations(n_rotations, seed=seed)
     mode = payload.get("mode")
     if mode is not None and not q.relative:
         v = ck.check_objectivity(q, specs, tol=tol, seed=seed, mode=mode)

@@ -157,3 +157,13 @@ class TestOracles:
         v = verdict_for(ck.velocity_quantity)
         t_w, x_w = v.witness
         assert np.isfinite(t_w) and len(x_w) == 3
+
+    def test_nonfinite_residual_fails_with_witness(self):
+        # exp(800 x1) overflows where x1 > 0.89; inf - inf is NaN, and
+        # NaN must fail the tensor part and carry its witness point
+        q = ck.scalar_quantity(ex.parse_field_expr("exp(800*comp(x,1))"))
+        with pytest.warns(RuntimeWarning):
+            v = ck.check_form_invariance(q, SPECS[:3])
+        assert not v.tensor.passed
+        assert not np.isfinite(v.tensor.residual)
+        assert v.witness is not None

@@ -68,6 +68,15 @@ class TestRunScenario:
         report, code = run_scenario(str(p))
         assert code == 2 and report["error_kind"] == "schema"
 
+    def test_zero_rotations_is_schema_error(self, tmp_path):
+        # no rotation means nothing was compared: not a vacuous PASS
+        doc = {"schema": 1, "name": "none", "kind": "tensor",
+               "payload": {"quantity": "strain_rate", "rotations": 0}}
+        p = tmp_path / "none.json"
+        p.write_text(json.dumps(doc))
+        report, code = run_scenario(str(p))
+        assert code == 2 and report["error_kind"] == "schema"
+
     def test_tolerance_override_flips_verdict(self):
         report, _ = run_scenario(shipped("classify_strain_rate"), tol=1e-30)
         assert report["parts"]["tensor"] is False

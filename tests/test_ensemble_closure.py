@@ -3,7 +3,7 @@ import pytest
 
 from invariance import frames as fr
 from invariance import ns
-from invariance.expr import parse_field_expr
+from invariance.expr import SCALAR, parse_field_expr
 from invariance.ns.closure import structural_check
 from invariance.sampling import sample_points
 
@@ -126,3 +126,17 @@ class TestClosureScreening:
         reports = ns.screen_closure(model, tags=("S6approx",))
         assert reports["S6approx"].symmetry.passed
 
+    def test_nonfinite_residual_fails_with_witness(self):
+        # phi4 = exp(800 q) overflows to inf on both sides of the S1
+        # comparison; inf - inf is NaN, which must fail, not vanish
+        base = ns.compliant_model()
+        phi = list(base.phi)
+        phi[3] = parse_field_expr("exp(800.0*q)", {"q": SCALAR})
+        model = ns.ClosureModel(name="overflow", phi=tuple(phi),
+                                two_d_limit=base.two_d_limit)
+        with pytest.warns(RuntimeWarning):
+            v = ns.screen_closure(model, tags=("S1",))["S1"]
+        assert not v.symmetry.passed
+        assert not np.isfinite(v.symmetry.residual)
+        q = float(v.notes[-1].split("q=")[1])
+        assert 800.0 * q > np.log(np.finfo(float).max)
