@@ -468,6 +468,7 @@ def _diff_func(e, wrt):
 
 
 _expand_memo = {}
+_tape_memo = {}      # expanded root id -> compiled tape (evaluate_many)
 
 
 def expand_derivatives(e):
@@ -650,87 +651,158 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     """Vectorised evaluation over N points.
 
     Returns arrays of shape (N,), (3, N) or (3, 3, N) according to the
-    expression's shape.  Derivative nodes are expanded symbolically first.
+    expression's shape.  Derivative nodes are expanded symbolically first;
+    the expanded DAG is compiled once into a tape (see ``_build_tape``)
+    and each call is one pass over that tape.
     """
     e = expand_derivatives(e)
+    tape = _tape_memo.get(id(e))
+    if tape is None:
+        tape = _tape_memo[id(e)] = _build_tape(e)
     t_arr = np.asarray(t_arr, dtype=float)
-    x_arr = np.asarray(x_arr, dtype=float)
-    n = t_arr.shape[0]
-    bindings = bindings or {}
-    memo = {}
+    env = (t_arr.shape[0], t_arr, np.asarray(x_arr, dtype=float),
+           bindings or {})
+    vals = []
+    push = vals.append
+    for step in tape:
+        push(step(vals, env))
+    return vals[-1]
 
-    def as_shape(val, shape, name):
-        val = np.asarray(val, dtype=float)
-        if shape == SCALAR:
-            return np.broadcast_to(val, (n,))
-        if shape == VEC:
-            if val.shape == (3,):
-                val = val[:, None]
-            return np.broadcast_to(val, (3, n))
-        if val.shape == (3, 3):
-            val = val[:, :, None]
-        return np.broadcast_to(val, (3, 3, n))
 
-    def ev(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        r = _ev(node)
-        memo[id(node)] = r
-        return r
+def _build_tape(root):
+    """Compile an expanded DAG into a tuple of steps in evaluation order.
 
-    def _ev(node):
-        k = node.kind
-        if k == "const":
-            return np.broadcast_to(np.float64(node.data), (n,))
-        if k == "coord":
-            return x_arr[node.data]
-        if k == "time":
-            return t_arr
-        if k == "sym":
-            name = node.data[0]
-            if name not in bindings:
-                raise UnboundSymbolError("unbound symbol %r" % name)
-            return as_shape(bindings[name], node.shape, name)
-        if k == "add":
-            return ev(node.args[0]) + ev(node.args[1])
-        if k == "mul":
-            return ev(node.args[0]) * ev(node.args[1])
-        if k == "dot":
-            a, b = node.args
-            av, bv = ev(a), ev(b)
-            sig = (a.shape, b.shape)
-            if sig == (VEC, VEC):
-                return np.einsum("in,in->n", av, bv)
-            if sig == (MAT, VEC):
-                return np.einsum("ijn,jn->in", av, bv)
-            if sig == (MAT, MAT):
-                return np.einsum("ijn,jkn->ikn", av, bv)
-            return np.einsum("in,ijn->jn", av, bv)
-        if k == "outer":
-            return np.einsum("in,jn->ijn", ev(node.args[0]), ev(node.args[1]))
-        if k == "transpose":
-            return ev(node.args[0]).swapaxes(0, 1)
-        if k == "norm":
-            return np.sqrt(np.einsum("in,in->n", *(ev(node.args[0]),) * 2))
-        if k == "vec":
-            return np.stack([ev(a) for a in node.args])
-        if k == "mat":
-            rows = [np.stack([ev(a) for a in node.args[3 * i:3 * i + 3]])
-                    for i in range(3)]
-            return np.stack(rows)
-        if k == "comp":
-            i, j = node.data
-            v = ev(node.args[0])
-            return v[i] if j is None else v[i, j]
-        if k == "func":
-            return _ev_func(node)
-        raise ExprError("unexpandable node %r reached evaluator" % k)
+    The order is the post-order of a left-to-right depth-first walk that
+    visits each shared node once: operands before the node, the left one
+    first.  Step k is a closure ``step(vals, env)`` returning the value of
+    the k-th node from the values of the earlier ones; ``env`` is
+    (N, t_arr, x_arr, bindings).  The walk is iterative, so deep DAGs do
+    not hit the recursion limit.
+    """
+    slot = {}
+    steps = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in slot:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+            continue
+        op = _OPS.get(node.kind)
+        if op is None:
+            raise ExprError("unexpandable node %r reached evaluator"
+                            % node.kind)
+        steps.append(op(node, [slot[id(a)] for a in node.args]))
+        slot[id(node)] = len(steps) - 1
+    return tuple(steps)
 
-    def _ev_func(node):
-        name = node.data
-        if name == "power":
-            base, expo = ev(node.args[0]), ev(node.args[1])
+
+def _as_shape(val, shape, n):
+    val = np.asarray(val, dtype=float)
+    full = (n,) if shape == SCALAR else (3, n) if shape == VEC else (3, 3, n)
+    if val.shape == full:
+        return val
+    if shape == VEC and val.shape == (3,):
+        val = val[:, None]
+    elif shape == MAT and val.shape == (3, 3):
+        val = val[:, :, None]
+    return np.broadcast_to(val, full)
+
+
+# one op per node kind: op(node, arg_slots) -> step(vals, env)
+
+def _op_const(node, _):
+    value = node.data
+    return lambda v, env: np.full(env[0], value)
+
+
+def _op_coord(node, _):
+    i = node.data
+    return lambda v, env: env[2][i]
+
+
+def _op_time(node, _):
+    return lambda v, env: env[1]
+
+
+def _op_sym(node, _):
+    name, shape = node.data[0], node.shape
+
+    def step(v, env):
+        bindings = env[3]
+        if name not in bindings:
+            raise UnboundSymbolError("unbound symbol %r" % name)
+        return _as_shape(bindings[name], shape, env[0])
+    return step
+
+
+def _op_add(node, slots):
+    a, b = slots
+    return lambda v, env: v[a] + v[b]
+
+
+def _op_mul(node, slots):
+    a, b = slots
+    return lambda v, env: v[a] * v[b]
+
+
+_DOT_EINSUM = {
+    (VEC, VEC): "in,in->n",
+    (MAT, VEC): "ijn,jn->in",
+    (MAT, MAT): "ijn,jkn->ikn",
+    (VEC, MAT): "in,ijn->jn",
+}
+
+
+def _op_dot(node, slots):
+    a, b = slots
+    subs = _DOT_EINSUM[(node.args[0].shape, node.args[1].shape)]
+    return lambda v, env: np.einsum(subs, v[a], v[b])
+
+
+def _op_outer(node, slots):
+    a, b = slots
+    return lambda v, env: np.einsum("in,jn->ijn", v[a], v[b])
+
+
+def _op_transpose(node, slots):
+    a, = slots
+    return lambda v, env: v[a].swapaxes(0, 1)
+
+
+def _op_norm(node, slots):
+    a, = slots
+    return lambda v, env: np.sqrt(np.einsum("in,in->n", v[a], v[a]))
+
+
+def _op_vec(node, slots):
+    a, b, c = slots
+    return lambda v, env: np.stack([v[a], v[b], v[c]])
+
+
+def _op_mat(node, slots):
+    rows = [slots[3 * i:3 * i + 3] for i in range(3)]
+    return lambda v, env: np.stack([np.stack([v[k] for k in row])
+                                    for row in rows])
+
+
+def _op_comp(node, slots):
+    a, = slots
+    i, j = node.data
+    if j is None:
+        return lambda v, env: v[a][i]
+    return lambda v, env: v[a][i, j]
+
+
+def _op_func(node, slots):
+    name = node.data
+    if name == "power":
+        a, b = slots
+
+        def power(v, env):
+            base, expo = v[a], v[b]
             if np.any((np.abs(base) < _SINGULARITY_EPS) & (expo < 0)):
                 raise EvalError("power: reciprocal of a near-zero base "
                                 "(singularity guard %.0e)" % _SINGULARITY_EPS)
@@ -739,22 +811,30 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
                     return np.power(base, expo)
                 except FloatingPointError:
                     raise EvalError("power: domain error") from None
-        v = ev(node.args[0])
-        if name == "log":
-            if np.any(v <= 0):
+        return power
+    a, = slots
+    if name == "log":
+        def log(v, env):
+            if np.any(v[a] <= 0):
                 raise EvalError("log of a non-positive value")
-            return np.log(v)
-        if name == "sqrt":
-            if np.any(v < 0):
+            return np.log(v[a])
+        return log
+    if name == "sqrt":
+        def sqrt(v, env):
+            if np.any(v[a] < 0):
                 raise EvalError("sqrt of a negative value")
-            return np.sqrt(v)
-        if name == "abs":
-            return np.abs(v)
-        if name == "sign":
-            return np.sign(v)
-        return getattr(np, name)(v)
+            return np.sqrt(v[a])
+        return sqrt
+    fn = getattr(np, name)   # sin, cos, exp, abs, sign
+    return lambda v, env: fn(v[a])
 
-    return ev(e)
+
+_OPS = {
+    "const": _op_const, "coord": _op_coord, "time": _op_time,
+    "sym": _op_sym, "add": _op_add, "mul": _op_mul, "dot": _op_dot,
+    "outer": _op_outer, "transpose": _op_transpose, "norm": _op_norm,
+    "vec": _op_vec, "mat": _op_mat, "comp": _op_comp, "func": _op_func,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,88 @@ class TestEvaluation:
             evaluate(e, (0.0, (1, 0, 0)))
 
 
+class TestTape:
+    """The compiled tape against single-point evaluation, and its guards."""
+
+    SYMBOLS = {"nu": SCALAR, "a": VEC, "Q": MAT, "w": SCALAR}
+    # together these reach every node kind and every function
+    CORPUS = [
+        "nu * t + w - 2.5",
+        "dot(x, a) * a + dot(a, Q) - dot(Q, x) + comp(dot(Q, Q), 2, 3) * a",
+        "outer(x, a) + transpose(outer(a, x)) + Q",
+        "norm(x) * sin(comp(x, 1)) - cos(t) * exp(-comp(x, 2))",
+        "log(2.0 + dot(x, x)) + sqrt(1.0 + w * w)",
+        "abs(comp(x, 3)) * sign(comp(x, 1)) + power(norm(x), nu)",
+        "norm(x)^(-1.5) + 1.0 / (1.0 + t)",
+        "vec(comp(x, 2), comp(dot(Q, x), 1), t)",
+        "mat(comp(x, 1), 0.0, t, 1.0, comp(x, 2), nu, w, 0.0, comp(x, 3))",
+        "comp(transpose(Q), 1, 2) * comp(outer(x, a), 3, 1)",
+        "grad(dot(x, x) * sin(t)) + div(outer(x, x))",
+        "lap(norm(x)^3.0) + comp(dt(t * t * x), 1)",
+    ]
+
+    def bindings(self, n):
+        rng = np.random.default_rng(7)
+        return {"nu": 0.37, "a": rng.normal(size=3),
+                "Q": rng.normal(size=(3, 3)),
+                "w": rng.uniform(-1.0, 1.0, size=n)}
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_many_points_equal_single_points(self, text):
+        e = parse_field_expr(text, self.SYMBOLS)
+        n = 9
+        x = RNG.uniform(0.2, 1.0, size=(3, n)) * RNG.choice([-1, 1], (3, n))
+        t = RNG.uniform(0.1, 2.0, size=n)
+        bind = self.bindings(n)
+        got = evaluate_many(e, t, x, bind)
+        columns = []
+        for k in range(n):
+            single = dict(bind, w=bind["w"][k])
+            columns.append(evaluate(e, (t[k], x[:, k]), single).payload)
+        # numpy's einsum may round a contraction over a broadcast binding
+        # differently for one point than for nine, so allow the last bits
+        np.testing.assert_allclose(got, np.stack(columns, axis=-1),
+                                   rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("norm(x)^(-1.0)", ex.EvalError, "singularity guard"),
+        ("power(comp(x, 1) - 0.25, 0.5)", ex.EvalError,
+         "power: domain error"),
+        ("log(comp(x, 1))", ex.EvalError, "log of a non-positive value"),
+        ("sqrt(comp(x, 1) - 0.25)", ex.EvalError, "sqrt of a negative value"),
+        ("kappa * comp(x, 1)", ex.UnboundSymbolError, "unbound symbol"),
+    ])
+    def test_guards_raise_through_the_tape(self, text, error, message):
+        e = parse_field_expr(text)
+        # only the last of the points is out of the domain
+        x = np.array([[1.0, 0.5, 0.0], [0.2, 0.3, 0.0], [0.1, 0.4, 0.0]])
+        with pytest.raises(error, match=message):
+            evaluate_many(e, np.zeros(3), x)
+
+    def test_unexpandable_node_is_refused(self):
+        with pytest.raises(ex.ExprError, match="unexpandable node"):
+            ex._build_tape(grad(norm(ex.x_vector())))
+
+    def test_tape_is_built_once_per_root(self, monkeypatch):
+        builds = []
+        build = ex._build_tape
+
+        def counting(root):
+            builds.append(root)
+            return build(root)
+
+        monkeypatch.setattr(ex, "_tape_memo", {})
+        monkeypatch.setattr(ex, "_build_tape", counting)
+        e = parse_field_expr("sin(comp(x, 1)) * t")
+        g = grad(e)
+        x = RNG.uniform(size=(3, 5))
+        for n in (1, 5, 5):
+            evaluate_many(e, np.ones(n), x[:, :n])
+            evaluate_many(g, np.ones(n), x[:, :n])
+        evaluate(e, (0.5, (1.0, 2.0, 3.0)))
+        assert builds == [e, expand_derivatives(g)]
+
+
 class TestParserPrinter:
     CORPUS = [
         "norm(x)",
