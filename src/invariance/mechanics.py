@@ -45,6 +45,22 @@ _ABSOLUTE_NAMES = ("x_abs", "v_abs", "t_abs")
 _SCALAR_ARGS = ("r", "s", "q", "w")
 
 
+def _inner(a, b):
+    """a . b summed component by component.  Unlike ``dot``, whose einsum
+    rounds one state differently from a batch, its value at a state does
+    not depend on how many states are evaluated with it."""
+    out = mul(ex.comp(a, 0), ex.comp(b, 0))
+    for i in (1, 2):
+        out = add(out, mul(ex.comp(a, i), ex.comp(b, i)))
+    return out
+
+
+# force_at substitutes these for r, s and q, so the evaluator computes
+# only the invariants a force law uses
+_INVARIANTS = {"r": ex.func("sqrt", _inner(DX, DX)),
+               "s": ex.func("sqrt", _inner(DV, DV)), "q": _inner(DX, DV)}
+
+
 @dataclass(frozen=True)
 class ForceModel:
     """F(x, xdot, t) with reference values and mass.
@@ -64,17 +80,48 @@ class ForceModel:
         """The two-coefficient solution family f1*(x-x0r) + f2*(xdot-v0r)."""
         return cls(force=add(mul(f1, DX), mul(f2, DV)), **kw)
 
-    def force_at(self, t, x, v):
-        dx = np.asarray(x, float) - np.asarray(self.x0r, float)
-        dv = np.asarray(v, float) - np.asarray(self.v0r, float)
-        bind = {
-            "dx": dx, "dv": dv,
-            "r": float(np.linalg.norm(dx)), "s": float(np.linalg.norm(dv)),
-            "q": float(dx @ dv), "w": float(t - self.t0r),
-            "x_abs": np.asarray(x, float), "v_abs": np.asarray(v, float),
-            "t_abs": float(t),
-        }
-        return ex.evaluate(self.force, (t, (0.0, 0.0, 0.0)), bind).payload
+    def force_at(self, t, x, v, refs=None):
+        """F at one state or at B states in one evaluator call.
+
+        ``x`` and ``v`` are (3,) with a scalar ``t``, or (3, B) with ``t``
+        a scalar or (B,); the result is (3,) or (3, B) to match.  ``refs``
+        = (x0r, v0r, t0r) replaces the model's reference values; each may
+        be per state, (3, B) or (B,).
+        """
+        x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
+            else refs
+        x = np.asarray(x, float)
+        v = np.asarray(v, float)
+        one = x.ndim == 1
+        if one:
+            x, v = x[:, None], v[:, None]
+        n = x.shape[1]
+        t = np.asarray(t, float)
+        if t.ndim == 0:
+            t = np.full(n, t)
+        bind = {"dx": x - _columns(x0r), "dv": v - _columns(v0r),
+                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
+        out = ex.evaluate_many(_with_invariants(self.force), t,
+                               np.zeros((3, n)), bind)
+        return out[:, 0].copy() if one else out
+
+
+_with_invariants_memo = {}
+
+
+def _with_invariants(force):
+    """``force`` with r, s and q replaced by ``_INVARIANTS``, cached."""
+    got = _with_invariants_memo.get(id(force))
+    if got is None:
+        got = _with_invariants_memo[id(force)] = ex.substitute(force,
+                                                               _INVARIANTS)
+    return got
+
+
+def _columns(a):
+    """A (3,) vector as a (3, 1) column; a (3, B) array unchanged."""
+    a = np.asarray(a, float)
+    return a[:, None] if a.ndim == 1 else a
 
 
 def structural_force_check(model):
@@ -175,36 +222,53 @@ def integrate(model, ic, dt, n_steps, frame="inertial"):
     return Trajectory(frame=frame, t=ts, x=xs, v=vs, dt=dt)
 
 
+def _per_time(a, t):
+    """A (3,) vector as-is for a scalar time, as a (3, 1) column for a
+    (B,) array of times, so it broadcasts against (3, B) terms."""
+    return a[:, None] if np.ndim(t) else a
+
+
 def transport_references(model, spec):
     """Reference values seen from the new frame.
 
     Galilei: x0r is carried on the boosted world line (time-dependent in
     general, so only v0r/t0r are stored; the position reference enters
     through the difference), v0r' = R v0r + v, t0r' = t0r + tau.
-    Returned as a function of the new-frame time for the position part.
+    Returned as a function of the new-frame time for the position part;
+    the functions take a scalar time, giving (3,), or a (B,) array of
+    times, giving (3, B).
     """
     if isinstance(spec, fr.GalileiSpec):
         r, vb, c, tau = spec.r, spec.v, spec.c, spec.tau
 
         def x0r_at(t_new):
-            return r @ np.asarray(model.x0r) + vb * (t_new - tau) + c
+            return (_per_time(r @ np.asarray(model.x0r), t_new)
+                    + np.multiply.outer(vb, t_new - tau)
+                    + _per_time(c, t_new))
 
         v0r = r @ np.asarray(model.v0r) + vb
         return x0r_at, tuple(v0r), model.t0r + spec.tau
     if isinstance(spec, fr.EuclideanSpec):
         def x0r_at(t_new):
             t_old = t_new - spec.tau
-            return (spec.rotation.matrix(t_old) @ np.asarray(model.x0r)
+            return (_rotate(spec.rotation.matrix(t_old),
+                            np.asarray(model.x0r, float))
                     + spec.c(t_old))
 
         # the listed transport rule: v0r* = R v0r + cdot
         def v0r_at(t_new):
             t_old = t_new - spec.tau
-            return (spec.rotation.matrix(t_old) @ np.asarray(model.v0r)
+            return (_rotate(spec.rotation.matrix(t_old),
+                            np.asarray(model.v0r, float))
                     + spec.cdot(t_old))
 
         return x0r_at, v0r_at, model.t0r + spec.tau
     raise TypeError("unsupported frame spec %r" % (spec,))
+
+
+def _rotate(rmat, a):
+    """R a for R (3, 3) or (3, 3, B) and a (3,) or (3, B)."""
+    return np.einsum("ij...,j...->i...", rmat, a)
 
 
 def transform_trajectory(traj, spec):
@@ -218,11 +282,9 @@ def transform_trajectory(traj, spec):
     if isinstance(spec, fr.EuclideanSpec):
         rmat = spec.rotation.matrix(t)           # (3,3,N)
         rdot = spec.rotation.matrix_dot(t)
-        c = np.stack([spec.c(tk) for tk in t], axis=1)
-        cdot = np.stack([spec.cdot(tk) for tk in t], axis=1)
-        x_new = np.einsum("ijn,jn->in", rmat, x) + c
+        x_new = np.einsum("ijn,jn->in", rmat, x) + spec.c(t)
         v_new = (np.einsum("ijn,jn->in", rmat, v)
-                 + np.einsum("ijn,jn->in", rdot, x) + cdot)
+                 + np.einsum("ijn,jn->in", rdot, x) + spec.cdot(t))
         return replace(traj, frame=traj.frame + "*", t=t + spec.tau,
                        x=x_new, v=v_new)
     raise TypeError("unsupported frame spec %r" % (spec,))
@@ -237,28 +299,26 @@ def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
     """F(x', xdot', t'; refs') == R F(x, xdot, t; refs) at sampled states."""
     rng = np.random.default_rng(seed)
     rmat, vb, c, tau = spec.r, spec.v, spec.c, spec.tau
+    t = np.empty(n_points)
+    x = np.empty((3, n_points))
+    v = np.empty((3, n_points))
+    for k in range(n_points):   # draw order t, x, v per point fixes samples
+        t[k] = rng.uniform(0.0, 2.0)
+        x[:, k] = rng.uniform(-1.0, 1.0, size=3)
+        v[:, k] = rng.uniform(-1.0, 1.0, size=3)
+    t_new = t + tau
+    x_new = rmat @ x + np.outer(vb, t) + c[:, None]
+    v_new = rmat @ v + vb[:, None]
+    refs = None
     if transport_refs:
         x0r_at, v0r_new, t0r_new = transport_references(model, spec)
-    residuals, witnesses = [], []
-    for _ in range(n_points):
-        t = rng.uniform(0.0, 2.0)
-        x = rng.uniform(-1.0, 1.0, size=3)
-        v = rng.uniform(-1.0, 1.0, size=3)
-        t_new = t + tau
-        x_new = rmat @ x + vb * t + c
-        v_new = rmat @ v + vb
-        if transport_refs:
-            moved = replace(model, x0r=tuple(x0r_at(t_new)),
-                            v0r=tuple(v0r_new), t0r=t0r_new)
-        else:
-            moved = model
-        residuals.append(np.max(np.abs(moved.force_at(t_new, x_new, v_new)
-                                       - rmat @ model.force_at(t, x, v))))
-        witnesses.append((t, tuple(x)))
+        refs = (x0r_at(t_new), v0r_new, t0r_new)
+    residuals = np.max(np.abs(model.force_at(t_new, x_new, v_new, refs)
+                              - rmat @ model.force_at(t, x, v)), axis=0)
     # argmax lands on the first NaN, so a non-finite residual is kept
     k = int(np.argmax(residuals))
     worst = float(residuals[k])
-    return Verdict(tolerance=tol, witness=witnesses[k],
+    return Verdict(tolerance=tol, witness=(float(t[k]), tuple(x[:, k])),
                    objective=CheckPart(passed=worst <= tol, residual=worst))
 
 
@@ -278,9 +338,8 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
     inv_m = 1.0 / model.m
 
     def accel(tt, xx, vv):
-        mm = replace(model, x0r=tuple(x0r_at(tt)), v0r=tuple(v0r_new),
-                     t0r=t0r_new)
-        return inv_m * mm.force_at(tt, xx, vv)
+        return inv_m * model.force_at(tt, xx, vv,
+                                      (x0r_at(tt), v0r_new, t0r_new))
 
     ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
                       dt, n_steps)
@@ -293,20 +352,22 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
 
 
 def inertial_force(spec, t, x_star, v_star, m, a=0.0):
-    """The four-term fictitious force in an accelerating frame."""
+    """The four-term fictitious force in an accelerating frame.
+
+    ``t`` is a scalar with (3,) states, or (B,) with (3, B) states.
+    """
     t_old = t - spec.tau
     rmat = spec.rotation.matrix(t_old)
     rdot = spec.rotation.matrix_dot(t_old)
     rddot = spec.rotation.matrix_ddot(t_old)
-    c = spec.c(t_old)
-    cdot = spec.cdot(t_old)
-    cddot = spec.cddot(t_old)
-    dx = np.asarray(x_star, float) - c
-    dv = np.asarray(v_star, float) - cdot
-    return (m * cddot
-            - m * (rmat @ rddot.T) @ dx
-            - 2.0 * m * (rmat @ rdot.T) @ dv
-            - a * (rmat @ rdot.T) @ dx)
+    dx = np.asarray(x_star, float) - spec.c(t_old)
+    dv = np.asarray(v_star, float) - spec.cdot(t_old)
+    spin = np.einsum("ik...,jk...->ij...", rmat, rdot)       # R Rdot^T
+    accel = np.einsum("ik...,jk...->ij...", rmat, rddot)     # R Rddot^T
+    return (m * spec.cddot(t_old)
+            - m * _rotate(accel, dx)
+            - 2.0 * m * _rotate(spin, dv)
+            - a * _rotate(spin, dx))
 
 
 def check_noninertial_closure(model, spec, traj, tol=1e-5,
@@ -323,30 +384,23 @@ def check_noninertial_closure(model, spec, traj, tol=1e-5,
     starred = transform_trajectory(traj, spec)
     x0r_at, v0r_at, t0r_new = transport_references(model, spec)
 
-    residuals, witnesses = [], []
-    for k in range(traj.t.shape[0]):
-        t, x, v = traj.t[k], traj.x[:, k], traj.v[:, k]
-        ts, xs_, vs_ = starred.t[k], starred.x[:, k], starred.v[:, k]
-        t_old = ts - spec.tau
-        rmat = spec.rotation.matrix(t_old)
-        rdot = spec.rotation.matrix_dot(t_old)
-        rddot = spec.rotation.matrix_ddot(t_old)
-        xdd = model.force_at(t, x, v) / model.m
-        xdd_star = rddot @ x + 2.0 * rdot @ v + rmat @ xdd + spec.cddot(t_old)
-
-        moved = replace(model, x0r=tuple(x0r_at(ts)),
-                        v0r=tuple(v0r_at(ts)), t0r=t0r_new)
-        fict = inertial_force(spec, ts, xs_, vs_, model.m,
-                              a=a if include_drag_term else 0.0)
-        residuals.append(np.max(np.abs(model.m * xdd_star
-                                       - moved.force_at(ts, xs_, vs_)
-                                       - fict)))
-        witnesses.append((float(ts), tuple(xs_)))
+    ts, xs, vs = starred.t, starred.x, starred.v
+    t_old = ts - spec.tau
+    rmat = spec.rotation.matrix(t_old)
+    rdot = spec.rotation.matrix_dot(t_old)
+    rddot = spec.rotation.matrix_ddot(t_old)
+    xdd = model.force_at(traj.t, traj.x, traj.v) / model.m
+    xdd_star = (_rotate(rddot, traj.x) + _rotate(2.0 * rdot, traj.v)
+                + _rotate(rmat, xdd) + spec.cddot(t_old))
+    forces = model.force_at(ts, xs, vs, (x0r_at(ts), v0r_at(ts), t0r_new))
+    fict = inertial_force(spec, ts, xs, vs, model.m,
+                          a=a if include_drag_term else 0.0)
+    residuals = np.max(np.abs(model.m * xdd_star - forces - fict), axis=0)
     # argmax lands on the first NaN, so a non-finite residual is kept
     k = int(np.argmax(residuals))
     worst = float(residuals[k])
     part = CheckPart(passed=worst <= tol, residual=worst)
     notes = () if include_drag_term else (
         "drag contribution of the inertial force omitted (expected FAIL)",)
-    return Verdict(tolerance=tol, witness=witnesses[k], objective=part,
-                   notes=notes)
+    return Verdict(tolerance=tol, witness=(float(ts[k]), tuple(xs[:, k])),
+                   objective=part, notes=notes)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from invariance import frames as fr
 from invariance import mechanics as mech
+from invariance import report
 
 RNG = np.random.default_rng(0xD1CE)
 
@@ -160,3 +163,185 @@ class TestTrajectoryTransport:
                                      axis=1)
         assert np.max(np.abs(np.linalg.norm(sep_new, axis=0)
                              - np.linalg.norm(sep_old, axis=0))) < 1e-10
+
+
+ALL_MODELS = sorted(report.MECHANICS_MODELS.items()) + [
+    ("free", mech.free_model),
+    ("absolute_position", mech.absolute_position_model),
+    ("time_scaled_position", mech.time_scaled_position_model),
+]
+
+
+def loop_frame_indifference(model, spec, n_points=100, seed=0xC0FFEE,
+                            transport_refs=True):
+    """One state at a time, references moved by replacing model fields."""
+    rng = np.random.default_rng(seed)
+    x0r_at, v0r_new, t0r_new = mech.transport_references(model, spec)
+    residuals, witnesses = [], []
+    for _ in range(n_points):
+        t = rng.uniform(0.0, 2.0)
+        x = rng.uniform(-1.0, 1.0, size=3)
+        v = rng.uniform(-1.0, 1.0, size=3)
+        t_new = t + spec.tau
+        moved = model
+        if transport_refs:
+            moved = replace(model, x0r=tuple(x0r_at(t_new)),
+                            v0r=tuple(v0r_new), t0r=t0r_new)
+        f_new = moved.force_at(t_new, spec.r @ x + spec.v * t + spec.c,
+                               spec.r @ v + spec.v)
+        residuals.append(np.max(np.abs(f_new
+                                       - spec.r @ model.force_at(t, x, v))))
+        witnesses.append((t, tuple(x)))
+    k = int(np.argmax(residuals))
+    return residuals[k], witnesses[k]
+
+
+def loop_noninertial_closure(model, spec, traj, a):
+    """The starred balance one trajectory point at a time."""
+    starred = mech.transform_trajectory(traj, spec)
+    x0r_at, v0r_at, t0r_new = mech.transport_references(model, spec)
+    residuals, witnesses = [], []
+    for k in range(traj.t.shape[0]):
+        x, v = traj.x[:, k], traj.v[:, k]
+        ts, xs, vs = starred.t[k], starred.x[:, k], starred.v[:, k]
+        t_old = ts - spec.tau
+        rot = spec.rotation
+        xdd = model.force_at(traj.t[k], x, v) / model.m
+        xdd_star = (rot.matrix_ddot(t_old) @ x + 2.0 * rot.matrix_dot(t_old)
+                    @ v + rot.matrix(t_old) @ xdd + spec.cddot(t_old))
+        moved = replace(model, x0r=tuple(x0r_at(ts)), v0r=tuple(v0r_at(ts)),
+                        t0r=t0r_new)
+        fict = mech.inertial_force(spec, ts, xs, vs, model.m, a=a)
+        residuals.append(np.max(np.abs(model.m * xdd_star
+                                       - moved.force_at(ts, xs, vs) - fict)))
+        witnesses.append((float(ts), tuple(xs)))
+    k = int(np.argmax(residuals))
+    return residuals[k], witnesses[k]
+
+
+class TestBatchedForce:
+    B = 12
+
+    def states(self):
+        rng = np.random.default_rng(0xBA7C)
+        t = rng.uniform(0.0, 2.0, size=self.B)
+        x = rng.uniform(-1.0, 1.0, size=(3, self.B))
+        v = rng.uniform(-1.0, 1.0, size=(3, self.B))
+        refs = (rng.uniform(-3.0, -2.0, size=(3, self.B)),
+                rng.uniform(-1.0, 1.0, size=(3, self.B)),
+                rng.uniform(-1.0, 1.0, size=self.B))
+        return t, x, v, refs
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_batch_equals_per_state_loop(self, name, factory):
+        model = factory()
+        t, x, v, refs = self.states()
+        loop = np.stack([model.force_at(t[k], x[:, k], v[:, k])
+                         for k in range(self.B)], axis=1)
+        np.testing.assert_array_equal(model.force_at(t, x, v), loop)
+        loop = np.stack([model.force_at(0.7, x[:, k], v[:, k])
+                         for k in range(self.B)], axis=1)
+        np.testing.assert_array_equal(model.force_at(0.7, x, v), loop)
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_per_state_refs_equal_replaced_models(self, name, factory):
+        model = factory()
+        t, x, v, (x0r, v0r, t0r) = self.states()
+        loop = np.stack([replace(model, x0r=tuple(x0r[:, k]),
+                                 v0r=tuple(v0r[:, k]), t0r=t0r[k])
+                         .force_at(t[k], x[:, k], v[:, k])
+                         for k in range(self.B)], axis=1)
+        np.testing.assert_array_equal(
+            model.force_at(t, x, v, refs=(x0r, v0r, t0r)), loop)
+
+    def test_transport_and_inertial_force_take_time_arrays(self):
+        model = mech.drag_gravity_model()
+        t, x, v, _ = self.states()
+        galilei = fr.GalileiSpec.random(np.random.default_rng(3))
+        x0r_at, _, _ = mech.transport_references(model, galilei)
+        np.testing.assert_allclose(
+            x0r_at(t), np.stack([x0r_at(tk) for tk in t], axis=1),
+            rtol=0, atol=1e-12)
+        spec = fr.EuclideanSpec(
+            rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
+            path=("sin(t)", "t*t", "0.5"), tau=0.3)
+        x0r_at, v0r_at, _ = mech.transport_references(model, spec)
+        for fn in (x0r_at, v0r_at):
+            np.testing.assert_allclose(
+                fn(t), np.stack([fn(tk) for tk in t], axis=1),
+                rtol=0, atol=1e-12)
+        got = mech.inertial_force(spec, t, x, v, m=1.5, a=0.4)
+        loop = np.stack([mech.inertial_force(spec, t[k], x[:, k], v[:, k],
+                                             m=1.5, a=0.4)
+                         for k in range(self.B)], axis=1)
+        np.testing.assert_allclose(got, loop, rtol=0, atol=1e-12)
+
+
+class TestBatchedChecksAgainstLoops:
+    """The vectorised checks find the worst point a per-point loop finds.
+
+    Witnesses are compared where the worst residual stands clear of the
+    others; at rounding level the argmax is decided by last-bit noise.
+    """
+
+    BOOST = fr.GalileiSpec.random(np.random.default_rng(0x5EED))
+
+    @pytest.mark.parametrize("factory, transport_refs", [
+        (mech.absolute_velocity_model, True),
+        (mech.absolute_position_model, True),
+        (mech.time_scaled_position_model, True),
+        (mech.drag_gravity_model, False),
+        (mech.oscillator_model, False),
+    ])
+    def test_frame_indifference_witness(self, factory, transport_refs):
+        model = factory()
+        v = mech.check_force_frame_indifference(
+            model, self.BOOST, transport_refs=transport_refs)
+        worst, witness = loop_frame_indifference(
+            model, self.BOOST, transport_refs=transport_refs)
+        assert v.witness == witness
+        assert v.objective.residual == pytest.approx(worst, rel=1e-12)
+
+    def test_frame_indifference_rounding_level(self):
+        for factory in (mech.oscillator_model, mech.drag_gravity_model,
+                        mech.free_model):
+            v = mech.check_force_frame_indifference(factory(), self.BOOST)
+            worst, _ = loop_frame_indifference(factory(), self.BOOST)
+            assert v.objective.residual < 1e-12 and worst < 1e-12
+
+    def test_noninertial_closure_witness(self):
+        model = mech.drag_gravity_model()
+        spec = fr.EuclideanSpec(
+            rotation=fr.RotationSpec(axis=(0.0, 1.0, 1.0), rate=0.7),
+            path=("0.3*t*t", "sin(t)", "0.0"), tau=0.2)
+        ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
+        traj = mech.integrate(model, ic, 1e-2, 200)
+        dropped = mech.check_noninertial_closure(
+            model, spec, traj, drag_coeff=1.0, include_drag_term=False)
+        worst, witness = loop_noninertial_closure(model, spec, traj, a=0.0)
+        assert dropped.witness == witness
+        assert dropped.objective.residual == pytest.approx(worst, rel=1e-12)
+        closed = mech.check_noninertial_closure(model, spec, traj,
+                                                drag_coeff=1.0)
+        worst, _ = loop_noninertial_closure(model, spec, traj, a=1.0)
+        assert closed.objective.residual < 1e-10 and worst < 1e-10
+
+
+class TestRK4ForceCalls:
+    """``integrate`` evaluates the force exactly four times per step."""
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 50])
+    def test_four_force_calls_per_step(self, monkeypatch, n_steps):
+        calls = []
+        force_at = mech.ForceModel.force_at
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return force_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(mech.ForceModel, "force_at", counting)
+        ic = (np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0]), 0.0)
+        for _, factory in ALL_MODELS:
+            calls.clear()
+            mech.integrate(factory(), ic, 1e-2, n_steps)
+            assert len(calls) == 4 * n_steps
