@@ -24,18 +24,13 @@ from .ns import closure as ns_closure
 from .checks import geometry as geo
 from .sampling import DEFAULT_SEED
 
-__all__ = ["SchemaError", "ExecutionError", "run_scenario", "run_suite",
-           "KINDS"]
+__all__ = ["SchemaError", "run_scenario", "run_suite", "KINDS"]
 
 SCHEMA_VERSION = 1
 
 
 class SchemaError(Exception):
     """The scenario file does not conform to the schema."""
-
-
-class ExecutionError(Exception):
-    """The check could not be executed."""
 
 
 QUANTITIES = {
