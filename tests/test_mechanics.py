@@ -205,10 +205,11 @@ def loop_noninertial_closure(model, spec, traj, a):
         x, v = traj.x[:, k], traj.v[:, k]
         ts, xs, vs = starred.t[k], starred.x[:, k], starred.v[:, k]
         t_old = ts - spec.tau
-        rot = spec.rotation
+        rmat = spec.rotation.matrix(t_old)
+        rdot = spec.rotation.matrix_dot(t_old)
+        rddot = spec.rotation.matrix_ddot(t_old)
         xdd = model.force_at(traj.t[k], x, v) / model.m
-        xdd_star = (rot.matrix_ddot(t_old) @ x + 2.0 * rot.matrix_dot(t_old)
-                    @ v + rot.matrix(t_old) @ xdd + spec.cddot(t_old))
+        xdd_star = rddot @ x + 2.0 * rdot @ v + rmat @ xdd + spec.cddot(t_old)
         moved = replace(model, x0r=tuple(x0r_at(ts)), v0r=tuple(v0r_at(ts)),
                         t0r=t0r_new)
         fict = mech.inertial_force(spec, ts, xs, vs, model.m, a=a)
