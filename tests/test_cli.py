@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import invariance
 from invariance.cli import main
 from invariance.report import run_scenario, run_suite
 
@@ -162,3 +166,14 @@ class TestCommandLine:
                      "--no-timestamp", "--strict"]) == 0
         out = capsys.readouterr().out
         assert "2/2 scenarios matched expectations" in out
+
+    def test_import_leaves_scipy_out(self):
+        # a fresh interpreter, so modules the test session loaded do not count
+        src = str(Path(invariance.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, invariance.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
