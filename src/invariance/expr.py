@@ -22,14 +22,14 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 __all__ = [
     "SCALAR", "VEC", "MAT",
-    "Node", "TensorValue",
+    "Node",
     "ExprError", "ShapeError", "ParseError", "UnboundSymbolError", "EvalError",
     "const", "coord", "time", "sym", "add", "sub", "neg", "mul", "div_by",
     "dot", "outer", "transpose", "norm", "vec", "mat", "comp", "func",
     "grad", "div", "lap", "dt", "zero",
     "vector_const", "matrix_const", "x_vector",
     "differentiate", "expand_derivatives", "substitute", "compose",
-    "evaluate", "evaluate_many", "free_symbols", "contains_derivatives",
+    "evaluate_many", "free_symbols", "contains_derivatives",
     "parse_field_expr", "to_dsl",
 ]
 
@@ -620,32 +620,6 @@ def _rebuild_any(e, args):
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-class TensorValue:
-    """Shape-tagged numeric payload (float, 3-vector or 3x3 matrix)."""
-
-    __slots__ = ("shape", "payload")
-
-    def __init__(self, shape, payload):
-        self.shape = shape
-        self.payload = payload
-
-    def __repr__(self):
-        return "TensorValue(%s, %r)" % (self.shape, self.payload)
-
-
-def evaluate(e, pt, bindings=None):
-    """Evaluate at a single point.  ``pt`` is (t, x) with x a 3-sequence."""
-    t, x = pt
-    t_arr = np.asarray([float(t)])
-    x_arr = np.asarray(x, dtype=float).reshape(3, 1)
-    out = evaluate_many(e, t_arr, x_arr, bindings)
-    if e.shape == SCALAR:
-        return TensorValue(SCALAR, float(out[0]))
-    if e.shape == VEC:
-        return TensorValue(VEC, out[:, 0].copy())
-    return TensorValue(MAT, out[:, :, 0].copy())
-
 
 def evaluate_many(e, t_arr, x_arr, bindings=None):
     """Vectorised evaluation over N points.

@@ -53,7 +53,7 @@ class TestRotationSpec:
         spec = random_rotation_spec(RNG)
         q_expr = spec.q_expr()
         for t in (0.0, 0.4, 1.3):
-            got = ex.evaluate(q_expr, (t, (0, 0, 0))).payload
+            got = ex.evaluate_many(q_expr, [t], np.zeros((3, 1)))[..., 0]
             assert np.allclose(got, spec.matrix(t), atol=1e-14)
 
     def test_spin_composition_law(self):
@@ -254,7 +254,8 @@ class TestVelocityRules:
         u = parse_field_expr("vec(comp(x,2), 0, 0)")
         ut, _, _ = fr.transform_ns_fields(u, self.P0, spec)
         # at t=0 the map is the identity, so u~ = u + v pointwise
-        got = ex.evaluate(ut, (0.0, (0.3, 0.7, 0.1))).payload
+        got = ex.evaluate_many(ut, [0.0],
+                               np.reshape((0.3, 0.7, 0.1), (3, 1)))[:, 0]
         assert np.allclose(got, [0.7 + 1.0, 0.5, 0.0])
 
     def test_rotation_rule_reproduces_transport(self):
@@ -266,9 +267,9 @@ class TestVelocityRules:
         x0 = np.array([0.4, -0.8, 0.3])
         # transport: d/dt [Q(t) x(t)] with xdot = u(x)
         q, qd = spec.rotation.matrix(t), spec.rotation.matrix_dot(t)
-        u_val = ex.evaluate(u, (t, x0)).payload
+        u_val = ex.evaluate_many(u, [t], x0.reshape(3, 1))[:, 0]
         expect = q @ u_val + qd @ x0
-        got = ex.evaluate(ut, (t, q @ x0)).payload
+        got = ex.evaluate_many(ut, [t], (q @ x0).reshape(3, 1))[:, 0]
         assert np.allclose(got, expect, atol=1e-12)
 
     def test_scalar_transform_example(self):
