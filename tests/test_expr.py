@@ -32,9 +32,7 @@ def point(t, x):
 def fd_derivative(e, wrt, t, x, bindings=None, h=1e-6):
     """Central finite difference of an expression at one point."""
     def value(tv, xv):
-        out = evaluate_many(e, np.array([tv]), np.asarray(xv).reshape(3, 1),
-                            bindings)
-        return out[..., 0]
+        return evaluate_many(e, *point(tv, xv), bindings)[..., 0]
 
     if wrt == "t":
         return (value(t + h, x) - value(t - h, x)) / (2 * h)
@@ -84,8 +82,7 @@ class TestDerivativeOracle:
             for wrt in (0, 1, 2, "t"):
                 d = differentiate(expand_derivatives(e), wrt)
                 for t, x in zip(pts_t, pts_x):
-                    got = evaluate_many(d, np.array([t]), x.reshape(3, 1),
-                                        BINDINGS)[..., 0]
+                    got = evaluate_many(d, *point(t, x), BINDINGS)[..., 0]
                     ref = fd_derivative(e, wrt, t, x, BINDINGS)
                     scale = max(1.0, np.max(np.abs(ref)))
                     assert np.max(np.abs(got - ref)) / scale < 1e-6
