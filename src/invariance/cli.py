@@ -79,8 +79,9 @@ def main(argv=None):
     p_suite = sub.add_parser("suite", help="run every scenario in a "
                                            "directory")
     p_suite.add_argument("directory", help="directory of scenario files")
-    p_suite.add_argument("--jobs", type=int, default=1,
-                         help="run scenarios concurrently")
+    p_suite.add_argument("--jobs", type=int, default=1, metavar="N",
+                         help="run scenarios in up to N worker processes "
+                              "(at most one per CPU and per scenario)")
     _add_common(p_suite)
 
     p_demo = sub.add_parser("demo", help="run a shipped scenario by name")

@@ -7,10 +7,11 @@ runner re-asserts.  Reports are deterministic: with timestamps disabled,
 two runs over the same inputs are byte-identical.
 """
 
+import functools
 import hashlib
 import json
+import os
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -317,15 +318,46 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
 
 
 def run_suite(paths, tol=None, seed=None, no_timestamp=False, jobs=1):
-    """Run many scenarios; reports merged deterministically by name."""
+    """Run many scenarios; reports merged deterministically by name.
+
+    With ``jobs`` > 1 the scenarios run in up to ``jobs`` worker
+    processes, at most one per CPU and per scenario; otherwise, and when
+    that leaves one worker, they run in this process.
+    """
     paths = sorted(str(p) for p in paths)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda p: run_scenario(p, tol, seed, no_timestamp), paths))
+    run = functools.partial(run_scenario, tol=tol, seed=seed,
+                            no_timestamp=no_timestamp)
+    workers = min(jobs, len(paths), os.cpu_count() or 1)
+    if workers > 1:
+        results = _run_in_processes(run, paths, workers)
     else:
-        results = [run_scenario(p, tol, seed, no_timestamp) for p in paths]
+        results = [run(p) for p in paths]
     reports = [r for r, _ in results]
     reports.sort(key=lambda r: r.get("scenario", ""))
     exit_code = max((c for _, c in results), default=0)
     return reports, exit_code
+
+
+def _run_in_processes(run, paths, workers):
+    # imported here so that a serial run never loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork shares the imported package with the workers instead of
+    # importing it again in each one
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else None)
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context(method)
+                             ) as pool:
+        futures = [pool.submit(run, p) for p in paths]
+        results = []
+        for path, future in zip(paths, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(({"scenario": path,
+                                 "error": "worker process died: %s" % exc,
+                                 "error_kind": "execution"}, 3))
+    return results

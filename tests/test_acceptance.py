@@ -257,13 +257,13 @@ def golden_drift(reports, golden):
 def test_criterion_9_determinism():
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     first, code1 = run_suite(paths, no_timestamp=True)
-    second, code2 = run_suite(paths, no_timestamp=True)
+    second, code2 = run_suite(paths, no_timestamp=True, jobs=2)
     blob1 = json.dumps(first, sort_keys=True)
     blob2 = json.dumps(second, sort_keys=True)
     met = all(r.get("expectation_met") for r in first)
     drift = golden_drift(first, json.loads(GOLDEN_SUITE.read_text()))
     assert not drift, drift
     ok = blob1 == blob2 and code1 == code2 == 0 and met
-    report(9, ok, "%d scenarios byte-identical across two --no-timestamp "
-           "runs; all expectations met; verdicts and residual classes "
+    report(9, ok, "%d scenarios byte-identical between a serial and a "
+           "2-process --no-timestamp run; all expectations met; verdicts and residual classes "
            "match tests/golden/suite.json" % len(paths))

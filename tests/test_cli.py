@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import invariance
+from invariance import report
 from invariance.cli import main
 from invariance.report import run_scenario, run_suite
 
@@ -16,6 +19,22 @@ SCENARIOS = Path(str(resources.files("invariance") / "scenarios"))
 
 def shipped(name):
     return str(SCENARIOS / (name + ".json"))
+
+
+class RanInTestProcess(BaseException):
+    """Raised by a patched runner that should only run in a worker; not an
+    ``Exception``, so ``run_scenario`` cannot turn it into a report."""
+
+
+def modules_after_cli_import():
+    """Names in ``sys.modules`` after ``import invariance.cli``, in a fresh
+    interpreter so that modules the test session loaded do not count."""
+    src = str(Path(invariance.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, invariance.cli; print('\\n'.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
 
 
 class TestRunScenario:
@@ -106,6 +125,71 @@ class TestRunSuite:
                                    str(bad)])
         assert code == 2 and len(reports) == 2
 
+    def test_worker_count_is_clamped(self, monkeypatch):
+        # a fake pool records its size and runs the calls here, so no
+        # process is started whatever the clamp computes
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        names = ["classify_strain_rate", "classify_velocity",
+                 "ns_s4_time_reversal_beltrami"]
+        paths = [shipped(n) for n in names]
+        serial, _ = run_suite(paths, no_timestamp=True)
+        for cpus, jobs, n_paths, expected in [
+                (64, 10 ** 5, 3, [3]),       # one worker per scenario
+                (2, 10 ** 5, 3, [2]),        # one worker per CPU
+                (None, 10 ** 5, 3, []),      # CPU count unknown: serial
+                (64, 1, 3, []),
+                (64, 10 ** 5, 1, [])]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            reports, code = run_suite(paths[:n_paths], no_timestamp=True,
+                                      jobs=jobs)
+            assert sizes == expected
+            assert code == 0
+            assert json.dumps(reports, sort_keys=True) == \
+                json.dumps(serial[:n_paths], sort_keys=True)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patched runner reaches workers by fork")
+    def test_dead_worker_is_execution_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() == parent:
+                raise RanInTestProcess
+            os._exit(1)
+
+        monkeypatch.setitem(report.KINDS, "mechanics", die)
+        # two CPUs, so the two scenarios cannot fall back to this process
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        paths = [shipped("classify_strain_rate"),
+                 shipped("mech_frame_indifference_oscillator")]
+        reports, code = run_suite(paths, no_timestamp=True, jobs=2)
+        assert code == 3 and len(reports) == 2
+        by_name = {r["scenario"]: r for r in reports}
+        assert by_name[paths[1]]["error_kind"] == "execution"
+        # the classify scenario finished first or was lost with the pool
+        other = by_name.get("classify_strain_rate", by_name.get(paths[0]))
+        assert other.get("expectation_met") or \
+            other.get("error_kind") == "execution"
+
 
 class TestCommandLine:
     def test_check_exit_zero(self, capsys):
@@ -168,12 +252,12 @@ class TestCommandLine:
         assert "2/2 scenarios matched expectations" in out
 
     def test_import_leaves_scipy_out(self):
-        # a fresh interpreter, so modules the test session loaded do not count
-        src = str(Path(invariance.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, invariance.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        loaded = modules_after_cli_import()
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    def test_import_leaves_pool_out(self):
+        # the worker pool is imported only when a suite runs in parallel
+        loaded = modules_after_cli_import()
+        assert [m for m in loaded
+                if m.split(".")[0] == "multiprocessing"
+                or m.startswith("concurrent.futures.process")] == []
