@@ -320,9 +320,9 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
 def run_suite(paths, tol=None, seed=None, no_timestamp=False, jobs=1):
     """Run many scenarios; reports merged deterministically by name.
 
-    With ``jobs`` > 1 the scenarios run in up to ``jobs`` worker
-    processes, at most one per CPU and per scenario; otherwise, and when
-    that leaves one worker, they run in this process.
+    With ``jobs`` > 1 the scenarios run in worker processes: at most
+    ``jobs``, one per CPU and one per scenario.  When that allows only one
+    worker they run in this process, as with ``jobs=1``.
     """
     paths = sorted(str(p) for p in paths)
     run = functools.partial(run_scenario, tol=tol, seed=seed,
@@ -344,8 +344,9 @@ def _run_in_processes(run, paths, workers):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # fork shares the imported package with the workers instead of
-    # importing it again in each one
+    # fork hands the imported package to the workers instead of importing
+    # it again in each; numpy's OpenBLAS threads, the only other threads
+    # here, stop themselves before a fork
     method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
               else None)
     with ProcessPoolExecutor(max_workers=workers,

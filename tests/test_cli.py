@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import invariance
-from invariance import report
 from invariance.cli import main
 from invariance.report import run_scenario, run_suite
 
@@ -176,7 +175,7 @@ class TestRunSuite:
                 raise RanInTestProcess
             os._exit(1)
 
-        monkeypatch.setitem(report.KINDS, "mechanics", die)
+        monkeypatch.setitem(invariance.report.KINDS, "mechanics", die)
         # two CPUs, so the two scenarios cannot fall back to this process
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         paths = [shipped("classify_strain_rate"),
