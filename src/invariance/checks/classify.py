@@ -33,7 +33,7 @@ from ..expr import (
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
 from ..sampling import sample_points
-from .verdict import CheckPart, Verdict
+from .verdict import FAIL_FLOOR, CheckPart, Verdict
 
 __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-FAIL_FLOOR = 1e-3
 
 U = sym("u", VEC, field=True)
 PHI = sym("phi", SCALAR, field=True)

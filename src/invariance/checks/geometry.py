@@ -18,14 +18,12 @@ from ..expr import (
     Node, compose, differentiate, dot, evaluate_many, expand_derivatives,
     grad, mat, parse_field_expr, transpose,
 )
-from .verdict import CheckPart
+from .verdict import FAIL_FLOOR, CheckPart
 
 __all__ = [
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
     "check_covariant_derivative", "geometric_invariance_suite",
 ]
-
-FAIL_FLOOR = 1e-3
 
 
 def _box_sampler(n, seed):

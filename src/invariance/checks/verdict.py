@@ -3,7 +3,11 @@
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-__all__ = ["CheckPart", "Verdict"]
+__all__ = ["CheckPart", "Verdict", "FAIL_FLOOR"]
+
+# a residual above the tolerance but at or below this floor sits in the
+# dead zone between rounding-level PASS and O(1) FAIL
+FAIL_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ __all__ = [
     "grad", "div", "lap", "dt", "zero",
     "vector_const", "matrix_const", "x_vector",
     "differentiate", "expand_derivatives", "substitute", "compose",
-    "evaluate_many", "free_symbols", "contains_derivatives",
+    "evaluate_many", "float_kernel", "free_symbols", "contains_derivatives",
     "parse_field_expr", "to_dsl",
 ]
 
@@ -643,27 +643,37 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     return vals[-1]
 
 
-def _build_tape(root):
-    """Compile an expanded DAG into a tuple of steps in evaluation order.
+def _post_order(root):
+    """The nodes of a DAG in evaluation order, each shared node once.
 
-    The order is the post-order of a left-to-right depth-first walk that
-    visits each shared node once: operands before the node, the left one
-    first.  Step k is a closure ``step(vals, env)`` returning the value of
-    the k-th node from the values of the earlier ones; ``env`` is
-    (N, t_arr, x_arr, bindings).  The walk is iterative, so deep DAGs do
-    not hit the recursion limit.
+    The order is the post-order of a left-to-right depth-first walk:
+    operands before the node, the left one first.  The walk is iterative,
+    so deep DAGs do not hit the recursion limit.
     """
-    slot = {}
-    steps = []
+    seen = set()
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
-        if id(node) in slot:
+        if id(node) in seen:
             continue
         if not ready:
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
             continue
+        seen.add(id(node))
+        yield node
+
+
+def _build_tape(root):
+    """Compile an expanded DAG into a tuple of steps in ``_post_order``.
+
+    Step k is a closure ``step(vals, env)`` returning the value of the
+    k-th node from the values of the earlier ones; ``env`` is
+    (N, t_arr, x_arr, bindings).
+    """
+    slot = {}
+    steps = []
+    for node in _post_order(root):
         op = _OPS.get(node.kind)
         if op is None:
             raise ExprError("unexpandable node %r reached evaluator"
@@ -770,6 +780,13 @@ def _op_comp(node, slots):
     return lambda v, env: v[a][i, j]
 
 
+_POWER_SINGULAR = ("power: reciprocal of a near-zero base (singularity "
+                   "guard %.0e)" % _SINGULARITY_EPS)
+_POWER_DOMAIN = "power: domain error"
+_LOG_DOMAIN = "log of a non-positive value"
+_SQRT_DOMAIN = "sqrt of a negative value"
+
+
 def _op_func(node, slots):
     name = node.data
     if name == "power":
@@ -778,25 +795,24 @@ def _op_func(node, slots):
         def power(v, env):
             base, expo = v[a], v[b]
             if np.any((np.abs(base) < _SINGULARITY_EPS) & (expo < 0)):
-                raise EvalError("power: reciprocal of a near-zero base "
-                                "(singularity guard %.0e)" % _SINGULARITY_EPS)
+                raise EvalError(_POWER_SINGULAR)
             with np.errstate(invalid="raise", divide="raise"):
                 try:
                     return np.power(base, expo)
                 except FloatingPointError:
-                    raise EvalError("power: domain error") from None
+                    raise EvalError(_POWER_DOMAIN) from None
         return power
     a, = slots
     if name == "log":
         def log(v, env):
             if np.any(v[a] <= 0):
-                raise EvalError("log of a non-positive value")
+                raise EvalError(_LOG_DOMAIN)
             return np.log(v[a])
         return log
     if name == "sqrt":
         def sqrt(v, env):
             if np.any(v[a] < 0):
-                raise EvalError("sqrt of a negative value")
+                raise EvalError(_SQRT_DOMAIN)
             return np.sqrt(v[a])
         return sqrt
     fn = getattr(np, name)   # sin, cos, exp, abs, sign
@@ -808,6 +824,211 @@ _OPS = {
     "sym": _op_sym, "add": _op_add, "mul": _op_mul, "dot": _op_dot,
     "outer": _op_outer, "transpose": _op_transpose, "norm": _op_norm,
     "vec": _op_vec, "mat": _op_mat, "comp": _op_comp, "func": _op_func,
+}
+
+
+# ---------------------------------------------------------------------------
+# float kernels: one point, straight-line Python
+# ---------------------------------------------------------------------------
+
+_kernel_memo = {}    # expanded root id -> compiled float kernel
+
+
+def float_kernel(e):
+    """``e`` compiled to a Python function of one point, over floats.
+
+    ``kernel(t, x, bindings)`` takes the time as a float, the coordinates
+    as three floats, and each bound symbol as a float, three floats or
+    three rows of three floats.  It returns a float, a 3-tuple or a
+    3-tuple of rows.  Its value equals ``evaluate_many`` at that one point
+    bit for bit, and it raises ``EvalError`` and ``UnboundSymbolError``
+    where the evaluator does.
+
+    Sums, products, ``sqrt``, ``abs`` and ``sign`` are Python float
+    operations, which IEEE 754 rounds exactly as numpy's loops do.
+    ``power``, ``exp``, ``log``, ``sin`` and ``cos`` call numpy's array
+    loop on one element: ``math`` and numpy's scalar path round some of
+    them differently.  ``dot``, ``norm`` and a ``power`` whose exponent is
+    not a constant are refused when the kernel is built: einsum picks its
+    own summation order, and numpy rounds such a power in two ways.  The
+    source is compiled on first use and cached per expanded root.
+    """
+    e = expand_derivatives(e)
+    kernel = _kernel_memo.get(id(e))
+    if kernel is None:
+        kernel = _kernel_memo[id(e)] = _emit_kernel(e)
+    return kernel
+
+
+def _emit_kernel(root):
+    """Write the straight-line source of ``float_kernel`` and compile it.
+
+    Nodes are emitted in ``_post_order``, the order of the tape, so the
+    guards raise at the same node as the evaluator's.  A value is the
+    source text of its scalar, or a tuple of 3 (vec3) or 9 (mat3, row by
+    row) such texts; ``comp``, ``vec``, ``mat`` and ``transpose`` only
+    regroup texts and emit no line.
+    """
+    names = {}
+    lines = []
+    env = {"EvalError": EvalError, "UnboundSymbolError": UnboundSymbolError,
+           "_array": np.array, "_power": np.power, "_sqrt": math.sqrt,
+           "_ninf": -math.inf, "_POWER_SINGULAR": _POWER_SINGULAR,
+           "_POWER_DOMAIN": _POWER_DOMAIN, "_LOG_DOMAIN": _LOG_DOMAIN,
+           "_SQRT_DOMAIN": _SQRT_DOMAIN}
+    for k, node in enumerate(_post_order(root)):
+        emit = _EMIT.get(node.kind)
+        if emit is None:
+            raise ExprError("float kernel: unsupported node %r" % node.kind)
+        names[id(node)] = emit(node, [names[id(a)] for a in node.args],
+                               "v%d" % k, lines, env)
+    out = _tuple_text(root.shape, names[id(root)])
+    source = "\n".join(
+        ["def kernel(t, x, b):", "    try:"]
+        + ["        " + line for line in lines]
+        + ["        return %s" % out,
+           "    except KeyError as exc:",
+           "        raise UnboundSymbolError('unbound symbol %r'"
+           " % exc.args[0]) from None"])
+    exec(compile(source, "<float kernel>", "exec"), env)
+    return env["kernel"]
+
+
+def _parts(shape, name):
+    """Fresh component names for a value of ``shape``."""
+    if shape == SCALAR:
+        return name
+    if shape == VEC:
+        return tuple("%s_%d" % (name, i) for i in range(3))
+    return tuple("%s_%d%d" % (name, i, j) for i in range(3)
+                 for j in range(3))
+
+
+def _tuple_text(shape, parts):
+    """Source of a value as a float, a 3-tuple or three row 3-tuples."""
+    if shape == MAT:
+        return "(%s), (%s), (%s)" % tuple(", ".join(parts[i:i + 3])
+                                           for i in (0, 3, 6))
+    return parts if shape == SCALAR else ", ".join(parts)
+
+
+def _assign(lines, target, exprs):
+    """One line per component: ``target`` and ``exprs`` match in shape."""
+    if isinstance(target, str):
+        lines.append("%s = %s" % (target, exprs))
+    else:
+        lines.extend("%s = %s" % te for te in zip(target, exprs))
+    return target
+
+
+def _emit_const(node, args, name, lines, env):
+    value = node.data
+    if math.isfinite(value):
+        return repr(value)
+    env["_c" + name] = value
+    return "_c" + name
+
+
+def _emit_coord(node, args, name, lines, env):
+    return _assign(lines, name, "x[%d]" % node.data)
+
+
+def _emit_time(node, args, name, lines, env):
+    return "t"
+
+
+def _emit_sym(node, args, name, lines, env):
+    target = _parts(node.shape, name)
+    lines.append("%s = b[%r]" % (_tuple_text(node.shape, target),
+                                 node.data[0]))
+    return target
+
+
+def _emit_add(node, args, name, lines, env):
+    a, b = args
+    if node.shape == SCALAR:
+        return _assign(lines, name, "%s + %s" % (a, b))
+    return _assign(lines, _parts(node.shape, name),
+                   ["%s + %s" % ab for ab in zip(a, b)])
+
+
+def _emit_mul(node, args, name, lines, env):
+    a, b = args
+    if node.shape == SCALAR:
+        return _assign(lines, name, "%s * %s" % (a, b))
+    return _assign(lines, _parts(node.shape, name),
+                   ["%s * %s" % (a, bi) for bi in b])
+
+
+def _emit_outer(node, args, name, lines, env):
+    a, b = args
+    return _assign(lines, _parts(MAT, name),
+                   ["%s * %s" % (ai, bj) for ai in a for bj in b])
+
+
+def _emit_transpose(node, args, name, lines, env):
+    m, = args
+    return tuple(m[k] for k in (0, 3, 6, 1, 4, 7, 2, 5, 8))
+
+
+def _emit_vec(node, args, name, lines, env):
+    return tuple(args)
+
+
+_emit_mat = _emit_vec
+
+
+def _emit_comp(node, args, name, lines, env):
+    i, j = node.data
+    return args[0][i if j is None else 3 * i + j]
+
+
+def _emit_func(node, args, name, lines, env):
+    fn = node.data
+    a = args[0]
+    if fn == "power":
+        return _emit_power(node, a, name, lines, env)
+    if fn == "sqrt":
+        lines.append("if %s < 0.0: raise EvalError(_SQRT_DOMAIN)" % a)
+        return _assign(lines, name, "_sqrt(%s)" % a)
+    if fn == "abs":
+        return _assign(lines, name, "abs(%s)" % a)
+    if fn == "sign":
+        # np.sign: +-1, +0.0 for either zero (-0.0 + 0.0 is +0.0), NaN kept
+        return _assign(lines, name, "1.0 if %s > 0.0 else -1.0 if %s < 0.0 "
+                       "else %s + 0.0" % (a, a, a))
+    if fn == "log":
+        lines.append("if %s <= 0.0: raise EvalError(_LOG_DOMAIN)" % a)
+    env["_" + fn] = getattr(np, fn)        # log, exp, sin, cos
+    return _assign(lines, name, "_%s(_array((%s,))).item()" % (fn, a))
+
+
+def _emit_power(node, base, name, lines, env):
+    if node.args[1].kind != "const":
+        # the evaluator itself rounds such a power two ways: numpy takes a
+        # fast path for an exponent bound as one scalar equal to -1, 0.5
+        # or 2, and its array loop for any other exponent
+        raise ExprError("float kernel: power needs a constant exponent")
+    expo = node.args[1].data
+    if expo < 0:
+        lines.append("if abs(%s) < %r: raise EvalError(_POWER_SINGULAR)"
+                     % (base, _SINGULARITY_EPS))
+    if math.isfinite(expo) and not expo.is_integer():
+        # numpy's pow flags "invalid" for a finite negative base under a
+        # finite non-integer exponent, and for nothing else that passed
+        # the singularity guard
+        lines.append("if _ninf < %s < 0.0: raise EvalError(_POWER_DOMAIN)"
+                     % base)
+    env["_e" + name] = np.array((expo,))
+    return _assign(lines, name, "_power(_array((%s,)), _e%s).item()"
+                   % (base, name))
+
+
+_EMIT = {
+    "const": _emit_const, "coord": _emit_coord, "time": _emit_time,
+    "sym": _emit_sym, "add": _emit_add, "mul": _emit_mul,
+    "outer": _emit_outer, "transpose": _emit_transpose, "vec": _emit_vec,
+    "mat": _emit_mat, "comp": _emit_comp, "func": _emit_func,
 }
 
 

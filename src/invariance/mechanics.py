@@ -81,32 +81,48 @@ class ForceModel:
         return cls(force=add(mul(f1, DX), mul(f2, DV)), **kw)
 
     def force_at(self, t, x, v, refs=None):
-        """F at one state or at B states in one evaluator call.
+        """F at one state, or at B states in one evaluator call.
 
         ``x`` and ``v`` are (3,) with a scalar ``t``, or (3, B) with ``t``
         a scalar or (B,); the result is (3,) or (3, B) to match.  ``refs``
         = (x0r, v0r, t0r) replaces the model's reference values; each may
-        be per state, (3, B) or (B,).
+        be per state, (3, B) or (B,).  One state runs on the force's float
+        kernel and may also be given as sequences of three floats; B
+        states run on the numpy evaluator.
         """
+        if getattr(x, "ndim", 1) == 1 and (isinstance(t, float)
+                                           or np.ndim(t) == 0):
+            return np.array(self._force_floats(t, x, v, refs), float)
         x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
             else refs
         x = np.asarray(x, float)
         v = np.asarray(v, float)
-        one = x.ndim == 1
-        if one:
-            x, v = x[:, None], v[:, None]
         n = x.shape[1]
         t = np.asarray(t, float)
         if t.ndim == 0:
             t = np.full(n, t)
         bind = {"dx": x - _columns(x0r), "dv": v - _columns(v0r),
                 "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
-        out = ex.evaluate_many(_with_invariants(self.force), t,
-                               np.zeros((3, n)), bind)
-        return out[:, 0].copy() if one else out
+        return ex.evaluate_many(_with_invariants(self.force), t,
+                                np.zeros((3, n)), bind)
+
+    def _force_floats(self, t, x, v, refs):
+        """F at one state as three floats, from the float kernel."""
+        x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
+            else refs
+        x0, x1, x2 = x
+        v0, v1, v2 = v
+        a0, a1, a2 = x0r
+        b0, b1, b2 = v0r
+        bind = {"dx": (x0 - a0, x1 - a1, x2 - a2),
+                "dv": (v0 - b0, v1 - b1, v2 - b2),
+                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
+        return _force_kernel(self.force)(t, _ORIGIN, bind)
 
 
+_ORIGIN = (0.0, 0.0, 0.0)
 _with_invariants_memo = {}
+_kernel_memo = {}
 
 
 def _with_invariants(force):
@@ -115,6 +131,15 @@ def _with_invariants(force):
     if got is None:
         got = _with_invariants_memo[id(force)] = ex.substitute(force,
                                                                _INVARIANTS)
+    return got
+
+
+def _force_kernel(force):
+    """The float kernel of ``_with_invariants(force)``, cached."""
+    got = _kernel_memo.get(id(force))
+    if got is None:
+        got = _kernel_memo[id(force)] = ex.float_kernel(
+            _with_invariants(force))
     return got
 
 
@@ -186,27 +211,54 @@ class Trajectory:
 
 
 def _rk4(accel, ic, dt, n_steps):
-    x0, v0, t0 = ic
-    x = np.asarray(x0, float).copy()
-    v = np.asarray(v0, float).copy()
-    t = float(t0)
-    ts = np.empty(n_steps + 1)
-    xs = np.empty((3, n_steps + 1))
-    vs = np.empty((3, n_steps + 1))
-    ts[0], xs[:, 0], vs[:, 0] = t, x, v
+    """Classical RK4 over Python floats.
+
+    ``accel(t, x, v)`` takes and returns 3-tuples of floats.  Each step
+    makes four ``accel`` calls and rounds every component exactly as the
+    same update written over (3,) numpy arrays would.
+    """
+    # imported here so that a process that never integrates does not load
+    # the extension module
+    from array import array
+
+    x_init, v_init, t0 = ic
+    x = tuple(np.asarray(x_init, float).tolist())
+    v = tuple(np.asarray(v_init, float).tolist())
+    t0 = t = float(t0)
+    half, sixth = 0.5 * dt, dt / 6.0
+    # flat C doubles: a list of float tuples would hold ~6x the memory
+    ts, xs, vs = array("d", (t,)), array("d", x), array("d", v)
     for k in range(n_steps):
-        k1x, k1v = v, accel(t, x, v)
-        k2x = v + 0.5 * dt * k1v
-        k2v = accel(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
-        k3x = v + 0.5 * dt * k2v
-        k3v = accel(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
-        k4x = v + dt * k3v
-        k4v = accel(t + dt, x + dt * k3x, k4x)
-        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t = float(t0) + (k + 1) * dt
-        ts[k + 1], xs[:, k + 1], vs[:, k + 1] = t, x, v
-    return ts, xs, vs
+        (x0, x1, x2), (v0, v1, v2) = x, v
+        # k1x is v
+        a0, a1, a2 = accel(t, x, v)                                  # k1v
+        b0, b1, b2 = v0 + half * a0, v1 + half * a1, v2 + half * a2  # k2x
+        c0, c1, c2 = accel(t + half, (x0 + half * v0, x1 + half * v1,
+                                      x2 + half * v2), (b0, b1, b2))  # k2v
+        d0, d1, d2 = v0 + half * c0, v1 + half * c1, v2 + half * c2  # k3x
+        e0, e1, e2 = accel(t + half, (x0 + half * b0, x1 + half * b1,
+                                      x2 + half * b2), (d0, d1, d2))  # k3v
+        f0, f1, f2 = v0 + dt * e0, v1 + dt * e1, v2 + dt * e2        # k4x
+        g0, g1, g2 = accel(t + dt, (x0 + dt * d0, x1 + dt * d1,
+                                    x2 + dt * d2), (f0, f1, f2))     # k4v
+        x = (x0 + sixth * (v0 + 2 * b0 + 2 * d0 + f0),
+             x1 + sixth * (v1 + 2 * b1 + 2 * d1 + f1),
+             x2 + sixth * (v2 + 2 * b2 + 2 * d2 + f2))
+        v = (v0 + sixth * (a0 + 2 * c0 + 2 * e0 + g0),
+             v1 + sixth * (a1 + 2 * c1 + 2 * e1 + g1),
+             v2 + sixth * (a2 + 2 * c2 + 2 * e2 + g2))
+        t = t0 + (k + 1) * dt
+        ts.append(t)
+        xs.extend(x)
+        vs.extend(v)
+    return (np.array(ts), np.reshape(xs, (-1, 3)).T.copy(),
+            np.reshape(vs, (-1, 3)).T.copy())
+
+
+def _scaled(force, s):
+    """``s`` times a (3,) force array, as three floats."""
+    f0, f1, f2 = force.tolist()
+    return s * f0, s * f1, s * f2
 
 
 def integrate(model, ic, dt, n_steps, frame="inertial"):
@@ -216,7 +268,7 @@ def integrate(model, ic, dt, n_steps, frame="inertial"):
     inv_m = 1.0 / model.m
 
     def accel(tt, xx, vv):
-        return inv_m * model.force_at(tt, xx, vv)
+        return _scaled(model.force_at(tt, xx, vv), inv_m)
 
     ts, xs, vs = _rk4(accel, ic, dt, n_steps)
     return Trajectory(frame=frame, t=ts, x=xs, v=vs, dt=dt)
@@ -264,6 +316,19 @@ def transport_references(model, spec):
 
         return x0r_at, v0r_at, model.t0r + spec.tau
     raise TypeError("unsupported frame spec %r" % (spec,))
+
+
+def _galilei_x0r_floats(model, spec):
+    """The Galilei ``x0r_at`` of ``transport_references`` for one float
+    time, R x0r + v (t - tau) + c, as three floats rounded as there."""
+    rx = (spec.r @ np.asarray(model.x0r)).tolist()
+    vb, c, tau = spec.v.tolist(), spec.c.tolist(), spec.tau
+
+    def x0r_at(t_new):
+        w = t_new - tau
+        return (rx[0] + vb[0] * w + c[0], rx[1] + vb[1] * w + c[1],
+                rx[2] + vb[2] * w + c[2])
+    return x0r_at
 
 
 def _rotate(rmat, a):
@@ -334,12 +399,14 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
         tol = 10.0 * dt ** 4
     base = integrate(model, ic, dt, n_steps)
     moved = transform_trajectory(base, spec)
-    x0r_at, v0r_new, t0r_new = transport_references(model, spec)
+    _, v0r_new, t0r_new = transport_references(model, spec)
+    refs_new = (tuple(np.asarray(v0r_new, float).tolist()), float(t0r_new))
+    x0r_at = _galilei_x0r_floats(model, spec)
     inv_m = 1.0 / model.m
 
     def accel(tt, xx, vv):
-        return inv_m * model.force_at(tt, xx, vv,
-                                      (x0r_at(tt), v0r_new, t0r_new))
+        return _scaled(model.force_at(tt, xx, vv, (x0r_at(tt),) + refs_new),
+                       inv_m)
 
     ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
                       dt, n_steps)

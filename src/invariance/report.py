@@ -269,12 +269,32 @@ def _validate(doc):
     return doc
 
 
+def _name_of(path, doc=None):
+    """The name ``doc`` gives, or the file stem when it gives none; the
+    file is read when ``doc`` is None."""
+    if doc is None:
+        try:
+            doc = _load(path)
+        except SchemaError:
+            pass
+    name = doc.get("name") if isinstance(doc, dict) else None
+    if isinstance(name, str) and name:
+        return name
+    return os.path.splitext(os.path.basename(str(path)))[0]
+
+
 def run_scenario(path, tol=None, seed=None, no_timestamp=False):
-    """Run one scenario file and return (report dict, exit code)."""
+    """Run one scenario file and return (report dict, exit code).
+
+    Every report, an error report too, is keyed by the scenario's name,
+    or by the file stem when the file does not give a name.
+    """
+    doc = None
     try:
-        doc = _validate(_load(path))
+        doc = _load(path)
+        _validate(doc)
     except SchemaError as exc:
-        return {"scenario": str(path), "error": str(exc),
+        return {"scenario": _name_of(path, doc or {}), "error": str(exc),
                 "error_kind": "schema"}, 2
 
     raw = json.dumps(doc, sort_keys=True).encode()
@@ -358,7 +378,7 @@ def _run_in_processes(run, paths, workers):
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
-                results.append(({"scenario": path,
+                results.append(({"scenario": _name_of(path),
                                  "error": "worker process died: %s" % exc,
                                  "error_kind": "execution"}, 3))
     return results

@@ -57,6 +57,19 @@ class TestRunScenario:
         report, code = run_scenario(str(bad))
         assert code == 2 and report["error_kind"] == "schema"
 
+    def test_schema_error_reports_by_name_or_stem(self, tmp_path):
+        named = tmp_path / "file_name.json"
+        named.write_text(json.dumps({"schema": 99, "name": "given_name",
+                                     "kind": "tensor"}))
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json")
+        reports, code = run_suite([str(named), str(malformed)],
+                                  no_timestamp=True)
+        assert code == 2
+        assert sorted(r["scenario"] for r in reports) == \
+            ["given_name", "malformed"]
+        assert all(r["error_kind"] == "schema" for r in reports)
+
     def test_unknown_kind_is_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "name": "x",
@@ -183,9 +196,10 @@ class TestRunSuite:
         reports, code = run_suite(paths, no_timestamp=True, jobs=2)
         assert code == 3 and len(reports) == 2
         by_name = {r["scenario"]: r for r in reports}
-        assert by_name[paths[1]]["error_kind"] == "execution"
+        assert by_name["mech_frame_indifference_oscillator"]["error_kind"] \
+            == "execution"
         # the classify scenario finished first or was lost with the pool
-        other = by_name.get("classify_strain_rate", by_name.get(paths[0]))
+        other = by_name["classify_strain_rate"]
         assert other.get("expectation_met") or \
             other.get("error_kind") == "execution"
 

@@ -5,6 +5,8 @@ oracle — the oracle is the ground truth here, the symbolic engine the
 implementation under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +232,154 @@ class TestTape:
             evaluate_many(g, np.ones(n), x[:, :n])
         evaluate_many(e, *point(0.5, (1.0, 2.0, 3.0)))
         assert builds == [e, expand_derivatives(g)]
+
+
+class TestFloatKernel:
+    """``float_kernel`` against ``evaluate_many``, bit for bit."""
+
+    SYMBOLS = {"nu": SCALAR, "a": VEC, "Q": MAT, "w": SCALAR}
+    # together these reach every node kind the emitter accepts, every
+    # function, and constant exponents that are negative, non-integer
+    # and integer
+    CORPUS = [
+        "nu * t + w - 2.5",
+        "w * a + 2.0 * x - a",
+        "outer(x, a) + transpose(outer(a, x)) + nu * Q",
+        "comp(transpose(Q), 1, 2) * comp(outer(x, a), 3, 1) + comp(a, 2)",
+        "vec(comp(x, 2), comp(Q, 1, 3), t)",
+        "mat(comp(x, 1), 0.0, t, 1.0, comp(x, 2), nu, w, 0.0, comp(x, 3))",
+        "sin(comp(x, 1)) * cos(t) - exp(-comp(x, 2)) + log(2.0 + w * w)",
+        "sqrt(1.0 + w * w) + abs(comp(x, 3)) * sign(comp(x, 1))",
+        "power(comp(x, 1) * comp(x, 1) + 0.1, -1.5) + 1.0 / (1.0 + t)",
+        "power(comp(x, 2), 3.0) + power(comp(x, 3), -2.0) + power(nu, 0.5)",
+        "grad(comp(x, 1) * comp(x, 2) * sin(t))",
+        "comp(dt(t * t * x), 1) + lap(power(comp(x, 1), 3.0))",
+    ]
+    N = 64
+
+    def points(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.2, 1.0, size=(3, self.N)) \
+            * rng.choice([-1, 1], (3, self.N))
+        t = rng.uniform(0.1, 2.0, size=self.N)
+        bind = {"nu": 0.37, "a": rng.normal(size=3),
+                "Q": rng.normal(size=(3, 3)),
+                "w": rng.uniform(-1.0, 1.0, size=self.N)}
+        return t, x, bind
+
+    @staticmethod
+    def single(bind, k):
+        """The bindings of point ``k`` as Python floats."""
+        return {"nu": bind["nu"], "a": tuple(bind["a"].tolist()),
+                "Q": tuple(map(tuple, bind["Q"].tolist())),
+                "w": float(bind["w"][k])}
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_kernel_equals_evaluator(self, text):
+        e = parse_field_expr(text, self.SYMBOLS)
+        kernel = ex.float_kernel(e)
+        t, x, bind = self.points(11)
+        many = evaluate_many(e, t, x, bind)
+        for k in range(self.N):
+            got = kernel(float(t[k]), tuple(x[:, k].tolist()),
+                         self.single(bind, k))
+            one = evaluate_many(e, *point(t[k], x[:, k]),
+                                dict(bind, w=bind["w"][k]))[..., 0]
+            # bytes, so that a zero of the wrong sign is a difference
+            assert np.array(got).tobytes() == one.tobytes()
+            assert np.array(got).tobytes() == many[..., k].tobytes()
+
+    def test_every_accepted_kind_is_reached(self):
+        kinds, funcs = set(), set()
+        for text in self.CORPUS:
+            for node in ex._post_order(expand_derivatives(
+                    parse_field_expr(text, self.SYMBOLS))):
+                kinds.add(node.kind)
+                if node.kind == "func":
+                    funcs.add(node.data)
+        assert kinds == set(ex._EMIT)
+        assert funcs == {"sin", "cos", "exp", "log", "sqrt", "abs", "sign",
+                         "power"}
+
+    def test_special_values(self):
+        """Each function at zeros, infinities, NaN, tiny and huge values:
+        the same bits (signed zeros too), error or warning on both paths."""
+        values = [-np.inf, -1e300, -2.0, -0.5, -1e-13, -0.0, 0.0, 1e-13,
+                  0.5, 3.0, 1e300, np.inf, np.nan]
+        expos = [-np.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 2.0, 3.0, np.inf,
+                 np.nan]
+        b = sym("b")
+        exprs = [func(name, b) for name in ("sin", "cos", "exp", "log",
+                                            "sqrt", "abs", "sign")]
+        exprs += [func("power", b, const(p)) for p in expos]
+
+        def outcome(run):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    value = np.float64(run())
+            except (ex.EvalError, RuntimeWarning) as exc:
+                return repr(exc)
+            # NaN payloads may differ; any NaN matches any NaN
+            return "nan" if np.isnan(value) else value.tobytes()
+
+        differ = []
+        for e in exprs:
+            kernel = ex.float_kernel(e)
+            for value in values:
+                got = outcome(lambda: kernel(0.0, (0.0,) * 3, {"b": value}))
+                want = outcome(lambda: evaluate_many(
+                    e, *point(0.0, (0.0,) * 3), {"b": value})[0])
+                if got != want:
+                    differ.append((to_dsl(e), value, got, want))
+        assert not differ
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("power(comp(x, 1), -1.0)", ex.EvalError, "singularity guard"),
+        ("power(comp(x, 1) - 0.25, 0.5)", ex.EvalError,
+         "power: domain error"),
+        ("log(comp(x, 1))", ex.EvalError, "log of a non-positive value"),
+        ("sqrt(comp(x, 1) - 0.25)", ex.EvalError, "sqrt of a negative value"),
+        ("kappa * comp(x, 1)", ex.UnboundSymbolError, "unbound symbol"),
+    ])
+    def test_guards_raise_in_the_kernel(self, text, error, message):
+        kernel = ex.float_kernel(parse_field_expr(text))
+        assert kernel(0.0, (1.0, 0.2, 0.1), {"kappa": 1.0}) is not None
+        with pytest.raises(error, match=message):
+            kernel(0.0, (0.0, 0.0, 0.0), {})
+
+    def test_nan_point_gives_nan(self):
+        text = "sqrt(w * w) * power(abs(comp(x, 1)) + 1.0, -0.5) * x"
+        kernel = ex.float_kernel(parse_field_expr(text, self.SYMBOLS))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(0.0, (np.nan, 0.5, 0.5), {"w": np.nan})
+        assert all(np.isnan(got))
+
+    @pytest.mark.parametrize("text", [
+        "dot(x, x)", "norm(x)", "comp(dot(Q, x), 1)", "power(2.0, w)",
+        "power(comp(x, 1), comp(x, 2))",
+    ])
+    def test_unsupported_kinds_are_refused_when_built(self, text):
+        e = parse_field_expr(text, self.SYMBOLS)
+        with pytest.raises(ex.ExprError, match="float kernel"):
+            ex.float_kernel(e)
+
+    def test_kernel_is_built_once_per_root(self, monkeypatch):
+        builds = []
+        emit = ex._emit_kernel
+
+        def counting(root):
+            builds.append(root)
+            return emit(root)
+
+        monkeypatch.setattr(ex, "_kernel_memo", {})
+        monkeypatch.setattr(ex, "_emit_kernel", counting)
+        e = parse_field_expr("sin(comp(x, 1)) * t")
+        for _ in range(3):
+            ex.float_kernel(e)
+            ex.float_kernel(grad(e))
+        assert builds == [e, expand_derivatives(grad(e))]
 
 
 class TestParserPrinter:

@@ -346,3 +346,138 @@ class TestRK4ForceCalls:
             calls.clear()
             mech.integrate(factory(), ic, 1e-2, n_steps)
             assert len(calls) == 4 * n_steps
+
+
+class TestFloatKernel:
+    """Single states run on the float kernel, which must agree with the
+    numpy evaluator bit for bit."""
+
+    N = 200
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_kernel_equals_evaluator(self, name, factory, monkeypatch):
+        model = factory()
+        rng = np.random.default_rng(0xF10A7)
+        t = rng.uniform(-3.0, 3.0, size=self.N)
+        x = rng.uniform(-2.0, 2.0, size=(3, self.N))
+        v = rng.uniform(-2.0, 2.0, size=(3, self.N))
+        refs = (rng.uniform(-1.0, 1.0, size=(3, self.N)),
+                rng.uniform(-1.0, 1.0, size=(3, self.N)),
+                rng.uniform(-1.0, 1.0, size=self.N))
+        want = [model.force_at(t[k:k + 1], x[:, k:k + 1], v[:, k:k + 1])
+                for k in range(self.N)]
+        want_refs = [model.force_at(t[k:k + 1], x[:, k:k + 1],
+                                    v[:, k:k + 1],
+                                    tuple(r[..., k:k + 1] for r in refs))
+                     for k in range(self.N)]
+
+        def no_evaluator(*args, **kwargs):
+            raise AssertionError("a single state reached evaluate_many")
+
+        monkeypatch.setattr(mech.ex, "evaluate_many", no_evaluator)
+        for k in range(self.N):
+            np.testing.assert_array_equal(
+                model.force_at(float(t[k]), tuple(x[:, k]), tuple(v[:, k])),
+                want[k][:, 0])
+            np.testing.assert_array_equal(
+                model.force_at(t[k], x[:, k], v[:, k],
+                               tuple(r[..., k] for r in refs)),
+                want_refs[k][:, 0])
+
+    def test_both_paths_raise_at_the_reference_point(self):
+        from invariance import expr as ex
+        model = mech.drag_gravity_model()
+        x0r, v = np.array(model.x0r), np.array([0.1, 0.2, 0.3])
+        with pytest.raises(ex.EvalError, match="singularity guard"):
+            model.force_at(0.5, x0r, v)
+        with pytest.raises(ex.EvalError, match="singularity guard"):
+            model.force_at(np.array([0.5]), x0r[:, None], v[:, None])
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_nan_state_gives_nan(self, name, factory):
+        import warnings
+        model = factory()
+        nan = np.full(3, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.force_at(0.5, nan, nan)
+            want = model.force_at(np.array([0.5]), nan[:, None],
+                                  nan[:, None])[:, 0]
+        # NaN wherever the law depends on the state (the free particle's
+        # force is a constant zero)
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got).all() or name == "free"
+
+
+def oracle_rk4(accel, ic, dt, n_steps):
+    """RK4 over (3,) numpy arrays, independent of ``mechanics._rk4``."""
+    x0, v0, t0 = ic
+    x = np.asarray(x0, float).copy()
+    v = np.asarray(v0, float).copy()
+    t = float(t0)
+    ts = np.empty(n_steps + 1)
+    xs = np.empty((3, n_steps + 1))
+    vs = np.empty((3, n_steps + 1))
+    ts[0], xs[:, 0], vs[:, 0] = t, x, v
+    for k in range(n_steps):
+        k1x, k1v = v, accel(t, x, v)
+        k2x = v + 0.5 * dt * k1v
+        k2v = accel(t + 0.5 * dt, x + 0.5 * dt * k1x, k2x)
+        k3x = v + 0.5 * dt * k2v
+        k3v = accel(t + 0.5 * dt, x + 0.5 * dt * k2x, k3x)
+        k4x = v + dt * k3v
+        k4v = accel(t + dt, x + dt * k3x, k4x)
+        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t = float(t0) + (k + 1) * dt
+        ts[k + 1], xs[:, k + 1], vs[:, k + 1] = t, x, v
+    return ts, xs, vs
+
+
+def evaluator_accel(model, refs_at=None):
+    """m^-1 F at one state through the numpy evaluator, as a (3, 1) batch;
+    ``refs_at(t)`` gives per-time references."""
+    def accel(t, x, v):
+        refs = None if refs_at is None else tuple(
+            np.asarray(r, float)[..., None] for r in refs_at(t))
+        f = model.force_at(np.array([t]), x[:, None], v[:, None], refs)
+        return (1.0 / model.m) * f[:, 0]
+    return accel
+
+
+class TestRK4Oracle:
+    IC = (np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0]), 0.25)
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_integrate_equals_numpy_rk4(self, name, factory):
+        model = factory()
+        traj = mech.integrate(model, self.IC, 0.05, 300)
+        ts, xs, vs = oracle_rk4(evaluator_accel(model), self.IC, 0.05, 300)
+        np.testing.assert_array_equal(traj.t, ts)
+        np.testing.assert_array_equal(traj.x, xs)
+        np.testing.assert_array_equal(traj.v, vs)
+
+    def test_float_reference_transport_equals_numpy(self):
+        model = mech.drag_gravity_model()
+        for seed in range(5):
+            spec = fr.GalileiSpec.random(np.random.default_rng(seed))
+            x0r_at, _, _ = mech.transport_references(model, spec)
+            floats = mech._galilei_x0r_floats(model, spec)
+            for t in np.random.default_rng(seed).uniform(-2.0, 2.0, 200):
+                np.testing.assert_array_equal(floats(float(t)), x0r_at(t))
+
+    @pytest.mark.parametrize("factory", [mech.oscillator_model,
+                                         mech.drag_gravity_model])
+    def test_galilei_covariance_equals_numpy_rk4(self, factory):
+        model = factory()
+        spec = fr.GalileiSpec.random(np.random.default_rng(0x6A1))
+        dt, steps = 1e-2, 60
+        got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps)
+        base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
+                                                        steps), spec)
+        x0r_at, v0r, t0r = mech.transport_references(model, spec)
+        _, xs, vs = oracle_rk4(
+            evaluator_accel(model, lambda t: (x0r_at(t), v0r, t0r)),
+            (base.x[:, 0], base.v[:, 0], base.t[0]), dt, steps)
+        worst = max(np.max(np.abs(xs - base.x)), np.max(np.abs(vs - base.v)))
+        assert got.objective.residual == worst
