@@ -13,9 +13,13 @@ field, ``phi`` a scalar field) plus an optional frame-bound spin symbol
     spinning frames, each using its own spin value.
 
 All transformed-field expressions are built once with symbolic rotation
-parameters (axis, rate, phase) and evaluated with per-rotation numeric
-bindings, so checking 100 rotations costs 100 evaluations, not 100
-expression builds.
+parameters (axis, rate, phase).  A scan evaluates them for a batch of
+rotations per call: one point axis made of one block of the same sample
+points per rotation, with the parameters bound per point.  Checking 50
+rotations thus costs five evaluator calls per expression and no
+expression builds, and the comparisons of one scan share the
+evaluations they have in common, so ``classify`` evaluates the tensor
+test's expressions once for both of its parts.
 """
 
 from dataclasses import dataclass
@@ -285,30 +289,57 @@ def _as_specs(specs):
     return list(specs)
 
 
-def _scan(q, specs, exprs_at, n_points, seed):
-    """Max residual and witness over rotations x points.
+# rotations per evaluator call: enough to amortise the per-call cost at
+# the default 200 points, few enough to keep the values of one call small
+_BATCH = 10
 
-    ``exprs_at`` is a list of (expr_a, use_mapped_a, expr_b, use_mapped_b)
-    comparisons; the residual of each pair is the componentwise absolute
-    difference.
+
+def _scan(specs, comparisons, n_points, seed):
+    """Max residual and witness of each comparison over rotations x points.
+
+    ``comparisons`` is a list of (expr_a, use_mapped_a, expr_b,
+    use_mapped_b); the residual of each pair is the componentwise absolute
+    difference, and one (worst, witness) is returned per pair.  Rotations
+    are evaluated in batches of ``_BATCH``: one point axis made of
+    rotation-major blocks of the same samples, with the rotation
+    parameters bound per point.  Within a batch each distinct
+    (expression, point set) is evaluated once and shared by every pair
+    that reads it.
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
-    worsts, witnesses = [], []
-    for spec in specs:
-        bind = _rotation_bindings(spec)
-        xt = _mapped(spec, t, x)
-        total = np.zeros(t.shape[0])
-        for ea, ma, eb, mb in exprs_at:
-            va = evaluate_many(ea, t, xt if ma else x, bind)
-            vb = evaluate_many(eb, t, xt if mb else x, bind)
-            total = np.maximum(total, _component_abs(va - vb))
-        # argmax lands on the first NaN, so a non-finite residual is kept
-        i = int(np.argmax(total))
-        worsts.append(total[i])
-        witnesses.append((float(t[i]), tuple(x[:, i])))
-    k = int(np.argmax(worsts))
-    return float(worsts[k]), witnesses[k]
+    n = t.shape[0]
+    keys = [(id(ea), ma, id(eb), mb) for ea, ma, eb, mb in comparisons]
+    pairs = dict(zip(keys, comparisons))
+    found = {key: [] for key in pairs}     # per batch: (worst, point)
+    for start in range(0, len(specs), _BATCH):
+        batch = specs[start:start + _BATCH]
+        tb, xb = np.tile(t, len(batch)), np.tile(x, len(batch))
+        xt = np.concatenate([_mapped(spec, t, x) for spec in batch], axis=1)
+        binds = [_rotation_bindings(spec) for spec in batch]
+        bind = {name: np.repeat([b[name] for b in binds], n)
+                for name in binds[0]}
+        values = {}
+
+        def value(e, mapped):
+            key = (id(e), mapped)
+            if key not in values:
+                values[key] = evaluate_many(e, tb, xt if mapped else xb,
+                                            bind)
+            return values[key]
+
+        for key, (ea, ma, eb, mb) in pairs.items():
+            total = _component_abs(value(ea, ma) - value(eb, mb))
+            # argmax lands on the first NaN, so a non-finite residual is
+            # kept; rotation-major blocks make it the first rotation's
+            i = int(np.argmax(total))
+            found[key].append((total[i], i % n))
+    out = {}
+    for key, per_batch in found.items():
+        k = int(np.argmax([worst for worst, _ in per_batch]))
+        worst, i = per_batch[k]
+        out[key] = (float(worst), (float(t[i]), tuple(x[:, i])))
+    return [out[key] for key in keys]
 
 
 def form_invariance_defect(q, spec, n_points=200, seed=None,
@@ -327,49 +358,45 @@ def form_invariance_defect(q, spec, n_points=200, seed=None,
     return got - want
 
 
-def check_form_invariance(q, specs, n_points=200, tol=DEFAULT_TOL,
-                          seed=None, base_spin=None):
-    """Tensor test: rotated-frame recomputation vs. the homogeneous rule."""
+def _tensor_pair(q, base_spin):
     _, tilde_value, rule_value, _ = _built(q, base_spin)
-    worst, witness = _scan(q, _as_specs(specs),
-                           [(tilde_value, True, rule_value, False)],
-                           n_points, seed)
+    return (tilde_value, True, rule_value, False)
+
+
+def _form_verdict(found, tol):
+    (worst, witness), = found
     return Verdict(tolerance=tol, witness=witness,
                    tensor=CheckPart(passed=worst <= tol, residual=worst))
 
 
-def check_objectivity(q, specs, n_points=200, tol=DEFAULT_TOL, seed=None,
-                      mode="explicit", base_spin=None):
-    """Frame-indifference test.
+def check_form_invariance(q, specs, n_points=200, tol=DEFAULT_TOL,
+                          seed=None, base_spin=None):
+    """Tensor test: rotated-frame recomputation vs. the homogeneous rule."""
+    return _form_verdict(_scan(_as_specs(specs), [_tensor_pair(q, base_spin)],
+                               n_points, seed), tol)
 
-    Explicit mode compares the rotated observer's form with the original
-    form on the same (transformed) arguments, on top of the tensor test;
-    objectivity cannot hold where form-invariance already fails, so a
-    tensor failure forces the verdict.  Full mode compares the fully
-    substituted closed form against the original at the same raw points.
-    """
+
+def _objectivity_pairs(q, mode, base_spin):
     if q.relative:
         raise ValueError("use check_relative_objectivity for relative "
                          "quantities")
-    specs = _as_specs(specs)
     if mode == "full":
         concrete, moved = _built_full(q)
-        worst, witness = _scan(q, specs, [(moved, False, concrete, False)],
-                               n_points, seed)
+        return [(moved, False, concrete, False)]
+    if mode != "explicit":
+        raise ValueError("mode must be 'explicit' or 'full'")
+    _, tilde_value, _, base_form = _built(q, base_spin)
+    return [_tensor_pair(q, base_spin), (tilde_value, True, base_form, True)]
+
+
+def _objectivity_verdict(found, tol, mode):
+    if mode == "full":
+        (worst, witness), = found
         return Verdict(tolerance=tol, witness=witness,
                        objective=CheckPart(passed=worst <= tol,
                                            residual=worst),
                        notes=("mode=full",))
-    if mode != "explicit":
-        raise ValueError("mode must be 'explicit' or 'full'")
-
-    _, tilde_value, rule_value, base_form = _built(q, base_spin)
-    tensor_worst, witness = _scan(q, specs,
-                                  [(tilde_value, True, rule_value, False)],
-                                  n_points, seed)
-    form_worst, form_witness = _scan(q, specs,
-                                     [(tilde_value, True, base_form, True)],
-                                     n_points, seed)
+    (tensor_worst, witness), (form_worst, form_witness) = found
     passed = tensor_worst <= tol and form_worst <= tol
     worst = max(tensor_worst, form_worst)
     notes = ()
@@ -384,6 +411,43 @@ def check_objectivity(q, specs, n_points=200, tol=DEFAULT_TOL, seed=None,
                    notes=notes)
 
 
+def check_objectivity(q, specs, n_points=200, tol=DEFAULT_TOL, seed=None,
+                      mode="explicit", base_spin=None):
+    """Frame-indifference test.
+
+    Explicit mode compares the rotated observer's form with the original
+    form on the same (transformed) arguments, on top of the tensor test;
+    objectivity cannot hold where form-invariance already fails, so a
+    tensor failure forces the verdict.  Full mode compares the fully
+    substituted closed form against the original at the same raw points.
+    """
+    pairs = _objectivity_pairs(q, mode, base_spin)
+    return _objectivity_verdict(_scan(_as_specs(specs), pairs, n_points,
+                                      seed), tol, mode)
+
+
+def _relative_pairs(q, base_spin):
+    if not q.relative:
+        raise ValueError("quantity carries no frame-spin offset")
+    # (a) value with the frame's own spin vs. with zero spin, base frame
+    with_spin = _built(q, base_spin)[0]
+    without = _built(q, None)[0]
+    # (b) transport between the two spinning frames
+    return [(with_spin, False, without, False), _tensor_pair(q, base_spin)]
+
+
+def _relative_verdict(found, tol):
+    (abs_worst, _), (rel_worst, rel_witness) = found
+    note = ("absolute frame-dependence offset %.3e (expected nonzero for "
+            "a spinning base frame)" % abs_worst)
+    return Verdict(tolerance=tol, witness=rel_witness,
+                   objective=CheckPart(passed=abs_worst <= tol,
+                                       residual=abs_worst),
+                   relative_objective=CheckPart(passed=rel_worst <= tol,
+                                                residual=rel_worst),
+                   notes=(note,))
+
+
 def check_relative_objectivity(q, specs, base_spin, n_points=200,
                                tol=DEFAULT_TOL, seed=None):
     """Appendix-style two-part test for spin-redefined quantities.
@@ -394,48 +458,38 @@ def check_relative_objectivity(q, specs, base_spin, n_points=200,
     same functional form, each frame using its own spin, agrees with the
     Q-transport between two spinning frames.
     """
-    if not q.relative:
-        raise ValueError("quantity carries no frame-spin offset")
-    specs = _as_specs(specs)
-
-    # (a) value with the frame's own spin vs. with zero spin, base frame
-    with_spin, _, _, _ = _built(q, base_spin)
-    without, _, _, _ = _built(q, None)
-    abs_worst, witness = _scan(q, specs, [(with_spin, False, without, False)],
-                               n_points, seed)
-    absolute = CheckPart(passed=abs_worst <= tol, residual=abs_worst)
-
-    # (b) transport between the two spinning frames
-    _, tilde_value, rule_value, _ = _built(q, base_spin)
-    rel_worst, rel_witness = _scan(q, specs,
-                                   [(tilde_value, True, rule_value, False)],
-                                   n_points, seed)
-    relative = CheckPart(passed=rel_worst <= tol, residual=rel_worst)
-    note = ("absolute frame-dependence offset %.3e (expected nonzero for "
-            "a spinning base frame)" % abs_worst)
-    return Verdict(tolerance=tol, witness=rel_witness,
-                   objective=absolute, relative_objective=relative,
-                   notes=(note,))
+    pairs = _relative_pairs(q, base_spin)
+    return _relative_verdict(_scan(_as_specs(specs), pairs, n_points, seed),
+                             tol)
 
 
 def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
              base_spin=None, objectivity_mode=None):
-    """Full verdict: tensor, objectivity, and (if relative) relative part."""
+    """Full verdict: tensor, objectivity, and (if relative) relative part.
+
+    The tensor test and the objectivity (or relative) test run as one
+    scan, so a comparison or evaluation that both need is made once.
+    """
     specs = random_rotations() if specs is None else _as_specs(specs)
-    form = check_form_invariance(q, specs, n_points, tol, seed)
+    if q.relative:
+        spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
+        pairs = _relative_pairs(q, spin)
+    else:
+        mode = objectivity_mode or ("full" if q.field_rule == "scalar"
+                                    else "explicit")
+        pairs = _objectivity_pairs(q, mode, None)
+    found = _scan(specs, [_tensor_pair(q, None)] + pairs, n_points, seed)
+    form = _form_verdict(found[:1], tol)
     tensor, witness = form.tensor, form.witness
 
     if q.relative:
-        spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
-        rel = check_relative_objectivity(q, specs, spin, n_points, tol, seed)
+        rel = _relative_verdict(found[1:], tol)
         return Verdict(tolerance=tol, witness=witness, tensor=tensor,
                        objective=rel.objective,
                        relative_objective=rel.relative_objective,
                        notes=rel.notes)
 
-    mode = objectivity_mode or ("full" if q.field_rule == "scalar"
-                                else "explicit")
-    obj = check_objectivity(q, specs, n_points, tol, seed, mode=mode)
+    obj = _objectivity_verdict(found[1:], tol, mode)
     objective = obj.objective
     if mode == "full" and not tensor.passed:
         objective = CheckPart(passed=False,

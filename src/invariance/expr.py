@@ -638,8 +638,10 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
            bindings or {})
     vals = []
     push = vals.append
-    for step in tape:
+    for step, dead in tape:
         push(step(vals, env))
+        for k in dead:
+            vals[k] = None
     return vals[-1]
 
 
@@ -665,22 +667,29 @@ def _post_order(root):
 
 
 def _build_tape(root):
-    """Compile an expanded DAG into a tuple of steps in ``_post_order``.
+    """Compile an expanded DAG into a tuple of (step, dead) in ``_post_order``.
 
     Step k is a closure ``step(vals, env)`` returning the value of the
     k-th node from the values of the earlier ones; ``env`` is
-    (N, t_arr, x_arr, bindings).
+    (N, t_arr, x_arr, bindings).  ``dead`` names the slots whose last use
+    is step k: the evaluator drops their values once it has run, so a call
+    holds only the values that later steps still read.
     """
-    slot = {}
-    steps = []
-    for node in _post_order(root):
+    slot, last_use, steps = {}, {}, []
+    for k, node in enumerate(_post_order(root)):
         op = _OPS.get(node.kind)
         if op is None:
             raise ExprError("unexpandable node %r reached evaluator"
                             % node.kind)
-        steps.append(op(node, [slot[id(a)] for a in node.args]))
-        slot[id(node)] = len(steps) - 1
-    return tuple(steps)
+        args = [slot[id(a)] for a in node.args]
+        steps.append(op(node, args))
+        for a in args:
+            last_use[a] = k
+        slot[id(node)] = k
+    dead = [[] for _ in steps]
+    for a, k in last_use.items():
+        dead[k].append(a)
+    return tuple(zip(steps, map(tuple, dead)))
 
 
 def _as_shape(val, shape, n):
@@ -761,15 +770,17 @@ def _op_norm(node, slots):
     return lambda v, env: np.sqrt(np.einsum("in,in->n", v[a], v[a]))
 
 
+# np.array of the (N,) entries: the values of np.stack at a third of
+# its per-call cost
+
 def _op_vec(node, slots):
     a, b, c = slots
-    return lambda v, env: np.stack([v[a], v[b], v[c]])
+    return lambda v, env: np.array([v[a], v[b], v[c]])
 
 
 def _op_mat(node, slots):
-    rows = [slots[3 * i:3 * i + 3] for i in range(3)]
-    return lambda v, env: np.stack([np.stack([v[k] for k in row])
-                                    for row in rows])
+    return lambda v, env: np.array([v[k] for k in slots]).reshape(
+        3, 3, env[0])
 
 
 def _op_comp(node, slots):

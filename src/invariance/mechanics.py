@@ -97,8 +97,14 @@ class ForceModel:
             else refs
         x = np.asarray(x, float)
         v = np.asarray(v, float)
-        n = x.shape[1]
         t = np.asarray(t, float)
+        if x.ndim != 2 or x.shape[0] != 3 or v.shape != x.shape \
+                or t.shape not in ((), x.shape[1:]):
+            raise ValueError("force_at takes one state or (3, B) states "
+                             "with a scalar or (B,) time; got t of shape "
+                             "%s, x of shape %s and v of shape %s"
+                             % (t.shape, x.shape, v.shape))
+        n = x.shape[1]
         if t.ndim == 0:
             t = np.full(n, t)
         bind = {"dx": x - _columns(x0r), "dv": v - _columns(v0r),

@@ -1,10 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from invariance import checks as ck
 from invariance import expr as ex
 from invariance import frames as fr
+from invariance import report
 from invariance.sampling import sample_points
+
+# the module, not the ``classify`` function that ``invariance.checks``
+# re-exports under the same name
+classify_module = importlib.import_module("invariance.checks.classify")
 
 SPECS = ck.random_rotations(10, seed=0xA11CE)
 BASE_SPIN = fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
@@ -12,6 +19,47 @@ BASE_SPIN = fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
 
 def verdict_for(factory, **kw):
     return ck.classify(factory(), SPECS, **kw)
+
+
+def loop_scan(specs, comparisons, n_points, seed):
+    """Oracle for the batched scan: the plain per-rotation loop.
+
+    Each comparison is evaluated with one ``evaluate_many`` call per
+    rotation and expression at ``n_points``, the rotation parameters bound
+    as scalars; the witness is the first maximum (or first NaN) over
+    rotations, then points.
+    """
+    kw = {} if seed is None else {"seed": seed}
+    t, x = sample_points(n_points, **kw)
+    out = []
+    for ea, ma, eb, mb in comparisons:
+        worsts, witnesses = [], []
+        for spec in specs:
+            bind = {"rot_a1": spec.axis[0], "rot_a2": spec.axis[1],
+                    "rot_a3": spec.axis[2], "rot_w": spec.rate,
+                    "rot_ph": spec.phase}
+            xt = np.einsum("ijn,jn->in", spec.matrix(t), x)
+            va = ex.evaluate_many(ea, t, xt if ma else x, bind)
+            vb = ex.evaluate_many(eb, t, xt if mb else x, bind)
+            total = np.abs(va - vb).reshape(-1, n_points).max(axis=0)
+            i = int(np.argmax(total))
+            worsts.append(total[i])
+            witnesses.append((float(t[i]), tuple(x[:, i])))
+        k = int(np.argmax(worsts))
+        out.append((float(worsts[k]), witnesses[k]))
+    return out
+
+
+def bits(found):
+    """(residual, witness) pairs, or a verdict, as exact hex floats."""
+    def witness(w):
+        return float(w[0]).hex(), tuple(float(c).hex() for c in w[1])
+    if isinstance(found, list):
+        return [(float(r).hex(), witness(w)) for r, w in found]
+    parts = tuple((name, part.passed, float(part.residual).hex())
+                  for name in ("tensor", "objective", "relative_objective")
+                  for part in [getattr(found, name)] if part is not None)
+    return parts, witness(found.witness), found.notes
 
 
 class TestClassificationMatrix:
@@ -167,3 +215,67 @@ class TestOracles:
         assert not v.tensor.passed
         assert not np.isfinite(v.tensor.residual)
         assert v.witness is not None
+
+        # full mode compares phi(Q^T x) with phi(x) at the raw points.
+        # Half-turns about e3 send x1 to about -x1, so the first ten
+        # rotations (one batch) overflow only one side: inf, not NaN.
+        # The eleventh turns about e1 and keeps x1, so both sides
+        # overflow and the first NaN falls in the second batch.
+        half_turns = [fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0,
+                                      phase=2.7 + 0.08 * k)
+                      for k in range(10)]
+        about_e1 = fr.RotationSpec(axis=(1.0, 0.0, 0.0), rate=1.1, phase=0.5)
+        assert len(half_turns) == classify_module._BATCH
+        with pytest.warns(RuntimeWarning):
+            first = ck.check_objectivity(q, half_turns, mode="full")
+            v = ck.check_objectivity(q, half_turns + [about_e1], mode="full")
+            concrete, moved = classify_module._built_full(q)
+            want = loop_scan(half_turns + [about_e1],
+                             [(moved, False, concrete, False)], 200, None)
+        assert first.objective.residual == np.inf
+        assert np.isnan(v.objective.residual) and not v.objective.passed
+        assert v.witness == want[0][1] and v.witness[1][0] > 0.88
+
+
+class TestBatchInvariance:
+    """Batched rotations give the per-rotation loop's bits.
+
+    13 rotations is not a multiple of the batch size, so the last batch
+    is short; every check and ``classify`` must report the oracle's
+    residuals and witness exactly.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 0x5EED])
+    @pytest.mark.parametrize("name", sorted(report.QUANTITIES))
+    def test_checks_equal_the_per_rotation_loop(self, name, seed,
+                                                monkeypatch):
+        q = report.QUANTITIES[name]()
+        specs = ck.random_rotations(13, seed=seed)
+        assert len(specs) % classify_module._BATCH
+        if q.relative:
+            pairs = (classify_module._relative_pairs(q, BASE_SPIN)
+                     + [classify_module._tensor_pair(q, None)])
+            runs = [
+                lambda: ck.check_form_invariance(q, specs, seed=seed),
+                lambda: ck.check_relative_objectivity(q, specs, BASE_SPIN,
+                                                      seed=seed),
+                lambda: ck.classify(q, specs, seed=seed, base_spin=BASE_SPIN),
+            ]
+        else:
+            pairs = (classify_module._objectivity_pairs(q, "explicit", None)
+                     + classify_module._objectivity_pairs(q, "full", None))
+            runs = [
+                lambda: ck.check_form_invariance(q, specs, seed=seed),
+                lambda: ck.check_objectivity(q, specs, seed=seed),
+                lambda: ck.check_objectivity(q, specs, seed=seed,
+                                             mode="full"),
+                lambda: ck.classify(q, specs, seed=seed),
+            ]
+        got_scan = classify_module._scan(specs, pairs, 200, seed)
+        got = [run() for run in runs]
+        want_scan = loop_scan(specs, pairs, 200, seed)
+        monkeypatch.setattr(classify_module, "_scan", loop_scan)
+        want = [run() for run in runs]
+        assert bits(got_scan) == bits(want_scan)
+        for verdict, oracle in zip(got, want):
+            assert bits(verdict) == bits(oracle)

@@ -5,6 +5,7 @@ oracle — the oracle is the ground truth here, the symbolic engine the
 implementation under test.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -210,9 +211,25 @@ class TestTape:
         with pytest.raises(error, match=message):
             evaluate_many(e, np.zeros(3), x)
 
-    def test_unexpandable_node_is_refused(self):
-        with pytest.raises(ex.ExprError, match="unexpandable node"):
-            ex._build_tape(grad(norm(ex.x_vector())))
+    @pytest.mark.parametrize("root", [
+        grad(norm(ex.x_vector())),
+        add(ex.x_vector(), grad(norm(ex.x_vector()))),
+    ], ids=["root", "operand"])
+    def test_unexpandable_node_is_refused(self, root):
+        with pytest.raises(ex.ExprError, match="unexpandable node 'grad'"):
+            ex._build_tape(root)
+
+    @staticmethod
+    def assert_each_value_released_once(tape):
+        """Every slot but the root's is dropped exactly once, at a step
+        after its own, and no step reads a slot dropped earlier."""
+        released = {}
+        for k, (step, dead) in enumerate(tape):
+            assert callable(step)
+            for slot in dead:
+                assert slot < k and slot not in released
+                released[slot] = k
+        assert sorted(released) == list(range(len(tape) - 1))
 
     def test_tape_is_built_once_per_root(self, monkeypatch):
         builds = []
@@ -232,6 +249,27 @@ class TestTape:
             evaluate_many(g, np.ones(n), x[:, :n])
         evaluate_many(e, *point(0.5, (1.0, 2.0, 3.0)))
         assert builds == [e, expand_derivatives(g)]
+        assert len(ex._tape_memo) == 2
+        for root in builds:
+            self.assert_each_value_released_once(ex._tape_memo[id(root)])
+
+    def test_dead_values_are_released(self):
+        # a chain of 120 steps at 1e5 points: each value is dropped after
+        # its one use, so the call holds a few arrays, not 120
+        n = 10 ** 5
+        e = coord(0)
+        for _ in range(120):
+            e = func("sin", e)
+        t, x = np.zeros(n), RNG.uniform(-1.0, 1.0, size=(3, n))
+        want = evaluate_many(e, t[:5], x[:, :5])    # compiles the tape
+        tracemalloc.start()
+        try:
+            got = evaluate_many(e, t, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got[:5], want)
+        assert peak < 4 * got.nbytes
 
 
 class TestFloatKernel:

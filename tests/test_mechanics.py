@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,19 @@ class TestBatchedForce:
                          for k in range(self.B)], axis=1)
         np.testing.assert_array_equal(
             model.force_at(t, x, v, refs=(x0r, v0r, t0r)), loop)
+
+    @pytest.mark.parametrize("t, x, v", [
+        (np.array([0.1, 0.2]), np.zeros(3), np.zeros(3)),
+        (np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2))),
+        (0.5, np.zeros((3, 2)), np.zeros((3, 3))),
+        (0.5, np.zeros((2, 2)), np.zeros((2, 2))),
+    ])
+    def test_mismatched_shapes_are_refused(self, t, x, v):
+        model = mech.drag_gravity_model()
+        shapes = r"t of shape %s, x of shape %s" % (
+            re.escape(str(np.shape(t))), re.escape(str(np.shape(x))))
+        with pytest.raises(ValueError, match=shapes):
+            model.force_at(t, x, v)
 
     def test_transport_and_inertial_force_take_time_arrays(self):
         model = mech.drag_gravity_model()
