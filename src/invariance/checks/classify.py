@@ -310,8 +310,8 @@ def _scan(specs, comparisons, n_points, seed):
     t, x = sample_points(n_points, **kw)
     n = t.shape[0]
     keys = [(id(ea), ma, id(eb), mb) for ea, ma, eb, mb in comparisons]
-    pairs = dict(zip(keys, comparisons))
-    found = {key: [] for key in pairs}     # per batch: (worst, point)
+    unique = dict(zip(keys, comparisons))
+    found = {key: [] for key in unique}    # per batch: (worst, point)
     for start in range(0, len(specs), _BATCH):
         batch = specs[start:start + _BATCH]
         tb, xb = np.tile(t, len(batch)), np.tile(x, len(batch))
@@ -328,18 +328,17 @@ def _scan(specs, comparisons, n_points, seed):
                                             bind)
             return values[key]
 
-        for key, (ea, ma, eb, mb) in pairs.items():
+        for key, (ea, ma, eb, mb) in unique.items():
             total = _component_abs(value(ea, ma) - value(eb, mb))
             # argmax lands on the first NaN, so a non-finite residual is
             # kept; rotation-major blocks make it the first rotation's
             i = int(np.argmax(total))
             found[key].append((total[i], i % n))
-    out = {}
-    for key, per_batch in found.items():
-        k = int(np.argmax([worst for worst, _ in per_batch]))
-        worst, i = per_batch[k]
-        out[key] = (float(worst), (float(t[i]), tuple(x[:, i])))
-    return [out[key] for key in keys]
+
+    def first_worst(per_batch):
+        worst, i = per_batch[int(np.argmax([w for w, _ in per_batch]))]
+        return float(worst), (float(t[i]), tuple(x[:, i]))
+    return [first_worst(found[key]) for key in keys]
 
 
 def form_invariance_defect(q, spec, n_points=200, seed=None,

@@ -211,13 +211,13 @@ class TestTape:
         with pytest.raises(error, match=message):
             evaluate_many(e, np.zeros(3), x)
 
-    @pytest.mark.parametrize("root", [
-        grad(norm(ex.x_vector())),
-        add(ex.x_vector(), grad(norm(ex.x_vector()))),
-    ], ids=["root", "operand"])
-    def test_unexpandable_node_is_refused(self, root):
-        with pytest.raises(ex.ExprError, match="unexpandable node 'grad'"):
-            ex._build_tape(root)
+    def test_unexpandable_node_is_refused(self):
+        # as the root, and as the operand of a node compiled after it
+        unexpanded = grad(norm(ex.x_vector()))
+        for root in (unexpanded, add(ex.x_vector(), unexpanded)):
+            with pytest.raises(ex.ExprError,
+                               match="unexpandable node 'grad'"):
+                ex._build_tape(root)
 
     @staticmethod
     def assert_each_value_released_once(tape):
