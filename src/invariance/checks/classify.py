@@ -12,10 +12,13 @@ field, ``phi`` a scalar field) plus an optional frame-bound spin symbol
   * relative objectivity: the same functional form evaluated in two
     spinning frames, each using its own spin value.
 
-All transformed-field expressions are built once with symbolic rotation
-parameters (axis, rate, phase).  A scan evaluates them for a batch of
-rotations per call: one point axis made of one block of the same sample
-points per rotation, with the parameters bound per point.  Checking 50
+All transformed-field expressions are built once over one rotation frame,
+``frames.FrameChange.rotation`` with symbolic parameters (axis, rate,
+phase): the Rodrigues declaration that ``RotationSpec.frame`` fills with
+numbers.  A scan evaluates them for a batch of rotations per call: one
+point axis made of one block of the same sample points per rotation, with
+the parameters bound per point, and the points are mapped by the same
+frame's Q through ``FrameChange.at``.  Checking 50
 rotations thus costs five evaluator calls per expression and no
 expression builds, and the comparisons of one scan share the
 evaluations they have in common, so ``classify`` evaluates the tensor
@@ -24,20 +27,19 @@ test's expressions once for both of its parts.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .. import expr as ex
 from .. import frames as fr
 from ..expr import (
     Node, SCALAR, VEC, MAT,
     add, comp, const, dot, grad, lap, mul, matrix_const, neg, norm, sub, sym,
-    time, transpose, vec, x_vector,
+    time, transpose, x_vector,
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
 from ..sampling import sample_points
-from .verdict import FAIL_FLOOR, CheckPart, Verdict
+from .verdict import CheckPart, Verdict
 
 __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
@@ -180,8 +182,8 @@ def composite_norm_quantity(f_expr=None):
 
 _A1, _A2, _A3 = sym("rot_a1"), sym("rot_a2"), sym("rot_a3")
 _W, _PH = sym("rot_w"), sym("rot_ph")
-_THETA = add(mul(_W, time()), _PH)
-_QE = fr.rodrigues_q((_A1, _A2, _A3), _THETA)
+_FRAME = fr.FrameChange.rotation((_A1, _A2, _A3), _W, _PH)
+_QE = _FRAME.q
 _K = fr.axis_cross_mat((_A1, _A2, _A3))
 _SPIN_FREE = mul(neg(_W), _K)       # Q Qdot^T of the relative rotation
 _X_OLD = dot(transpose(_QE), x_vector())
@@ -200,7 +202,7 @@ def random_rotations(n=100, seed=0x507A):
     out = []
     for _ in range(n):
         axis = rng.normal(size=3)
-        rate = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        rate = rng.uniform(0.5, 2.0) * (-1.0, 1.0)[rng.integers(0, 2)]
         phase = rng.uniform(0.3, 3.0)
         out.append(fr.RotationSpec(axis=axis, rate=rate, phase=phase))
     return out
@@ -229,7 +231,9 @@ def _transformed_inner(q):
 def _spin_const(base_spin):
     if base_spin is None:
         return matrix_const(np.zeros((3, 3)))
-    return matrix_const(base_spin.spin())
+    frame = base_spin.frame()
+    q, qdot = frame.at(0.0)[0], frame.at(0.0, 1)[0]
+    return matrix_const(q @ qdot.T)           # Omega = Q Qdot^T, constant
 
 
 def _spin_tilde(base_spin):
@@ -278,15 +282,18 @@ def _component_abs(arr):
     return a
 
 
-def _mapped(spec, t, x):
-    qmat = spec.matrix(t)
-    return np.einsum("ijn,jn->in", qmat, x)
+def _mapped(t, x, bind):
+    """x~ = Q x + c of the rotation frame, its parameters bound by
+    ``bind`` (per point or one value each)."""
+    q, c = _FRAME.at(t, 0, bind)
+    return fr.rotate(q, x) + c
 
 
 def _as_specs(specs):
-    if isinstance(specs, fr.RotationSpec):
+    try:
+        return list(specs)
+    except TypeError:       # one RotationSpec, which is not iterable
         return [specs]
-    return list(specs)
 
 
 # rotations per evaluator call: enough to amortise the per-call cost at
@@ -315,10 +322,10 @@ def _scan(specs, comparisons, n_points, seed):
     for start in range(0, len(specs), _BATCH):
         batch = specs[start:start + _BATCH]
         tb, xb = np.tile(t, len(batch)), np.tile(x, len(batch))
-        xt = np.concatenate([_mapped(spec, t, x) for spec in batch], axis=1)
         binds = [_rotation_bindings(spec) for spec in batch]
         bind = {name: np.repeat([b[name] for b in binds], n)
                 for name in binds[0]}
+        xt = _mapped(tb, xb, bind)
         values = {}
 
         def value(e, mapped):
@@ -352,7 +359,7 @@ def form_invariance_defect(q, spec, n_points=200, seed=None,
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     bind = _rotation_bindings(spec)
-    got = evaluate_many(tilde_value, t, _mapped(spec, t, x), bind)
+    got = evaluate_many(tilde_value, t, _mapped(t, x, bind), bind)
     want = evaluate_many(rule_value, t, x, bind)
     return got - want
 

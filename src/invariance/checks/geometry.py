@@ -89,7 +89,7 @@ class Chart:
 
 
 def _frozen_rotation_chart():
-    q0 = fr.RotationSpec(axis=(1.0, 2.0, 0.5), rate=1.0).matrix(0.7)
+    q0 = fr.RotationSpec(axis=(1.0, 2.0, 0.5)).frame().at(0.7)[0]
     x = ex.x_vector()
     inv = dot(transpose(ex.matrix_const(q0)), x)
     return Chart(name="rotation_frozen",
@@ -258,11 +258,11 @@ def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
 
     # time-dependent linear map: even the difference picks up the
     # basis-drift term (A dA^{-1}/dt) x~ dt in 3D
-    rot = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=1.0)
+    rot = fr.RotationSpec(axis=(0.0, 0.0, 1.0)).frame()
     t = rng.uniform(0.0, 1.0, size=n_points)
     dt_step = 0.1
-    a_t = rot.matrix(t)                          # (3,3,N)
-    adot = rot.matrix_dot(t)
+    a_t = rot.at(t)[0]                           # (3,3,N)
+    adot = rot.at(t, 1)[0]
     dx_tilde = (np.einsum("ijn,jn->in", a_t, dx)
                 + np.einsum("ijn,jn->in", adot, x) * dt_step)
     back = np.einsum("nij,jn->in", np.linalg.inv(np.moveaxis(a_t, 2, 0)),

@@ -1,9 +1,16 @@
 """Catalogue of frame changes and of the Navier-Stokes symmetry group.
 
-Frame changes: uniform rotations (``RotationSpec``, Rodrigues closed forms
-in numpy and as expressions), Galilei transformations (``GalileiSpec``)
-and time-dependent Euclidean frames (``EuclideanSpec``), whose numeric
-maps the mechanics checks evaluate.
+Frame changes: every frame change is one ``FrameChange``, the Euclidean
+map x~ = Q(t) x + c(t), t~ = t + tau, declared once with Q a mat3 and c a
+vec3 expression of the old frame's time.  ``FrameChange.galilei`` (Q a
+constant rotation, c linear in t), ``FrameChange.euclidean`` (a uniform
+rotation and a path) and ``FrameChange.rotation`` (the Rodrigues form of
+a uniform rotation, with numbers or symbols as its parameters) build it.
+``FrameChange.at`` is the one numeric view: Q, Q', Q'' and c, c', c''
+at given times, derived by ``differentiate`` and evaluated by
+``evaluate_many``.  The mechanics checks, the geometric suite and the
+classifiers read it; a ``RotationSpec`` only names the axis, rate and
+phase of a uniform rotation.
 
 Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
 control R3D is one small frozen class in ``NS_SYMMETRIES``.  A class
@@ -17,8 +24,8 @@ symmetry), the Reynolds-ensemble check takes the fluctuation action
 guards read the same classes.  Adding a symmetry means adding one class.
 
 Conventions:
-    x_tilde = Q x, spin Omega := Q Qdot^T (constant, antisymmetric),
-    velocity u_tilde = Q u - Omega x_tilde.
+    x_tilde = Q x + c, spin Omega := Q Qdot^T (antisymmetric, constant
+    for a uniform rotation), velocity u_tilde = Q u - Omega x_tilde.
 """
 
 from dataclasses import dataclass, field as dc_field, fields
@@ -26,30 +33,23 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import expr as ex
 from .expr import (
-    Node, SCALAR, VEC,
+    Node, SCALAR, VEC, MAT,
     const, time, add, sub, mul, neg, dot, transpose, vec, mat, comp,
     func, x_vector, vector_const, matrix_const, zero, parse_field_expr,
-    expand_derivatives, compose, differentiate,
+    expand_derivatives, compose, differentiate, evaluate_many,
 )
 
 __all__ = [
-    "RotationSpec", "GalileiSpec", "EuclideanSpec",
-    "rodrigues_q", "axis_cross_mat",
+    "RotationSpec", "FrameChange",
+    "rodrigues_q", "axis_cross_mat", "mat_vec", "rotate", "at_times",
     "NS_SYMMETRIES", "transform_ns_fields",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Rodrigues rotation helpers (numeric and symbolic)
+# Euclidean frame changes x~ = Q(t) x + c(t), t~ = t + tau
 # ---------------------------------------------------------------------------
-
-def axis_cross(axis):
-    """[axis]x as a numpy matrix."""
-    a1, a2, a3 = np.asarray(axis, dtype=float)
-    return np.array([[0.0, -a3, a2], [a3, 0.0, -a1], [-a2, a1, 0.0]])
-
 
 def _as_scalar(v):
     """A scalar node from a node, a number or field-DSL text."""
@@ -65,6 +65,44 @@ def _d_dt(e, order):
     return e
 
 
+def _vec3(v, name):
+    v = np.zeros(3) if v is None else np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError("%s must have 3 components" % name)
+    return v
+
+
+def _sum_of_products(a, b):
+    """a0 b0 + a1 b1 + a2 b2, summed left to right."""
+    return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
+
+
+def _rows(m):
+    return [[comp(m, i, j) for j in range(3)] for i in range(3)]
+
+
+def mat_vec(m, v):
+    """m v written out per component.  Unlike ``dot`` it compiles to a
+    float kernel, and it rounds as ``rotate`` does."""
+    vs = [comp(v, j) for j in range(3)]
+    return vec(*[_sum_of_products(row, vs) for row in _rows(m)])
+
+
+def rotate(m, a):
+    """m a for m (3, 3) or (3, 3, N) and a (3,) or (3, N), summed per
+    component as ``mat_vec`` is, so a value does not depend on how many
+    points share the call."""
+    return m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]
+
+
+def at_times(e, t, bindings=None):
+    """An expression of time at the scalar ``t``, or at (N,) times with a
+    trailing point axis; ``bindings`` as for ``evaluate_many``."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = evaluate_many(e, ts, np.zeros((3, ts.shape[0])), bindings)
+    return out[..., 0] if np.ndim(t) == 0 else out
+
+
 def axis_cross_mat(axis):
     """[axis]x as a matrix expression; entries may be numbers or nodes."""
     a1, a2, a3 = [_as_scalar(a) for a in axis]
@@ -76,14 +114,17 @@ def rodrigues_q(axis, theta):
     """Q = I + sin(theta) K + (1 - cos(theta)) K^2 as a matrix expression.
 
     ``axis`` must be a unit vector (numbers or scalar nodes); ``theta`` a
-    scalar node or number.
+    scalar node or number.  K^2 is written out per entry, so Q holds no
+    ``dot`` and compiles to a float kernel.
     """
     theta = _as_scalar(theta)
     k = axis_cross_mat(axis)
-    k2 = dot(k, k)
-    eye = matrix_const(np.eye(3))
-    return add(eye, add(mul(func("sin", theta), k),
-                        mul(sub(const(1.0), func("cos", theta)), k2)))
+    rows = _rows(k)
+    k2 = mat([[_sum_of_products(row, [r[j] for r in rows]) for j in range(3)]
+              for row in rows])
+    return add(matrix_const(np.eye(3)),
+               add(mul(func("sin", theta), k),
+                   mul(sub(const(1.0), func("cos", theta)), k2)))
 
 
 def _normalize(axis):
@@ -95,8 +136,90 @@ def _normalize(axis):
 
 
 @dataclass(frozen=True)
+class FrameChange:
+    """The Euclidean frame change x~ = Q(t) x + c(t), t~ = t + tau.
+
+    ``q`` is a mat3 and ``c`` a vec3 expression of the old frame's time
+    (they may hold bound symbols, as the classifiers' rotation does).
+    Every numeric matrix and vector of the frame comes from ``at``.
+    """
+
+    q: Node
+    c: Node
+    tau: float = 0.0
+    _derived: dict = dc_field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def __post_init__(self):
+        if self.q.shape != MAT or self.c.shape != VEC:
+            raise ValueError("a frame change needs a mat3 Q and a vec3 c")
+        object.__setattr__(self, "q", expand_derivatives(self.q))
+        object.__setattr__(self, "c", expand_derivatives(self.c))
+        object.__setattr__(self, "tau", float(self.tau))
+
+    @classmethod
+    def galilei(cls, r=None, v=None, c=None, tau=0.0):
+        """x~ = R x + v t + c, t~ = t + tau with R a proper rotation."""
+        r = np.eye(3) if r is None else np.asarray(r, dtype=float)
+        if (r.shape != (3, 3) or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-12
+                or abs(np.linalg.det(r) - 1.0) > 1e-12):
+            raise ValueError("R must be a proper rotation matrix")
+        path = add(mul(time(), vector_const(_vec3(v, "v"))),
+                   vector_const(_vec3(c, "c")))
+        return cls(matrix_const(r), path, tau)
+
+    @classmethod
+    def random_galilei(cls, rng):
+        """A Galilei frame with R a random rotation; draws the axis, the
+        angle, v, c and tau from ``rng`` in that order."""
+        rotation = RotationSpec(axis=rng.normal(size=3),
+                                phase=rng.uniform(0, 2 * np.pi))
+        return cls.galilei(r=rotation.frame().at(0.0)[0],
+                           v=rng.uniform(-1, 1, 3), c=rng.uniform(-1, 1, 3),
+                           tau=rng.uniform(-1, 1))
+
+    @classmethod
+    def euclidean(cls, rotation=None, path=(0.0, 0.0, 0.0), tau=0.0):
+        """Q(t) the uniform ``rotation`` (a ``RotationSpec``; none by
+        default) and c(t) the three scalar expressions of ``path`` (nodes,
+        numbers or field-DSL text)."""
+        path = tuple(map(_as_scalar, path))
+        if len(path) != 3 or any(p.shape != SCALAR for p in path):
+            raise ValueError("path components must be scalar expressions")
+        q = (rotation or RotationSpec(rate=0.0)).frame().q
+        return cls(q, vec(*path), tau)
+
+    @classmethod
+    def rotation(cls, axis, rate, phase):
+        """x~ = Q(t) x with Q the Rodrigues rotation about the unit
+        ``axis`` by the angle rate t + phase; each parameter may be a
+        number or a scalar node."""
+        theta = add(mul(_as_scalar(rate), time()), _as_scalar(phase))
+        return cls(rodrigues_q(axis, theta), zero(VEC))
+
+    def exprs(self, order=0):
+        """(Q^(k), c^(k)) as expressions for k = ``order``, cached."""
+        got = self._derived.get(order)
+        if got is None:
+            got = self._derived[order] = (_d_dt(self.q, order),
+                                          _d_dt(self.c, order))
+        return got
+
+    def at(self, t, order=0, bindings=None):
+        """Q^(k)(t) and c^(k)(t) for k = ``order`` (0, 1 or 2).
+
+        ``t`` is the old frame's time: a scalar gives (3, 3) and (3,), and
+        (N,) times give (3, 3, N) and (3, N).  ``bindings`` gives values
+        to the symbols of a parametrised frame, as for ``evaluate_many``.
+        """
+        q, c = self.exprs(order)
+        return at_times(q, t, bindings), at_times(c, t, bindings)
+
+
+@dataclass(frozen=True)
 class RotationSpec:
-    """Uniform rotation x_tilde = Q(t) x with Q(t) = exp((rate*t+phase) K)."""
+    """A uniform rotation about ``axis`` (normalised) by the angle
+    rate t + phase."""
 
     axis: Tuple[float, float, float] = (0.0, 0.0, 1.0)
     rate: float = 1.0
@@ -105,115 +228,9 @@ class RotationSpec:
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(_normalize(self.axis)))
 
-    # numeric closed forms -------------------------------------------------
-    def matrix(self, t):
-        t = np.asarray(t, dtype=float)
-        k = axis_cross(self.axis)
-        th = self.rate * t + self.phase
-        eye = np.eye(3)
-        # broadcast over trailing point axis when t is an array
-        s = np.sin(th)
-        c = 1.0 - np.cos(th)
-        if t.ndim == 0:
-            return eye + s * k + c * (k @ k)
-        return (eye[:, :, None] + s * k[:, :, None]
-                + c * (k @ k)[:, :, None])
-
-    def matrix_dot(self, t):
-        t = np.asarray(t, dtype=float)
-        k = axis_cross(self.axis)
-        th = self.rate * t + self.phase
-        w = self.rate
-        if t.ndim == 0:
-            return w * np.cos(th) * k + w * np.sin(th) * (k @ k)
-        return (w * np.cos(th) * k[:, :, None]
-                + w * np.sin(th) * (k @ k)[:, :, None])
-
-    def matrix_ddot(self, t):
-        t = np.asarray(t, dtype=float)
-        k = axis_cross(self.axis)
-        th = self.rate * t + self.phase
-        w2 = self.rate ** 2
-        if t.ndim == 0:
-            return -w2 * np.sin(th) * k + w2 * np.cos(th) * (k @ k)
-        return (-w2 * np.sin(th) * k[:, :, None]
-                + w2 * np.cos(th) * (k @ k)[:, :, None])
-
-    def spin(self):
-        """Omega = Q Qdot^T = -rate*[axis]x (constant)."""
-        return -self.rate * axis_cross(self.axis)
-
-    # symbolic closed forms over the Time symbol ----------------------------
-    def theta_expr(self):
-        return add(mul(const(self.rate), time()), const(self.phase))
-
-    def q_expr(self):
-        return rodrigues_q(self.axis, self.theta_expr())
-
-    def qdot_expr(self):
-        th = self.theta_expr()
-        k = axis_cross_mat(self.axis)
-        k2 = dot(k, k)
-        w = const(self.rate)
-        return add(mul(mul(w, func("cos", th)), k),
-                   mul(mul(w, func("sin", th)), k2))
-
-
-@dataclass(frozen=True)
-class GalileiSpec:
-    """x' = R x + v t + c,  t' = t + tau."""
-
-    r: np.ndarray = dc_field(default_factory=lambda: np.eye(3))
-    v: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-    c: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-    tau: float = 0.0
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        if (np.max(np.abs(r @ r.T - np.eye(3))) > 1e-12
-                or abs(np.linalg.det(r) - 1.0) > 1e-12):
-            raise ValueError("R must be a proper rotation matrix")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-
-    @staticmethod
-    def random(rng):
-        spec = RotationSpec(axis=rng.normal(size=3), rate=1.0,
-                            phase=rng.uniform(0, 2 * np.pi))
-        return GalileiSpec(r=spec.matrix(0.0), v=rng.uniform(-1, 1, 3),
-                           c=rng.uniform(-1, 1, 3), tau=rng.uniform(-1, 1))
-
-
-@dataclass(frozen=True)
-class EuclideanSpec:
-    """x* = R(t) x + c(t),  t* = t + tau (time-dependent Galilei)."""
-
-    rotation: RotationSpec = RotationSpec(rate=0.0)
-    path: Tuple[Node, Node, Node] = (const(0.0),) * 3
-    tau: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "path", tuple(map(_as_scalar, self.path)))
-        for p in self.path:
-            if p.shape != SCALAR:
-                raise ValueError("path components must be scalar expressions")
-
-    def _path_eval(self, order, t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        zeros = np.zeros((3, ts.shape[0]))
-        out = np.stack([ex.evaluate_many(_d_dt(p, order), ts, zeros)
-                        for p in self.path])
-        return out[:, 0] if np.ndim(t) == 0 else out
-
-    def c(self, t):
-        return self._path_eval(0, t)
-
-    def cdot(self, t):
-        return self._path_eval(1, t)
-
-    def cddot(self, t):
-        return self._path_eval(2, t)
+    def frame(self):
+        """The rotation as a ``FrameChange`` (no translation, tau 0)."""
+        return FrameChange.rotation(self.axis, self.rate, self.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +239,6 @@ class EuclideanSpec:
 
 def _split_vec(v):
     return [comp(v, i) for i in range(3)]
-
-
-def _vec3(v, name):
-    v = np.zeros(3) if v is None else np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("%s must have 3 components" % name)
-    return v
 
 
 class NSSymmetry:
@@ -291,8 +301,8 @@ class Galilei(NSSymmetry):
     @classmethod
     def from_json(cls, d):
         ar = d.get("a_rotation")
-        a = (None if ar is None
-             else RotationSpec(axis=ar["axis"]).matrix(float(ar["angle"])))
+        a = (None if ar is None else RotationSpec(axis=ar["axis"]).frame()
+             .at(float(ar["angle"]))[0])
         return super().from_json(d, a_mat=a)
 
     def inverse_map_exprs(self):
@@ -343,7 +353,8 @@ class AcceleratedShift(NSSymmetry):
         f = tuple(_as_scalar(c) for c in self.f)
         if len(f) != 3:
             raise ValueError("S2 needs 3 components of f(t)")
-        if not np.any(EuclideanSpec(path=f).cddot(np.linspace(0, 1, 17))):
+        fdd = FrameChange.euclidean(path=f).at(np.linspace(0, 1, 17), 2)[1]
+        if not np.any(fdd):
             raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
                              "Galilei boost)")
         object.__setattr__(self, "f", f)
@@ -426,18 +437,17 @@ class EulerScaling(NSSymmetry):
 
 class _Rotating(NSSymmetry):
     """x~ = Q(t) x with u~ = Q u + Qdot Q^T x~; ``__post_init__`` sets the
-    ``rotation`` (a RotationSpec)."""
+    ``frame`` (a ``FrameChange`` of a uniform rotation)."""
 
     def inverse_map_exprs(self):
-        q = self.rotation.q_expr()
-        return _split_vec(dot(transpose(q), x_vector())), time()
+        return _split_vec(dot(transpose(self.matrix()), x_vector())), time()
 
     def matrix(self):
-        return self.rotation.q_expr()
+        return self.frame.exprs(0)[0]
 
     def velocity_offset(self):
-        q = self.rotation.q_expr()
-        return dot(dot(self.rotation.qdot_expr(), transpose(q)), x_vector())
+        qdot = self.frame.exprs(1)[0]
+        return dot(dot(qdot, transpose(self.matrix())), x_vector())
 
 
 @dataclass(frozen=True)
@@ -450,14 +460,15 @@ class PlanarRotation(_Rotating):
     planar_only = True
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", RotationSpec(
-            axis=(0.0, 0.0, 1.0), rate=float(self.omega)))
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "frame", RotationSpec(
+            rate=self.omega).frame())
 
     def pressure_offset(self, psi):
         if psi is None:
             raise ValueError("S6 needs the analytic stream function psi")
         xt = x_vector()
-        w = self.rotation.rate
+        w = self.omega
         planar = add(mul(comp(xt, 0), comp(xt, 0)),
                      mul(comp(xt, 1), comp(xt, 1)))
         # With the counter-clockwise convention Q = exp(w t [z]x) and the
@@ -480,8 +491,8 @@ class Rotation3D(_Rotating):
     note = "negative control: 3D rotation without regauge (expected FAIL)"
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", RotationSpec(
-            axis=_vec3(self.axis, "axis"), rate=float(self.rate)))
+        object.__setattr__(self, "frame", RotationSpec(
+            axis=_vec3(self.axis, "axis"), rate=float(self.rate)).frame())
 
 
 NS_SYMMETRIES = {cls.json_tag: cls for cls in (

@@ -1,6 +1,9 @@
 """Newtonian point mechanics: frame-indifferent force laws, a fixed-step
-4th-order integrator, Galilei/Euclidean trajectory transport, and the
-fictitious-force closure check in accelerating frames.
+4th-order integrator, trajectory and reference transport under a
+``frames.FrameChange``, and the fictitious-force closure check in
+accelerating frames.  Every frame change takes one path: Q, c and their
+time derivatives come from ``FrameChange.at``, so a Galilei boost is the
+Euclidean case with a constant Q and a linear c.
 
 Force laws are expressions over the invariant argument vocabulary
 (differences against transported reference values and their norms), so
@@ -9,6 +12,7 @@ second.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -209,7 +213,6 @@ def time_scaled_position_model(m=1.0):
 
 @dataclass(frozen=True)
 class Trajectory:
-    frame: str
     t: np.ndarray
     x: np.ndarray        # (3, N)
     v: np.ndarray        # (3, N)
@@ -267,7 +270,7 @@ def _scaled(force, s):
     return s * f0, s * f1, s * f2
 
 
-def integrate(model, ic, dt, n_steps, frame="inertial"):
+def integrate(model, ic, dt, n_steps):
     """Classical fixed-step 4th-order integration of m xddot = F."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -277,88 +280,46 @@ def integrate(model, ic, dt, n_steps, frame="inertial"):
         return _scaled(model.force_at(tt, xx, vv), inv_m)
 
     ts, xs, vs = _rk4(accel, ic, dt, n_steps)
-    return Trajectory(frame=frame, t=ts, x=xs, v=vs, dt=dt)
+    return Trajectory(t=ts, x=xs, v=vs, dt=dt)
 
 
-def _per_time(a, t):
-    """A (3,) vector as-is for a scalar time, as a (3, 1) column for a
-    (B,) array of times, so it broadcasts against (3, B) terms."""
-    return a[:, None] if np.ndim(t) else a
+def _reference_exprs(model, spec):
+    """x0r* = Q x0r + c and v0r* = Q v0r + c', both at t - tau, as vec3
+    expressions of the new frame's time t."""
+    q, c = spec.exprs(0)
+    dc = spec.exprs(1)[1]
+    back = ex.sub(ex.time(), ex.const(spec.tau))
+    return tuple(ex.compose(add(fr.mat_vec(q, ex.vector_const(ref)), shift),
+                            (), back)
+                 for ref, shift in ((model.x0r, c), (model.v0r, dc)))
 
 
 def transport_references(model, spec):
-    """Reference values seen from the new frame.
+    """Reference values seen from the new frame, (x0r_at, v0r_at, t0r*).
 
-    Galilei: x0r is carried on the boosted world line (time-dependent in
-    general, so only v0r/t0r are stored; the position reference enters
-    through the difference), v0r' = R v0r + v, t0r' = t0r + tau.
-    Returned as a function of the new-frame time for the position part;
-    the functions take a scalar time, giving (3,), or a (B,) array of
-    times, giving (3, B).
+    The position reference rides the frame, x0r* = Q x0r + c, and the
+    listed velocity rule is v0r* = Q v0r + c', with Q and c at the old
+    time t* - tau; both are functions of the new-frame time t*, taking a
+    scalar, giving (3,), or (B,) times, giving (3, B).  t0r* = t0r + tau.
     """
-    if isinstance(spec, fr.GalileiSpec):
-        r, vb, c, tau = spec.r, spec.v, spec.c, spec.tau
-
-        def x0r_at(t_new):
-            return (_per_time(r @ np.asarray(model.x0r), t_new)
-                    + np.multiply.outer(vb, t_new - tau)
-                    + _per_time(c, t_new))
-
-        v0r = r @ np.asarray(model.v0r) + vb
-        return x0r_at, tuple(v0r), model.t0r + spec.tau
-    if isinstance(spec, fr.EuclideanSpec):
-        def x0r_at(t_new):
-            t_old = t_new - spec.tau
-            return (_rotate(spec.rotation.matrix(t_old),
-                            np.asarray(model.x0r, float))
-                    + spec.c(t_old))
-
-        # the listed transport rule: v0r* = R v0r + cdot
-        def v0r_at(t_new):
-            t_old = t_new - spec.tau
-            return (_rotate(spec.rotation.matrix(t_old),
-                            np.asarray(model.v0r, float))
-                    + spec.cdot(t_old))
-
-        return x0r_at, v0r_at, model.t0r + spec.tau
-    raise TypeError("unsupported frame spec %r" % (spec,))
+    x0r, v0r = _reference_exprs(model, spec)
+    return (partial(fr.at_times, x0r), partial(fr.at_times, v0r),
+            model.t0r + spec.tau)
 
 
-def _galilei_x0r_floats(model, spec):
-    """The Galilei ``x0r_at`` of ``transport_references`` for one float
-    time, R x0r + v (t - tau) + c, as three floats rounded as there."""
-    rx = (spec.r @ np.asarray(model.x0r)).tolist()
-    vb, c, tau = spec.v.tolist(), spec.c.tolist(), spec.tau
-
-    def x0r_at(t_new):
-        w = t_new - tau
-        return (rx[0] + vb[0] * w + c[0], rx[1] + vb[1] * w + c[1],
-                rx[2] + vb[2] * w + c[2])
-    return x0r_at
-
-
-def _rotate(rmat, a):
-    """R a for R (3, 3) or (3, 3, B) and a (3,) or (3, B)."""
-    return np.einsum("ij...,j...->i...", rmat, a)
+def _moved(spec, t, x, v):
+    """New-frame (t, x, v) of states (3, N) at times (N,), and Q(t):
+    x~ = Q x + c and v~ = Q v + Q' x + c'."""
+    q, c = spec.at(t)
+    dq, dc = spec.at(t, 1)
+    return (t + spec.tau, fr.rotate(q, x) + c,
+            fr.rotate(q, v) + fr.rotate(dq, x) + dc, q)
 
 
 def transform_trajectory(traj, spec):
     """Pointwise mapped states with the full velocity transport rule."""
-    t, x, v = traj.t, traj.x, traj.v
-    if isinstance(spec, fr.GalileiSpec):
-        x_new = spec.r @ x + np.outer(spec.v, t) + spec.c[:, None]
-        v_new = spec.r @ v + spec.v[:, None]
-        return replace(traj, frame=traj.frame + "'", t=t + spec.tau,
-                       x=x_new, v=v_new)
-    if isinstance(spec, fr.EuclideanSpec):
-        rmat = spec.rotation.matrix(t)           # (3,3,N)
-        rdot = spec.rotation.matrix_dot(t)
-        x_new = np.einsum("ijn,jn->in", rmat, x) + spec.c(t)
-        v_new = (np.einsum("ijn,jn->in", rmat, v)
-                 + np.einsum("ijn,jn->in", rdot, x) + spec.cdot(t))
-        return replace(traj, frame=traj.frame + "*", t=t + spec.tau,
-                       x=x_new, v=v_new)
-    raise TypeError("unsupported frame spec %r" % (spec,))
+    t, x, v, _ = _moved(spec, traj.t, traj.x, traj.v)
+    return replace(traj, t=t, x=x, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +328,8 @@ def transform_trajectory(traj, spec):
 
 def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
                                    seed=0xC0FFEE, transport_refs=True):
-    """F(x', xdot', t'; refs') == R F(x, xdot, t; refs) at sampled states."""
+    """F(x~, xdot~, t~; refs~) == Q F(x, xdot, t; refs) at sampled states."""
     rng = np.random.default_rng(seed)
-    rmat, vb, c, tau = spec.r, spec.v, spec.c, spec.tau
     t = np.empty(n_points)
     x = np.empty((3, n_points))
     v = np.empty((3, n_points))
@@ -377,15 +337,14 @@ def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
         t[k] = rng.uniform(0.0, 2.0)
         x[:, k] = rng.uniform(-1.0, 1.0, size=3)
         v[:, k] = rng.uniform(-1.0, 1.0, size=3)
-    t_new = t + tau
-    x_new = rmat @ x + np.outer(vb, t) + c[:, None]
-    v_new = rmat @ v + vb[:, None]
+    t_new, x_new, v_new, q = _moved(spec, t, x, v)
     refs = None
     if transport_refs:
-        x0r_at, v0r_new, t0r_new = transport_references(model, spec)
-        refs = (x0r_at(t_new), v0r_new, t0r_new)
+        x0r_at, v0r_at, t0r_new = transport_references(model, spec)
+        refs = (x0r_at(t_new), v0r_at(t_new), t0r_new)
     residuals = np.max(np.abs(model.force_at(t_new, x_new, v_new, refs)
-                              - rmat @ model.force_at(t, x, v)), axis=0)
+                              - fr.rotate(q, model.force_at(t, x, v))),
+                       axis=0)
     # argmax lands on the first NaN, so a non-finite residual is kept
     k = int(np.argmax(residuals))
     worst = float(residuals[k])
@@ -405,14 +364,15 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
         tol = 10.0 * dt ** 4
     base = integrate(model, ic, dt, n_steps)
     moved = transform_trajectory(base, spec)
-    _, v0r_new, t0r_new = transport_references(model, spec)
-    refs_new = (tuple(np.asarray(v0r_new, float).tolist()), float(t0r_new))
-    x0r_at = _galilei_x0r_floats(model, spec)
+    # the references ride the frame: float kernels of the same expressions
+    # that transport_references evaluates, so their values are its bits
+    x0r_at, v0r_at = map(ex.float_kernel, _reference_exprs(model, spec))
+    t0r_new = model.t0r + spec.tau
     inv_m = 1.0 / model.m
 
     def accel(tt, xx, vv):
-        return _scaled(model.force_at(tt, xx, vv, (x0r_at(tt),) + refs_new),
-                       inv_m)
+        refs = (x0r_at(tt, _ORIGIN, {}), v0r_at(tt, _ORIGIN, {}), t0r_new)
+        return _scaled(model.force_at(tt, xx, vv, refs), inv_m)
 
     ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
                       dt, n_steps)
@@ -430,17 +390,17 @@ def inertial_force(spec, t, x_star, v_star, m, a=0.0):
     ``t`` is a scalar with (3,) states, or (B,) with (3, B) states.
     """
     t_old = t - spec.tau
-    rmat = spec.rotation.matrix(t_old)
-    rdot = spec.rotation.matrix_dot(t_old)
-    rddot = spec.rotation.matrix_ddot(t_old)
-    dx = np.asarray(x_star, float) - spec.c(t_old)
-    dv = np.asarray(v_star, float) - spec.cdot(t_old)
+    rmat, c = spec.at(t_old)
+    rdot, dc = spec.at(t_old, 1)
+    rddot, ddc = spec.at(t_old, 2)
+    dx = np.asarray(x_star, float) - c
+    dv = np.asarray(v_star, float) - dc
     spin = np.einsum("ik...,jk...->ij...", rmat, rdot)       # R Rdot^T
     accel = np.einsum("ik...,jk...->ij...", rmat, rddot)     # R Rddot^T
-    return (m * spec.cddot(t_old)
-            - m * _rotate(accel, dx)
-            - 2.0 * m * _rotate(spin, dv)
-            - a * _rotate(spin, dx))
+    return (m * ddc
+            - m * fr.rotate(accel, dx)
+            - 2.0 * m * fr.rotate(spin, dv)
+            - a * fr.rotate(spin, dx))
 
 
 def check_noninertial_closure(model, spec, traj, tol=1e-5,
@@ -454,17 +414,13 @@ def check_noninertial_closure(model, spec, traj, tol=1e-5,
     if drag_coeff is None:
         raise ValueError("drag_coeff (the model's linear drag) is required")
     a = float(drag_coeff)
-    starred = transform_trajectory(traj, spec)
+    ts, xs, vs, rmat = _moved(spec, traj.t, traj.x, traj.v)
     x0r_at, v0r_at, t0r_new = transport_references(model, spec)
-
-    ts, xs, vs = starred.t, starred.x, starred.v
-    t_old = ts - spec.tau
-    rmat = spec.rotation.matrix(t_old)
-    rdot = spec.rotation.matrix_dot(t_old)
-    rddot = spec.rotation.matrix_ddot(t_old)
+    rdot = spec.at(traj.t, 1)[0]
+    rddot, ddc = spec.at(traj.t, 2)
     xdd = model.force_at(traj.t, traj.x, traj.v) / model.m
-    xdd_star = (_rotate(rddot, traj.x) + _rotate(2.0 * rdot, traj.v)
-                + _rotate(rmat, xdd) + spec.cddot(t_old))
+    xdd_star = (fr.rotate(rddot, traj.x) + fr.rotate(2.0 * rdot, traj.v)
+                + fr.rotate(rmat, xdd) + ddc)
     forces = model.force_at(ts, xs, vs, (x0r_at(ts), v0r_at(ts), t0r_new))
     fict = inertial_force(spec, ts, xs, vs, model.m,
                           a=a if include_drag_term else 0.0)

@@ -162,7 +162,7 @@ def _run_mechanics(payload, tol, seed):
                 {"vz": float(traj.v[2, -1])})
     if check == "frame_indifference":
         rng = np.random.default_rng(seed)
-        spec = fr.GalileiSpec.random(rng)
+        spec = fr.FrameChange.random_galilei(rng)
         v = mech.check_force_frame_indifference(
             model, spec, tol=tol, seed=seed,
             transport_refs=payload.get("transport_refs", True))
@@ -170,7 +170,7 @@ def _run_mechanics(payload, tol, seed):
                 {"frame_indifference": v.objective.residual}, {})
     if check == "galilei_covariance":
         rng = np.random.default_rng(seed)
-        spec = fr.GalileiSpec.random(rng)
+        spec = fr.FrameChange.random_galilei(rng)
         ic = (np.array(payload.get("x0", [0.3, -0.2, 0.1])),
               np.array(payload.get("v0", [0.2, 0.1, 0.0])), 0.0)
         v = mech.check_galilei_covariance(model, spec, ic, dt, steps)
@@ -178,7 +178,7 @@ def _run_mechanics(payload, tol, seed):
                 {"covariance": v.objective.residual}, {})
     if check == "noninertial_closure":
         rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
-        spec = fr.EuclideanSpec(rotation=fr.RotationSpec(
+        spec = fr.FrameChange.euclidean(rotation=fr.RotationSpec(
             axis=rot["axis"], rate=float(rot["rate"])))
         ic = (np.array(payload.get("x0", [0.5, 0.2, 0.0])),
               np.array(payload.get("v0", [0.1, 0.0, 0.0])), 0.0)

@@ -9,6 +9,8 @@ from invariance import frames as fr
 from invariance import report
 from invariance.sampling import sample_points
 
+import frame_oracle as oracle
+
 # the module, not the ``classify`` function that ``invariance.checks``
 # re-exports under the same name
 classify_module = importlib.import_module("invariance.checks.classify")
@@ -26,8 +28,9 @@ def loop_scan(specs, comparisons, n_points, seed):
 
     Each comparison is evaluated with one ``evaluate_many`` call per
     rotation and expression at ``n_points``, the rotation parameters bound
-    as scalars; the witness is the first maximum (or first NaN) over
-    rotations, then points.
+    as scalars, and the points are mapped through the same rotation
+    declaration one rotation at a time; the witness is the first maximum
+    (or first NaN) over rotations, then points.
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
@@ -38,7 +41,8 @@ def loop_scan(specs, comparisons, n_points, seed):
             bind = {"rot_a1": spec.axis[0], "rot_a2": spec.axis[1],
                     "rot_a3": spec.axis[2], "rot_w": spec.rate,
                     "rot_ph": spec.phase}
-            xt = np.einsum("ijn,jn->in", spec.matrix(t), x)
+            q, c = classify_module._FRAME.at(t, 0, bind)
+            xt = fr.rotate(q, x) + c
             va = ex.evaluate_many(ea, t, xt if ma else x, bind)
             vb = ex.evaluate_many(eb, t, xt if mb else x, bind)
             total = np.abs(va - vb).reshape(-1, n_points).max(axis=0)
@@ -129,7 +133,7 @@ class TestVorticityDefect:
         q = ck.vorticity_quantity()
         for spec in SPECS[:5]:
             diff = ck.form_invariance_defect(q, spec, n_points=50)
-            omega = spec.spin()
+            omega = oracle.spin(spec)
             assert np.max(np.abs(diff + omega[:, :, None])) < 1e-10
 
     def test_defect_zero_for_strain_rate(self):
@@ -194,8 +198,8 @@ class TestOracles:
         l_val = ex.evaluate_many(grad_u, t, x)
         s_val = 0.5 * (l_val + np.transpose(l_val, (1, 0, 2)))
         for n in range(0, 40, 8):
-            q = spec.matrix(t[n])
-            omega = spec.spin()
+            q = oracle.matrix(spec, t[n])
+            omega = oracle.spin(spec)
             # velocity gradient in the rotated frame: Q L Q^T - Omega
             l_tilde = q @ l_val[:, :, n] @ q.T - omega
             s_tilde = 0.5 * (l_tilde + l_tilde.T)
@@ -235,6 +239,22 @@ class TestOracles:
         assert first.objective.residual == np.inf
         assert np.isnan(v.objective.residual) and not v.objective.passed
         assert v.witness == want[0][1] and v.witness[1][0] > 0.88
+
+
+class TestRandomRotations:
+    def test_stream_matches_the_choice_draws(self):
+        # the sign is drawn with integers(0, 2); the rotations must stay
+        # those that rng.choice([-1.0, 1.0]) drew
+        for seed in list(range(20)) + [0x507A, 0xA11CE]:
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(50):
+                axis = rng.normal(size=3)
+                rate = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+                phase = rng.uniform(0.3, 3.0)
+                want.append(fr.RotationSpec(axis=axis, rate=rate,
+                                            phase=phase))
+            assert ck.random_rotations(50, seed=seed) == want
 
 
 class TestBatchInvariance:

@@ -7,10 +7,12 @@ from invariance.expr import SCALAR, parse_field_expr
 from invariance.ns.closure import structural_check
 from invariance.sampling import sample_points
 
+import frame_oracle as oracle
+
 ENSEMBLE = ns.Ensemble.random(1024)
 ALL_DECOMPOSED = [
     ("G", lambda: fr.Galilei(
-        c0=0.2, a_mat=fr.RotationSpec(axis=(0, 1, 1)).matrix(0.6),
+        c0=0.2, a_mat=oracle.matrix(fr.RotationSpec(axis=(0, 1, 1)), 0.6),
         c1=(0.1, 0.0, -0.3))),
     ("S1", lambda: fr.Scaling(0.35)),
     ("S2", lambda: fr.AcceleratedShift([parse_field_expr(s) for s in

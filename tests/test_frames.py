@@ -7,6 +7,8 @@ from invariance import mechanics as mech
 from invariance.expr import const, parse_field_expr
 from invariance.sampling import sample_points
 
+import frame_oracle as oracle
+
 
 RNG = np.random.default_rng(0xF00D)
 
@@ -18,94 +20,171 @@ def random_rotation_spec(rng):
 
 
 class TestRotationSpec:
+    """The derived Q, Qdot and Qddot of ``RotationSpec.frame`` against the
+    numpy closed forms of ``frame_oracle``."""
+
     def test_orthogonality_and_det(self):
         for _ in range(20):
             spec = random_rotation_spec(RNG)
             for t in np.linspace(-3, 3, 11):
-                q = spec.matrix(t)
+                q = spec.frame().at(t)[0]
                 assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-12
                 assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
     def test_spin_constant_antisymmetric(self):
         for _ in range(10):
             spec = random_rotation_spec(RNG)
-            omega = spec.spin()
+            omega = oracle.spin(spec)
             assert np.max(np.abs(omega + omega.T)) < 1e-12
+            frame = spec.frame()
             for t in np.linspace(-2, 2, 7):
-                q, qd = spec.matrix(t), spec.matrix_dot(t)
+                q, qd = frame.at(t)[0], frame.at(t, 1)[0]
                 assert np.max(np.abs(q @ qd.T - omega)) < 1e-12
 
     def test_spin_matches_finite_difference_qdot(self):
         spec = fr.RotationSpec(axis=(1, 2, -1), rate=0.7, phase=0.3)
+        frame = spec.frame()
         h = 1e-7
         for t in (0.0, 0.5, 1.7):
-            qd_fd = (spec.matrix(t + h) - spec.matrix(t - h)) / (2 * h)
-            assert np.max(np.abs(qd_fd - spec.matrix_dot(t))) < 1e-6
-            omega_fd = spec.matrix(t) @ qd_fd.T
-            assert np.max(np.abs(omega_fd - spec.spin())) < 1e-6
+            qd_fd = (frame.at(t + h)[0] - frame.at(t - h)[0]) / (2 * h)
+            assert np.max(np.abs(qd_fd - frame.at(t, 1)[0])) < 1e-6
+            omega_fd = frame.at(t)[0] @ qd_fd.T
+            assert np.max(np.abs(omega_fd - oracle.spin(spec))) < 1e-6
 
     def test_quarter_turn(self):
         spec = fr.RotationSpec(axis=(0, 0, 1), rate=np.pi / 2)
-        x = spec.matrix(1.0) @ np.array([1.0, 0, 0])
+        x = spec.frame().at(1.0)[0] @ np.array([1.0, 0, 0])
         assert np.allclose(x, [0, 1, 0], atol=1e-12)
 
     def test_q_expr_matches_numeric(self):
         spec = random_rotation_spec(RNG)
-        q_expr = spec.q_expr()
+        q_expr = spec.frame().q
         for t in (0.0, 0.4, 1.3):
             got = ex.evaluate_many(q_expr, [t], np.zeros((3, 1)))[..., 0]
-            assert np.allclose(got, spec.matrix(t), atol=1e-14)
+            assert np.allclose(got, oracle.matrix(spec, t), atol=1e-14)
 
     def test_spin_composition_law(self):
         # Omega~ = Q Omega Q^T + Q Qdot^T for stacked rotations
-        s1 = random_rotation_spec(RNG)
-        s2 = random_rotation_spec(RNG)
+        f1 = random_rotation_spec(RNG).frame()
+        f2 = random_rotation_spec(RNG).frame()
         for t in (0.0, 0.8):
-            q1, q1d = s1.matrix(t), s1.matrix_dot(t)
-            q2, q2d = s2.matrix(t), s2.matrix_dot(t)
+            q1, q1d = f1.at(t)[0], f1.at(t, 1)[0]
+            q2, q2d = f2.at(t)[0], f2.at(t, 1)[0]
             q, qd = q2 @ q1, q2d @ q1 + q2 @ q1d
             omega_total = q @ qd.T
             omega_law = q2 @ (q1 @ q1d.T) @ q2.T + q2 @ q2d.T
             assert np.max(np.abs(omega_total - omega_law)) < 1e-10
 
 
+class TestFrameChangeDerivatives:
+    """``FrameChange.at`` derives Q, Qdot, Qddot and c, cdot, cddot from the
+    one declaration; each is checked against closed forms and against
+    central differences of the order below."""
+
+    T = np.linspace(-2.0, 2.0, 9)
+
+    def test_rotation_derivatives_match_closed_forms(self):
+        rng = np.random.default_rng(0xD1FF)
+        for _ in range(20):
+            spec = random_rotation_spec(rng)
+            frame = spec.frame()
+            want = oracle.rotation(spec.axis, spec.rate, spec.phase, self.T)
+            for order in range(3):
+                got, c = frame.at(self.T, order)
+                assert np.max(np.abs(got - want[order])) < 1e-12
+                assert not np.any(c)
+                one, _ = frame.at(self.T[3], order)
+                assert np.max(np.abs(one - want[order][..., 3])) < 1e-12
+
+    def test_path_derivatives_match_closed_forms(self):
+        spec = fr.FrameChange.euclidean(
+            rotation=fr.RotationSpec(axis=(1.0, -2.0, 0.5), rate=1.3,
+                                     phase=0.2),
+            path=("0.5*t*t*t", "sin(2*t)", "exp(0.3*t)"), tau=0.7)
+        t = self.T
+        want = [np.stack([0.5 * t ** 3, np.sin(2 * t), np.exp(0.3 * t)]),
+                np.stack([1.5 * t ** 2, 2 * np.cos(2 * t),
+                          0.3 * np.exp(0.3 * t)]),
+                np.stack([3.0 * t, -4 * np.sin(2 * t),
+                          0.09 * np.exp(0.3 * t)])]
+        for order in range(3):
+            assert np.max(np.abs(spec.at(t, order)[1] - want[order])) < 1e-12
+
+    def test_derivatives_match_central_differences(self):
+        spec = fr.FrameChange.euclidean(
+            rotation=random_rotation_spec(np.random.default_rng(5)),
+            path=("t*t - t", "cos(t)", "0.25"))
+        h = 1e-6
+        for order in (1, 2):
+            q_lo, c_lo = spec.at(self.T - h, order - 1)
+            q_hi, c_hi = spec.at(self.T + h, order - 1)
+            q, c = spec.at(self.T, order)
+            assert np.max(np.abs((q_hi - q_lo) / (2 * h) - q)) < 1e-7
+            assert np.max(np.abs((c_hi - c_lo) / (2 * h) - c)) < 1e-7
+
+    def test_galilei_declaration(self):
+        r = oracle.matrix(fr.RotationSpec(axis=(2.0, 1.0, -1.0)), 0.9)
+        v, c = np.array([0.3, -1.0, 2.0]), np.array([1.0, 0.5, -0.2])
+        spec = fr.FrameChange.galilei(r=r, v=v, c=c, tau=0.4)
+        t = self.T
+        assert spec.tau == 0.4
+        np.testing.assert_array_equal(spec.at(t)[0],
+                                      np.broadcast_to(r[:, :, None],
+                                                      (3, 3, t.size)))
+        assert np.max(np.abs(spec.at(t)[1] - (np.outer(v, t)
+                                              + c[:, None]))) < 1e-15
+        np.testing.assert_array_equal(spec.at(t, 1)[1],
+                                      np.repeat(v[:, None], t.size, axis=1))
+        for order in (1, 2):
+            assert not np.any(spec.at(t, order)[0])
+        assert not np.any(spec.at(t, 2)[1])
+
+
 def moved(spec, t, x):
     """(t', x') by the mechanics trajectory transport of ``spec``."""
     t = np.atleast_1d(np.asarray(t, float))
-    traj = mech.Trajectory(frame="test", t=t, x=x.reshape(3, -1),
+    traj = mech.Trajectory(t=t, x=x.reshape(3, -1),
                            v=np.zeros((3, t.size)), dt=0.0)
     out = mech.transform_trajectory(traj, spec)
     return out.t, out.x
 
 
+def galilei_parts(g):
+    """(R, v, c) of a Galilei frame x' = R x + v t + c, read at t = 0."""
+    (r, c), (_, v) = g.at(0.0), g.at(0.0, 1)
+    return r, v, c
+
+
 def galilei_inverse(g):
-    """x = R^T (x' - v t - c), t = t' - tau as a GalileiSpec."""
-    rt = g.r.T
-    return fr.GalileiSpec(r=rt, v=-rt @ g.v,
-                          c=rt @ (g.v * g.tau - g.c), tau=-g.tau)
+    """x = R^T (x' - v t - c), t = t' - tau as a Galilei frame."""
+    r, v, c = galilei_parts(g)
+    rt = r.T
+    return fr.FrameChange.galilei(r=rt, v=-rt @ v, c=rt @ (v * g.tau - c),
+                                  tau=-g.tau)
 
 
 class TestGalilei:
     def test_boost_example(self):
-        spec = fr.GalileiSpec(v=np.array([1.0, 0, 0]))
+        spec = fr.FrameChange.galilei(v=np.array([1.0, 0, 0]))
         _, x = moved(spec, 2.0, np.zeros(3))
         assert np.allclose(x[:, 0], [2, 0, 0])
 
     def test_rejects_improper_rotation(self):
         with pytest.raises(ValueError):
-            fr.GalileiSpec(r=np.diag([1.0, 1.0, -1.0]))
+            fr.FrameChange.galilei(r=np.diag([1.0, 1.0, -1.0]))
 
     def test_group_composition(self):
         rng = np.random.default_rng(7)
         t, x = sample_points(200)
         for _ in range(5):
-            g1 = fr.GalileiSpec.random(rng)
-            g2 = fr.GalileiSpec.random(rng)
+            g1 = fr.FrameChange.random_galilei(rng)
+            g2 = fr.FrameChange.random_galilei(rng)
             t1, x1 = moved(g1, t, x)
             t2, x2 = moved(g2, t1, x1)
-            g21 = fr.GalileiSpec(r=g2.r @ g1.r, v=g2.r @ g1.v + g2.v,
-                                 c=g2.r @ g1.c + g2.v * g1.tau + g2.c,
-                                 tau=g1.tau + g2.tau)
+            (r1, v1, c1), (r2, v2, c2) = galilei_parts(g1), galilei_parts(g2)
+            g21 = fr.FrameChange.galilei(r=r2 @ r1, v=r2 @ v1 + v2,
+                                         c=r2 @ c1 + v2 * g1.tau + c2,
+                                         tau=g1.tau + g2.tau)
             tc, xc = moved(g21, t, x)
             assert np.max(np.abs(t2 - tc)) < 1e-12
             assert np.max(np.abs(x2 - xc)) < 1e-12
@@ -113,7 +192,7 @@ class TestGalilei:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(8)
         t, x = sample_points(200)
-        g = fr.GalileiSpec.random(rng)
+        g = fr.FrameChange.random_galilei(rng)
         tb, xb = moved(galilei_inverse(g), *moved(g, t, x))
         assert np.max(np.abs(tb - t)) < 1e-12
         assert np.max(np.abs(xb - x)) < 1e-12
@@ -121,21 +200,22 @@ class TestGalilei:
 
 class TestEuclidean:
     def test_parabolic_path_example(self):
-        spec = fr.EuclideanSpec(path=(parse_field_expr("t*t"),
-                                      const(0.0), const(0.0)))
+        spec = fr.FrameChange.euclidean(path=(parse_field_expr("t*t"),
+                                              const(0.0), const(0.0)))
         _, x = moved(spec, 1.0, np.zeros(3))
         assert np.allclose(x[:, 0], [1, 0, 0])
 
     def test_path_derivatives(self):
-        spec = fr.EuclideanSpec(path=(parse_field_expr("0.5*t*t"),
-                                      parse_field_expr("sin(t)"),
-                                      const(0.0)))
-        assert np.allclose(spec.cdot(2.0), [2.0, np.cos(2.0), 0.0])
-        assert np.allclose(spec.cddot(2.0), [1.0, -np.sin(2.0), 0.0])
+        spec = fr.FrameChange.euclidean(path=(parse_field_expr("0.5*t*t"),
+                                              parse_field_expr("sin(t)"),
+                                              const(0.0)))
+        assert np.allclose(spec.at(2.0, 1)[1], [2.0, np.cos(2.0), 0.0])
+        assert np.allclose(spec.at(2.0, 2)[1], [1.0, -np.sin(2.0), 0.0])
 
     def test_round_trip(self):
-        spec = fr.EuclideanSpec(
-            rotation=fr.RotationSpec(axis=(0, 1, 1), rate=0.6),
+        rotation = fr.RotationSpec(axis=(0, 1, 1), rate=0.6)
+        spec = fr.FrameChange.euclidean(
+            rotation=rotation,
             path=(parse_field_expr("t*t"), parse_field_expr("cos(t)"),
                   const(0.2)),
             tau=0.4)
@@ -143,15 +223,16 @@ class TestEuclidean:
         ts, xs = moved(spec, t, x)
         # x = R(t)^T (x* - c(t)), t = t* - tau
         tb = ts - spec.tau
-        xb = np.einsum("jin,jn->in", spec.rotation.matrix(tb),
-                       xs - spec.c(tb))
+        path = np.stack([tb * tb, np.cos(tb), np.full_like(tb, 0.2)])
+        xb = np.einsum("jin,jn->in", oracle.matrix(rotation, tb), xs - path)
         assert np.max(np.abs(tb - t)) < 1e-12
         assert np.max(np.abs(xb - x)) < 1e-12
 
 
 def all_ns_specs():
     return [
-        fr.Galilei(c0=0.3, a_mat=fr.RotationSpec(axis=(1, 1, 0)).matrix(0.7),
+        fr.Galilei(c0=0.3,
+                   a_mat=oracle.matrix(fr.RotationSpec(axis=(1, 1, 0)), 0.7),
                    c1=[0.5, -0.2, 0.1], c2=[1.0, 0.0, -0.3]),
         fr.Scaling(0.4),
         fr.AcceleratedShift([parse_field_expr("t*t"),
@@ -171,7 +252,10 @@ def _reflect(spec, t, x):
 
 
 def _rotate(spec, t, x):
-    return t, np.einsum("ijn,jn->in", spec.rotation.matrix(t), x)
+    axis, rate = ((0, 0, 1), spec.omega) if spec.tag == "S6approx" \
+        else (spec.axis, spec.rate)
+    q = oracle.rotation(axis, rate, 0.0, t)[0]
+    return t, np.einsum("ijn,jn->in", q, x)
 
 
 # (t, x) -> (t~, x~) for each symmetry, written out from its parameters
@@ -266,7 +350,7 @@ class TestVelocityRules:
         t = 0.6
         x0 = np.array([0.4, -0.8, 0.3])
         # transport: d/dt [Q(t) x(t)] with xdot = u(x)
-        q, qd = spec.rotation.matrix(t), spec.rotation.matrix_dot(t)
+        q, qd, _ = oracle.rotation((0, 0, 1), 0.9, 0.0, t)
         u_val = ex.evaluate_many(u, [t], x0.reshape(3, 1))[:, 0]
         expect = q @ u_val + qd @ x0
         got = ex.evaluate_many(ut, [t], (q @ x0).reshape(3, 1))[:, 0]

@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import report
+
+import frame_oracle as oracle
 
 RNG = np.random.default_rng(0xD1CE)
 
@@ -56,7 +59,7 @@ class TestStructuralCheck:
 
 class TestFrameIndifference:
     def random_spec(self):
-        return fr.GalileiSpec.random(RNG)
+        return fr.FrameChange.random_galilei(RNG)
 
     def test_oscillator_force_frame_indifferent(self):
         v = mech.check_force_frame_indifference(mech.oscillator_model(),
@@ -69,8 +72,7 @@ class TestFrameIndifference:
         assert v.objective.passed
 
     def test_absolute_velocity_force_fails_under_boost(self):
-        spec = fr.GalileiSpec(r=np.eye(3), v=np.array([1.0, 0, 0]),
-                              c=np.zeros(3), tau=0.0)
+        spec = fr.FrameChange.galilei(v=np.array([1.0, 0, 0]))
         v = mech.check_force_frame_indifference(
             mech.absolute_velocity_model(), spec)
         assert not v.objective.passed
@@ -78,8 +80,7 @@ class TestFrameIndifference:
         assert abs(v.objective.residual - 1.0) < 1e-12
 
     def test_frozen_references_break_frame_indifference(self):
-        spec = fr.GalileiSpec(r=np.eye(3), v=np.array([1.0, 0, 0]),
-                              c=np.zeros(3), tau=0.0)
+        spec = fr.FrameChange.galilei(v=np.array([1.0, 0, 0]))
         v = mech.check_force_frame_indifference(
             mech.drag_gravity_model(), spec, transport_refs=False)
         assert not v.objective.passed and v.objective.residual > 1e-3
@@ -90,7 +91,7 @@ class TestGalileiCovariance:
         dt, steps = 1e-3, 1_000
         ic = (np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0]), 0.0)
         for _ in range(20):
-            spec = fr.GalileiSpec.random(RNG)
+            spec = fr.FrameChange.random_galilei(RNG)
             v = mech.check_galilei_covariance(mech.oscillator_model(),
                                               spec, ic, dt, steps)
             assert v.objective.passed
@@ -100,7 +101,7 @@ class TestGalileiCovariance:
 class TestNoninertialClosure:
     def setup_method(self):
         self.model = mech.drag_gravity_model()
-        self.spec = fr.EuclideanSpec(
+        self.spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.5))
         ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
         self.traj = mech.integrate(self.model, ic, 2e-3, 1_500)
@@ -125,9 +126,8 @@ class TestNoninertialClosure:
 class TestInertialForceOracles:
     def test_pure_translation_gives_m_cddot(self):
         # path c(t) = (t^2, 0, 0), no rotation: force is m*(2, 0, 0)
-        from invariance import expr as ex
         path = (ex.parse_field_expr("t*t"), ex.const(0.0), ex.const(0.0))
-        spec = fr.EuclideanSpec(
+        spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=0.0), path=path)
         got = mech.inertial_force(spec, 1.3, np.zeros(3), np.zeros(3),
                                   m=2.0)
@@ -137,14 +137,14 @@ class TestInertialForceOracles:
         # at rest in the rotating frame the residual inertial force is
         # centrifugal with magnitude m omega^2 r
         omega = 0.9
-        spec = fr.EuclideanSpec(
+        spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=omega))
         x_star = np.array([1.5, 0.0, 0.0])
         got = mech.inertial_force(spec, 0.6, x_star, np.zeros(3), m=2.0)
         assert abs(np.linalg.norm(got) - 2.0 * omega ** 2 * 1.5) < 1e-12
 
     def test_inertial_frame_gives_zero(self):
-        spec = fr.EuclideanSpec(
+        spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=0.0))
         got = mech.inertial_force(spec, 0.6, RNG.normal(size=3),
                                   RNG.normal(size=3), m=1.0, a=0.7)
@@ -155,7 +155,7 @@ class TestTrajectoryTransport:
     def test_galilei_transform_preserves_relative_separation_norm(self):
         ic = (np.array([0.4, 0.0, 0.1]), np.array([0.0, 0.2, 0.0]), 0.0)
         traj = mech.integrate(mech.oscillator_model(), ic, 1e-2, 200)
-        spec = fr.GalileiSpec.random(RNG)
+        spec = fr.FrameChange.random_galilei(RNG)
         moved = mech.transform_trajectory(traj, spec)
         x0r_at, _, _ = mech.transport_references(mech.oscillator_model(),
                                                  spec)
@@ -173,11 +173,25 @@ ALL_MODELS = sorted(report.MECHANICS_MODELS.items()) + [
 ]
 
 
+def boost_parts(seed):
+    """(R, v, c, tau) of ``FrameChange.random_galilei`` at ``seed``, drawn
+    in its order with R from the closed form: x' = R x + v t + c."""
+    rng = np.random.default_rng(seed)
+    axis, angle = rng.normal(size=3), rng.uniform(0, 2 * np.pi)
+    r = oracle.rotation(axis, 1.0, angle, 0.0)[0]
+    return r, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1)
+
+
 def loop_frame_indifference(model, spec, n_points=100, seed=0xC0FFEE,
                             transport_refs=True):
-    """One state at a time, references moved by replacing model fields."""
+    """One state at a time, the Galilei frame applied from its R, v and c,
+    and references moved by replacing model fields.  Products are summed
+    per component as the check sums them: where every point has the same
+    residual (a pure boost of an absolute velocity), the witness is
+    decided by the last bit."""
+    (r, c), (_, vb) = spec.at(0.0), spec.at(0.0, 1)
     rng = np.random.default_rng(seed)
-    x0r_at, v0r_new, t0r_new = mech.transport_references(model, spec)
+    x0r_at, v0r_at, t0r_new = mech.transport_references(model, spec)
     residuals, witnesses = [], []
     for _ in range(n_points):
         t = rng.uniform(0.0, 2.0)
@@ -187,30 +201,31 @@ def loop_frame_indifference(model, spec, n_points=100, seed=0xC0FFEE,
         moved = model
         if transport_refs:
             moved = replace(model, x0r=tuple(x0r_at(t_new)),
-                            v0r=tuple(v0r_new), t0r=t0r_new)
-        f_new = moved.force_at(t_new, spec.r @ x + spec.v * t + spec.c,
-                               spec.r @ v + spec.v)
-        residuals.append(np.max(np.abs(f_new
-                                       - spec.r @ model.force_at(t, x, v))))
+                            v0r=tuple(v0r_at(t_new)), t0r=t0r_new)
+        f_new = moved.force_at(t_new, fr.rotate(r, x) + (vb * t + c),
+                               fr.rotate(r, v) + vb)
+        residuals.append(np.max(np.abs(
+            f_new - fr.rotate(r, model.force_at(t, x, v)))))
         witnesses.append((t, tuple(x)))
     k = int(np.argmax(residuals))
     return residuals[k], witnesses[k]
 
 
-def loop_noninertial_closure(model, spec, traj, a):
-    """The starred balance one trajectory point at a time."""
+def loop_noninertial_closure(model, spec, traj, a, rotation, cddot):
+    """The starred balance one trajectory point at a time, with R and its
+    derivatives in closed form for ``rotation`` (a ``RotationSpec``) and
+    the path's c'' from ``cddot(t)``."""
     starred = mech.transform_trajectory(traj, spec)
     x0r_at, v0r_at, t0r_new = mech.transport_references(model, spec)
     residuals, witnesses = [], []
     for k in range(traj.t.shape[0]):
         x, v = traj.x[:, k], traj.v[:, k]
         ts, xs, vs = starred.t[k], starred.x[:, k], starred.v[:, k]
-        t_old = ts - spec.tau
-        rmat = spec.rotation.matrix(t_old)
-        rdot = spec.rotation.matrix_dot(t_old)
-        rddot = spec.rotation.matrix_ddot(t_old)
+        rmat, rdot, rddot = oracle.rotation(rotation.axis, rotation.rate,
+                                            rotation.phase, traj.t[k])
         xdd = model.force_at(traj.t[k], x, v) / model.m
-        xdd_star = rddot @ x + 2.0 * rdot @ v + rmat @ xdd + spec.cddot(t_old)
+        xdd_star = (rddot @ x + 2.0 * rdot @ v + rmat @ xdd
+                    + cddot(traj.t[k]))
         moved = replace(model, x0r=tuple(x0r_at(ts)), v0r=tuple(v0r_at(ts)),
                         t0r=t0r_new)
         fict = mech.inertial_force(spec, ts, xs, vs, model.m, a=a)
@@ -272,12 +287,12 @@ class TestBatchedForce:
     def test_transport_and_inertial_force_take_time_arrays(self):
         model = mech.drag_gravity_model()
         t, x, v, _ = self.states()
-        galilei = fr.GalileiSpec.random(np.random.default_rng(3))
+        galilei = fr.FrameChange.random_galilei(np.random.default_rng(3))
         x0r_at, _, _ = mech.transport_references(model, galilei)
         np.testing.assert_allclose(
             x0r_at(t), np.stack([x0r_at(tk) for tk in t], axis=1),
             rtol=0, atol=1e-12)
-        spec = fr.EuclideanSpec(
+        spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
             path=("sin(t)", "t*t", "0.5"), tau=0.3)
         x0r_at, v0r_at, _ = mech.transport_references(model, spec)
@@ -299,7 +314,18 @@ class TestBatchedChecksAgainstLoops:
     others; at rounding level the argmax is decided by last-bit noise.
     """
 
-    BOOST = fr.GalileiSpec.random(np.random.default_rng(0x5EED))
+    BOOST = fr.FrameChange.random_galilei(np.random.default_rng(0x5EED))
+
+    def test_random_galilei_keeps_its_draw_order(self):
+        for seed in (0x5EED, 1, 2):
+            r, vb, c, tau = boost_parts(seed)
+            spec = fr.FrameChange.random_galilei(
+                np.random.default_rng(seed))
+            (q, c0), (_, v0) = spec.at(0.0), spec.at(0.0, 1)
+            assert np.max(np.abs(q - r)) < 1e-15
+            np.testing.assert_array_equal(v0, vb)
+            np.testing.assert_array_equal(c0, c)
+            assert spec.tau == tau
 
     @pytest.mark.parametrize("factory, transport_refs", [
         (mech.absolute_velocity_model, True),
@@ -326,19 +352,24 @@ class TestBatchedChecksAgainstLoops:
 
     def test_noninertial_closure_witness(self):
         model = mech.drag_gravity_model()
-        spec = fr.EuclideanSpec(
-            rotation=fr.RotationSpec(axis=(0.0, 1.0, 1.0), rate=0.7),
-            path=("0.3*t*t", "sin(t)", "0.0"), tau=0.2)
+        rotation = fr.RotationSpec(axis=(0.0, 1.0, 1.0), rate=0.7)
+        spec = fr.FrameChange.euclidean(
+            rotation=rotation, path=("0.3*t*t", "sin(t)", "0.0"), tau=0.2)
+
+        def cddot(t):
+            return np.array([0.6, -np.sin(t), 0.0])
         ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
         traj = mech.integrate(model, ic, 1e-2, 200)
         dropped = mech.check_noninertial_closure(
             model, spec, traj, drag_coeff=1.0, include_drag_term=False)
-        worst, witness = loop_noninertial_closure(model, spec, traj, a=0.0)
+        worst, witness = loop_noninertial_closure(model, spec, traj, 0.0,
+                                                  rotation, cddot)
         assert dropped.witness == witness
         assert dropped.objective.residual == pytest.approx(worst, rel=1e-12)
         closed = mech.check_noninertial_closure(model, spec, traj,
                                                 drag_coeff=1.0)
-        worst, _ = loop_noninertial_closure(model, spec, traj, a=1.0)
+        worst, _ = loop_noninertial_closure(model, spec, traj, 1.0,
+                                            rotation, cddot)
         assert closed.objective.residual < 1e-10 and worst < 1e-10
 
 
@@ -399,7 +430,6 @@ class TestFloatKernel:
                 want_refs[k][:, 0])
 
     def test_both_paths_raise_at_the_reference_point(self):
-        from invariance import expr as ex
         model = mech.drag_gravity_model()
         x0r, v = np.array(model.x0r), np.array([0.1, 0.2, 0.3])
         with pytest.raises(ex.EvalError, match="singularity guard"):
@@ -473,25 +503,32 @@ class TestRK4Oracle:
 
     def test_float_reference_transport_equals_numpy(self):
         model = mech.drag_gravity_model()
-        for seed in range(5):
-            spec = fr.GalileiSpec.random(np.random.default_rng(seed))
-            x0r_at, _, _ = mech.transport_references(model, spec)
-            floats = mech._galilei_x0r_floats(model, spec)
+        specs = [fr.FrameChange.random_galilei(np.random.default_rng(seed))
+                 for seed in range(5)]
+        specs.append(fr.FrameChange.euclidean(
+            rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
+            path=("sin(t)", "t*t", "0.5"), tau=0.3))
+        for seed, spec in enumerate(specs):
+            numpy_refs = mech.transport_references(model, spec)[:2]
+            kernels = [ex.float_kernel(e)
+                       for e in mech._reference_exprs(model, spec)]
             for t in np.random.default_rng(seed).uniform(-2.0, 2.0, 200):
-                np.testing.assert_array_equal(floats(float(t)), x0r_at(t))
+                for kernel, at in zip(kernels, numpy_refs):
+                    np.testing.assert_array_equal(
+                        kernel(float(t), (0.0, 0.0, 0.0), {}), at(t))
 
     @pytest.mark.parametrize("factory", [mech.oscillator_model,
                                          mech.drag_gravity_model])
     def test_galilei_covariance_equals_numpy_rk4(self, factory):
         model = factory()
-        spec = fr.GalileiSpec.random(np.random.default_rng(0x6A1))
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(0x6A1))
         dt, steps = 1e-2, 60
         got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps)
         base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
                                                         steps), spec)
-        x0r_at, v0r, t0r = mech.transport_references(model, spec)
+        x0r_at, v0r_at, t0r = mech.transport_references(model, spec)
         _, xs, vs = oracle_rk4(
-            evaluator_accel(model, lambda t: (x0r_at(t), v0r, t0r)),
+            evaluator_accel(model, lambda t: (x0r_at(t), v0r_at(t), t0r)),
             (base.x[:, 0], base.v[:, 0], base.t[0]), dt, steps)
         worst = max(np.max(np.abs(xs - base.x)), np.max(np.abs(vs - base.v)))
         assert got.objective.residual == worst

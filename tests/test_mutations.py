@@ -1,0 +1,75 @@
+"""Mutation gate: a deliberately broken engine must flip a shipped verdict.
+
+Each mutation monkeypatches one engine entry point in-process and reruns
+the shipped scenarios it must flip.  A scenario flips when its
+expectation is met on the intact engine and missed under the mutation.
+A mutation that no shipped scenario can see is a finding about the
+checks, not a test to skip.
+
+Frame side: ``FrameChange.at`` is the one numeric view of every frame
+change (Q, c and their time derivatives), read by the mechanics checks,
+the geometric suite and the classifiers.
+"""
+
+import importlib
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from invariance import frames as fr
+from invariance.report import run_scenario
+
+SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
+classify_module = importlib.import_module("invariance.checks.classify")
+
+
+def _zero_qdot(q, c, order):
+    return (np.zeros_like(q) if order == 1 else q), c
+
+
+def _transpose_q(q, c, order):
+    return (q.swapaxes(0, 1) if order == 0 else q), c
+
+
+# name -> (change of (Q^(k), c^(k), k), shipped scenarios it must flip)
+FRAME_MUTATIONS = {
+    "zero_qdot": (_zero_qdot, ("mech_noninertial_closure",
+                               "geometric_suite")),
+    "transpose_q": (_transpose_q, ("mech_noninertial_closure",
+                                   "classify_vorticity_relative")),
+}
+
+
+@pytest.fixture
+def fresh_classify_builds():
+    """The classifiers cache their built expressions, the base spin
+    included: clear them so no mutated value outlives its test."""
+    for built in (classify_module._built, classify_module._built_full):
+        built.cache_clear()
+    yield
+    for built in (classify_module._built, classify_module._built_full):
+        built.cache_clear()
+
+
+def expectation_met(name):
+    report, code = run_scenario(SCENARIO_DIR / (name + ".json"),
+                                no_timestamp=True)
+    assert code == 0, report
+    return report["expectation_met"]
+
+
+@pytest.mark.parametrize("mutation", sorted(FRAME_MUTATIONS))
+def test_frame_mutation_flips_shipped_verdicts(mutation, monkeypatch,
+                                               fresh_classify_builds):
+    mutate, scenarios = FRAME_MUTATIONS[mutation]
+    assert all(expectation_met(name) for name in scenarios)
+    at = fr.FrameChange.at
+
+    def mutated(self, t, order=0, bindings=None):
+        return mutate(*at(self, t, order, bindings), order)
+
+    monkeypatch.setattr(fr.FrameChange, "at", mutated)
+    classify_module._built.cache_clear()
+    assert not any(expectation_met(name) for name in scenarios)

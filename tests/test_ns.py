@@ -6,6 +6,8 @@ from invariance import frames as fr
 from invariance import ns
 from invariance.sampling import sample_points
 
+import frame_oracle as oracle
+
 
 class TestSolutionLibrary:
     @pytest.mark.parametrize("name", sorted(ns.SOLUTIONS))
@@ -33,7 +35,7 @@ class TestSolutionLibrary:
 
 
 def galilei_spec():
-    a = fr.RotationSpec(axis=(1.0, 1.0, 0.0)).matrix(0.7)
+    a = oracle.matrix(fr.RotationSpec(axis=(1.0, 1.0, 0.0)), 0.7)
     return fr.Galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4),
                          c2=(0.05, 0.0, -0.02))
 
