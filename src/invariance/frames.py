@@ -13,15 +13,15 @@ classifiers read it; a ``RotationSpec`` only names the axis, rate and
 phase of a uniform rotation.
 
 Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
-control R3D is one small frozen class in ``NS_SYMMETRIES``.  A class
-declares only its inverse map (the old coordinates as expressions of the
-new ones), its velocity action u~ = s M(t) (u o phi^-1) + offset, an
-optional pressure offset and its action on the viscosity.  Everything
-else is derived: ``transform_ns_fields`` builds u~ and
-p~ = s^2 (p o phi^-1) + offset (the pressure scales as s^2 under every
-symmetry), the Reynolds-ensemble check takes the fluctuation action
-(M at the sample times, s), and the scenario parser and the residual
-guards read the same classes.  Adding a symmetry means adding one class.
+control R3D is one small frozen class in ``NS_SYMMETRIES`` that declares
+the map x~ = lam Q(t) x + c(t), t~ = mu t + tau as a ``FrameChange``
+(Q, c, tau) and two scales, plus S2's and S6's pressure offsets.
+``NSSymmetry`` derives the rest: the inverse map, the velocity action
+u~ = s M (u o phi^-1) + offset with s = lam / mu and M = Q, and the
+viscosity action lam^2 / mu.  ``transform_ns_fields``, the fluctuation
+action (M, s) of the Reynolds-ensemble check, the closure screen's
+coefficient scalings, the scenario parser and the residual guards all
+read the same classes, so adding a symmetry means adding one class.
 
 Conventions:
     x_tilde = Q x + c, spin Omega := Q Qdot^T (antisymmetric, constant
@@ -70,6 +70,11 @@ def _vec3(v, name):
     if v.shape != (3,):
         raise ValueError("%s must have 3 components" % name)
     return v
+
+
+def _uniform_path(v, c):
+    """c(t) = v t + c as a vec3 expression."""
+    return add(mul(time(), vector_const(v)), vector_const(c))
 
 
 def _sum_of_products(a, b):
@@ -164,8 +169,7 @@ class FrameChange:
         if (r.shape != (3, 3) or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-12
                 or abs(np.linalg.det(r) - 1.0) > 1e-12):
             raise ValueError("R must be a proper rotation matrix")
-        path = add(mul(time(), vector_const(_vec3(v, "v"))),
-                   vector_const(_vec3(c, "c")))
+        path = _uniform_path(_vec3(v, "v"), _vec3(c, "c"))
         return cls(matrix_const(r), path, tau)
 
     @classmethod
@@ -234,39 +238,83 @@ class RotationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Navier-Stokes symmetries
+# Navier-Stokes symmetries x~ = lam Q(t) x + c(t), t~ = mu t + tau
 # ---------------------------------------------------------------------------
 
 def _split_vec(v):
     return [comp(v, i) for i in range(3)]
 
 
+def _times(m, v):
+    """m v.  The identity is skipped, and another constant m of 0 and +-1
+    entries (a reflection) is written per component so that its products
+    fold away; any other m is one ``dot``, which keeps the expanded
+    derivative DAGs small."""
+    if m is matrix_const(np.eye(3)):
+        return v
+    if m.kind == "mat" and all(e.kind == "const" and abs(e.data) in (0.0, 1.0)
+                               for e in m.args):
+        return mat_vec(m, v)
+    return dot(m, v)
+
+
 class NSSymmetry:
-    """One Navier-Stokes symmetry; subclasses override what is not the
+    """x~ = lam Q(t) x + c(t), t~ = mu t + tau with ``frame`` the
+    ``FrameChange`` (Q, c, tau); a subclass sets only what is not the
     identity.  ``tag`` names it in reports, ``json_tag`` in scenarios;
     ``euler_only`` / ``planar_only`` restrict the flows it maps to
     solutions, and ``note`` is attached to its verdicts."""
 
     tag = json_tag = None
-    s = 1.0
-    nu_action = 1.0
+    frame = FrameChange(matrix_const(np.eye(3)), zero(VEC))
+    lam = mu = 1.0
     euler_only = planar_only = False
     note = None
 
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def s(self):
+        """The velocity scale lam / mu."""
+        return self.lam / self.mu
+
+    @property
+    def nu_action(self):
+        """nu~ / nu = lam^2 / mu: the viscosity scales as length^2 / time."""
+        return self.lam * self.lam / self.mu
+
+    def _old_time(self):
+        """t = (t~ - tau) / mu."""
+        return mul(const(1.0 / self.mu), sub(time(), const(self.frame.tau)))
+
+    def _at_old_time(self, order):
+        """(Q^(k), c^(k)) at the old time, as expressions of t~."""
+        x, t = _split_vec(x_vector()), self._old_time()
+        return [compose(e, x, t) for e in self.frame.exprs(order)]
+
     def inverse_map_exprs(self):
-        """(x-exprs, t-expr): the old coordinates in terms of the new."""
-        raise NotImplementedError
+        """(x-exprs, t-expr): x = Q^T (x~ - c) / lam at the old time t."""
+        q, c = self._at_old_time(0)
+        x = _times(transpose(q), sub(x_vector(), c))
+        return _split_vec(mul(const(1.0 / self.lam), x)), self._old_time()
 
     def pull(self, e):
         """``e`` composed with the inverse map (a new-frame expression)."""
         return compose(expand_derivatives(e), *self.inverse_map_exprs())
 
     def matrix(self):
-        """M(t) of the velocity action, over the new frame's time."""
-        return matrix_const(np.eye(3))
+        """M(t) = Q at the old time: the velocity action's matrix, over
+        the new frame's time."""
+        return self._at_old_time(0)[0]
 
     def velocity_offset(self):
-        return zero(VEC)
+        """(Q' Q^T (x~ - c) + c') / mu at the old time, so that
+        u~ = s M (u o phi^-1) + offset is dx~/dt~ of a comoving particle."""
+        (q, c), (dq, dc) = self._at_old_time(0), self._at_old_time(1)
+        spin = dot(dot(dq, transpose(q)), sub(x_vector(), c))
+        return mul(const(1.0 / self.mu), add(spin, dc))
 
     def pressure_offset(self, psi):
         """``psi`` is the analytic 2D stream function, or None."""
@@ -293,10 +341,10 @@ class Galilei(NSSymmetry):
         a = np.eye(3) if self.a_mat is None else np.asarray(self.a_mat, float)
         if a.shape != (3, 3) or np.max(np.abs(a @ a.T - np.eye(3))) > 1e-12:
             raise ValueError("A must be orthogonal")
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "a_mat", a)
-        object.__setattr__(self, "c1", _vec3(self.c1, "c1"))
-        object.__setattr__(self, "c2", _vec3(self.c2, "c2"))
+        c1, c2 = _vec3(self.c1, "c1"), _vec3(self.c2, "c2")
+        self._set(c0=float(self.c0), a_mat=a, c1=c1, c2=c2,
+                  frame=FrameChange(matrix_const(a), _uniform_path(c1, c2),
+                                    self.c0))
 
     @classmethod
     def from_json(cls, d):
@@ -304,18 +352,6 @@ class Galilei(NSSymmetry):
         a = (None if ar is None else RotationSpec(axis=ar["axis"]).frame()
              .at(float(ar["angle"]))[0])
         return super().from_json(d, a_mat=a)
-
-    def inverse_map_exprs(self):
-        t0 = sub(time(), const(self.c0))
-        shift = add(mul(t0, vector_const(self.c1)), vector_const(self.c2))
-        return (_split_vec(dot(matrix_const(self.a_mat.T),
-                               sub(x_vector(), shift))), t0)
-
-    def matrix(self):
-        return matrix_const(self.a_mat)
-
-    def velocity_offset(self):
-        return vector_const(self.c1)
 
 
 @dataclass(frozen=True)
@@ -326,16 +362,8 @@ class Scaling(NSSymmetry):
     tag = json_tag = "S1"
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", float(self.eps))
-
-    @property
-    def s(self):
-        return float(np.exp(-self.eps))
-
-    def inverse_map_exprs(self):
-        s = self.s
-        return (_split_vec(mul(const(s), x_vector())),
-                mul(const(s * s), time()))
+        eps = float(self.eps)
+        self._set(eps=eps, lam=float(np.exp(eps)), mu=float(np.exp(2 * eps)))
 
 
 @dataclass(frozen=True)
@@ -353,24 +381,16 @@ class AcceleratedShift(NSSymmetry):
         f = tuple(_as_scalar(c) for c in self.f)
         if len(f) != 3:
             raise ValueError("S2 needs 3 components of f(t)")
-        fdd = FrameChange.euclidean(path=f).at(np.linspace(0, 1, 17), 2)[1]
-        if not np.any(fdd):
+        frame = FrameChange.euclidean(path=f)
+        if not np.any(frame.at(np.linspace(0, 1, 17), 2)[1]):
             raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
                              "Galilei boost)")
-        object.__setattr__(self, "f", f)
         g = 0.0 if self.g is None else self.g
-        object.__setattr__(self, "g", _as_scalar(g))
-
-    def inverse_map_exprs(self):
-        f_t = vec(*[expand_derivatives(c) for c in self.f])
-        return _split_vec(sub(x_vector(), f_t)), time()
-
-    def velocity_offset(self):
-        return vec(*[self.pull(_d_dt(c, 1)) for c in self.f])
+        self._set(f=f, g=_as_scalar(g), frame=frame)
 
     def pressure_offset(self, psi):
         x_old = vec(*self.inverse_map_exprs()[0])
-        fdd = vec(*[self.pull(_d_dt(c, 2)) for c in self.f])
+        fdd = self._at_old_time(2)[1]
         return add(neg(dot(x_old, fdd)), self.pull(self.g))
 
 
@@ -384,20 +404,13 @@ class Reflection(NSSymmetry):
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise ValueError("reflection axis must be 0, 1 or 2")
+        d = np.ones(3)
+        d[self.axis] = -1.0
+        self._set(frame=FrameChange(matrix_const(np.diag(d)), zero(VEC)))
 
     @classmethod
     def from_json(cls, d):
         return cls(int(d["axis"]) - 1)
-
-    def inverse_map_exprs(self):
-        comps = _split_vec(x_vector())
-        comps[self.axis] = neg(comps[self.axis])
-        return comps, time()
-
-    def matrix(self):
-        d = np.ones(3)
-        d[self.axis] = -1.0
-        return matrix_const(np.diag(d))
 
 
 @dataclass(frozen=True)
@@ -405,53 +418,27 @@ class TimeReversal(NSSymmetry):
     """S4: t~ = -t; u~ = -u and nu -> -nu."""
 
     tag = json_tag = "S4"
-    s = -1.0
-    nu_action = -1.0
-
-    def inverse_map_exprs(self):
-        return _split_vec(x_vector()), neg(time())
+    mu = -1.0
 
 
 @dataclass(frozen=True)
 class EulerScaling(NSSymmetry):
     """S5: x~ = e^a x, t~ = t; u~ = e^a u, p~ = e^(2a) p.
 
-    Exact only for the Euler equations (nu = 0).
+    Exact only for the Euler equations (nu = 0), so nu is left fixed.
     """
 
     a: float
     tag, json_tag = "S5approx", "S5"
     euler_only = True
+    nu_action = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-
-    @property
-    def s(self):
-        return float(np.exp(self.a))
-
-    def inverse_map_exprs(self):
-        s = float(np.exp(-self.a))
-        return _split_vec(mul(const(s), x_vector())), time()
-
-
-class _Rotating(NSSymmetry):
-    """x~ = Q(t) x with u~ = Q u + Qdot Q^T x~; ``__post_init__`` sets the
-    ``frame`` (a ``FrameChange`` of a uniform rotation)."""
-
-    def inverse_map_exprs(self):
-        return _split_vec(dot(transpose(self.matrix()), x_vector())), time()
-
-    def matrix(self):
-        return self.frame.exprs(0)[0]
-
-    def velocity_offset(self):
-        qdot = self.frame.exprs(1)[0]
-        return dot(dot(qdot, transpose(self.matrix())), x_vector())
+        self._set(a=float(self.a), lam=float(np.exp(self.a)))
 
 
 @dataclass(frozen=True)
-class PlanarRotation(_Rotating):
+class PlanarRotation(NSSymmetry):
     """S6: rotation about x3 at rate ``omega``, for 2D flows only, with the
     pressure regauge p~ = p + w^2 |x~_planar|^2 / 2 - 2 w psi."""
 
@@ -460,9 +447,8 @@ class PlanarRotation(_Rotating):
     planar_only = True
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "frame", RotationSpec(
-            rate=self.omega).frame())
+        self._set(omega=float(self.omega),
+                  frame=RotationSpec(rate=float(self.omega)).frame())
 
     def pressure_offset(self, psi):
         if psi is None:
@@ -481,7 +467,7 @@ class PlanarRotation(_Rotating):
 
 
 @dataclass(frozen=True)
-class Rotation3D(_Rotating):
+class Rotation3D(NSSymmetry):
     """R3D: time-dependent 3D rotation *without* pressure regauge; the
     negative control showing that 3D MFI fails for Navier-Stokes."""
 
@@ -491,8 +477,8 @@ class Rotation3D(_Rotating):
     note = "negative control: 3D rotation without regauge (expected FAIL)"
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", RotationSpec(
-            axis=_vec3(self.axis, "axis"), rate=float(self.rate)).frame())
+        self._set(frame=RotationSpec(axis=_vec3(self.axis, "axis"),
+                                     rate=float(self.rate)).frame())
 
 
 NS_SYMMETRIES = {cls.json_tag: cls for cls in (
@@ -508,7 +494,7 @@ def transform_ns_fields(u_expr, p_expr, spec, psi_expr=None):
     required by S6's pressure regauge.
     """
     s = spec.s
-    u_t = mul(const(s), dot(spec.matrix(), spec.pull(u_expr)))
+    u_t = mul(const(s), _times(spec.matrix(), spec.pull(u_expr)))
     p_t = mul(const(s * s), spec.pull(p_expr))
     return (add(u_t, spec.velocity_offset()),
             add(p_t, spec.pressure_offset(psi_expr)), spec.nu_action)

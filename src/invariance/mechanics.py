@@ -32,13 +32,12 @@ __all__ = [
     "inertial_force", "check_noninertial_closure",
 ]
 
-# invariant argument vocabulary for force expressions
+# invariant argument vocabulary for force expressions: the vectors dx and
+# dv and the scalars (``_SCALAR_ARGS``) r = |x - x0r|, s = |xdot - v0r|,
+# q = (x - x0r) . (xdot - v0r) and w = t - t0r, bound by name
 DX = sym("dx", ex.VEC)       # x - x0r
 DV = sym("dv", ex.VEC)       # xdot - v0r
 R_ARG = sym("r")             # |x - x0r|
-S_ARG = sym("s")             # |xdot - v0r|
-Q_ARG = sym("q")             # (x - x0r) . (xdot - v0r)
-W_ARG = sym("w")             # t - t0r
 # absolute (frame-dependent) leaves, present only in deliberately
 # non-compliant models
 X_ABS = sym("x_abs", ex.VEC)

@@ -9,8 +9,9 @@ with scalar coefficients phi_i(nu, t - t0, r, s, q) of the invariant
 arguments r = |x - x0|, s = |w|, q = w . (x - x0).  The reference point
 (t0, x0, u0) is transported with the frame, so only models built from
 these canonical differences can transform consistently: that is the
-structural requirement, and the coefficient scalings below are the
-analytic ones each symmetry forces on the ansatz.
+structural requirement.  The coefficient scalings each symmetry forces
+on the ansatz are read from its space and time scales (lam, mu) in
+``frames.NS_SYMMETRIES``, the declaration the Navier-Stokes checks use.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .. import expr as ex
+from .. import frames as fr
 from ..expr import Node
 from ..checks.verdict import CheckPart, Verdict
 
@@ -66,16 +68,24 @@ class ClosureModel:
 # the coefficient scalings each symmetry imposes
 # ---------------------------------------------------------------------------
 #
-# Under S1 (scaling) with parameter eps: nu fixed, dt0 -> e^{2e} dt0,
-# r -> e^{e} r, s -> e^{-e} s, q -> q, and term-by-term consistency with
-# v -> e^{-3e} v demands the factors below.  Under S4 (time reversal)
-# the arguments flip sign as (nu, dt0, q) -> -(nu, dt0, q) and the
-# odd/even pattern follows from w, grad<u>, lap<u> all being odd.
-# Under S5 (inviscid space-time dilation by e^{a}): r, s -> e^{a}(r, s),
-# q -> e^{2a} q, and only phi5 must rescale (by e^{2a}).  Reflections
-# (S3) leave every argument fixed.  Galilei invariance imposes no
-# coefficient condition at all -- it is exactly the structural
-# requirement on the vector building blocks.
+# Each screened symmetry is the map x~ = lam Q x + c, t~ = mu t + tau of
+# ``frames.NS_SYMMETRIES``.  Under it v, x - x0, w, grad<u>,
+# (w . grad)<u> and lap<u> scale as lam/mu^2, lam, lam/mu, 1/mu, lam/mu^2
+# and 1/(lam mu), and Q drops out of every scalar.  The arguments map as
+# nu -> (nu action) nu, dt0 -> mu dt0, r -> lam r, s -> |lam/mu| s and
+# q -> (lam^2/mu) q, and each term keeps v's scaling only if phi1..phi5
+# rescale by 1/mu^2, 1/mu, 1/mu, 1 and lam^2/mu.  Galilei invariance
+# imposes no coefficient condition at all -- it is exactly the
+# structural requirement on the vector building blocks.
+
+# the symmetry a screened tag stands for, at the group parameter e
+_SCREENED = {
+    "S1": fr.Scaling,
+    "S3": lambda e: fr.Reflection(0),
+    "S4": lambda e: fr.TimeReversal(),
+    "S5approx": fr.EulerScaling,
+}
+
 
 def _arg_samples(rng, n):
     return {
@@ -97,24 +107,14 @@ def _eval_coeffs(coeffs, args):
 
 def _scaling_case(tag, group_param):
     """(argument map, required coefficient factors) for one symmetry."""
-    e = group_param
-    if tag == "S1":
-        amap = {"nu": 1.0, "dt0": np.exp(2 * e), "r": np.exp(e),
-                "s": np.exp(-e), "q": 1.0}
-        factors = (np.exp(-4 * e), np.exp(-2 * e), np.exp(-2 * e), 1.0, 1.0)
-    elif tag == "S3":
-        amap = {name: 1.0 for name in ARG_NAMES}
-        factors = (1.0, 1.0, 1.0, 1.0, 1.0)
-    elif tag == "S4":
-        amap = {"nu": -1.0, "dt0": -1.0, "r": 1.0, "s": 1.0, "q": -1.0}
-        factors = (1.0, -1.0, -1.0, 1.0, -1.0)
-    elif tag == "S5approx":
-        amap = {"nu": 1.0, "dt0": 1.0, "r": np.exp(e), "s": np.exp(e),
-                "q": np.exp(2 * e)}
-        factors = (1.0, 1.0, 1.0, 1.0, np.exp(2 * e))
-    else:
+    if tag not in _SCREENED:
         raise ValueError("no coefficient scaling for tag %r" % tag)
-    return amap, factors
+    spec = _SCREENED[tag](group_param)
+    lam, mu = spec.lam, spec.mu
+    q = lam * lam / mu
+    amap = {"nu": spec.nu_action, "dt0": mu, "r": lam, "s": abs(spec.s),
+            "q": q}
+    return amap, (1.0 / (mu * mu), 1.0 / mu, 1.0 / mu, 1.0, q)
 
 
 def _worst(cases):

@@ -4,7 +4,7 @@ import pytest
 from invariance import frames as fr
 from invariance import ns
 from invariance.expr import SCALAR, parse_field_expr
-from invariance.ns.closure import structural_check
+from invariance.ns.closure import ARG_NAMES, _scaling_case, structural_check
 from invariance.sampling import sample_points
 
 import frame_oracle as oracle
@@ -92,6 +92,55 @@ class TestDecomposedSymmetries:
             mat, scale = _fluctuation_action(spec, t)
             moved = scale * _apply(np.asarray(mat, float), fluct)
             assert np.max(np.abs(moved.mean(axis=0))) < 1e-10, tag
+
+
+def hand_scaling_case(tag, e):
+    """(argument map, coefficient factors) written out per symmetry.
+
+    Under S1 (scaling) with parameter e: nu fixed, dt0 -> e^{2e} dt0,
+    r -> e^{e} r, s -> e^{-e} s, q -> q, and term-by-term consistency with
+    v -> e^{-3e} v demands the factors below.  Under S4 (time reversal)
+    the arguments flip sign as (nu, dt0, q) -> -(nu, dt0, q) and the
+    odd/even pattern follows from w, grad<u>, lap<u> all being odd.
+    Under S5 (inviscid space-time dilation by e^{a}): r, s -> e^{a}(r, s),
+    q -> e^{2a} q, and only phi5 must rescale (by e^{2a}).  Reflections
+    (S3) leave every argument fixed.
+    """
+    if tag == "S1":
+        amap = {"nu": 1.0, "dt0": np.exp(2 * e), "r": np.exp(e),
+                "s": np.exp(-e), "q": 1.0}
+        factors = (np.exp(-4 * e), np.exp(-2 * e), np.exp(-2 * e), 1.0, 1.0)
+    elif tag == "S3":
+        amap = {name: 1.0 for name in ARG_NAMES}
+        factors = (1.0, 1.0, 1.0, 1.0, 1.0)
+    elif tag == "S4":
+        amap = {"nu": -1.0, "dt0": -1.0, "r": 1.0, "s": 1.0, "q": -1.0}
+        factors = (1.0, -1.0, -1.0, 1.0, -1.0)
+    else:
+        amap = {"nu": 1.0, "dt0": 1.0, "r": np.exp(e), "s": np.exp(e),
+                "q": np.exp(2 * e)}
+        factors = (1.0, 1.0, 1.0, 1.0, np.exp(2 * e))
+    return amap, factors
+
+
+class TestDerivedScalingTable:
+    """The closure screen reads its argument maps and factors from each
+    symmetry's (lam, mu); the hand-written table is the oracle."""
+
+    @pytest.mark.parametrize("e", (0.3, -0.45, 0.8))
+    @pytest.mark.parametrize("tag", ("S1", "S3", "S4", "S5approx"))
+    def test_matches_hand_table(self, tag, e):
+        amap, factors = _scaling_case(tag, e)
+        want_map, want_factors = hand_scaling_case(tag, e)
+        assert sorted(amap) == sorted(want_map)
+        np.testing.assert_array_max_ulp(
+            [amap[name] for name in ARG_NAMES],
+            [want_map[name] for name in ARG_NAMES], maxulp=2)
+        np.testing.assert_array_max_ulp(factors, want_factors, maxulp=2)
+
+    def test_unscreened_tag_is_refused(self):
+        with pytest.raises(ValueError):
+            _scaling_case("G", 0.3)
 
 
 class TestClosureScreening:

@@ -356,6 +356,35 @@ class TestVelocityRules:
         got = ex.evaluate_many(ut, [t], (q @ x0).reshape(3, 1))[:, 0]
         assert np.allclose(got, expect, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", all_ns_specs(), ids=lambda s: s.tag)
+    def test_velocity_rule_matches_mapped_particle_paths(self, spec):
+        # particles move with a smooth u (not a Navier-Stokes solution);
+        # mapped by FORWARD_MAPS, their paths must have velocity
+        # dx~/dt~ = u~(x~, t~) with u~ the derived velocity action, which
+        # is the one check that sees the scale s = lam / mu
+        u = parse_field_expr("vec(comp(x,2)*comp(x,2) + t, sin(comp(x,1)),"
+                             " 1.0 - t*comp(x,3))")
+        ut, _, _ = fr.transform_ns_fields(u, self.P0, spec,
+                                          psi_expr=self.P0)
+        t, x = sample_points(20)
+        h = 1e-4
+
+        def rk4_step(dt):
+            def f(dt_part, xs):
+                return ex.evaluate_many(u, t + dt_part, xs)
+            k1 = f(0.0, x)
+            k2 = f(dt / 2, x + dt / 2 * k1)
+            k3 = f(dt / 2, x + dt / 2 * k2)
+            k4 = f(dt, x + dt * k3)
+            return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+        forward = FORWARD_MAPS[spec.tag]
+        (ta, xa), (tb, xb) = [forward(spec, t + d, rk4_step(d))
+                              for d in (h, -h)]
+        got = ex.evaluate_many(ut, *forward(spec, t, x))
+        want = (xa - xb) / (ta - tb)
+        assert np.max(np.abs(got - want)) < 1e-6
+
     def test_scalar_transform_example(self):
         # |x| under a rotation: phi~(x~) = |Q^T x~| = |x~| numerically;
         # the pressure slot carries the scalar rule (s = 1, no offset)

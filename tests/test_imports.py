@@ -1,5 +1,6 @@
 """Every module-level import in ``src/invariance`` is used by its module
-or re-exported through its ``__all__``."""
+or re-exported through its ``__all__``, and every other module-level
+name is exported or read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,22 +8,65 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "invariance"
 
 
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(path):
     """Names bound by the module's top-level imports that no ``Name`` node
     of the module reads and ``__all__`` does not list."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    imported, exported = [], set()
+    imported, exported = [], _exported(tree)
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.extend(alias.asname or alias.name.split(".")[0]
                             for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
-            exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in imported
             if name not in used and name not in exported]
+
+
+def defined_names(tree):
+    """Names bound by the module's top-level defs, classes and
+    assignments, ``__all__`` and other dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return [name for name in names if not name.startswith("__")]
+
+
+def unused_definitions(root):
+    """``module.name`` for each top-level name of a module under ``root``
+    that its ``__all__`` does not list and that no module under ``root``
+    reads, as a name or as an attribute."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(root.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    found = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        exported = _exported(tree)
+        found.extend("%s.%s" % (module, name) for name in defined_names(tree)
+                     if name not in exported and name not in read)
+    return found
 
 
 def test_no_unused_module_level_imports():
@@ -38,3 +82,17 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "from math import pi, tau\n"
                       "__all__ = ['tau']\nprint(system.argv, pi)\n")
     assert unused_imports(module) == ["os"]
+
+
+def test_no_unused_module_level_definitions():
+    assert unused_definitions(SRC) == []
+
+
+def test_the_check_sees_an_unused_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['public']\nLIMIT = 3\nSPARE, OTHER = 1, 2\n"
+        "def public():\n    return LIMIT\n"
+        "def helper():\n    pass\n"
+        "class Unused:\n    pass\n")
+    (tmp_path / "b.py").write_text("import a\nprint(a.helper, OTHER)\n")
+    assert unused_definitions(tmp_path) == ["a.SPARE", "a.Unused"]

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from invariance import frames as fr
+from invariance.expr import VEC, matrix_const, zero
 from invariance.report import run_scenario
 
 SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
@@ -39,6 +40,21 @@ FRAME_MUTATIONS = {
                                "geometric_suite")),
     "transpose_q": (_transpose_q, ("mech_noninertial_closure",
                                    "classify_vorticity_relative")),
+}
+
+
+# name -> (patched attribute of NSSymmetry, its mutated value, shipped
+# scenarios it must flip)
+NS_MUTATIONS = {
+    "zero_velocity_offset": ("velocity_offset", lambda self: zero(VEC),
+                             ("ns_galilei_beltrami",
+                              "ns_s2_acceleration_beltrami",
+                              "ns_s6_rotation_taylor_green")),
+    "identity_m": ("matrix", lambda self: matrix_const(np.eye(3)),
+                   ("ns_galilei_beltrami", "ns_s3_reflection_beltrami",
+                    "ns_s6_rotation_taylor_green")),
+    "unit_nu_action": ("nu_action", property(lambda self: 1.0),
+                       ("ns_s4_time_reversal_beltrami",)),
 }
 
 
@@ -72,4 +88,12 @@ def test_frame_mutation_flips_shipped_verdicts(mutation, monkeypatch,
 
     monkeypatch.setattr(fr.FrameChange, "at", mutated)
     classify_module._built.cache_clear()
+    assert not any(expectation_met(name) for name in scenarios)
+
+
+@pytest.mark.parametrize("mutation", sorted(NS_MUTATIONS))
+def test_ns_mutation_flips_shipped_verdicts(mutation, monkeypatch):
+    attr, value, scenarios = NS_MUTATIONS[mutation]
+    assert all(expectation_met(name) for name in scenarios)
+    monkeypatch.setattr(fr.NSSymmetry, attr, value)
     assert not any(expectation_met(name) for name in scenarios)
