@@ -39,7 +39,7 @@ from ..expr import (
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
 from ..sampling import sample_points
-from .verdict import CheckPart, Verdict
+from .verdict import CheckPart, Verdict, worst
 
 __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
@@ -336,15 +336,14 @@ def _scan(specs, comparisons, n_points, seed):
             return values[key]
 
         for key, (ea, ma, eb, mb) in unique.items():
-            total = _component_abs(value(ea, ma) - value(eb, mb))
-            # argmax lands on the first NaN, so a non-finite residual is
-            # kept; rotation-major blocks make it the first rotation's
-            i = int(np.argmax(total))
-            found[key].append((total[i], i % n))
+            # rotation-major blocks make the first worst point the first
+            # rotation's
+            top, i = worst(_component_abs(value(ea, ma) - value(eb, mb)))
+            found[key].append((top, i % n))
 
     def first_worst(per_batch):
-        worst, i = per_batch[int(np.argmax([w for w, _ in per_batch]))]
-        return float(worst), (float(t[i]), tuple(x[:, i]))
+        top, i = per_batch[worst([w for w, _ in per_batch])[1]]
+        return top, (float(t[i]), tuple(x[:, i]))
     return [first_worst(found[key]) for key in keys]
 
 
@@ -370,9 +369,9 @@ def _tensor_pair(q, base_spin):
 
 
 def _form_verdict(found, tol):
-    (worst, witness), = found
+    (top, witness), = found
     return Verdict(tolerance=tol, witness=witness,
-                   tensor=CheckPart(passed=worst <= tol, residual=worst))
+                   tensor=CheckPart.of(top, tol))
 
 
 def check_form_invariance(q, specs, n_points=200, tol=DEFAULT_TOL,
@@ -397,23 +396,20 @@ def _objectivity_pairs(q, mode, base_spin):
 
 def _objectivity_verdict(found, tol, mode):
     if mode == "full":
-        (worst, witness), = found
+        (top, witness), = found
         return Verdict(tolerance=tol, witness=witness,
-                       objective=CheckPart(passed=worst <= tol,
-                                           residual=worst),
+                       objective=CheckPart.of(top, tol),
                        notes=("mode=full",))
     (tensor_worst, witness), (form_worst, form_witness) = found
-    passed = tensor_worst <= tol and form_worst <= tol
-    worst = max(tensor_worst, form_worst)
+    tensor = CheckPart.of(tensor_worst, tol)
     notes = ()
-    if tensor_worst > tol:
+    if not tensor.passed:
         notes = ("not form-invariant, objectivity precluded",)
-    elif form_worst > tol:
+    elif not CheckPart.of(form_worst, tol).passed:
         witness = form_witness
-    return Verdict(tolerance=tol, witness=witness,
-                   tensor=CheckPart(passed=tensor_worst <= tol,
-                                    residual=tensor_worst),
-                   objective=CheckPart(passed=passed, residual=worst),
+    return Verdict(tolerance=tol, witness=witness, tensor=tensor,
+                   objective=CheckPart.of(
+                       worst([tensor_worst, form_worst])[0], tol),
                    notes=notes)
 
 
@@ -447,10 +443,8 @@ def _relative_verdict(found, tol):
     note = ("absolute frame-dependence offset %.3e (expected nonzero for "
             "a spinning base frame)" % abs_worst)
     return Verdict(tolerance=tol, witness=rel_witness,
-                   objective=CheckPart(passed=abs_worst <= tol,
-                                       residual=abs_worst),
-                   relative_objective=CheckPart(passed=rel_worst <= tol,
-                                                residual=rel_worst),
+                   objective=CheckPart.of(abs_worst, tol),
+                   relative_objective=CheckPart.of(rel_worst, tol),
                    notes=(note,))
 
 
@@ -498,9 +492,8 @@ def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
     obj = _objectivity_verdict(found[1:], tol, mode)
     objective = obj.objective
     if mode == "full" and not tensor.passed:
-        objective = CheckPart(passed=False,
-                              residual=max(objective.residual,
-                                           tensor.residual))
+        objective = CheckPart(passed=False, residual=worst(
+            [objective.residual, tensor.residual])[0])
     # audit: objectivity must never outrank form-invariance
     assert not (objective.passed and not tensor.passed)
     return Verdict(tolerance=tol, witness=witness, tensor=tensor,

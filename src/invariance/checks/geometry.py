@@ -18,7 +18,7 @@ from ..expr import (
     Node, compose, differentiate, dot, evaluate_many, expand_derivatives,
     grad, mat, parse_field_expr, transpose,
 )
-from .verdict import FAIL_FLOOR, CheckPart
+from .verdict import CheckPart, meets
 
 __all__ = [
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
@@ -188,12 +188,10 @@ def check_covariant_derivative(a_expr, chart, n_points=50, tol=1e-9,
     gamma = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
     cov_val = grad_val - np.einsum("mabn,mn->abn", gamma, a_val)
 
-    cov_res = float(np.max(np.abs(cov_val - rhs_val)))
-    part_res = float(np.max(np.abs(grad_val - rhs_val)))
     return {
         "tolerance": tol,
-        "covariant": CheckPart(passed=cov_res <= tol, residual=cov_res),
-        "partial": CheckPart(passed=part_res <= tol, residual=part_res),
+        "covariant": CheckPart.of(np.max(np.abs(cov_val - rhs_val)), tol),
+        "partial": CheckPart.of(np.max(np.abs(grad_val - rhs_val)), tol),
     }
 
 
@@ -202,14 +200,13 @@ def check_covariant_derivative(a_expr, chart, n_points=50, tol=1e-9,
 # ---------------------------------------------------------------------------
 
 def _case(name, expected_invariant, residual, tol):
-    invariant = residual <= tol
+    part = CheckPart.of(residual, tol)
     return {
         "case": name,
         "expected_invariant": expected_invariant,
-        "residual": float(residual),
-        "invariant": bool(invariant),
-        "passed": bool(invariant == expected_invariant
-                       and (invariant or residual > FAIL_FLOOR)),
+        "residual": part.residual,
+        "invariant": part.passed,
+        "passed": meets(part, expected_invariant),
     }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .. import expr as ex
 from .. import frames as fr
 from ..expr import Node
-from ..checks.verdict import CheckPart, Verdict
+from ..checks.verdict import CheckPart, Verdict, worst
 
 __all__ = [
     "ClosureModel", "ARG_NAMES", "compliant_model", "constant_phi2_model",
@@ -119,12 +119,11 @@ def _scaling_case(tag, group_param):
 
 def _worst(cases):
     """(worst residual, note naming its sample) over (residuals, argument
-    samples) pairs; argmax lands on the first NaN, so one is never lost."""
-    res = np.concatenate([r for r, _ in cases])
-    k = int(np.argmax(res))
-    n = res.size // len(cases)
+    samples) pairs of equal length."""
+    top, k = worst([r for r, _ in cases])
+    n = cases[0][0].size
     args = cases[k // n][1]
-    return float(res[k]), "worst residual at " + ", ".join(
+    return top, "worst residual at " + ", ".join(
         "%s=%.6g" % (name, args[name][k % n]) for name in ARG_NAMES)
 
 
@@ -145,8 +144,7 @@ def _screen_one(model, tag, rng, n_samples, tol):
         notes = tuple("uses %s outside a canonical difference" % o
                       for o in offenders)
         return Verdict(tolerance=tol,
-                       symmetry=CheckPart(passed=ok,
-                                          residual=0.0 if ok else float("inf")),
+                       symmetry=CheckPart.of(0.0 if ok else float("inf"), tol),
                        notes=notes)
 
     if tag == "S6approx":
@@ -155,11 +153,9 @@ def _screen_one(model, tag, rng, n_samples, tol):
         # limiting coefficients must vanish identically
         args = _arg_samples(rng, n_samples)
         limits = [model.limit_coeff(which) for which in ("phi2", "phi4")]
-        worst, at = _worst([(np.abs(v), args)
-                            for v in _eval_coeffs(limits, args)])
-        return Verdict(tolerance=tol,
-                       symmetry=CheckPart(passed=worst <= tol,
-                                          residual=worst),
+        top, at = _worst([(np.abs(v), args)
+                          for v in _eval_coeffs(limits, args)])
+        return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
                        notes=("planar limit requires phi2 == phi4 == 0",
                               at))
 
@@ -173,9 +169,8 @@ def _screen_one(model, tag, rng, n_samples, tol):
         for got, ref, fac in zip(moved, base, factors):
             cases.append((np.abs(got - fac * ref) / (1.0 + np.abs(ref)),
                           args))
-    worst, at = _worst(cases)
-    return Verdict(tolerance=tol,
-                   symmetry=CheckPart(passed=worst <= tol, residual=worst),
+    top, at = _worst(cases)
+    return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
                    notes=(at,))
 
 

@@ -92,8 +92,7 @@ def check_decomposed_symmetry(ensemble, spec, n_points=200, tol=1e-12,
     tau_direct = reynolds_tau(scale * _apply(mat, fluct))
     tau_rule = scale * scale * _conjugate(mat, tau)
 
-    diff = np.max(np.abs(tau_direct - tau_rule))
     mean_norm = float(np.max(np.abs(fluct.mean(axis=0))))
-    part = CheckPart(passed=bool(diff <= tol), residual=float(diff))
-    return Verdict(tolerance=tol, symmetry=part,
+    return Verdict(tolerance=tol, symmetry=CheckPart.of(
+        np.max(np.abs(tau_direct - tau_rule)), tol),
                    notes=("fluctuation mean max-norm %.3e" % mean_norm,))

@@ -13,7 +13,7 @@ from .. import expr as ex
 from .. import frames as fr
 from ..expr import Node, parse_field_expr
 from ..sampling import sample_points
-from ..checks.verdict import CheckPart, Verdict
+from ..checks.verdict import CheckPart, Verdict, worst
 
 __all__ = [
     "FlowState", "ns_residual", "certify", "taylor_green", "beltrami",
@@ -57,11 +57,12 @@ def certify(state, n_points=200, tol=CERTIFY_TOL):
     """Verify the state solves the equations; raise if it does not."""
     t, x = sample_points(n_points)
     cont, mom = ns_residual(state, t, x)
-    worst = np.max([np.max(np.abs(cont)), np.max(np.abs(mom))])
-    if not worst <= tol:
+    part = CheckPart.of(
+        np.max([np.max(np.abs(cont)), np.max(np.abs(mom))]), tol)
+    if not part.passed:
         raise ValueError("state %r is not an exact solution "
-                         "(residual %.3e)" % (state.name, worst))
-    return worst
+                         "(residual %.3e)" % (state.name, part.residual))
+    return part.residual
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +156,7 @@ def check_ns_symmetry(state, spec, n_points=200, tol=1e-9, seed=None):
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     cont, mom = ns_residual(transformed, t, x)
-    res = np.maximum(np.abs(cont), np.max(np.abs(mom), axis=0))
-    worst = int(np.argmax(res))
-    part = CheckPart(passed=bool(res[worst] <= tol),
-                     residual=float(res[worst]))
-    return Verdict(tolerance=tol, symmetry=part,
-                   witness=(float(t[worst]), tuple(x[:, worst])),
+    top, i = worst(np.maximum(np.abs(cont), np.max(np.abs(mom), axis=0)))
+    return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
+                   witness=(float(t[i]), tuple(x[:, i])),
                    notes=(spec.note,) if spec.note else ())

@@ -23,6 +23,7 @@ from . import ns
 from . import expr as ex
 from .ns import closure as ns_closure
 from .checks import geometry as geo
+from .checks.verdict import CheckPart, meets
 from .sampling import DEFAULT_SEED
 
 __all__ = ["SchemaError", "run_scenario", "run_suite", "KINDS"]
@@ -73,18 +74,8 @@ def _parse_ns_spec(d):
                           % (cls.json_tag, d, exc))
 
 
-def _parts_of(verdict):
-    parts, residuals = {}, {}
-    for name in ("tensor", "objective", "relative_objective", "symmetry"):
-        part = getattr(verdict, name)
-        if part is not None:
-            parts[name] = bool(part.passed)
-            residuals[name] = float(part.residual)
-    return parts, residuals
-
-
 # ---------------------------------------------------------------------------
-# kind runners: each returns (parts, residuals, details)
+# kind runners: each returns ({part name: CheckPart}, details)
 # ---------------------------------------------------------------------------
 
 def _run_classify(payload, tol, seed):
@@ -102,9 +93,9 @@ def _run_classify(payload, tol, seed):
     else:
         v = ck.classify(q, specs, tol=tol, seed=seed,
                         objectivity_mode=mode)
-    parts, residuals = _parts_of(v)
-    return parts, residuals, {"witness": v.as_dict().get("witness"),
-                              "notes": list(v.notes)}
+    t_w, x_w = v.witness
+    return v.parts(), {"witness": {"t": t_w, "x": list(x_w)},
+                       "notes": list(v.notes)}
 
 
 def _run_christoffel(payload, tol, seed):
@@ -117,27 +108,23 @@ def _run_christoffel(payload, tol, seed):
         pts = chart.sample(int(payload.get("points", 50)), seed)
         got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         ref = geo.closed_form_christoffel(chart_name, pts)
-        res = float(np.max(np.abs(got - ref)))
-        return ({"match": res <= tol}, {"match": res},
+        return ({"match": CheckPart.of(np.max(np.abs(got - ref)), tol)},
                 {"points": int(pts.shape[1])})
     if which == "covariant_derivative":
         phi = ex.parse_field_expr(payload.get("field", "dot(x, x)"))
         out = geo.check_covariant_derivative(ex.grad(phi), chart,
                                              int(payload.get("points", 50)),
                                              tol, seed)
-        return ({"covariant": out["covariant"].passed,
-                 "partial": out["partial"].passed},
-                {"covariant": out["covariant"].residual,
-                 "partial": out["partial"].residual}, {})
+        return {name: out[name] for name in ("covariant", "partial")}, {}
     raise SchemaError("unknown christoffel check %r" % which)
 
 
 def _run_geometric_suite(payload, tol, seed):
     cases = geo.geometric_invariance_suite(
         int(payload.get("points", 100)), tol, seed)
-    parts = {c["case"]: c["passed"] for c in cases}
-    residuals = {c["case"]: c["residual"] for c in cases}
-    return parts, residuals, {"cases": cases}
+    # a case's part passes when the case meets its own expectation
+    return ({c["case"]: CheckPart(passed=c["passed"], residual=c["residual"])
+             for c in cases}, {"cases": cases})
 
 
 def _run_mechanics(payload, tol, seed):
@@ -151,14 +138,14 @@ def _run_mechanics(payload, tol, seed):
     if check == "oscillator_reference":
         traj = mech.integrate(model, (np.array([1.0, 0, 0]),
                                       np.zeros(3), 0.0), dt, steps)
-        res = float(np.max(np.abs(traj.x[0] - np.cos(traj.t))))
-        return {"reference": res <= tol}, {"reference": res}, {}
+        return {"reference": CheckPart.of(
+            np.max(np.abs(traj.x[0] - np.cos(traj.t))), tol)}, {}
     if check == "terminal_speed":
         traj = mech.integrate(model, (np.zeros(3), np.zeros(3), 0.0),
                               dt, steps)
         expected = payload.get("expected_vz", -1.0)
-        res = float(abs(traj.v[2, -1] - expected))
-        return ({"terminal": res <= tol}, {"terminal": res},
+        return ({"terminal": CheckPart.of(abs(traj.v[2, -1] - expected),
+                                          tol)},
                 {"vz": float(traj.v[2, -1])})
     if check == "frame_indifference":
         rng = np.random.default_rng(seed)
@@ -166,16 +153,14 @@ def _run_mechanics(payload, tol, seed):
         v = mech.check_force_frame_indifference(
             model, spec, tol=tol, seed=seed,
             transport_refs=payload.get("transport_refs", True))
-        return ({"frame_indifference": v.objective.passed},
-                {"frame_indifference": v.objective.residual}, {})
+        return {"frame_indifference": v.objective}, {}
     if check == "galilei_covariance":
         rng = np.random.default_rng(seed)
         spec = fr.FrameChange.random_galilei(rng)
         ic = (np.array(payload.get("x0", [0.3, -0.2, 0.1])),
               np.array(payload.get("v0", [0.2, 0.1, 0.0])), 0.0)
         v = mech.check_galilei_covariance(model, spec, ic, dt, steps)
-        return ({"covariance": v.objective.passed},
-                {"covariance": v.objective.residual}, {})
+        return {"covariance": v.objective}, {}
     if check == "noninertial_closure":
         rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
         spec = fr.FrameChange.euclidean(rotation=fr.RotationSpec(
@@ -187,8 +172,7 @@ def _run_mechanics(payload, tol, seed):
             model, spec, traj, tol=tol,
             include_drag_term=payload.get("include_drag_term", True),
             drag_coeff=float(payload.get("drag_coeff", 1.0)))
-        return ({"closure": v.objective.passed},
-                {"closure": v.objective.residual}, {"notes": list(v.notes)})
+        return {"closure": v.objective}, {"notes": list(v.notes)}
     raise SchemaError("unknown mechanics check %r" % check)
 
 
@@ -199,16 +183,14 @@ def _run_ns_symmetry(payload, tol, seed):
     state = ns.SOLUTIONS[sol]()
     spec = _parse_ns_spec(payload.get("symmetry", {}))
     v = ns.check_ns_symmetry(state, spec, tol=tol, seed=seed)
-    parts, residuals = _parts_of(v)
-    return parts, residuals, {"notes": list(v.notes), "solution": sol}
+    return v.parts(), {"notes": list(v.notes), "solution": sol}
 
 
 def _run_decomposed(payload, tol, seed):
     ensemble = ns.Ensemble.random(int(payload.get("members", 4096)))
     spec = _parse_ns_spec(payload.get("symmetry", {}))
     v = ns.check_decomposed_symmetry(ensemble, spec, tol=tol, seed=seed)
-    parts, residuals = _parts_of(v)
-    return parts, residuals, {"notes": list(v.notes)}
+    return v.parts(), {"notes": list(v.notes)}
 
 
 def _run_closure_screen(payload, tol, seed):
@@ -218,9 +200,8 @@ def _run_closure_screen(payload, tol, seed):
     model = CLOSURE_MODELS[name]()
     tags = tuple(payload.get("tags", ns_closure.SCENARIO_TAGS))
     reports = ns_closure.screen_closure(model, tags=tags, seed=seed)
-    parts = {tag: v.symmetry.passed for tag, v in reports.items()}
-    residuals = {tag: v.symmetry.residual for tag, v in reports.items()}
-    return parts, residuals, {"model": name}
+    return ({tag: v.symmetry for tag, v in reports.items()},
+            {"model": name})
 
 
 KINDS = {
@@ -305,8 +286,8 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
     seed_used = seed if seed is not None else doc.get("seed", DEFAULT_SEED)
     started = _time.time()
     try:
-        parts, residuals, details = KINDS[kind](doc.get("payload", {}),
-                                                tolerance, seed_used)
+        parts, details = KINDS[kind](doc.get("payload", {}), tolerance,
+                                     seed_used)
     except SchemaError as exc:
         return {"scenario": doc["name"], "error": str(exc),
                 "error_kind": "schema"}, 2
@@ -316,14 +297,14 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
 
     expect = doc.get("expect", {})
     mismatches = sorted(k for k, v in expect.items()
-                        if parts.get(k) is not bool(v))
+                        if k not in parts or not meets(parts[k], bool(v)))
     report = {
         "scenario": doc["name"],
         "kind": kind,
         "tolerance": tolerance,
         "seed": seed_used,
-        "parts": parts,
-        "residuals": residuals,
+        "parts": {k: part.passed for k, part in parts.items()},
+        "residuals": {k: part.residual for k, part in parts.items()},
         "details": details,
         "expect": expect,
         "expectation_met": not mismatches,

@@ -240,6 +240,15 @@ class TestOracles:
         assert np.isnan(v.objective.residual) and not v.objective.passed
         assert v.witness == want[0][1] and v.witness[1][0] > 0.88
 
+    def test_joined_parts_keep_a_nan(self):
+        # Python's max drops a NaN in second position and reported a
+        # rounding-level residual for a failed part
+        w = (0.0, (0.0, 0.0, 0.0))
+        v = classify_module._objectivity_verdict([(1e-15, w), (np.nan, w)],
+                                                 1e-9, "explicit")
+        assert v.tensor.passed
+        assert not v.objective.passed and np.isnan(v.objective.residual)
+
 
 class TestRandomRotations:
     def test_stream_matches_the_choice_draws(self):

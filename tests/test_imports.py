@@ -1,6 +1,7 @@
 """Every module-level import in ``src/invariance`` is used by its module
-or re-exported through its ``__all__``, and every other module-level
-name is exported or read somewhere in the package."""
+or re-exported through its ``__all__``, every other module-level name is
+exported or read somewhere in the package, and only ``checks/verdict.py``
+turns residuals into verdicts."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,44 @@ def test_the_check_sees_an_unused_definition(tmp_path):
         "class Unused:\n    pass\n")
     (tmp_path / "b.py").write_text("import a\nprint(a.helper, OTHER)\n")
     assert unused_definitions(tmp_path) == ["a.SPARE", "a.Unused"]
+
+
+def verdict_rules(root):
+    """``path:line`` of each comparison of the name ``tol`` with <, <=, >
+    or >=, and of each ``argmax`` call, in the modules under ``root``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Compare):
+                hit = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                          for op in n.ops) and any(
+                    isinstance(e, ast.Name) and e.id == "tol"
+                    for e in [n.left, *n.comparators])
+            else:
+                hit = isinstance(n, ast.Call) and "argmax" in (
+                    getattr(n.func, "attr", None), getattr(n.func, "id", None))
+            if hit:
+                found.append("%s:%d" % (path.relative_to(root).as_posix(),
+                                        n.lineno))
+    return found
+
+
+def test_only_the_verdict_module_judges_residuals():
+    found = verdict_rules(SRC)
+    assert any(f.startswith("checks/verdict.py:") for f in found)
+    assert [f for f in found if not f.startswith("checks/verdict.py:")] == []
+
+
+def test_the_check_sees_a_local_verdict_rule(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "def judge(res, tol, tolerance):\n"
+        "    ok = res <= tol\n"
+        "    if tol > res or 0 < tol < 1:\n"
+        "        return np.argmax(res), res.argmax()\n"
+        "    return tol == res, res < tolerance, np.argmin(res)\n")
+    (tmp_path / "b.py").write_text("from numpy import argmax\n"
+                                   "print(argmax([1, 2]))\n")
+    assert sorted(verdict_rules(tmp_path)) == [
+        "a.py:3", "a.py:4", "a.py:4", "a.py:5", "a.py:5", "b.py:2"]
