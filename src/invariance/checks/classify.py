@@ -495,6 +495,8 @@ def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
         objective = CheckPart(passed=False, residual=worst(
             [objective.residual, tensor.residual])[0])
     # audit: objectivity must never outrank form-invariance
-    assert not (objective.passed and not tensor.passed)
+    if objective.passed and not tensor.passed:
+        raise RuntimeError("classify: objectivity passed where "
+                           "form-invariance failed")
     return Verdict(tolerance=tol, witness=witness, tensor=tensor,
                    objective=objective, notes=obj.notes)

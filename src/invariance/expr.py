@@ -802,6 +802,15 @@ def _op_func(node, slots):
     name = node.data
     if name == "power":
         a, b = slots
+        if _is_const(node.args[1], -1.0):
+            # numpy's pow loop rounds b**-1 away from the correctly
+            # rounded 1 / b on a few percent of bases
+            def reciprocal(v, env):
+                base = v[a]
+                if np.any(np.abs(base) < _SINGULARITY_EPS):
+                    raise EvalError(_POWER_SINGULAR)
+                return 1.0 / base
+            return reciprocal
 
         def power(v, env):
             base, expo = v[a], v[b]
@@ -856,13 +865,15 @@ def float_kernel(e):
     where the evaluator does.
 
     Sums, products, ``sqrt``, ``abs`` and ``sign`` are Python float
-    operations, which IEEE 754 rounds exactly as numpy's loops do.
-    ``power``, ``exp``, ``log``, ``sin`` and ``cos`` call numpy's array
-    loop on one element: ``math`` and numpy's scalar path round some of
-    them differently.  ``dot``, ``norm`` and a ``power`` whose exponent is
-    not a constant are refused when the kernel is built: einsum picks its
-    own summation order, and numpy rounds such a power in two ways.  The
-    source is compiled on first use and cached per expanded root.
+    operations, which IEEE 754 rounds exactly as numpy's loops do.  A
+    constant exponent of -1 is the correctly rounded ``1.0 / b`` here and
+    in ``evaluate_many``.  Other powers, ``exp``, ``log``, ``sin`` and
+    ``cos`` call numpy's array loop on one element: ``math`` and numpy's
+    scalar path round some of them differently.  ``dot``, ``norm`` and a
+    ``power`` whose exponent is not a constant are refused when the
+    kernel is built: einsum picks its own summation order, and numpy
+    rounds such a power in two ways.  The source is compiled on first use
+    and cached per expanded root.
     """
     e = expand_derivatives(e)
     kernel = _kernel_memo.get(id(e))
@@ -1024,6 +1035,8 @@ def _emit_power(node, base, name, lines, env):
     if expo < 0:
         lines.append("if abs(%s) < %r: raise EvalError(_POWER_SINGULAR)"
                      % (base, _SINGULARITY_EPS))
+    if expo == -1.0:
+        return _assign(lines, name, "1.0 / %s" % base)
     if math.isfinite(expo) and not expo.is_integer():
         # numpy's pow flags "invalid" for a finite negative base under a
         # finite non-integer exponent, and for nothing else that passed

@@ -12,7 +12,7 @@ second.
 """
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Tuple
 
 import numpy as np
@@ -87,17 +87,25 @@ class ForceModel:
         """F at one state, or at B states in one evaluator call.
 
         ``x`` and ``v`` are (3,) with a scalar ``t``, or (3, B) with ``t``
-        a scalar or (B,); the result is (3,) or (3, B) to match.  ``refs``
-        = (x0r, v0r, t0r) replaces the model's reference values; each may
-        be per state, (3, B) or (B,).  One state runs on the force's float
-        kernel and may also be given as sequences of three floats; B
-        states run on the numpy evaluator.
+        a scalar or (B,).  ``refs`` = (x0r, v0r, t0r) replaces the model's
+        reference values; each may be per state, (3, B) or (B,).  One
+        state runs on the force's float kernel, may also be given as
+        sequences of three floats, and gives F as the kernel's 3-tuple of
+        floats.  B states run on the numpy evaluator and give a (3, B)
+        array.
         """
-        if getattr(x, "ndim", 1) == 1 and (isinstance(t, float)
-                                           or np.ndim(t) == 0):
-            return np.array(self._force_floats(t, x, v, refs), float)
         x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
             else refs
+        if getattr(x, "ndim", 1) == 1 and (isinstance(t, float)
+                                           or np.ndim(t) == 0):
+            x0, x1, x2 = x
+            v0, v1, v2 = v
+            a0, a1, a2 = x0r
+            b0, b1, b2 = v0r
+            return self._kernel(t, _ORIGIN, {
+                "dx": (x0 - a0, x1 - a1, x2 - a2),
+                "dv": (v0 - b0, v1 - b1, v2 - b2),
+                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t})
         x = np.asarray(x, float)
         v = np.asarray(v, float)
         t = np.asarray(t, float)
@@ -112,44 +120,20 @@ class ForceModel:
             t = np.full(n, t)
         bind = {"dx": x - _columns(x0r), "dv": v - _columns(v0r),
                 "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
-        return ex.evaluate_many(_with_invariants(self.force), t,
-                                np.zeros((3, n)), bind)
+        return ex.evaluate_many(self._evaluated, t, np.zeros((3, n)), bind)
 
-    def _force_floats(self, t, x, v, refs):
-        """F at one state as three floats, from the float kernel."""
-        x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
-            else refs
-        x0, x1, x2 = x
-        v0, v1, v2 = v
-        a0, a1, a2 = x0r
-        b0, b1, b2 = v0r
-        bind = {"dx": (x0 - a0, x1 - a1, x2 - a2),
-                "dv": (v0 - b0, v1 - b1, v2 - b2),
-                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
-        return _force_kernel(self.force)(t, _ORIGIN, bind)
+    @cached_property
+    def _evaluated(self):
+        """``force`` with r, s and q replaced by ``_INVARIANTS``."""
+        return ex.substitute(self.force, _INVARIANTS)
+
+    @cached_property
+    def _kernel(self):
+        """The float kernel of ``_evaluated``, looked up once per model."""
+        return ex.float_kernel(self._evaluated)
 
 
 _ORIGIN = (0.0, 0.0, 0.0)
-_with_invariants_memo = {}
-_kernel_memo = {}
-
-
-def _with_invariants(force):
-    """``force`` with r, s and q replaced by ``_INVARIANTS``, cached."""
-    got = _with_invariants_memo.get(id(force))
-    if got is None:
-        got = _with_invariants_memo[id(force)] = ex.substitute(force,
-                                                               _INVARIANTS)
-    return got
-
-
-def _force_kernel(force):
-    """The float kernel of ``_with_invariants(force)``, cached."""
-    got = _kernel_memo.get(id(force))
-    if got is None:
-        got = _kernel_memo[id(force)] = ex.float_kernel(
-            _with_invariants(force))
-    return got
 
 
 def _columns(a):
@@ -263,12 +247,6 @@ def _rk4(accel, ic, dt, n_steps):
             np.reshape(vs, (-1, 3)).T.copy())
 
 
-def _scaled(force, s):
-    """``s`` times a (3,) force array, as three floats."""
-    f0, f1, f2 = force.tolist()
-    return s * f0, s * f1, s * f2
-
-
 def integrate(model, ic, dt, n_steps):
     """Classical fixed-step 4th-order integration of m xddot = F."""
     if dt <= 0:
@@ -276,7 +254,8 @@ def integrate(model, ic, dt, n_steps):
     inv_m = 1.0 / model.m
 
     def accel(tt, xx, vv):
-        return _scaled(model.force_at(tt, xx, vv), inv_m)
+        f0, f1, f2 = model.force_at(tt, xx, vv)
+        return inv_m * f0, inv_m * f1, inv_m * f2
 
     ts, xs, vs = _rk4(accel, ic, dt, n_steps)
     return Trajectory(t=ts, x=xs, v=vs, dt=dt)
@@ -368,7 +347,8 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
 
     def accel(tt, xx, vv):
         refs = (x0r_at(tt, _ORIGIN, {}), v0r_at(tt, _ORIGIN, {}), t0r_new)
-        return _scaled(model.force_at(tt, xx, vv, refs), inv_m)
+        f0, f1, f2 = model.force_at(tt, xx, vv, refs)
+        return inv_m * f0, inv_m * f1, inv_m * f2
 
     ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
                       dt, n_steps)

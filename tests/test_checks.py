@@ -179,6 +179,23 @@ class TestImplicationAudit:
             v = verdict_for(factory)
             assert not (v.objective.passed and not v.tensor.passed)
 
+    def test_a_broken_implication_is_an_execution_error(self, monkeypatch,
+                                                         tmp_path):
+        # a tensor part that fails while the explicit objectivity part
+        # passes must stop the check with exit 3, also under ``python -O``
+        def failing_form(found, tol):
+            return ck.Verdict(tolerance=tol, tensor=ck.CheckPart.of(1.0, tol))
+
+        monkeypatch.setattr(classify_module, "_form_verdict", failing_form)
+        with pytest.raises(RuntimeError, match="form-invariance failed"):
+            verdict_for(ck.strain_rate_quantity)
+        path = tmp_path / "strain_rate.json"
+        path.write_text('{"schema": 1, "name": "strain_rate", "kind": '
+                        '"objectivity", "payload": {"quantity": '
+                        '"strain_rate", "rotations": 10}}')
+        got, code = report.run_scenario(path, no_timestamp=True)
+        assert code == 3 and got["error_kind"] == "execution"
+
     def test_residual_dead_zone(self):
         # every verdict sits clearly on one side of the tolerance band
         for factory in (ck.scalar_quantity, ck.velocity_quantity,

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from invariance import frames as fr
 from invariance import ns
+from invariance.ns import ensemble as en
 from invariance.expr import SCALAR, parse_field_expr
 from invariance.ns.closure import ARG_NAMES, _scaling_case, structural_check
 from invariance.sampling import sample_points
@@ -92,6 +95,81 @@ class TestDecomposedSymmetries:
             mat, scale = _fluctuation_action(spec, t)
             moved = scale * _apply(np.asarray(mat, float), fluct)
             assert np.max(np.abs(moved.mean(axis=0))) < 1e-10, tag
+
+
+def one_pass_decomposed(ensemble, spec, n_points):
+    """The decomposed check's residual and note from one pass over all
+    points at once, every (members, 3, points) array whole."""
+    t, x = sample_points(n_points)
+    fluct = ensemble.fluctuations(x)
+    tau = ns.reynolds_tau(fluct)
+    mat, scale = en._fluctuation_action(spec, t)
+    tau_direct = ns.reynolds_tau(scale * en._apply(mat, fluct))
+    tau_rule = scale * scale * en._conjugate(mat, tau)
+    mean_norm = float(np.max(np.abs(fluct.mean(axis=0))))
+    return (float(np.max(np.abs(tau_direct - tau_rule))),
+            ("fluctuation mean max-norm %.3e" % mean_norm,))
+
+
+class TestBlockedDecomposedCheck:
+    """The check walks the points in blocks; one pass over all points at
+    once is the oracle, bit for bit."""
+
+    SPECS = [("S1", lambda: fr.Scaling(0.3)),
+             ("S6", lambda: fr.PlanarRotation(0.8))] + ALL_DECOMPOSED[-1:]
+
+    @staticmethod
+    def block_widths(monkeypatch):
+        """The number of points of each block the check evaluates."""
+        widths = []
+        fluctuations = ns.Ensemble.fluctuations
+
+        def counting(self, x_arr):
+            widths.append(x_arr.shape[1])
+            return fluctuations(self, x_arr)
+
+        monkeypatch.setattr(ns.Ensemble, "fluctuations", counting)
+        return widths
+
+    @pytest.mark.parametrize("members", (1, 2048, 4096))
+    @pytest.mark.parametrize("tag,make", SPECS)
+    def test_blocks_equal_one_pass(self, members, tag, make, monkeypatch):
+        ensemble = ns.Ensemble.random(members)
+        spec = make()
+        want = one_pass_decomposed(ensemble, spec, 203)
+        widths = self.block_widths(monkeypatch)
+        v = ns.check_decomposed_symmetry(ensemble, spec, n_points=203)
+        assert sum(widths) == 203
+        # 203 points end in a partial block once there are blocks at all
+        assert len(widths) == 1 if members == 1 else widths[-1] < widths[0]
+        assert np.float64(v.symmetry.residual).tobytes() \
+            == np.float64(want[0]).tobytes(), tag
+        assert v.notes == want[1]
+
+    def test_a_one_point_tail_joins_the_block_before(self, monkeypatch):
+        # numpy rounds a one-point block on other paths than a wider one
+        ensemble = ns.Ensemble.random(2048)
+        step = en._BLOCK_DOUBLES // (3 * 2048)
+        want = one_pass_decomposed(ensemble, fr.Scaling(0.3), 2 * step + 1)
+        widths = self.block_widths(monkeypatch)
+        v = ns.check_decomposed_symmetry(ensemble, fr.Scaling(0.3),
+                                         n_points=2 * step + 1)
+        assert widths == [step, step + 1]
+        assert (v.symmetry.residual, v.notes) == want
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # the one-pass check held three (2048, 3, 200) arrays, 9.8 MB
+        # each, and peaked near 22 MB
+        ensemble = ns.Ensemble.random(2048)
+        spec = fr.PlanarRotation(0.8)
+        ns.check_decomposed_symmetry(ensemble, spec)   # warm the caches
+        tracemalloc.start()
+        try:
+            ns.check_decomposed_symmetry(ensemble, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 def hand_scaling_case(tag, e):

@@ -420,6 +420,69 @@ class TestFloatKernel:
         assert builds == [e, expand_derivatives(grad(e))]
 
 
+class TestReciprocal:
+    """``power(b, -1)`` is the correctly rounded ``1.0 / b`` (a Python
+    float division) in the float kernel and in ``evaluate_many``, bit for
+    bit, at any batch size, with the singularity guard on both paths."""
+
+    E = func("power", sym("b"), const(-1.0))
+    EPS = ex._SINGULARITY_EPS
+    BELOW = np.nextafter(EPS, 0.0)
+    TINY = np.finfo(float).tiny
+    # past the guard: the guard's own value, the infinities, NaN and the
+    # largest finite magnitude
+    SPECIAL = [EPS, -EPS, np.nextafter(EPS, 1.0), np.inf, -np.inf, np.nan,
+               np.finfo(float).max, -np.finfo(float).max]
+    # inside the guard: its lower edge, the smallest normal, subnormals
+    # and both zeros
+    GUARDED = [BELOW, -BELOW, TINY, -TINY, TINY / 2.0, -5e-324, 5e-324,
+               0.0, -0.0]
+
+    def bases(self):
+        rng = np.random.default_rng(0x1B)
+        mags = 10.0 ** rng.uniform(np.log10(self.EPS), 308.0, size=10 ** 4)
+        return np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size),
+                               self.SPECIAL])
+
+    def one(self, b):
+        return evaluate_many(self.E, *point(0.0, (0.0,) * 3),
+                             {"b": np.array([b])})[0]
+
+    def test_both_paths_are_the_rounded_quotient(self):
+        bases = self.bases()
+        kernel = ex.float_kernel(self.E)
+        n = bases.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = evaluate_many(self.E, np.zeros(n), np.zeros((3, n)),
+                                 {"b": bases})
+            # 10008 bases: 1112 batches of nine
+            nine = np.concatenate([evaluate_many(
+                self.E, np.zeros(9), np.zeros((3, 9)), {"b": chunk})
+                for chunk in bases.reshape(-1, 9)])
+            one = np.array([self.one(b) for b in bases])
+            got = np.array([kernel(0.0, (0.0,) * 3, {"b": b})
+                            for b in bases.tolist()])
+        want = np.array([1.0 / b for b in bases.tolist()])
+        # every value, NaN included, is the same bits on every path
+        for values in (got, many, nine, one):
+            assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("base", GUARDED)
+    def test_the_guard_raises_on_both_paths(self, base):
+        kernel = ex.float_kernel(self.E)
+        with pytest.raises(ex.EvalError, match="singularity guard") as one:
+            self.one(base)
+        with pytest.raises(ex.EvalError, match="singularity guard") as flt:
+            kernel(0.0, (0.0,) * 3, {"b": float(base)})
+        assert str(one.value) == str(flt.value)
+        batch = np.full(9, 2.0)
+        batch[4] = base
+        with pytest.raises(ex.EvalError, match="singularity guard"):
+            evaluate_many(self.E, np.zeros(9), np.zeros((3, 9)),
+                          {"b": batch})
+
+
 class TestParserPrinter:
     CORPUS = [
         "norm(x)",

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/invariance`` is used by its module
 or re-exported through its ``__all__``, every other module-level name is
-exported or read somewhere in the package, and only ``checks/verdict.py``
-turns residuals into verdicts."""
+exported or read somewhere in the package, only ``checks/verdict.py``
+turns residuals into verdicts, and no check is an ``assert``, which
+``python -O`` removes."""
 
 import ast
 from pathlib import Path
@@ -138,3 +139,24 @@ def test_the_check_sees_a_local_verdict_rule(tmp_path):
                                    "print(argmax([1, 2]))\n")
     assert sorted(verdict_rules(tmp_path)) == [
         "a.py:3", "a.py:4", "a.py:4", "a.py:5", "a.py:5", "b.py:2"]
+
+
+def assert_statements(root):
+    """``path:line`` of each ``assert`` statement in the modules under
+    ``root``."""
+    return ["%s:%d" % (path.relative_to(root).as_posix(), n.lineno)
+            for path in sorted(root.rglob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                        str(path)))
+            if isinstance(n, ast.Assert)]
+
+
+def test_no_assert_statements():
+    assert assert_statements(SRC) == []
+
+
+def test_the_check_sees_an_assert(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x):\n    assert x, 'message'\n"
+        "    if x:\n        assert (x > 1)\n    return 'assert x'\n")
+    assert assert_statements(tmp_path) == ["a.py:2", "a.py:4"]

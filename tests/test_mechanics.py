@@ -223,7 +223,7 @@ def loop_noninertial_closure(model, spec, traj, a, rotation, cddot):
         ts, xs, vs = starred.t[k], starred.x[:, k], starred.v[:, k]
         rmat, rdot, rddot = oracle.rotation(rotation.axis, rotation.rate,
                                             rotation.phase, traj.t[k])
-        xdd = model.force_at(traj.t[k], x, v) / model.m
+        xdd = np.asarray(model.force_at(traj.t[k], x, v)) / model.m
         xdd_star = (rddot @ x + 2.0 * rdot @ v + rmat @ xdd
                     + cddot(traj.t[k]))
         moved = replace(model, x0r=tuple(x0r_at(ts)), v0r=tuple(v0r_at(ts)),
@@ -431,6 +431,16 @@ class TestFloatKernel:
                 model.force_at(t[k], x[:, k], v[:, k],
                                tuple(r[..., k] for r in refs)),
                 want_refs[k][:, 0])
+
+    @pytest.mark.parametrize("name, factory", ALL_MODELS)
+    def test_one_state_gives_three_python_floats(self, name, factory):
+        # what RK4 unpacks and scales, with no numpy array between
+        model = factory()
+        for refs in (None, ((0.1, 0.2, 0.3), (-0.1, 0.0, 0.1), 0.25)):
+            got = model.force_at(0.5, (0.3, -0.2, 0.1), (0.2, 0.1, 0.0),
+                                 refs)
+            assert type(got) is tuple and len(got) == 3
+            assert all(type(f) is float for f in got)
 
     def test_both_paths_raise_at_the_reference_point(self):
         model = mech.drag_gravity_model()
