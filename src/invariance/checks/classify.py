@@ -15,14 +15,16 @@ field, ``phi`` a scalar field) plus an optional frame-bound spin symbol
 All transformed-field expressions are built once over one rotation frame,
 ``frames.FrameChange.rotation`` with symbolic parameters (axis, rate,
 phase): the Rodrigues declaration that ``RotationSpec.frame`` fills with
-numbers.  A scan evaluates them for a batch of rotations per call: one
-point axis made of one block of the same sample points per rotation, with
-the parameters bound per point, and the points are mapped by the same
-frame's Q through ``FrameChange.at``.  Checking 50
-rotations thus costs five evaluator calls per expression and no
-expression builds, and the comparisons of one scan share the
-evaluations they have in common, so ``classify`` evaluates the tensor
-test's expressions once for both of its parts.
+numbers.  An expression of the rotated frame's coordinates is composed
+with that frame's own point map x~ = Q x + c, read from
+``FrameChange.exprs``, so every comparison is one expression a - b of
+the raw sample points.  A scan evaluates the bundle of a check's
+differences for a batch of rotations per call: one point axis made of
+one block of the same sample points per rotation, with the parameters
+bound per point.  Checking 50 rotations thus costs five evaluator calls
+in all and no expression builds, and the one tape of a call computes Q,
+its sines and the nodes the comparisons share once, so ``classify``
+evaluates the tensor test's expressions once for both of its parts.
 """
 
 from dataclasses import dataclass
@@ -34,8 +36,8 @@ import numpy as np
 from .. import frames as fr
 from ..expr import (
     Node, SCALAR, VEC, MAT,
-    add, comp, const, dot, grad, lap, mul, matrix_const, neg, norm, sub, sym,
-    time, transpose, x_vector,
+    add, bundle, comp, const, dot, grad, lap, mul, matrix_const, neg, norm,
+    sub, sym, time, transpose, x_vector,
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
 from ..sampling import sample_points
@@ -282,11 +284,13 @@ def _component_abs(arr):
     return a
 
 
-def _mapped(t, x, bind):
-    """x~ = Q x + c of the rotation frame, its parameters bound by
-    ``bind`` (per point or one value each)."""
-    q, c = _FRAME.at(t, 0, bind)
-    return fr.rotate(q, x) + c
+@lru_cache(maxsize=None)
+def _on_mapped_points(e):
+    """``e``, an expression of the rotated frame's coordinates, read at
+    x~ = Q x + c of the rotation frame: an expression of the raw points."""
+    q, c = _FRAME.exprs(0)
+    x_new = add(fr.mat_vec(q, x_vector()), c)
+    return compose(e, [comp(x_new, i) for i in range(3)], time())
 
 
 def _as_specs(specs):
@@ -305,46 +309,41 @@ def _scan(specs, comparisons, n_points, seed):
     """Max residual and witness of each comparison over rotations x points.
 
     ``comparisons`` is a list of (expr_a, use_mapped_a, expr_b,
-    use_mapped_b); the residual of each pair is the componentwise absolute
-    difference, and one (worst, witness) is returned per pair.  Rotations
-    are evaluated in batches of ``_BATCH``: one point axis made of
+    use_mapped_b), a mapped side read at x~ = Q x + c; the residual of
+    each pair is the componentwise absolute value of the expression
+    a - b, and one (worst, witness) is returned per pair.  Rotations are
+    evaluated in batches of ``_BATCH``: one point axis made of
     rotation-major blocks of the same samples, with the rotation
-    parameters bound per point.  Within a batch each distinct
-    (expression, point set) is evaluated once and shared by every pair
-    that reads it.
+    parameters bound per point.  Each batch is one ``evaluate_many`` call
+    on the bundle of the distinct differences, so the nodes they share,
+    the point map included, are computed once.
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     n = t.shape[0]
-    keys = [(id(ea), ma, id(eb), mb) for ea, ma, eb, mb in comparisons]
-    unique = dict(zip(keys, comparisons))
-    found = {key: [] for key in unique}    # per batch: (worst, point)
+    diffs = [sub(_on_mapped_points(ea) if ma else ea,
+                 _on_mapped_points(eb) if mb else eb)
+             for ea, ma, eb, mb in comparisons]
+    unique = tuple(dict.fromkeys(diffs))
+    roots = bundle(*unique)
+    found = {d: [] for d in unique}    # per batch: (worst, point)
     for start in range(0, len(specs), _BATCH):
         batch = specs[start:start + _BATCH]
-        tb, xb = np.tile(t, len(batch)), np.tile(x, len(batch))
         binds = [_rotation_bindings(spec) for spec in batch]
         bind = {name: np.repeat([b[name] for b in binds], n)
                 for name in binds[0]}
-        xt = _mapped(tb, xb, bind)
-        values = {}
-
-        def value(e, mapped):
-            key = (id(e), mapped)
-            if key not in values:
-                values[key] = evaluate_many(e, tb, xt if mapped else xb,
-                                            bind)
-            return values[key]
-
-        for key, (ea, ma, eb, mb) in unique.items():
+        values = evaluate_many(roots, np.tile(t, len(batch)),
+                               np.tile(x, len(batch)), bind)
+        for d, value in zip(unique, values):
             # rotation-major blocks make the first worst point the first
             # rotation's
-            top, i = worst(_component_abs(value(ea, ma) - value(eb, mb)))
-            found[key].append((top, i % n))
+            top, i = worst(_component_abs(value))
+            found[d].append((top, i % n))
 
     def first_worst(per_batch):
         top, i = per_batch[worst([w for w, _ in per_batch])[1]]
         return top, (float(t[i]), tuple(x[:, i]))
-    return [first_worst(found[key]) for key in keys]
+    return [first_worst(found[d]) for d in diffs]
 
 
 def form_invariance_defect(q, spec, n_points=200, seed=None,
@@ -357,9 +356,9 @@ def form_invariance_defect(q, spec, n_points=200, seed=None,
     _, tilde_value, rule_value, _ = _built(q, base_spin)
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
-    bind = _rotation_bindings(spec)
-    got = evaluate_many(tilde_value, t, _mapped(t, x, bind), bind)
-    want = evaluate_many(rule_value, t, x, bind)
+    got, want = evaluate_many(
+        bundle(_on_mapped_points(tilde_value), rule_value), t, x,
+        _rotation_bindings(spec))
     return got - want
 
 

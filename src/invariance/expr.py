@@ -26,7 +26,7 @@ __all__ = [
     "ExprError", "ShapeError", "ParseError", "UnboundSymbolError", "EvalError",
     "const", "coord", "time", "sym", "add", "sub", "neg", "mul", "div_by",
     "dot", "outer", "transpose", "norm", "vec", "mat", "comp", "func",
-    "grad", "div", "lap", "dt", "zero",
+    "grad", "div", "lap", "dt", "zero", "bundle",
     "vector_const", "matrix_const", "x_vector",
     "differentiate", "expand_derivatives", "substitute", "compose",
     "evaluate_many", "float_kernel", "free_symbols", "contains_derivatives",
@@ -317,6 +317,16 @@ def dt(e):
     return _mk("dt", (e,), shape=e.shape)
 
 
+def bundle(*roots):
+    """The tuple of the values of ``roots``, as one node.
+
+    ``evaluate_many`` of a bundle runs one tape over the union of the
+    roots' DAGs, so a node that several roots share is computed once, and
+    returns the tuple of the roots' values in order.
+    """
+    return _mk("bundle", roots, shape="bundle")
+
+
 def vector_const(v):
     v = np.asarray(v, dtype=float)
     return vec(const(v[0]), const(v[1]), const(v[2]))
@@ -505,6 +515,8 @@ def _rebuild(e, args):
         return comp(args[0], *e.data)
     if k == "func":
         return func(e.data, *args)
+    if k == "bundle":
+        return bundle(*args)
     raise ExprError("unhandled rebuild for %r" % k)
 
 
@@ -625,9 +637,10 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     """Vectorised evaluation over N points.
 
     Returns arrays of shape (N,), (3, N) or (3, 3, N) according to the
-    expression's shape.  Derivative nodes are expanded symbolically first;
-    the expanded DAG is compiled once into a tape (see ``_build_tape``)
-    and each call is one pass over that tape.
+    expression's shape, or for a ``bundle`` the tuple of its roots'
+    arrays.  Derivative nodes are expanded symbolically first; the
+    expanded DAG is compiled once into a tape (see ``_build_tape``) and
+    each call is one pass over that tape, each shared node computed once.
     """
     e = expand_derivatives(e)
     tape = _tape_memo.get(id(e))
@@ -783,6 +796,10 @@ def _op_mat(node, slots):
         3, 3, env[0])
 
 
+def _op_bundle(node, slots):
+    return lambda v, env: tuple(v[k] for k in slots)
+
+
 def _op_comp(node, slots):
     a, = slots
     i, j = node.data
@@ -844,6 +861,7 @@ _OPS = {
     "sym": _op_sym, "add": _op_add, "mul": _op_mul, "dot": _op_dot,
     "outer": _op_outer, "transpose": _op_transpose, "norm": _op_norm,
     "vec": _op_vec, "mat": _op_mat, "comp": _op_comp, "func": _op_func,
+    "bundle": _op_bundle,
 }
 
 
@@ -1285,4 +1303,6 @@ def _print(e, prec):
         return "%s(%s, %s)" % (k, _print(e.args[0], 0), _print(e.args[1], 0))
     if k in ("transpose", "norm", "grad", "div", "lap", "dt"):
         return "%s(%s)" % (k, _print(e.args[0], 0))
+    if k == "bundle":
+        return "bundle(%s)" % ", ".join(_print(a, 0) for a in e.args)
     raise ExprError("unprintable node %r" % k)

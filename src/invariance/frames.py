@@ -6,10 +6,11 @@ vec3 expression of the old frame's time.  ``FrameChange.galilei`` (Q a
 constant rotation, c linear in t), ``FrameChange.euclidean`` (a uniform
 rotation and a path) and ``FrameChange.rotation`` (the Rodrigues form of
 a uniform rotation, with numbers or symbols as its parameters) build it.
-``FrameChange.at`` is the one numeric view: Q, Q', Q'' and c, c', c''
-at given times, derived by ``differentiate`` and evaluated by
-``evaluate_many``.  The mechanics checks, the geometric suite and the
-classifiers read it; a ``RotationSpec`` only names the axis, rate and
+``FrameChange.exprs`` gives Q, Q', Q'' and c, c', c'' as expressions,
+derived by ``differentiate``, and ``FrameChange.at`` evaluates them at
+given times.  The mechanics checks, the geometric suite and the
+classifiers' base spin read ``at``; the classifiers compose their point
+map with ``exprs``.  A ``RotationSpec`` only names the axis, rate and
 phase of a uniform rotation.
 
 Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
@@ -146,7 +147,7 @@ class FrameChange:
 
     ``q`` is a mat3 and ``c`` a vec3 expression of the old frame's time
     (they may hold bound symbols, as the classifiers' rotation does).
-    Every numeric matrix and vector of the frame comes from ``at``.
+    Every matrix and vector of the frame comes from ``exprs``.
     """
 
     q: Node

@@ -283,6 +283,29 @@ class TestRandomRotations:
             assert ck.random_rotations(50, seed=seed) == want
 
 
+def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
+    # the comparisons and the point map of a batch share one tape
+    q = ck.z_tensor_quantity()
+    pairs = (classify_module._objectivity_pairs(q, "explicit", None)
+             + classify_module._objectivity_pairs(q, "full", None))
+    specs = ck.random_rotations(13, seed=3)
+    calls = []
+    evaluate_many, at = classify_module.evaluate_many, fr.FrameChange.at
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(classify_module, "evaluate_many",
+                        counted("evaluate_many", evaluate_many))
+    monkeypatch.setattr(fr.FrameChange, "at", counted("at", at))
+    found = classify_module._scan(specs, pairs, 200, 3)
+    assert len(found) == 3
+    assert calls == ["evaluate_many"] * 2
+
+
 class TestBatchInvariance:
     """Batched rotations give the per-rotation loop's bits.
 

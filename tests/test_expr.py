@@ -272,6 +272,77 @@ class TestTape:
         assert peak < 4 * got.nbytes
 
 
+class TestBundle:
+    """One tape for several roots: each root's own values, bit for bit,
+    with every shared node computed once."""
+
+    @pytest.mark.parametrize("n", [1, 9, 2000])
+    def test_each_root_equals_its_own_evaluation(self, n):
+        roots = [parse_field_expr(text, TestTape.SYMBOLS)
+                 for text in TestTape.CORPUS]
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.2, 1.0, size=(3, n)) * rng.choice([-1, 1], (3, n))
+        t = rng.uniform(0.1, 2.0, size=n)
+        bind = TestTape().bindings(n)
+        got = evaluate_many(ex.bundle(*roots), t, x, bind)
+        assert isinstance(got, tuple) and len(got) == len(roots)
+        for root, value in zip(roots, got):
+            want = evaluate_many(root, t, x, bind)
+            assert value.shape == want.shape
+            assert value.tobytes() == want.tobytes(), to_dsl(root)
+
+    def test_a_shared_node_is_computed_once(self, monkeypatch):
+        calls = []
+        op_func = ex._OPS["func"]
+
+        def counting(node, slots):
+            step = op_func(node, slots)
+
+            def counted(v, env):
+                calls.append(node.data)
+                return step(v, env)
+            return counted
+
+        monkeypatch.setattr(ex, "_tape_memo", {})
+        monkeypatch.setitem(ex._OPS, "func", counting)
+        shared = func("sin", comp(ex.x_vector(), 0))
+        roots = (mul(shared, time()), add(shared, const(1.0)),
+                 func("cos", shared))
+        x = RNG.uniform(size=(3, 4))
+        evaluate_many(ex.bundle(*roots), np.ones(4), x)
+        assert sorted(calls) == ["cos", "sin"]
+
+    def test_is_refused_by_the_float_kernel(self):
+        e = ex.bundle(parse_field_expr("comp(x, 1) * t"), time())
+        with pytest.raises(ex.ExprError, match="float kernel"):
+            ex.float_kernel(e)
+
+    def test_repr(self):
+        e = ex.bundle(parse_field_expr("comp(x, 1) * t"), ex.x_vector())
+        assert "bundle(comp(x, 1) * t, x)" in repr(e)
+
+    def test_dead_values_are_released(self):
+        # two chains of 120 steps at 1e5 points: each value is dropped
+        # after its one use, so the call holds a few arrays, not 240
+        n = 10 ** 5
+        chains = [coord(0), coord(1)]
+        for _ in range(120):
+            chains = [func("sin", e) for e in chains]
+        e = ex.bundle(*chains)
+        t, x = np.zeros(n), RNG.uniform(-1.0, 1.0, size=(3, n))
+        want = evaluate_many(e, t[:5], x[:, :5])    # compiles the tape
+        TestTape.assert_each_value_released_once(ex._tape_memo[id(e)])
+        tracemalloc.start()
+        try:
+            got = evaluate_many(e, t, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for value, small in zip(got, want):
+            np.testing.assert_array_equal(value[:5], small)
+        assert peak < 5 * got[0].nbytes
+
+
 class TestFloatKernel:
     """``float_kernel`` against ``evaluate_many``, bit for bit."""
 

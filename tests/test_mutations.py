@@ -6,11 +6,13 @@ expectation is met on the intact engine and missed under the mutation.
 A mutation that no shipped scenario can see is a finding about the
 checks, not a test to skip.
 
-Frame side: ``FrameChange.at`` is the one numeric view of every frame
-change (Q, c and their time derivatives), read by the mechanics checks,
-the geometric suite and the classifiers.  Verdict side: ``verdict.worst``
-is the one reduction of residual arrays, and ``verdict.meets`` the one
-rule that judges an expected outcome.
+Frame side: ``FrameChange.exprs`` gives every frame change's Q, c and
+their time derivatives as expressions.  ``FrameChange.at`` evaluates
+them for the mechanics checks, the geometric suite and the classifiers'
+base spin, the classifiers compose their point map with them, and each
+Navier-Stokes symmetry derives its inverse map from them.  Verdict side:
+``verdict.worst`` is the one reduction of residual arrays, and
+``verdict.meets`` the one rule that judges an expected outcome.
 """
 
 import importlib
@@ -27,7 +29,7 @@ from invariance import report
 from invariance.checks import verdict
 from invariance.checks.verdict import CheckPart, meets
 from invariance.cli import main
-from invariance.expr import VEC, matrix_const, zero
+from invariance.expr import MAT, VEC, matrix_const, transpose, zero
 from invariance.report import run_scenario
 
 SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
@@ -35,19 +37,29 @@ classify_module = importlib.import_module("invariance.checks.classify")
 
 
 def _zero_qdot(q, c, order):
-    return (np.zeros_like(q) if order == 1 else q), c
+    return (zero(MAT) if order == 1 else q), c
 
 
 def _transpose_q(q, c, order):
-    return (q.swapaxes(0, 1) if order == 0 else q), c
+    return (transpose(q) if order == 0 else q), c
 
 
-# name -> (change of (Q^(k), c^(k), k), shipped scenarios it must flip)
+# name -> (change of the expressions (Q^(k), c^(k), k), shipped scenarios
+# it must flip)
 FRAME_MUTATIONS = {
-    "zero_qdot": (_zero_qdot, ("mech_noninertial_closure",
-                               "geometric_suite")),
-    "transpose_q": (_transpose_q, ("mech_noninertial_closure",
-                                   "classify_vorticity_relative")),
+    "zero_qdot": (_zero_qdot, ("classify_velocity_relative",
+                               "classify_vorticity_relative",
+                               "geometric_suite", "mech_noninertial_closure",
+                               "ns_s6_rotation_taylor_green")),
+    "transpose_q": (_transpose_q, ("classify_composite_norm_explicit",
+                                   "classify_gradient_generic",
+                                   "classify_gradient_isotropic",
+                                   "classify_hessian", "classify_strain_rate",
+                                   "classify_velocity_relative",
+                                   "classify_vorticity_relative",
+                                   "classify_z_tensor",
+                                   "mech_noninertial_closure",
+                                   "ns_s6_rotation_taylor_green")),
 }
 
 
@@ -90,13 +102,16 @@ def _first_minimum(residuals):
 
 @pytest.fixture
 def fresh_classify_builds():
-    """The classifiers cache their built expressions, the base spin
-    included: clear them so no mutated value outlives its test."""
-    for built in (classify_module._built, classify_module._built_full):
-        built.cache_clear()
+    """The classifiers cache their built expressions, the base spin and
+    the point map included: clear them so no mutated value outlives its
+    test."""
+    caches = (classify_module._built, classify_module._built_full,
+              classify_module._on_mapped_points)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    for built in (classify_module._built, classify_module._built_full):
-        built.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 def expectation_met(name):
@@ -111,13 +126,14 @@ def test_frame_mutation_flips_shipped_verdicts(mutation, monkeypatch,
                                                fresh_classify_builds):
     mutate, scenarios = FRAME_MUTATIONS[mutation]
     assert all(expectation_met(name) for name in scenarios)
-    at = fr.FrameChange.at
+    exprs = fr.FrameChange.exprs
 
-    def mutated(self, t, order=0, bindings=None):
-        return mutate(*at(self, t, order, bindings), order)
+    def mutated(self, order=0):
+        return mutate(*exprs(self, order), order)
 
-    monkeypatch.setattr(fr.FrameChange, "at", mutated)
-    classify_module._built.cache_clear()
+    monkeypatch.setattr(fr.FrameChange, "exprs", mutated)
+    for cache in (classify_module._built, classify_module._on_mapped_points):
+        cache.cache_clear()
     assert not any(expectation_met(name) for name in scenarios)
 
 
