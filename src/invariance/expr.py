@@ -29,7 +29,7 @@ __all__ = [
     "grad", "div", "lap", "dt", "zero", "bundle",
     "vector_const", "matrix_const", "x_vector",
     "differentiate", "expand_derivatives", "substitute", "compose",
-    "evaluate_many", "float_kernel", "free_symbols", "contains_derivatives",
+    "evaluate_many", "float_kernel", "contains_derivatives",
     "parse_field_expr", "to_dsl",
 ]
 
@@ -358,23 +358,6 @@ def contains_derivatives(e):
             contains_derivatives(a) for a in e.args)
         _cd_memo[id(e)] = got
     return got
-
-
-def free_symbols(e):
-    acc = {}
-    seen = set()
-
-    def walk(n):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        if n.kind == "sym":
-            acc[n.data[0]] = n
-        for a in n.args:
-            walk(a)
-
-    walk(e)
-    return acc
 
 
 # ---------------------------------------------------------------------------

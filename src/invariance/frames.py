@@ -10,8 +10,10 @@ a uniform rotation, with numbers or symbols as its parameters) build it.
 derived by ``differentiate``, and ``FrameChange.at`` evaluates them at
 given times.  The mechanics checks, the geometric suite and the
 classifiers' base spin read ``at``; the classifiers compose their point
-map with ``exprs``.  A ``RotationSpec`` only names the axis, rate and
-phase of a uniform rotation.
+map with ``exprs``.  ``FrameChange.carry`` moves reference values with
+the frame, for the mechanics checks and the closure screen's G row alike.
+A ``RotationSpec`` only names the axis, rate and phase of a uniform
+rotation.
 
 Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
 control R3D is one small frozen class in ``NS_SYMMETRIES`` that declares
@@ -219,6 +221,18 @@ class FrameChange:
         """
         q, c = self.exprs(order)
         return at_times(q, t, bindings), at_times(c, t, bindings)
+
+    def carry(self, x0, v0):
+        """x0~ = Q x0 + c and v0~ = Q v0 + c' at the old time t~ - tau, as
+        vec3 expressions of t~; ``x0`` and ``v0`` are vec3 expressions or
+        three numbers each."""
+        q, c = self.exprs(0)
+        dc = self.exprs(1)[1]
+        back = sub(time(), const(self.tau))
+        return tuple(
+            compose(add(mat_vec(q, ref if isinstance(ref, Node)
+                                else vector_const(ref)), shift), (), back)
+            for ref, shift in ((x0, c), (v0, dc)))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ time derivatives come from ``FrameChange.at``, so a Galilei boost is the
 Euclidean case with a constant Q and a linear c.
 
 Force laws are expressions over the invariant argument vocabulary
-(differences against transported reference values and their norms), so
-frame-indifference is a structural property first and a numerical one
-second.
+(differences against transported reference values and their norms).
+Whether a law is frame-indifferent is judged by evaluating it in both
+frames, never from the symbols it is written in.
 """
 
 from dataclasses import dataclass, replace
@@ -23,29 +23,24 @@ from .expr import Node, add, mul, sym
 from .checks.verdict import CheckPart, Verdict, worst
 
 __all__ = [
-    "ForceModel", "Trajectory", "structural_force_check",
-    "oscillator_model", "drag_gravity_model", "free_model",
-    "absolute_velocity_model", "absolute_position_model",
-    "time_scaled_position_model",
+    "ForceModel", "Trajectory", "X_ABS", "V_ABS", "T_ABS",
+    "oscillator_model", "drag_gravity_model", "absolute_velocity_model",
     "integrate", "transform_trajectory", "transport_references",
     "check_force_frame_indifference", "check_galilei_covariance",
     "inertial_force", "check_noninertial_closure",
 ]
 
 # invariant argument vocabulary for force expressions: the vectors dx and
-# dv and the scalars (``_SCALAR_ARGS``) r = |x - x0r|, s = |xdot - v0r|,
+# dv and the scalars r = |x - x0r|, s = |xdot - v0r|,
 # q = (x - x0r) . (xdot - v0r) and w = t - t0r, bound by name
 DX = sym("dx", ex.VEC)       # x - x0r
 DV = sym("dv", ex.VEC)       # xdot - v0r
 R_ARG = sym("r")             # |x - x0r|
-# absolute (frame-dependent) leaves, present only in deliberately
+# absolute (frame-dependent) leaves x, xdot and t, for deliberately
 # non-compliant models
 X_ABS = sym("x_abs", ex.VEC)
 V_ABS = sym("v_abs", ex.VEC)
 T_ABS = sym("t_abs")
-
-_ABSOLUTE_NAMES = ("x_abs", "v_abs", "t_abs")
-_SCALAR_ARGS = ("r", "s", "q", "w")
 
 
 def _inner(a, b):
@@ -142,18 +137,6 @@ def _columns(a):
     return a[:, None] if a.ndim == 1 else a
 
 
-def structural_force_check(model):
-    """Accepts difference-built laws, rejects absolute x/xdot/t forms."""
-    names = ex.free_symbols(model.force)
-    offenders = sorted(n for n in names if n in _ABSOLUTE_NAMES)
-    allowed = set(_SCALAR_ARGS) | {"dx", "dv"}
-    unknown = sorted(n for n in names
-                     if n not in allowed and n not in _ABSOLUTE_NAMES)
-    if unknown:
-        raise ValueError("force uses unknown symbols %r" % unknown)
-    return (not offenders), tuple(offenders)
-
-
 # ---------------------------------------------------------------------------
 # model library
 # ---------------------------------------------------------------------------
@@ -173,21 +156,8 @@ def drag_gravity_model(a=1.0, m=1.0, g=1.0,
                                       v0r=tuple(v0r))
 
 
-def free_model(m=1.0):
-    return ForceModel.from_invariants(ex.const(0.0), ex.const(0.0),
-                                      m=float(m))
-
-
 def absolute_velocity_model(m=1.0):
     return ForceModel(force=V_ABS, m=float(m))
-
-
-def absolute_position_model(m=1.0):
-    return ForceModel(force=X_ABS, m=float(m))
-
-
-def time_scaled_position_model(m=1.0):
-    return ForceModel(force=mul(T_ABS, X_ABS), m=float(m))
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +231,14 @@ def integrate(model, ic, dt, n_steps):
     return Trajectory(t=ts, x=xs, v=vs, dt=dt)
 
 
-def _reference_exprs(model, spec):
-    """x0r* = Q x0r + c and v0r* = Q v0r + c', both at t - tau, as vec3
-    expressions of the new frame's time t."""
-    q, c = spec.exprs(0)
-    dc = spec.exprs(1)[1]
-    back = ex.sub(ex.time(), ex.const(spec.tau))
-    return tuple(ex.compose(add(fr.mat_vec(q, ex.vector_const(ref)), shift),
-                            (), back)
-                 for ref, shift in ((model.x0r, c), (model.v0r, dc)))
-
-
 def transport_references(model, spec):
     """Reference values seen from the new frame, (x0r_at, v0r_at, t0r*).
 
-    The position reference rides the frame, x0r* = Q x0r + c, and the
-    listed velocity rule is v0r* = Q v0r + c', with Q and c at the old
-    time t* - tau; both are functions of the new-frame time t*, taking a
-    scalar, giving (3,), or (B,) times, giving (3, B).  t0r* = t0r + tau.
+    x0r and v0r ride the frame by ``FrameChange.carry``; both are
+    functions of the new-frame time t*, taking a scalar, giving (3,), or
+    (B,) times, giving (3, B).  t0r* = t0r + tau.
     """
-    x0r, v0r = _reference_exprs(model, spec)
+    x0r, v0r = spec.carry(model.x0r, model.v0r)
     return (partial(fr.at_times, x0r), partial(fr.at_times, v0r),
             model.t0r + spec.tau)
 
@@ -341,7 +299,7 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
     moved = transform_trajectory(base, spec)
     # the references ride the frame: float kernels of the same expressions
     # that transport_references evaluates, so their values are its bits
-    x0r_at, v0r_at = map(ex.float_kernel, _reference_exprs(model, spec))
+    x0r_at, v0r_at = map(ex.float_kernel, spec.carry(model.x0r, model.v0r))
     t0r_new = model.t0r + spec.tau
     inv_m = 1.0 / model.m
 

@@ -9,7 +9,7 @@ from .residual import (
 from .ensemble import Ensemble, reynolds_tau, check_decomposed_symmetry
 from .closure import (
     ClosureModel, compliant_model, constant_phi2_model, nu_phi2_model,
-    bare_mean_velocity_model, screen_closure, structural_check,
+    bare_mean_velocity_model, screen_closure,
 )
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "Ensemble", "reynolds_tau", "check_decomposed_symmetry",
     "ClosureModel", "compliant_model", "constant_phi2_model",
     "nu_phi2_model", "bare_mean_velocity_model", "screen_closure",
-    "structural_check",
 ]

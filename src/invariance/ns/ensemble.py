@@ -50,12 +50,6 @@ class Ensemble:
         raw = self.amp.T[:, :, None] * np.cos(arg)[:, None, :]
         return raw - raw.mean(axis=0, keepdims=True)
 
-    def divergence(self, x_arr):
-        """Member-wise div u' (exact formula), shape (N, P)."""
-        arg = self.k.T @ x_arr + self.phase[:, None]
-        coef = np.einsum("in,in->n", self.k, self.amp)
-        return -coef[:, None] * np.sin(arg)
-
 
 def reynolds_tau(fluct):
     """Second-moment tensor <u' u'^T> from fluctuations (N,3,P) -> (3,3,P)."""

@@ -182,6 +182,7 @@ def _run_ns_symmetry(payload, tol, seed):
         raise SchemaError("unknown solution %r" % sol)
     state = ns.SOLUTIONS[sol]()
     spec = _parse_ns_spec(payload.get("symmetry", {}))
+    ns.certify(state)   # a non-solution is an error, not an expected FAIL
     v = ns.check_ns_symmetry(state, spec, tol=tol, seed=seed)
     return v.parts(), {"notes": list(v.notes), "solution": sol}
 

@@ -4,12 +4,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import invariance
+from invariance import ns
 from invariance.cli import main
 from invariance.report import run_scenario, run_suite
 
@@ -87,6 +89,17 @@ class TestRunScenario:
         p.write_text(json.dumps(doc))
         report, code = run_scenario(str(p))
         assert code == 3 and report["error_kind"] == "execution"
+
+    def test_broken_base_flow_is_execution_error(self, monkeypatch):
+        # a Beltrami flow whose decay disagrees with its viscosity solves
+        # nothing: the base flow's certificate must stop it before its 3D
+        # rotation meets the negative control's expected FAIL
+        monkeypatch.setitem(ns.SOLUTIONS, "beltrami",
+                            lambda: replace(ns.beltrami(), nu=0.5))
+        report, code = run_scenario(shipped("ns_r3d_negative_control"))
+        assert code == 3 and report["error_kind"] == "execution"
+        assert "not an exact solution" in report["error"]
+        assert main(["check", shipped("ns_r3d_negative_control")]) == 3
 
     @pytest.mark.parametrize("symmetry", [
         {"tag": "S1"}, {"tag": "S3", "axis": 7}, "S1",

@@ -8,10 +8,27 @@ from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import report
+from invariance.checks.verdict import FAIL_FLOOR
 
 import frame_oracle as oracle
 
 RNG = np.random.default_rng(0xD1CE)
+
+
+# force laws that no shipped scenario runs: the free particle, and two
+# laws in absolute arguments that the numeric frame check must fail
+
+def free_model(m=1.0):
+    return mech.ForceModel.from_invariants(ex.const(0.0), ex.const(0.0),
+                                           m=float(m))
+
+
+def absolute_position_model(m=1.0):
+    return mech.ForceModel(force=mech.X_ABS, m=float(m))
+
+
+def time_scaled_position_model(m=1.0):
+    return mech.ForceModel(force=ex.mul(mech.T_ABS, mech.X_ABS), m=float(m))
 
 
 class TestIntegration:
@@ -37,24 +54,33 @@ class TestIntegration:
 
     def test_free_particle_is_a_straight_line(self):
         v0 = np.array([0.3, -0.1, 0.2])
-        traj = mech.integrate(mech.free_model(), (np.zeros(3), v0, 0.0),
+        traj = mech.integrate(free_model(), (np.zeros(3), v0, 0.0),
                               1e-2, 500)
         assert np.max(np.abs(traj.x - v0[:, None] * traj.t)) < 1e-12
 
 
-class TestStructuralCheck:
+class TestAbsoluteArguments:
+    """The numeric frame check, not the symbols a law is written in,
+    tells relative-argument laws from absolute ones."""
+
+    SPECS = [fr.FrameChange.random_galilei(np.random.default_rng(seed))
+             for seed in (11, 12, 13)]
+
     def test_accepts_relative_argument_models(self):
         for model in (mech.oscillator_model(), mech.drag_gravity_model(),
-                      mech.free_model()):
-            ok, offenders = mech.structural_force_check(model)
-            assert ok and not offenders
+                      free_model()):
+            for spec in self.SPECS:
+                v = mech.check_force_frame_indifference(model, spec)
+                assert v.objective.residual < 1e-12
 
     def test_rejects_absolute_argument_models(self):
         for model in (mech.absolute_velocity_model(),
-                      mech.absolute_position_model(),
-                      mech.time_scaled_position_model()):
-            ok, offenders = mech.structural_force_check(model)
-            assert not ok and offenders
+                      absolute_position_model(),
+                      time_scaled_position_model()):
+            for spec in self.SPECS:
+                v = mech.check_force_frame_indifference(model, spec)
+                assert not v.objective.passed
+                assert FAIL_FLOOR < v.objective.residual < np.inf
 
 
 class TestFrameIndifference:
@@ -167,9 +193,9 @@ class TestTrajectoryTransport:
 
 
 ALL_MODELS = sorted(report.MECHANICS_MODELS.items()) + [
-    ("free", mech.free_model),
-    ("absolute_position", mech.absolute_position_model),
-    ("time_scaled_position", mech.time_scaled_position_model),
+    ("free", free_model),
+    ("absolute_position", absolute_position_model),
+    ("time_scaled_position", time_scaled_position_model),
 ]
 
 
@@ -329,8 +355,8 @@ class TestBatchedChecksAgainstLoops:
 
     @pytest.mark.parametrize("factory, transport_refs", [
         (mech.absolute_velocity_model, True),
-        (mech.absolute_position_model, True),
-        (mech.time_scaled_position_model, True),
+        (absolute_position_model, True),
+        (time_scaled_position_model, True),
         (mech.drag_gravity_model, False),
         (mech.oscillator_model, False),
     ])
@@ -348,7 +374,7 @@ class TestBatchedChecksAgainstLoops:
 
     def test_frame_indifference_rounding_level(self):
         for factory in (mech.oscillator_model, mech.drag_gravity_model,
-                        mech.free_model):
+                        free_model):
             v = mech.check_force_frame_indifference(factory(), self.BOOST)
             worst, _ = loop_frame_indifference(factory(), self.BOOST)
             assert v.objective.residual < 1e-12 and worst < 1e-12
@@ -524,7 +550,7 @@ class TestRK4Oracle:
         for seed, spec in enumerate(specs):
             numpy_refs = mech.transport_references(model, spec)[:2]
             kernels = [ex.float_kernel(e)
-                       for e in mech._reference_exprs(model, spec)]
+                       for e in spec.carry(model.x0r, model.v0r)]
             for t in np.random.default_rng(seed).uniform(-2.0, 2.0, 200):
                 for kernel, at in zip(kernels, numpy_refs):
                     np.testing.assert_array_equal(

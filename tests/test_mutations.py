@@ -10,7 +10,9 @@ Frame side: ``FrameChange.exprs`` gives every frame change's Q, c and
 their time derivatives as expressions.  ``FrameChange.at`` evaluates
 them for the mechanics checks, the geometric suite and the classifiers'
 base spin, the classifiers compose their point map with them, and each
-Navier-Stokes symmetry derives its inverse map from them.  Verdict side:
+Navier-Stokes symmetry derives its inverse map from them.
+``FrameChange.carry`` transports the reference values of the mechanics
+checks and of the closure screen's G row.  Verdict side:
 ``verdict.worst`` is the one reduction of residual arrays, and
 ``verdict.meets`` the one rule that judges an expected outcome.
 """
@@ -57,25 +59,33 @@ FRAME_MUTATIONS = {
                                    "classify_hessian", "classify_strain_rate",
                                    "classify_velocity_relative",
                                    "classify_vorticity_relative",
-                                   "classify_z_tensor",
+                                   "classify_z_tensor", "closure_compliant",
                                    "mech_noninertial_closure",
                                    "ns_s6_rotation_taylor_green")),
 }
 
 
 # name -> (patched attribute of NSSymmetry, its mutated value, shipped
-# scenarios it must flip)
+# scenarios it must flip).  Without the velocity offset the bare mean
+# velocity transforms as <u> - u0 does, so the G row passes it.
 NS_MUTATIONS = {
     "zero_velocity_offset": ("velocity_offset", lambda self: zero(VEC),
-                             ("ns_galilei_beltrami",
+                             ("closure_bare_mean_velocity",
+                              "closure_compliant", "ns_galilei_beltrami",
                               "ns_s2_acceleration_beltrami",
                               "ns_s6_rotation_taylor_green")),
     "identity_m": ("matrix", lambda self: matrix_const(np.eye(3)),
-                   ("ns_galilei_beltrami", "ns_s3_reflection_beltrami",
+                   ("closure_compliant", "ns_galilei_beltrami",
+                    "ns_s3_reflection_beltrami",
                     "ns_s6_rotation_taylor_green")),
     "unit_nu_action": ("nu_action", property(lambda self: 1.0),
-                       ("ns_s4_time_reversal_beltrami",)),
+                       ("closure_compliant", "ns_s4_time_reversal_beltrami")),
 }
+
+# shipped scenarios that a carried reference velocity without c' must
+# flip: only the G row sees it, since no shipped mechanics check runs a
+# law that reads xdot - v0r under a frame with a moving origin
+DROPPED_C_DOT = ("closure_compliant",)
 
 
 # module reading ``verdict.worst`` -> shipped scenarios that a reducer
@@ -143,6 +153,19 @@ def test_ns_mutation_flips_shipped_verdicts(mutation, monkeypatch):
     assert all(expectation_met(name) for name in scenarios)
     monkeypatch.setattr(fr.NSSymmetry, attr, value)
     assert not any(expectation_met(name) for name in scenarios)
+
+
+def test_reference_transport_mutation_flips_shipped_verdicts(monkeypatch):
+    assert all(expectation_met(name) for name in DROPPED_C_DOT)
+    carry = fr.FrameChange.carry
+
+    def without_c_dot(self, x0, v0):
+        # the same frame with its origin held still carries v0 as Q v0
+        still = fr.FrameChange(self.q, zero(VEC), self.tau)
+        return carry(self, x0, v0)[0], carry(still, x0, v0)[1]
+
+    monkeypatch.setattr(fr.FrameChange, "carry", without_c_dot)
+    assert not any(expectation_met(name) for name in DROPPED_C_DOT)
 
 
 def test_reducer_mutation_flips_shipped_verdicts(monkeypatch):
