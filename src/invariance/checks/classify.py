@@ -289,7 +289,7 @@ def _on_mapped_points(e):
     """``e``, an expression of the rotated frame's coordinates, read at
     x~ = Q x + c of the rotation frame: an expression of the raw points."""
     q, c = _FRAME.exprs(0)
-    x_new = add(fr.mat_vec(q, x_vector()), c)
+    x_new = add(dot(q, x_vector()), c)
     return compose(e, [comp(x_new, i) for i in range(3)], time())
 
 

@@ -8,6 +8,10 @@ evaluator/differentiator can memoise by ``id``.
 Derivative operators (grad/div/lap/dt) are kept as first-class nodes and
 expanded symbolically before evaluation; no finite differences are ever
 used outside the test oracles.
+
+Both evaluators, ``evaluate_many`` and ``float_kernel``, sum the three
+products of ``dot`` and ``norm`` left to right, so a value has the same
+bits on either path and at any number of points.
 """
 
 import math
@@ -186,18 +190,21 @@ def div_by(a, b):
     return mul(a, func("power", b, const(-1.0)))
 
 
-_DOT_SIG = {
-    (VEC, VEC): SCALAR,
-    (MAT, VEC): VEC,
-    (MAT, MAT): MAT,
-    (VEC, MAT): VEC,
+# dot's shape by operand shapes, and the left operand's j-th slice along
+# the contracted index, which ``evaluate_many`` multiplies by the right
+# operand's j-th row
+_DOT = {
+    (VEC, VEC): (SCALAR, lambda j: j),
+    (MAT, VEC): (VEC, lambda j: (slice(None), j)),
+    (MAT, MAT): (MAT, lambda j: (slice(None), j, None)),
+    (VEC, MAT): (VEC, lambda j: j),
 }
 
 
 def dot(a, b):
-    out = _DOT_SIG.get((a.shape, b.shape))
-    if out is None:
+    if (a.shape, b.shape) not in _DOT:
         raise ShapeError("dot undefined for (%s, %s)" % (a.shape, b.shape))
+    out = _DOT[(a.shape, b.shape)][0]
     if _is_zero(a) or _is_zero(b):
         return zero(out)
     return _mk("dot", (a, b), shape=out)
@@ -641,12 +648,20 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     return vals[-1]
 
 
+def _reads(node):
+    """A node's operands, less the unread exponent of ``power(b, -1)``."""
+    if node.data == "power" and _is_const(node.args[1], -1.0):
+        return node.args[:1]
+    return node.args
+
+
 def _post_order(root):
     """The nodes of a DAG in evaluation order, each shared node once.
 
-    The order is the post-order of a left-to-right depth-first walk:
-    operands before the node, the left one first.  The walk is iterative,
-    so deep DAGs do not hit the recursion limit.
+    The order is the post-order of a left-to-right depth-first walk over
+    the operands each node ``_reads``: operands before the node, the left
+    one first.  The walk is iterative, so deep DAGs do not hit the
+    recursion limit.
     """
     seen = set()
     stack = [(root, False)]
@@ -656,7 +671,7 @@ def _post_order(root):
             continue
         if not ready:
             stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
+            stack.extend((a, False) for a in reversed(_reads(node)))
             continue
         seen.add(id(node))
         yield node
@@ -677,7 +692,7 @@ def _build_tape(root):
         if op is None:
             raise ExprError("unexpandable node %r reached evaluator"
                             % node.kind)
-        args = [slot[id(a)] for a in node.args]
+        args = [slot[id(a)] for a in _reads(node)]
         steps.append(op(node, args))
         for a in args:
             last_use[a] = k
@@ -737,23 +752,24 @@ def _op_mul(node, slots):
     return lambda v, env: v[a] * v[b]
 
 
-_DOT_EINSUM = {
-    (VEC, VEC): "in,in->n",
-    (MAT, VEC): "ijn,jn->in",
-    (MAT, MAT): "ijn,jkn->ikn",
-    (VEC, MAT): "in,ijn->jn",
-}
-
-
 def _op_dot(node, slots):
     a, b = slots
-    subs = _DOT_EINSUM[(node.args[0].shape, node.args[1].shape)]
-    return lambda v, env: np.einsum(subs, v[a], v[b])
+    i, j, k = map(_DOT[(node.args[0].shape, node.args[1].shape)][1],
+                  range(3))
+
+    def dot(v, env):
+        # in place: at large N temporaries cost more than the arithmetic
+        x, y = v[a], v[b]
+        out = x[i] * y[0]
+        out += x[j] * y[1]
+        out += x[k] * y[2]
+        return out
+    return dot
 
 
 def _op_outer(node, slots):
     a, b = slots
-    return lambda v, env: np.einsum("in,jn->ijn", v[a], v[b])
+    return lambda v, env: v[a][:, None] * v[b][None, :]
 
 
 def _op_transpose(node, slots):
@@ -763,7 +779,8 @@ def _op_transpose(node, slots):
 
 def _op_norm(node, slots):
     a, = slots
-    return lambda v, env: np.sqrt(np.einsum("in,in->n", v[a], v[a]))
+    return lambda v, env: np.sqrt(v[a][0] * v[a][0] + v[a][1] * v[a][1]
+                                  + v[a][2] * v[a][2])
 
 
 # np.array of the (N,) entries: the values of np.stack at a third of
@@ -801,16 +818,17 @@ _SQRT_DOMAIN = "sqrt of a negative value"
 def _op_func(node, slots):
     name = node.data
     if name == "power":
-        a, b = slots
-        if _is_const(node.args[1], -1.0):
-            # numpy's pow loop rounds b**-1 away from the correctly
-            # rounded 1 / b on a few percent of bases
+        a = slots[0]
+        if len(slots) == 1:
+            # a reciprocal (``_reads``): numpy's pow loop rounds b**-1 away
+            # from the correctly rounded 1 / b on a few percent of bases
             def reciprocal(v, env):
                 base = v[a]
                 if np.any(np.abs(base) < _SINGULARITY_EPS):
                     raise EvalError(_POWER_SINGULAR)
                 return 1.0 / base
             return reciprocal
+        b = slots[1]
 
         def power(v, env):
             base, expo = v[a], v[b]
@@ -866,15 +884,16 @@ def float_kernel(e):
     where the evaluator does.
 
     Sums, products, ``sqrt``, ``abs`` and ``sign`` are Python float
-    operations, which IEEE 754 rounds exactly as numpy's loops do.  A
-    constant exponent of -1 is the correctly rounded ``1.0 / b`` here and
-    in ``evaluate_many``.  Other powers, ``exp``, ``log``, ``sin`` and
+    operations, which IEEE 754 rounds exactly as numpy's loops do.
+    ``dot`` and ``norm`` sum their three products left to right, one
+    component at a time, as ``evaluate_many`` does.  A constant exponent
+    of -1 is the correctly rounded ``1.0 / b`` here and in
+    ``evaluate_many``.  Other powers, ``exp``, ``log``, ``sin`` and
     ``cos`` call numpy's array loop on one element: ``math`` and numpy's
-    scalar path round some of them differently.  ``dot``, ``norm`` and a
-    ``power`` whose exponent is not a constant are refused when the
-    kernel is built: einsum picks its own summation order, and numpy
-    rounds such a power in two ways.  The source is compiled on first use
-    and cached per expanded root.
+    scalar path round some of them differently.  A ``power`` whose
+    exponent is not a constant is refused when the kernel is built:
+    numpy rounds such a power in two ways.  The source is compiled on
+    first use and cached per expanded root.
     """
     e = expand_derivatives(e)
     kernel = _kernel_memo.get(id(e))
@@ -903,7 +922,7 @@ def _emit_kernel(root):
         emit = _EMIT.get(node.kind)
         if emit is None:
             raise ExprError("float kernel: unsupported node %r" % node.kind)
-        names[id(node)] = emit(node, [names[id(a)] for a in node.args],
+        names[id(node)] = emit(node, [names[id(a)] for a in _reads(node)],
                                "v%d" % k, lines, env)
     out = _tuple_text(root.shape, names[id(root)])
     source = "\n".join(
@@ -983,6 +1002,21 @@ def _emit_mul(node, args, name, lines, env):
                    ["%s * %s" % (a, bi) for bi in b])
 
 
+def _emit_dot(node, args, name, lines, env):
+    a, b = args
+    rows = [a] if node.args[0].shape == VEC else [a[0:3], a[3:6], a[6:9]]
+    cols = [b] if node.args[1].shape == VEC else [b[0::3], b[1::3], b[2::3]]
+    sums = [" + ".join("%s * %s" % pair for pair in zip(row, col))
+            for row in rows for col in cols]
+    return _assign(lines, _parts(node.shape, name),
+                   sums[0] if node.shape == SCALAR else sums)
+
+
+def _emit_norm(node, args, name, lines, env):
+    squares = " + ".join("%s * %s" % (c, c) for c in args[0])
+    return _assign(lines, name, "_sqrt(%s)" % squares)
+
+
 def _emit_outer(node, args, name, lines, env):
     a, b = args
     return _assign(lines, _parts(MAT, name),
@@ -1051,9 +1085,10 @@ def _emit_power(node, base, name, lines, env):
 
 _EMIT = {
     "const": _emit_const, "coord": _emit_coord, "time": _emit_time,
-    "sym": _emit_sym, "add": _emit_add, "mul": _emit_mul,
-    "outer": _emit_outer, "transpose": _emit_transpose, "vec": _emit_vec,
-    "mat": _emit_mat, "comp": _emit_comp, "func": _emit_func,
+    "sym": _emit_sym, "add": _emit_add, "mul": _emit_mul, "dot": _emit_dot,
+    "outer": _emit_outer, "transpose": _emit_transpose, "norm": _emit_norm,
+    "vec": _emit_vec, "mat": _emit_mat, "comp": _emit_comp,
+    "func": _emit_func,
 }
 
 

@@ -12,6 +12,8 @@ given times.  The mechanics checks, the geometric suite and the
 classifiers' base spin read ``at``; the classifiers compose their point
 map with ``exprs``.  ``FrameChange.carry`` moves reference values with
 the frame, for the mechanics checks and the closure screen's G row alike.
+Q times a vector is ``dot`` in expressions and ``rotate`` over arrays;
+both sum one component at a time, so neither depends on the batch size.
 A ``RotationSpec`` only names the axis, rate and phase of a uniform
 rotation.
 
@@ -45,7 +47,7 @@ from .expr import (
 
 __all__ = [
     "RotationSpec", "FrameChange",
-    "rodrigues_q", "axis_cross_mat", "mat_vec", "rotate", "at_times",
+    "rodrigues_q", "axis_cross_mat", "rotate", "at_times",
     "NS_SYMMETRIES", "transform_ns_fields",
 ]
 
@@ -80,26 +82,10 @@ def _uniform_path(v, c):
     return add(mul(time(), vector_const(v)), vector_const(c))
 
 
-def _sum_of_products(a, b):
-    """a0 b0 + a1 b1 + a2 b2, summed left to right."""
-    return add(add(mul(a[0], b[0]), mul(a[1], b[1])), mul(a[2], b[2]))
-
-
-def _rows(m):
-    return [[comp(m, i, j) for j in range(3)] for i in range(3)]
-
-
-def mat_vec(m, v):
-    """m v written out per component.  Unlike ``dot`` it compiles to a
-    float kernel, and it rounds as ``rotate`` does."""
-    vs = [comp(v, j) for j in range(3)]
-    return vec(*[_sum_of_products(row, vs) for row in _rows(m)])
-
-
 def rotate(m, a):
-    """m a for m (3, 3) or (3, 3, N) and a (3,) or (3, N), summed per
-    component as ``mat_vec`` is, so a value does not depend on how many
-    points share the call."""
+    """m a for m (3, 3) or (3, 3, N) and a (3,) or (3, N), summed left to
+    right one component at a time as the evaluators' ``dot`` is, so a
+    value does not depend on how many points share the call."""
     return m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]
 
 
@@ -122,17 +108,13 @@ def rodrigues_q(axis, theta):
     """Q = I + sin(theta) K + (1 - cos(theta)) K^2 as a matrix expression.
 
     ``axis`` must be a unit vector (numbers or scalar nodes); ``theta`` a
-    scalar node or number.  K^2 is written out per entry, so Q holds no
-    ``dot`` and compiles to a float kernel.
+    scalar node or number.
     """
     theta = _as_scalar(theta)
     k = axis_cross_mat(axis)
-    rows = _rows(k)
-    k2 = mat([[_sum_of_products(row, [r[j] for r in rows]) for j in range(3)]
-              for row in rows])
     return add(matrix_const(np.eye(3)),
                add(mul(func("sin", theta), k),
-                   mul(sub(const(1.0), func("cos", theta)), k2)))
+                   mul(sub(const(1.0), func("cos", theta)), dot(k, k))))
 
 
 def _normalize(axis):
@@ -230,8 +212,8 @@ class FrameChange:
         dc = self.exprs(1)[1]
         back = sub(time(), const(self.tau))
         return tuple(
-            compose(add(mat_vec(q, ref if isinstance(ref, Node)
-                                else vector_const(ref)), shift), (), back)
+            compose(add(dot(q, ref if isinstance(ref, Node)
+                            else vector_const(ref)), shift), (), back)
             for ref, shift in ((x0, c), (v0, dc)))
 
 
@@ -261,16 +243,8 @@ def _split_vec(v):
 
 
 def _times(m, v):
-    """m v.  The identity is skipped, and another constant m of 0 and +-1
-    entries (a reflection) is written per component so that its products
-    fold away; any other m is one ``dot``, which keeps the expanded
-    derivative DAGs small."""
-    if m is matrix_const(np.eye(3)):
-        return v
-    if m.kind == "mat" and all(e.kind == "const" and abs(e.data) in (0.0, 1.0)
-                               for e in m.args):
-        return mat_vec(m, v)
-    return dot(m, v)
+    """m v, with the identity skipped."""
+    return v if m is matrix_const(np.eye(3)) else dot(m, v)
 
 
 class NSSymmetry:

@@ -43,20 +43,10 @@ V_ABS = sym("v_abs", ex.VEC)
 T_ABS = sym("t_abs")
 
 
-def _inner(a, b):
-    """a . b summed component by component.  Unlike ``dot``, whose einsum
-    rounds one state differently from a batch, its value at a state does
-    not depend on how many states are evaluated with it."""
-    out = mul(ex.comp(a, 0), ex.comp(b, 0))
-    for i in (1, 2):
-        out = add(out, mul(ex.comp(a, i), ex.comp(b, i)))
-    return out
-
-
 # force_at substitutes these for r, s and q, so the evaluator computes
-# only the invariants a force law uses
-_INVARIANTS = {"r": ex.func("sqrt", _inner(DX, DX)),
-               "s": ex.func("sqrt", _inner(DV, DV)), "q": _inner(DX, DV)}
+# only the invariants a force law uses; ``norm`` and ``dot`` give a state
+# the same bits on either evaluator and in any batch
+_INVARIANTS = {"r": ex.norm(DX), "s": ex.norm(DV), "q": ex.dot(DX, DV)}
 
 
 @dataclass(frozen=True)

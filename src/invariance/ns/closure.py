@@ -158,7 +158,7 @@ def _galilei_row(model, rng, n_samples, tol):
     (a, c2), c1 = frame.at(0.0), frame.at(0.0, 1)[1]
     spec = fr.Galilei(c0=frame.tau, a_mat=a, c1=c1, c2=c2)
     q, c = frame.exprs(0)
-    x_new = ex.add(fr.mat_vec(q, ex.x_vector()), c)
+    x_new = ex.add(ex.dot(q, ex.x_vector()), c)
     forward = ([ex.comp(x_new, i) for i in range(3)],
                ex.add(ex.time(), ex.const(frame.tau)))
     t0, x0 = ex.sym("t0"), ex.sym("x0", ex.VEC)
@@ -176,12 +176,11 @@ def _galilei_row(model, rng, n_samples, tol):
         v = _ansatz(model, state.u, state.nu, t0, x0, U0)
         v_new = ex.expand_derivatives(
             _ansatz(model, u_new, state.nu, t0_new, x0_new, u0_new))
-        av = fr.mat_vec(q, v)
-        diff, av = ex.evaluate_many(
-            ex.bundle(ex.sub(ex.compose(v_new, *forward), av), av), t, x,
-            bind)
-        cases.append(np.sqrt(np.sum(diff * diff, axis=0))
-                     / (1.0 + np.sqrt(np.sum(av * av, axis=0))))
+        av = ex.dot(q, v)
+        diff, size = ex.evaluate_many(ex.bundle(
+            ex.norm(ex.sub(ex.compose(v_new, *forward), av)), ex.norm(av)),
+            t, x, bind)
+        cases.append(diff / (1.0 + size))
     top, k = worst(cases)
     flow, k = divmod(k, n_samples)
     note = "worst residual on %s at t=%.6g, x=(%.6g, %.6g, %.6g)" % (

@@ -5,8 +5,11 @@ oracle — the oracle is the ground truth here, the symbolic engine the
 implementation under test.
 """
 
+import sys
 import tracemalloc
 import warnings
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from invariance.expr import (
     differentiate, expand_derivatives, substitute, compose,
     evaluate_many, parse_field_expr, to_dsl,
 )
+from invariance.report import run_scenario
 
 RNG = np.random.default_rng(20240817)
+SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
 
 
 def point(t, x):
@@ -191,10 +196,8 @@ class TestTape:
             single = dict(bind, w=bind["w"][k])
             columns.append(
                 evaluate_many(e, *point(t[k], x[:, k]), single)[..., 0])
-        # numpy's einsum may round a contraction over a broadcast binding
-        # differently for one point than for nine, so allow the last bits
-        np.testing.assert_allclose(got, np.stack(columns, axis=-1),
-                                   rtol=1e-14, atol=1e-14)
+        # bytes, so that a zero of the wrong sign is a difference
+        assert got.tobytes() == np.stack(columns, axis=-1).tobytes()
 
     @pytest.mark.parametrize("text, error, message", [
         ("norm(x)^(-1.0)", ex.EvalError, "singularity guard"),
@@ -210,6 +213,14 @@ class TestTape:
         x = np.array([[1.0, 0.5, 0.0], [0.2, 0.3, 0.0], [0.1, 0.4, 0.0]])
         with pytest.raises(error, match=message):
             evaluate_many(e, np.zeros(3), x)
+
+    def test_a_reciprocal_does_not_evaluate_its_exponent(self):
+        # a, b, 1 / b and a * (1 / b): no step fills the -1 exponent
+        e = div_by(sym("a"), sym("b"))
+        assert len(ex._build_tape(e)) == 4
+        got = evaluate_many(e, np.zeros(2), np.zeros((3, 2)),
+                            {"a": 3.0, "b": [2.0, 4.0]})
+        assert got.tolist() == [1.5, 0.75]
 
     def test_unexpandable_node_is_refused(self):
         # as the root, and as the operand of a node compiled after it
@@ -348,9 +359,11 @@ class TestFloatKernel:
 
     SYMBOLS = {"nu": SCALAR, "a": VEC, "Q": MAT, "w": SCALAR}
     # together these reach every node kind the emitter accepts, every
-    # function, and constant exponents that are negative, non-integer
-    # and integer
+    # shape pair of dot, every function, and constant exponents that are
+    # negative, non-integer and integer
     CORPUS = [
+        "dot(x, x)", "norm(x)", "comp(dot(Q, x), 1)",
+        "dot(x, Q) + norm(a - x) * dot(dot(Q, transpose(Q)), a)",
         "nu * t + w - 2.5",
         "w * a + 2.0 * x - a",
         "outer(x, a) + transpose(outer(a, x)) + nu * Q",
@@ -399,14 +412,17 @@ class TestFloatKernel:
             assert np.array(got).tobytes() == many[..., k].tobytes()
 
     def test_every_accepted_kind_is_reached(self):
-        kinds, funcs = set(), set()
+        kinds, funcs, pairs = set(), set(), set()
         for text in self.CORPUS:
             for node in ex._post_order(expand_derivatives(
                     parse_field_expr(text, self.SYMBOLS))):
                 kinds.add(node.kind)
                 if node.kind == "func":
                     funcs.add(node.data)
+                if node.kind == "dot":
+                    pairs.add(tuple(a.shape for a in node.args))
         assert kinds == set(ex._EMIT)
+        assert pairs == set(ex._DOT)
         assert funcs == {"sin", "cos", "exp", "log", "sqrt", "abs", "sign",
                          "power"}
 
@@ -466,8 +482,7 @@ class TestFloatKernel:
         assert all(np.isnan(got))
 
     @pytest.mark.parametrize("text", [
-        "dot(x, x)", "norm(x)", "comp(dot(Q, x), 1)", "power(2.0, w)",
-        "power(comp(x, 1), comp(x, 2))",
+        "power(2.0, w)", "power(comp(x, 1), comp(x, 2))",
     ])
     def test_unsupported_kinds_are_refused_when_built(self, text):
         e = parse_field_expr(text, self.SYMBOLS)
@@ -552,6 +567,65 @@ class TestReciprocal:
         with pytest.raises(ex.EvalError, match="singularity guard"):
             evaluate_many(self.E, np.zeros(9), np.zeros((3, 9)),
                           {"b": batch})
+
+
+class TestShippedRoots:
+    """Every expanded root that the shipped scenarios evaluate gives the
+    same bits for a point evaluated alone as for the same point among
+    nine."""
+
+    @staticmethod
+    def cut(root, take, t_arr, x_arr, bindings):
+        """The points ``take`` of an ``evaluate_many`` call, with each
+        per-point binding cut to them."""
+        n = np.shape(t_arr)[0]
+        ndim = {node.data[0]: {SCALAR: 1, VEC: 2, MAT: 3}[node.shape]
+                for node in ex._post_order(root) if node.kind == "sym"}
+        bind = {}
+        for name, value in (bindings or {}).items():
+            value = np.asarray(value, dtype=float)
+            if value.ndim == ndim.get(name) and value.shape[-1] == n:
+                value = value[..., take]
+            bind[name] = value
+        return (np.asarray(t_arr, dtype=float)[take],
+                np.asarray(x_arr, dtype=float)[:, take], bind)
+
+    def test_one_point_equals_nine(self, monkeypatch):
+        evaluate, calls = ex.evaluate_many, {}
+
+        def recording(e, t_arr, x_arr, bindings=None):
+            out = evaluate(e, t_arr, x_arr, bindings)
+            root = expand_derivatives(e)
+            if id(root) not in calls:
+                # the first nine points, repeated if the call has fewer
+                take = np.arange(9) % np.shape(t_arr)[0]
+                calls[id(root)] = (root, self.cut(root, take, t_arr, x_arr,
+                                                  bindings))
+            return out
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("invariance.") \
+                    and getattr(module, "evaluate_many", None) is evaluate:
+                monkeypatch.setattr(module, "evaluate_many", recording)
+        scenarios = sorted(SCENARIO_DIR.glob("*.json"))
+        assert len(scenarios) == 36
+        for path in scenarios:
+            assert run_scenario(path, no_timestamp=True)[1] == 0, path.name
+        # a bundle's roots count one by one
+        roots = [r for root, _ in calls.values()
+                 for r in (root.args if root.kind == "bundle" else (root,))]
+        assert len(roots) > 50
+        differ = set()
+        for root, nine_points in calls.values():
+            nine = evaluate(root, *nine_points)
+            for k in range(9):
+                one = evaluate(root, *self.cut(root, [k], *nine_points))
+                for r, many, single in zip(
+                        *(v if root.kind == "bundle" else (v,)
+                          for v in (root.args, nine, one))):
+                    if many[..., k].tobytes() != single[..., 0].tobytes():
+                        differ.add(r)
+        assert not differ, "%d of %d roots differ" % (len(differ), len(roots))
 
 
 class TestParserPrinter:

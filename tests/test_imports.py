@@ -1,8 +1,9 @@
 """Every module-level import in ``src/invariance`` is used by its module
 or re-exported through its ``__all__``, every other module-level name is
 exported or read somewhere in the package, only ``checks/verdict.py``
-turns residuals into verdicts, and no check is an ``assert``, which
-``python -O`` removes."""
+turns residuals into verdicts, no check is an ``assert``, which
+``python -O`` removes, and ``expr.py`` contracts only by its own
+component-wise rule, never through numpy's einsum or matmul."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,36 @@ def test_the_check_sees_an_assert(tmp_path):
         "def f(x):\n    assert x, 'message'\n"
         "    if x:\n        assert (x > 1)\n    return 'assert x'\n")
     assert assert_statements(tmp_path) == ["a.py:2", "a.py:4"]
+
+
+_CONTRACTIONS = ("einsum", "matmul")
+
+
+def numpy_contractions(path):
+    """Lines of the module at ``path`` that hold an ``@`` product or the
+    name, attribute, import or string ``einsum`` or ``matmul``."""
+    found = []
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                str(path))):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)):
+            hit = isinstance(n.op, ast.MatMult)
+        else:
+            hit = any(getattr(n, field, None) in _CONTRACTIONS
+                      for field in ("id", "attr", "name", "value"))
+        if hit:
+            found.append(n.lineno)
+    return sorted(found)
+
+
+def test_expr_contracts_by_one_rule():
+    assert numpy_contractions(SRC / "expr.py") == []
+
+
+def test_the_check_sees_a_numpy_contraction(tmp_path):
+    module = tmp_path / "a.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy import einsum\n"
+        "def f(a, b):\n    c = a @ b\n    c @= b\n"
+        "    return np.einsum('i,i', a, b), np.matmul(a, b), einsum, "
+        "getattr(np, 'matmul'), np.dot(a, b)\n")
+    assert numpy_contractions(module) == [2, 4, 5, 6, 6, 6, 6]

@@ -12,7 +12,8 @@ them for the mechanics checks, the geometric suite and the classifiers'
 base spin, the classifiers compose their point map with them, and each
 Navier-Stokes symmetry derives its inverse map from them.
 ``FrameChange.carry`` transports the reference values of the mechanics
-checks and of the closure screen's G row.  Verdict side:
+checks and of the closure screen's G row.  Evaluator side: ``dot`` is
+the one contraction rule of ``evaluate_many``.  Verdict side:
 ``verdict.worst`` is the one reduction of residual arrays, and
 ``verdict.meets`` the one rule that judges an expected outcome.
 """
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invariance import expr as ex
 from invariance import frames as fr
 from invariance import report
 from invariance.checks import verdict
@@ -86,6 +88,19 @@ NS_MUTATIONS = {
 # flip: only the G row sees it, since no shipped mechanics check runs a
 # law that reads xdot - v0r under a frame with a moving origin
 DROPPED_C_DOT = ("closure_compliant",)
+
+
+# shipped scenarios that a dot without its last product must flip: the
+# classifiers' tensor rules and the rotating frame's K^2 sum through it
+DROPPED_DOT_PRODUCT = ("classify_scalar_isotropic", "classify_strain_rate",
+                       "mech_noninertial_closure")
+
+
+def _dot_without_last_product(node, slots):
+    a, b = slots
+    i, j = map(ex._DOT[(node.args[0].shape, node.args[1].shape)][1],
+               range(2))
+    return lambda v, env: v[a][i] * v[b][0] + v[a][j] * v[b][1]
 
 
 # module reading ``verdict.worst`` -> shipped scenarios that a reducer
@@ -166,6 +181,13 @@ def test_reference_transport_mutation_flips_shipped_verdicts(monkeypatch):
 
     monkeypatch.setattr(fr.FrameChange, "carry", without_c_dot)
     assert not any(expectation_met(name) for name in DROPPED_C_DOT)
+
+
+def test_contraction_mutation_flips_shipped_verdicts(monkeypatch):
+    assert all(expectation_met(name) for name in DROPPED_DOT_PRODUCT)
+    monkeypatch.setattr(ex, "_tape_memo", {})
+    monkeypatch.setitem(ex._OPS, "dot", _dot_without_last_product)
+    assert not any(expectation_met(name) for name in DROPPED_DOT_PRODUCT)
 
 
 def test_reducer_mutation_flips_shipped_verdicts(monkeypatch):
