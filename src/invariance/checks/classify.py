@@ -1,16 +1,21 @@
-"""Form-invariance vs. frame-indifference classifiers under rotations.
+"""Form-invariance vs. frame-indifference: ``classify``, the one
+classifier check, under rotations.
 
 A Quantity is an expression over inner field symbols (``u`` a velocity
 field, ``phi`` a scalar field) plus an optional frame-bound spin symbol
-``OMEGA``.  Checks compare, at low-discrepancy sample points,
+``OMEGA``.  ``classify`` compares, at low-discrepancy sample points,
 
   * tensor (form-invariance): the quantity recomputed from the rotated
     frame's own definitions against the homogeneous rule Q-action on the
     original value;
   * objectivity: additionally, that the rotated observer's functional
-    form coincides with the original form on the same arguments;
+    form coincides with the original form on the same arguments
+    (explicit mode), or that the closed form is unchanged at the same
+    points (full mode);
   * relative objectivity: the same functional form evaluated in two
     spinning frames, each using its own spin value.
+
+Each part is a ``CheckPart.of`` verdict on its worst residual.
 
 All transformed-field expressions are built once over one rotation frame,
 ``frames.FrameChange.rotation`` with symbolic parameters (axis, rate,
@@ -18,13 +23,12 @@ phase): the Rodrigues declaration that ``RotationSpec.frame`` fills with
 numbers.  An expression of the rotated frame's coordinates is composed
 with that frame's own point map x~ = Q x + c, read from
 ``FrameChange.exprs``, so every comparison is one expression a - b of
-the raw sample points.  A scan evaluates the bundle of a check's
-differences for a batch of rotations per call: one point axis made of
+the raw sample points.  A scan evaluates the bundle of the differences
+of all parts for a batch of rotations per call: one point axis made of
 one block of the same sample points per rotation, with the parameters
 bound per point.  Checking 50 rotations thus costs five evaluator calls
 in all and no expression builds, and the one tape of a call computes Q,
-its sines and the nodes the comparisons share once, so ``classify``
-evaluates the tensor test's expressions once for both of its parts.
+its sines and the nodes the comparisons share once.
 """
 
 from dataclasses import dataclass
@@ -47,10 +51,8 @@ __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
     "velocity_quantity", "velocity_relative_quantity", "strain_rate_quantity",
     "vorticity_quantity", "vorticity_relative_quantity", "z_tensor_quantity",
-    "composite_norm_quantity",
-    "check_form_invariance", "check_objectivity",
-    "check_relative_objectivity", "classify",
-    "form_invariance_defect", "random_rotations",
+    "composite_norm_quantity", "classify", "form_invariance_defect",
+    "random_rotations",
     "GENERIC_VELOCITY", "GENERIC_SCALAR", "ISOTROPIC_SCALAR",
 ]
 
@@ -367,135 +369,68 @@ def _tensor_pair(q, base_spin):
     return (tilde_value, True, rule_value, False)
 
 
-def _form_verdict(found, tol):
-    (top, witness), = found
-    return Verdict(tolerance=tol, witness=witness,
-                   tensor=CheckPart.of(top, tol))
+def _pairs(q, mode, base_spin):
+    """The comparisons of ``classify``, one per part, the tensor pair first.
 
-
-def check_form_invariance(q, specs, n_points=200, tol=DEFAULT_TOL,
-                          seed=None, base_spin=None):
-    """Tensor test: rotated-frame recomputation vs. the homogeneous rule."""
-    return _form_verdict(_scan(_as_specs(specs), [_tensor_pair(q, base_spin)],
-                               n_points, seed), tol)
-
-
-def _objectivity_pairs(q, mode, base_spin):
+    A relative quantity adds (a) its value with the spin of
+    ``base_spin`` against with zero spin, in the base frame, whose offset
+    fails absolute objectivity whenever the base frame spins, and (b) the
+    transport between two spinning frames, each using its own spin.  Any
+    other quantity adds the objectivity pair of ``mode``: "explicit"
+    compares the rotated observer's form with the original form on the
+    same (transformed) arguments, "full" the fully substituted closed
+    form with the original at the same raw points.
+    """
+    tensor = _tensor_pair(q, None)
     if q.relative:
-        raise ValueError("use check_relative_objectivity for relative "
-                         "quantities")
+        return [tensor,
+                (_built(q, base_spin)[0], False, _built(q, None)[0], False),
+                _tensor_pair(q, base_spin)]
     if mode == "full":
         concrete, moved = _built_full(q)
-        return [(moved, False, concrete, False)]
+        return [tensor, (moved, False, concrete, False)]
     if mode != "explicit":
         raise ValueError("mode must be 'explicit' or 'full'")
-    _, tilde_value, _, base_form = _built(q, base_spin)
-    return [_tensor_pair(q, base_spin), (tilde_value, True, base_form, True)]
-
-
-def _objectivity_verdict(found, tol, mode):
-    if mode == "full":
-        (top, witness), = found
-        return Verdict(tolerance=tol, witness=witness,
-                       objective=CheckPart.of(top, tol),
-                       notes=("mode=full",))
-    (tensor_worst, witness), (form_worst, form_witness) = found
-    tensor = CheckPart.of(tensor_worst, tol)
-    notes = ()
-    if not tensor.passed:
-        notes = ("not form-invariant, objectivity precluded",)
-    elif not CheckPart.of(form_worst, tol).passed:
-        witness = form_witness
-    return Verdict(tolerance=tol, witness=witness, tensor=tensor,
-                   objective=CheckPart.of(
-                       worst([tensor_worst, form_worst])[0], tol),
-                   notes=notes)
-
-
-def check_objectivity(q, specs, n_points=200, tol=DEFAULT_TOL, seed=None,
-                      mode="explicit", base_spin=None):
-    """Frame-indifference test.
-
-    Explicit mode compares the rotated observer's form with the original
-    form on the same (transformed) arguments, on top of the tensor test;
-    objectivity cannot hold where form-invariance already fails, so a
-    tensor failure forces the verdict.  Full mode compares the fully
-    substituted closed form against the original at the same raw points.
-    """
-    pairs = _objectivity_pairs(q, mode, base_spin)
-    return _objectivity_verdict(_scan(_as_specs(specs), pairs, n_points,
-                                      seed), tol, mode)
-
-
-def _relative_pairs(q, base_spin):
-    if not q.relative:
-        raise ValueError("quantity carries no frame-spin offset")
-    # (a) value with the frame's own spin vs. with zero spin, base frame
-    with_spin = _built(q, base_spin)[0]
-    without = _built(q, None)[0]
-    # (b) transport between the two spinning frames
-    return [(with_spin, False, without, False), _tensor_pair(q, base_spin)]
-
-
-def _relative_verdict(found, tol):
-    (abs_worst, _), (rel_worst, rel_witness) = found
-    note = ("absolute frame-dependence offset %.3e (expected nonzero for "
-            "a spinning base frame)" % abs_worst)
-    return Verdict(tolerance=tol, witness=rel_witness,
-                   objective=CheckPart.of(abs_worst, tol),
-                   relative_objective=CheckPart.of(rel_worst, tol),
-                   notes=(note,))
-
-
-def check_relative_objectivity(q, specs, base_spin, n_points=200,
-                               tol=DEFAULT_TOL, seed=None):
-    """Appendix-style two-part test for spin-redefined quantities.
-
-    (a) absolute frame-dependence: the quantity with the frame's spin vs.
-    with zero spin differs by exactly the offset, so absolute objectivity
-    fails whenever the base frame spins; (b) relative objectivity: the
-    same functional form, each frame using its own spin, agrees with the
-    Q-transport between two spinning frames.
-    """
-    pairs = _relative_pairs(q, base_spin)
-    return _relative_verdict(_scan(_as_specs(specs), pairs, n_points, seed),
-                             tol)
+    _, tilde_value, _, base_form = _built(q, None)
+    return [tensor, (tilde_value, True, base_form, True)]
 
 
 def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
              base_spin=None, objectivity_mode=None):
-    """Full verdict: tensor, objectivity, and (if relative) relative part.
+    """Verdict of the tensor, objectivity and, for a relative quantity,
+    relative-objectivity parts.
 
-    The tensor test and the objectivity (or relative) test run as one
-    scan, so a comparison or evaluation that both need is made once.
+    ``objectivity_mode`` defaults to "full" for a scalar inner field and
+    to "explicit" otherwise; ``base_spin`` is the spinning base frame of
+    a relative quantity.  Every part's comparison runs in one scan.
+    Objectivity cannot hold where form-invariance fails: the explicit
+    part judges the worse of its own and the tensor comparison, and so
+    does the full part once the tensor part fails.  The witness is the
+    first failing part's, or the tensor comparison's when all pass.
     """
     specs = random_rotations() if specs is None else _as_specs(specs)
+    mode = objectivity_mode or ("full" if q.field_rule == "scalar"
+                                else "explicit")
+    spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
+    found = _scan(specs, _pairs(q, mode, spin), n_points, seed)
+    tensor = CheckPart.of(found[0][0], tol)
     if q.relative:
-        spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
-        pairs = _relative_pairs(q, spin)
+        names = ("tensor", "objective", "relative_objective")
+        notes = ("absolute frame-dependence offset %.3e (expected nonzero "
+                 "for a spinning base frame)" % found[1][0],)
     else:
-        mode = objectivity_mode or ("full" if q.field_rule == "scalar"
-                                    else "explicit")
-        pairs = _objectivity_pairs(q, mode, None)
-    found = _scan(specs, [_tensor_pair(q, None)] + pairs, n_points, seed)
-    form = _form_verdict(found[:1], tol)
-    tensor, witness = form.tensor, form.witness
-
-    if q.relative:
-        rel = _relative_verdict(found[1:], tol)
-        return Verdict(tolerance=tol, witness=witness, tensor=tensor,
-                       objective=rel.objective,
-                       relative_objective=rel.relative_objective,
-                       notes=rel.notes)
-
-    obj = _objectivity_verdict(found[1:], tol, mode)
-    objective = obj.objective
-    if mode == "full" and not tensor.passed:
-        objective = CheckPart(passed=False, residual=worst(
-            [objective.residual, tensor.residual])[0])
+        names = ("tensor", "objective")
+        notes = ("mode=full",) if mode == "full" else ()
+        if not tensor.passed:
+            notes += ("not form-invariant, objectivity precluded",)
+        if mode == "explicit" or not tensor.passed:
+            found[1] = found[worst([found[0][0], found[1][0]])[1]]
+    parts = dict(zip(names, [tensor] + [CheckPart.of(top, tol)
+                                        for top, _ in found[1:]]))
     # audit: objectivity must never outrank form-invariance
-    if objective.passed and not tensor.passed:
+    if not q.relative and parts["objective"].passed and not tensor.passed:
         raise RuntimeError("classify: objectivity passed where "
                            "form-invariance failed")
-    return Verdict(tolerance=tol, witness=witness, tensor=tensor,
-                   objective=objective, notes=obj.notes)
+    witness = next((w for part, (_, w) in zip(parts.values(), found)
+                    if not part.passed), found[0][1])
+    return Verdict(tolerance=tol, witness=witness, notes=notes, **parts)

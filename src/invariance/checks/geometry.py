@@ -1,5 +1,7 @@
 """Charts, affine connection transport, covariant derivatives, and the
-geometric-invariance case suite.
+geometric-invariance case suite, which judges each case with
+``CheckPart.of`` like every other check: a frame-dependent case fails,
+and the scenario's ``expect`` says which cases should.
 
 A Chart stores the Cartesian coordinates as closed-form expressions of
 the chart coordinates; Jacobians and second derivatives come from
@@ -18,7 +20,7 @@ from ..expr import (
     Node, compose, differentiate, dot, evaluate_many, expand_derivatives,
     grad, mat, parse_field_expr, transpose,
 )
-from .verdict import CheckPart, meets
+from .verdict import CheckPart
 
 __all__ = [
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
@@ -199,43 +201,32 @@ def check_covariant_derivative(a_expr, chart, n_points=50, tol=1e-9,
 # geometric invariance of points and differences across frame classes
 # ---------------------------------------------------------------------------
 
-def _case(name, expected_invariant, residual, tol):
-    part = CheckPart.of(residual, tol)
-    return {
-        "case": name,
-        "expected_invariant": expected_invariant,
-        "residual": part.residual,
-        "invariant": part.passed,
-        "passed": meets(part, expected_invariant),
-    }
-
-
 def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
-    """Point/difference invariance across the frame-change cases.
+    """{case: CheckPart} of point/difference invariance across the
+    frame-change cases.
 
     Components always change; what is tested is whether recombining the
     new components with the correspondingly transformed basis restores
-    the original geometric object.
+    the original geometric object.  Each case is judged as invariant or
+    not; a point under a shift or a curvilinear chart, and a difference
+    under a time-dependent 3D map, are frame-dependent and fail.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(3, n_points))
     y = rng.uniform(-1.0, 1.0, size=(3, n_points))
     dx = rng.uniform(-0.1, 0.1, size=(3, n_points))
-    cases = []
+    residual = {}
 
     # constant invertible linear map: the point itself is invariant
     a_lin = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
     recombined = np.linalg.inv(a_lin) @ (a_lin @ x)
-    cases.append(_case("linear_point", True,
-                       np.max(np.abs(recombined - x)), tol))
+    residual["linear_point"] = np.max(np.abs(recombined - x))
 
     # constant shift: the point is frame-dependent, the difference is not
     b = np.array([1.0, 0.0, 0.0])
-    cases.append(_case("shift_point", False,
-                       np.max(np.abs((x + b[:, None]) - x)), tol))
+    residual["shift_point"] = np.max(np.abs((x + b[:, None]) - x))
     diff_shift = (x + b[:, None]) - (y + b[:, None])
-    cases.append(_case("shift_difference", True,
-                       np.max(np.abs(diff_shift - (x - y))), tol))
+    residual["shift_difference"] = np.max(np.abs(diff_shift - (x - y)))
 
     # curvilinear (spherical) chart: position components cannot be
     # recombined with the local basis, the differential can
@@ -245,13 +236,11 @@ def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
     cart = np.stack([evaluate_many(c, np.zeros(pts.shape[1]), pts)
                      for c in chart.coord_exprs()])
     point_recombined = np.einsum("ijn,jn->in", bmat, pts)
-    cases.append(_case("curvilinear_point", False,
-                       np.max(np.abs(point_recombined - cart)), tol))
+    residual["curvilinear_point"] = np.max(np.abs(point_recombined - cart))
     dchart = np.einsum("nij,jn->in",
                        np.linalg.inv(np.moveaxis(bmat, 2, 0)), dx)
     dx_back = np.einsum("ijn,jn->in", bmat, dchart)
-    cases.append(_case("curvilinear_differential", True,
-                       np.max(np.abs(dx_back - dx)), tol))
+    residual["curvilinear_differential"] = np.max(np.abs(dx_back - dx))
 
     # time-dependent linear map: even the difference picks up the
     # basis-drift term (A dA^{-1}/dt) x~ dt in 3D
@@ -264,14 +253,13 @@ def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
                 + np.einsum("ijn,jn->in", adot, x) * dt_step)
     back = np.einsum("nij,jn->in", np.linalg.inv(np.moveaxis(a_t, 2, 0)),
                      dx_tilde)
-    residual_3d = np.max(np.abs(back - dx))
-    cases.append(_case("time_dependent_3d_differential", False,
-                       residual_3d, tol))
+    defect = back - dx
+    residual["time_dependent_3d_differential"] = np.max(np.abs(defect))
     # the defect is exactly the drift term
     drift = np.einsum("nij,jn->in", np.linalg.inv(np.moveaxis(a_t, 2, 0)),
                       np.einsum("ijn,jn->in", adot, x)) * dt_step
-    cases.append(_case("time_dependent_3d_defect_identity", True,
-                       np.max(np.abs((back - dx) - drift)), tol))
+    residual["time_dependent_3d_defect_identity"] = np.max(
+        np.abs(defect - drift))
 
     # 4D embedding of the same frame change restores the differential
     n = n_points
@@ -283,8 +271,7 @@ def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
     d4_tilde = np.einsum("abn,bn->an", j4, d4)
     back4 = np.einsum("nab,bn->an", np.linalg.inv(np.moveaxis(j4, 2, 0)),
                       d4_tilde)
-    cases.append(_case("four_d_differential", True,
-                       np.max(np.abs(back4 - d4)), tol))
+    residual["four_d_differential"] = np.max(np.abs(back4 - d4))
 
     # 4D velocity (1, u) transforms as a tensor under x~ = A(t) x
     u = rng.uniform(-1.0, 1.0, size=(3, n_points))
@@ -294,7 +281,6 @@ def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
         [np.ones((1, n)),
          np.einsum("ijn,jn->in", a_t, u)
          + np.einsum("ijn,jn->in", adot, x)], axis=0)
-    cases.append(_case("four_d_velocity_tensor", True,
-                       np.max(np.abs(predicted - physical)), tol))
+    residual["four_d_velocity_tensor"] = np.max(np.abs(predicted - physical))
 
-    return cases
+    return {case: CheckPart.of(r, tol) for case, r in residual.items()}

@@ -2,8 +2,9 @@
 turns residuals into verdicts.
 
 Every check reduces its residual array with ``worst`` and judges the
-result with ``CheckPart.of``; a report judges an expected outcome with
-``meets``.  No other module compares a residual with its tolerance.
+result with ``CheckPart.of``, the only constructor of a part outside
+this module; a report judges an expected outcome with ``meets``.  No
+other module compares a residual with its tolerance.
 """
 
 import math

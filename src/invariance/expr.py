@@ -201,12 +201,32 @@ _DOT = {
 }
 
 
+def _dot_terms(shapes, a, b):
+    """Per entry of a dot of operands with ``shapes``, row-major, the
+    three (left, right) factor pairs it sums left to right; ``a`` and
+    ``b`` are the operands' flat entries."""
+    rows = [a] if shapes[0] == VEC else [a[0:3], a[3:6], a[6:9]]
+    cols = [b] if shapes[1] == VEC else [b[0::3], b[1::3], b[2::3]]
+    return [list(zip(row, col)) for row in rows for col in cols]
+
+
 def dot(a, b):
     if (a.shape, b.shape) not in _DOT:
         raise ShapeError("dot undefined for (%s, %s)" % (a.shape, b.shape))
     out = _DOT[(a.shape, b.shape)][0]
     if _is_zero(a) or _is_zero(b):
         return zero(out)
+    if all(e.kind in ("vec", "mat") and all(map(_is_const, e.args))
+           for e in (a, b)):
+        # folded in plain floats, in the evaluator's order: add and mul
+        # skip zeros, which can change the sign of a zero
+        sums = [const(x0 * y0 + x1 * y1 + x2 * y2)
+                for (x0, y0), (x1, y1), (x2, y2) in _dot_terms(
+                    (a.shape, b.shape), [e.data for e in a.args],
+                    [e.data for e in b.args])]
+        if out == MAT:
+            return mat([sums[0:3], sums[3:6], sums[6:9]])
+        return vec(*sums) if out == VEC else sums[0]
     return _mk("dot", (a, b), shape=out)
 
 
@@ -482,32 +502,25 @@ def expand_derivatives(e):
 
 
 def _rebuild(e, args):
+    """A node of ``e``'s kind over ``args``: ``e`` itself when they are
+    its own operands (a leaf always), else through the constructor."""
     if all(a is b for a, b in zip(args, e.args)):
         return e
     k = e.kind
-    if k == "add":
-        return add(*args)
-    if k == "mul":
-        return mul(*args)
-    if k == "dot":
-        return dot(*args)
-    if k == "outer":
-        return outer(*args)
-    if k == "transpose":
-        return transpose(args[0])
-    if k == "norm":
-        return norm(args[0])
-    if k == "vec":
-        return vec(*args)
     if k == "mat":
         return mat([args[0:3], args[3:6], args[6:9]])
     if k == "comp":
         return comp(args[0], *e.data)
     if k == "func":
         return func(e.data, *args)
-    if k == "bundle":
-        return bundle(*args)
-    raise ExprError("unhandled rebuild for %r" % k)
+    if k not in _REBUILD:
+        raise ExprError("unhandled rebuild for %r" % k)
+    return _REBUILD[k](*args)
+
+
+_REBUILD = {"add": add, "mul": mul, "dot": dot, "outer": outer,
+            "transpose": transpose, "norm": norm, "vec": vec,
+            "bundle": bundle, "grad": grad, "div": div, "lap": lap, "dt": dt}
 
 
 def _expand(e):
@@ -562,25 +575,35 @@ def _expand(e):
 # substitution and composition
 # ---------------------------------------------------------------------------
 
-def substitute(e, mapping):
-    """Replace named symbols by expressions (shape-checked)."""
+def _rewrite(e, leaf):
+    """``e`` rebuilt bottom-up, each node that ``leaf`` maps to a node
+    replaced by it; a node shared in the DAG is visited once."""
     memo = {}
 
     def walk(n):
         got = memo.get(id(n))
-        if got is not None:
-            return got
+        if got is None:
+            got = leaf(n)
+            if got is None:
+                got = _rebuild(n, [walk(a) for a in n.args])
+            memo[id(n)] = got
+        return got
+
+    return walk(e)
+
+
+def substitute(e, mapping):
+    """Replace named symbols by expressions (shape-checked)."""
+    def leaf(n):
         if n.kind == "sym" and n.data[0] in mapping:
             r = mapping[n.data[0]]
             if r.shape != n.shape:
                 raise ShapeError("substituting %s expression for %s symbol %r"
                                  % (r.shape, n.shape, n.data[0]))
-        else:
-            r = _rebuild_any(n, [walk(a) for a in n.args])
-        memo[id(n)] = r
-        return r
+            return r
+        return None
 
-    return walk(e)
+    return _rewrite(e, leaf)
 
 
 def compose(e, x_exprs, t_expr):
@@ -591,32 +614,13 @@ def compose(e, x_exprs, t_expr):
     """
     if contains_derivatives(e):
         raise ExprError("expand_derivatives before composing coordinates")
-    memo = {}
 
-    def walk(n):
-        got = memo.get(id(n))
-        if got is not None:
-            return got
+    def leaf(n):
         if n.kind == "coord":
-            r = x_exprs[n.data]
-        elif n.kind == "time":
-            r = t_expr
-        else:
-            r = _rebuild_any(n, [walk(a) for a in n.args])
-        memo[id(n)] = r
-        return r
+            return x_exprs[n.data]
+        return t_expr if n.kind == "time" else None
 
-    return walk(e)
-
-
-def _rebuild_any(e, args):
-    if not e.args:
-        return e
-    if e.kind in _DERIV_KINDS:
-        if args[0] is e.args[0]:
-            return e
-        return {"grad": grad, "div": div, "lap": lap, "dt": dt}[e.kind](args[0])
-    return _rebuild(e, args)
+    return _rewrite(e, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,11 +1007,8 @@ def _emit_mul(node, args, name, lines, env):
 
 
 def _emit_dot(node, args, name, lines, env):
-    a, b = args
-    rows = [a] if node.args[0].shape == VEC else [a[0:3], a[3:6], a[6:9]]
-    cols = [b] if node.args[1].shape == VEC else [b[0::3], b[1::3], b[2::3]]
-    sums = [" + ".join("%s * %s" % pair for pair in zip(row, col))
-            for row in rows for col in cols]
+    sums = [" + ".join("%s * %s" % pair for pair in terms)
+            for terms in _dot_terms([e.shape for e in node.args], *args)]
     return _assign(lines, _parts(node.shape, name),
                    sums[0] if node.shape == SCALAR else sums)
 

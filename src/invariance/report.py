@@ -3,8 +3,12 @@
 A scenario is a JSON document with a versioned schema: it names one
 check kind, a kind-specific payload, optional tolerance/seed overrides,
 and an ``expect`` block of anticipated pass/fail outcomes that the
-runner re-asserts.  Reports are deterministic: with timestamps disabled,
-two runs over the same inputs are byte-identical.
+runner re-asserts.  Each kind has one runner, and each runner returns
+the checks' own ``CheckPart.of`` verdicts: a part's flag always means
+that its residual passed, and only ``expect`` says whether it should.
+Every classifier kind runs ``checks.classify``.  Reports are
+deterministic: with timestamps disabled, two runs over the same inputs
+are byte-identical.
 """
 
 import functools
@@ -87,12 +91,8 @@ def _run_classify(payload, tol, seed):
     if n_rotations < 1:
         raise SchemaError("'rotations' must be at least 1")
     specs = ck.random_rotations(n_rotations, seed=seed)
-    mode = payload.get("mode")
-    if mode is not None and not q.relative:
-        v = ck.check_objectivity(q, specs, tol=tol, seed=seed, mode=mode)
-    else:
-        v = ck.classify(q, specs, tol=tol, seed=seed,
-                        objectivity_mode=mode)
+    v = ck.classify(q, specs, tol=tol, seed=seed,
+                    objectivity_mode=payload.get("mode"))
     t_w, x_w = v.witness
     return v.parts(), {"witness": {"t": t_w, "x": list(x_w)},
                        "notes": list(v.notes)}
@@ -120,11 +120,8 @@ def _run_christoffel(payload, tol, seed):
 
 
 def _run_geometric_suite(payload, tol, seed):
-    cases = geo.geometric_invariance_suite(
-        int(payload.get("points", 100)), tol, seed)
-    # a case's part passes when the case meets its own expectation
-    return ({c["case"]: CheckPart(passed=c["passed"], residual=c["residual"])
-             for c in cases}, {"cases": cases})
+    return geo.geometric_invariance_suite(int(payload.get("points", 100)),
+                                          tol, seed), {}
 
 
 def _run_mechanics(payload, tol, seed):

@@ -15,6 +15,7 @@ from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import ns
+from invariance.checks.verdict import meets
 from invariance.report import run_suite
 from invariance.sampling import sample_points
 
@@ -91,12 +92,16 @@ def test_criterion_3_christoffel_and_covariant_derivative():
 
 
 def test_criterion_4_geometric_suite():
-    cases = {c["case"]: c for c in ck.geometric_invariance_suite()}
-    ok = all(c["passed"] for c in cases.values())
-    ok = ok and cases["four_d_velocity_tensor"]["residual"] < 1e-10
-    report(4, ok, "%d/%d frame cases as stated; 4D velocity residual %.1e"
-           % (sum(c["passed"] for c in cases.values()), len(cases),
-              cases["four_d_velocity_tensor"]["residual"]))
+    expect = json.loads((SCENARIO_DIR / "geometric_suite.json").read_text()
+                        )["expect"]
+    parts = ck.geometric_invariance_suite()
+    met = [case for case, want in expect.items() if meets(parts[case], want)]
+    residual_4d = parts["four_d_velocity_tensor"].residual
+    ok = set(parts) == set(expect) == set(met) and residual_4d < 1e-10
+    report(4, ok, "%d/%d frame cases as stated, %d frame-dependent; "
+           "4D velocity residual %.1e"
+           % (len(met), len(parts),
+              sum(not part.passed for part in parts.values()), residual_4d))
 
 
 def test_criterion_5_mechanics():

@@ -120,10 +120,16 @@ class TestClassificationMatrix:
 
     def test_composite_norm_explicit_vs_full(self):
         q = ck.composite_norm_quantity()
-        explicit = ck.check_objectivity(q, SPECS, mode="explicit")
-        assert explicit.objective.passed
-        full = ck.check_objectivity(q, SPECS, mode="full")
+        explicit = ck.classify(q, SPECS, objectivity_mode="explicit")
+        assert explicit.tensor.passed and explicit.objective.passed
+        full = ck.classify(q, SPECS, objectivity_mode="full")
+        assert full.tensor.passed
         assert not full.objective.passed and full.objective.residual > 1e-3
+
+    def test_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            ck.classify(ck.strain_rate_quantity(), SPECS,
+                        objectivity_mode="partial")
 
 
 class TestVorticityDefect:
@@ -146,25 +152,16 @@ class TestVorticityDefect:
 class TestRelativeObjectivity:
     def test_two_part_verdict(self):
         q = ck.velocity_relative_quantity()
-        v = ck.check_relative_objectivity(q, SPECS, BASE_SPIN)
+        v = ck.classify(q, SPECS, base_spin=BASE_SPIN)
         assert not v.objective.passed          # absolute frame-dependence
         assert v.relative_objective.passed     # same form in both frames
 
     def test_nonspinning_base_frame_removes_absolute_dependence(self):
         q = ck.velocity_relative_quantity()
         still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
-        v = ck.check_relative_objectivity(q, SPECS, still)
+        v = ck.classify(q, SPECS, base_spin=still)
         assert v.objective.passed
         assert v.relative_objective.passed
-
-    def test_rejects_non_relative_quantity(self):
-        with pytest.raises(ValueError):
-            ck.check_relative_objectivity(ck.strain_rate_quantity(),
-                                          SPECS, BASE_SPIN)
-
-    def test_objectivity_rejects_relative_quantity(self):
-        with pytest.raises(ValueError):
-            ck.check_objectivity(ck.velocity_relative_quantity(), SPECS)
 
 
 class TestImplicationAudit:
@@ -182,11 +179,19 @@ class TestImplicationAudit:
     def test_a_broken_implication_is_an_execution_error(self, monkeypatch,
                                                          tmp_path):
         # a tensor part that fails while the explicit objectivity part
-        # passes must stop the check with exit 3, also under ``python -O``
-        def failing_form(found, tol):
-            return ck.Verdict(tolerance=tol, tensor=ck.CheckPart.of(1.0, tol))
+        # passes must stop the check with exit 3, also under ``python -O``.
+        # classify judges the tensor part first and the objectivity part
+        # second; this broken judge fails every first one.
+        judged = []
 
-        monkeypatch.setattr(classify_module, "_form_verdict", failing_form)
+        class FailsTheTensorPart(ck.CheckPart):
+            @classmethod
+            def of(cls, residual, tol):
+                judged.append(residual)
+                return ck.CheckPart.of(1.0 if len(judged) % 2 else residual,
+                                       tol)
+
+        monkeypatch.setattr(classify_module, "CheckPart", FailsTheTensorPart)
         with pytest.raises(RuntimeError, match="form-invariance failed"):
             verdict_for(ck.strain_rate_quantity)
         path = tmp_path / "strain_rate.json"
@@ -232,7 +237,7 @@ class TestOracles:
         # NaN must fail the tensor part and carry its witness point
         q = ck.scalar_quantity(ex.parse_field_expr("exp(800*comp(x,1))"))
         with pytest.warns(RuntimeWarning):
-            v = ck.check_form_invariance(q, SPECS[:3])
+            v = ck.classify(q, SPECS[:3])
         assert not v.tensor.passed
         assert not np.isfinite(v.tensor.residual)
         assert v.witness is not None
@@ -247,24 +252,47 @@ class TestOracles:
                       for k in range(10)]
         about_e1 = fr.RotationSpec(axis=(1.0, 0.0, 0.0), rate=1.1, phase=0.5)
         assert len(half_turns) == classify_module._BATCH
+        full = [classify_module._pairs(q, "full", None)[1]]
         with pytest.warns(RuntimeWarning):
-            first = ck.check_objectivity(q, half_turns, mode="full")
-            v = ck.check_objectivity(q, half_turns + [about_e1], mode="full")
-            concrete, moved = classify_module._built_full(q)
-            want = loop_scan(half_turns + [about_e1],
-                             [(moved, False, concrete, False)], 200, None)
-        assert first.objective.residual == np.inf
-        assert np.isnan(v.objective.residual) and not v.objective.passed
-        assert v.witness == want[0][1] and v.witness[1][0] > 0.88
+            (first, _), = classify_module._scan(half_turns, full, 200, None)
+            got, = classify_module._scan(half_turns + [about_e1], full, 200,
+                                         None)
+            want, = loop_scan(half_turns + [about_e1], full, 200, None)
+        assert first == np.inf
+        assert np.isnan(got[0]) and not ck.CheckPart.of(got[0], 1e-9).passed
+        assert got[1] == want[1] and got[1][1][0] > 0.88
 
-    def test_joined_parts_keep_a_nan(self):
+    def test_joined_parts_keep_a_nan(self, monkeypatch):
         # Python's max drops a NaN in second position and reported a
         # rounding-level residual for a failed part
         w = (0.0, (0.0, 0.0, 0.0))
-        v = classify_module._objectivity_verdict([(1e-15, w), (np.nan, w)],
-                                                 1e-9, "explicit")
+        monkeypatch.setattr(classify_module, "_scan",
+                            lambda *args: [(1e-15, w), (np.nan, w)])
+        v = ck.classify(ck.strain_rate_quantity(), SPECS,
+                        objectivity_mode="explicit")
         assert v.tensor.passed
         assert not v.objective.passed and np.isnan(v.objective.residual)
+
+    def test_witness_is_the_first_failing_parts(self):
+        # in the order tensor, objective, relative_objective, and the
+        # tensor comparison's when every part passes
+        still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
+        specs = ck.random_rotations(10, seed=7)
+        for q, spin in [(ck.z_tensor_quantity(), None),
+                        (ck.velocity_quantity(), None),
+                        (ck.strain_rate_quantity(), None),
+                        (ck.velocity_relative_quantity(), BASE_SPIN),
+                        (ck.velocity_relative_quantity(), still)]:
+            found = classify_module._scan(
+                specs, classify_module._pairs(q, "explicit", spin), 200, 7)
+            v = ck.classify(q, specs, seed=7, base_spin=spin)
+            passed = [part.passed for part in v.parts().values()]
+            first = passed.index(False) if False in passed else 0
+            assert v.witness == found[first][1]
+            if q.name == "z_tensor":
+                # the tensor residual is rounding noise at another point
+                assert passed == [True, False]
+                assert found[0][1] != found[1][1]
 
 
 class TestRandomRotations:
@@ -286,8 +314,8 @@ class TestRandomRotations:
 def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
     # the comparisons and the point map of a batch share one tape
     q = ck.z_tensor_quantity()
-    pairs = (classify_module._objectivity_pairs(q, "explicit", None)
-             + classify_module._objectivity_pairs(q, "full", None))
+    pairs = (classify_module._pairs(q, "explicit", None)
+             + classify_module._pairs(q, "full", None))
     specs = ck.random_rotations(13, seed=3)
     calls = []
     evaluate_many, at = classify_module.evaluate_many, fr.FrameChange.at
@@ -302,7 +330,7 @@ def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
                         counted("evaluate_many", evaluate_many))
     monkeypatch.setattr(fr.FrameChange, "at", counted("at", at))
     found = classify_module._scan(specs, pairs, 200, 3)
-    assert len(found) == 3
+    assert len(found) == 4 and found[0] == found[2]
     assert calls == ["evaluate_many"] * 2
 
 
@@ -310,8 +338,9 @@ class TestBatchInvariance:
     """Batched rotations give the per-rotation loop's bits.
 
     13 rotations is not a multiple of the batch size, so the last batch
-    is short; every check and ``classify`` must report the oracle's
-    residuals and witness exactly.
+    is short; ``classify`` must report the oracle's residuals and witness
+    exactly under each objectivity mode, or each base spin of a relative
+    quantity.
     """
 
     @pytest.mark.parametrize("seed", [1, 0x5EED])
@@ -322,24 +351,14 @@ class TestBatchInvariance:
         specs = ck.random_rotations(13, seed=seed)
         assert len(specs) % classify_module._BATCH
         if q.relative:
-            pairs = (classify_module._relative_pairs(q, BASE_SPIN)
-                     + [classify_module._tensor_pair(q, None)])
-            runs = [
-                lambda: ck.check_form_invariance(q, specs, seed=seed),
-                lambda: ck.check_relative_objectivity(q, specs, BASE_SPIN,
-                                                      seed=seed),
-                lambda: ck.classify(q, specs, seed=seed, base_spin=BASE_SPIN),
-            ]
+            still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
+            kws = [{"base_spin": spin} for spin in (BASE_SPIN, still)]
         else:
-            pairs = (classify_module._objectivity_pairs(q, "explicit", None)
-                     + classify_module._objectivity_pairs(q, "full", None))
-            runs = [
-                lambda: ck.check_form_invariance(q, specs, seed=seed),
-                lambda: ck.check_objectivity(q, specs, seed=seed),
-                lambda: ck.check_objectivity(q, specs, seed=seed,
-                                             mode="full"),
-                lambda: ck.classify(q, specs, seed=seed),
-            ]
+            kws = [{"objectivity_mode": mode} for mode in ("explicit", "full")]
+        pairs = [pair for kw in kws for pair in classify_module._pairs(
+            q, kw.get("objectivity_mode"), kw.get("base_spin"))]
+        runs = [lambda kw=kw: ck.classify(q, specs, seed=seed, **kw)
+                for kw in kws]
         got_scan = classify_module._scan(specs, pairs, 200, seed)
         got = [run() for run in runs]
         want_scan = loop_scan(specs, pairs, 200, seed)

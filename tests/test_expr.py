@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invariance import expr as ex
+from invariance import frames as fr
 from invariance.expr import (
     SCALAR, VEC, MAT,
     const, coord, time, sym, add, sub, mul, div_by, dot, outer, transpose,
@@ -567,6 +568,43 @@ class TestReciprocal:
         with pytest.raises(ex.EvalError, match="singularity guard"):
             evaluate_many(self.E, np.zeros(9), np.zeros((3, 9)),
                           {"b": batch})
+
+
+class TestConstantDot:
+    """A ``dot`` of two constant operands folds to constants summed in
+    the evaluator's order, so it keeps the bits of the product that the
+    evaluator would take; only a sum of -0.0 differs, since ``const``
+    interns it as the 0.0 node."""
+
+    @staticmethod
+    def unfolded(a, b):
+        return ex._mk("dot", (a, b), shape=ex._DOT[(a.shape, b.shape)][0])
+
+    @pytest.mark.parametrize("shapes", sorted(ex._DOT))
+    def test_fold_equals_the_evaluated_product(self, shapes):
+        rng = np.random.default_rng(0xD07)
+        a, b = (ex.vector_const(rng.normal(size=3)) if shape == VEC
+                else ex.matrix_const(rng.normal(size=(3, 3)))
+                for shape in shapes)
+        folded = dot(a, b)
+        assert folded.kind in ("const", "vec", "mat")
+        assert all(arg.kind == "const" for arg in folded.args)
+        want = evaluate_many(self.unfolded(a, b), *point(0.0, (0.0,) * 3))
+        got = evaluate_many(folded, *point(0.0, (0.0,) * 3))
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_galilei_carry_compiles_without_the_product(self):
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(3))
+        x0 = (0.3, -0.2, 0.1)
+        root = spec.carry(x0, (0.2, 0.1, 0.0))[0]
+        q, c = spec.exprs(0)
+        unfolded = compose(add(self.unfolded(q, ex.vector_const(x0)), c),
+                           (), sub(time(), const(spec.tau)))
+        assert len(ex._build_tape(expand_derivatives(root))) <= 18
+        assert len(ex._build_tape(expand_derivatives(unfolded))) == 29
+        t, x = np.linspace(-2.0, 2.0, 9), RNG.normal(size=(3, 9))
+        assert (evaluate_many(root, t, x).tobytes()
+                == evaluate_many(unfolded, t, x).tobytes())
 
 
 class TestShippedRoots:

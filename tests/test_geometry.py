@@ -1,12 +1,23 @@
+import json
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from invariance import checks as ck
 from invariance import expr as ex
+from invariance import report
 from invariance.checks.geometry import (
     CHARTS, christoffel_transform, closed_form_christoffel,
     check_covariant_derivative, geometric_invariance_suite,
 )
+from invariance.checks.verdict import meets
+
+SCENARIO = Path(str(resources.files("invariance") / "scenarios"
+                    / "geometric_suite.json"))
+FRAME_DEPENDENT = ("curvilinear_point", "shift_point",
+                   "time_dependent_3d_differential")
 
 
 def finite_difference_christoffel(chart, pts, h=1e-5):
@@ -85,8 +96,10 @@ class TestCovariantDerivative:
 
 class TestGeometricSuite:
     def test_all_cases_behave_as_stated(self):
-        cases = geometric_invariance_suite()
-        assert all(c["passed"] for c in cases)
+        expect = json.loads(SCENARIO.read_text())["expect"]
+        parts = geometric_invariance_suite()
+        assert set(parts) == set(expect)
+        assert all(meets(parts[case], want) for case, want in expect.items())
 
     def test_expected_case_table(self):
         expected = {
@@ -100,17 +113,26 @@ class TestGeometricSuite:
             "four_d_differential": True,
             "four_d_velocity_tensor": True,
         }
-        cases = {c["case"]: c for c in geometric_invariance_suite()}
-        assert set(cases) == set(expected)
+        parts = geometric_invariance_suite()
+        assert set(parts) == set(expected)
         for name, invariant in expected.items():
-            assert cases[name]["invariant"] == invariant
+            assert parts[name].passed == invariant
+        assert json.loads(SCENARIO.read_text())["expect"] == expected
 
     def test_four_d_velocity_tensor_tolerance(self):
-        cases = {c["case"]: c for c in geometric_invariance_suite()}
-        assert cases["four_d_velocity_tensor"]["residual"] < 1e-10
+        parts = geometric_invariance_suite()
+        assert parts["four_d_velocity_tensor"].residual < 1e-10
 
     def test_non_invariant_cases_fail_loudly(self):
-        cases = {c["case"]: c for c in geometric_invariance_suite()}
-        for name in ("shift_point", "curvilinear_point",
-                     "time_dependent_3d_differential"):
-            assert cases[name]["residual"] > 1e-3
+        parts = geometric_invariance_suite()
+        for name in FRAME_DEPENDENT:
+            assert parts[name].residual > 1e-3
+
+    def test_report_parts_are_the_verdicts(self):
+        # a part is false exactly where the case is frame-dependent, and
+        # the expectation lives in the scenario, not in the part
+        got, code = report.run_scenario(SCENARIO, no_timestamp=True)
+        assert code == 0 and got["expectation_met"]
+        assert tuple(sorted(case for case, ok in got["parts"].items()
+                            if not ok)) == FRAME_DEPENDENT
+        assert got["details"] == {}

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/invariance`` is used by its module
 or re-exported through its ``__all__``, every other module-level name is
 exported or read somewhere in the package, only ``checks/verdict.py``
-turns residuals into verdicts, no check is an ``assert``, which
+turns residuals into verdicts or builds a ``CheckPart`` other than through
+``CheckPart.of``, no check is an ``assert``, which
 ``python -O`` removes, and ``expr.py`` contracts only by its own
 component-wise rule, never through numpy's einsum or matmul."""
 
@@ -140,6 +141,31 @@ def test_the_check_sees_a_local_verdict_rule(tmp_path):
                                    "print(argmax([1, 2]))\n")
     assert sorted(verdict_rules(tmp_path)) == [
         "a.py:3", "a.py:4", "a.py:4", "a.py:5", "a.py:5", "b.py:2"]
+
+
+def part_constructions(root):
+    """``path:line`` of each call of ``CheckPart`` itself, by name or as an
+    attribute, in the modules under ``root``."""
+    return ["%s:%d" % (path.relative_to(root).as_posix(), n.lineno)
+            for path in sorted(root.rglob("*.py"))
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                        str(path)))
+            if isinstance(n, ast.Call) and "CheckPart" in (
+                getattr(n.func, "attr", None), getattr(n.func, "id", None))]
+
+
+def test_only_the_verdict_module_builds_a_part():
+    assert [f for f in part_constructions(SRC)
+            if not f.startswith("checks/verdict.py:")] == []
+
+
+def test_the_check_sees_a_part_built_by_hand(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from verdict import CheckPart\nimport verdict\n"
+        "a = CheckPart(passed=False, residual=1.0)\n"
+        "b = verdict.CheckPart(True, 0.0)\n"
+        "c = CheckPart.of(1.0, 1e-9), 'CheckPart(True, 0.0)'\n")
+    assert part_constructions(tmp_path) == ["a.py:3", "a.py:4"]
 
 
 def assert_statements(root):
