@@ -2,7 +2,7 @@
 plus the differential-geometry case suites (charts, affine connection,
 geometric invariance of points and differences)."""
 
-from .verdict import CheckPart, Verdict
+from .verdict import CheckPart
 from .classify import (
     Quantity, scalar_quantity, gradient_quantity, rank2_quantity,
     velocity_quantity, velocity_relative_quantity, strain_rate_quantity,
@@ -17,7 +17,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "CheckPart", "Verdict",
+    "CheckPart",
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
     "velocity_quantity", "velocity_relative_quantity",
     "strain_rate_quantity", "vorticity_quantity",

@@ -15,7 +15,9 @@ field, ``phi`` a scalar field) plus an optional frame-bound spin symbol
   * relative objectivity: the same functional form evaluated in two
     spinning frames, each using its own spin value.
 
-Each part is a ``CheckPart.of`` verdict on its worst residual.
+Each part is a ``CheckPart.of`` verdict on its worst residual, with the
+rotation's sample point of that residual as its witness and, on the
+objectivity part, notes on how it was judged.
 
 All transformed-field expressions are built once over one rotation frame,
 ``frames.FrameChange.rotation`` with symbolic parameters (axis, rate,
@@ -31,7 +33,7 @@ in all and no expression builds, and the one tape of a call computes Q,
 its sines and the nodes the comparisons share once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -45,7 +47,7 @@ from ..expr import (
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
 from ..sampling import sample_points
-from .verdict import CheckPart, Verdict, worst
+from .verdict import CheckPart, worst
 
 __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
@@ -307,18 +309,18 @@ def _as_specs(specs):
 _BATCH = 10
 
 
-def _scan(specs, comparisons, n_points, seed):
-    """Max residual and witness of each comparison over rotations x points.
+def _scan(specs, comparisons, n_points, seed, tol):
+    """One ``CheckPart`` per comparison over rotations x points.
 
     ``comparisons`` is a list of (expr_a, use_mapped_a, expr_b,
     use_mapped_b), a mapped side read at x~ = Q x + c; the residual of
     each pair is the componentwise absolute value of the expression
-    a - b, and one (worst, witness) is returned per pair.  Rotations are
-    evaluated in batches of ``_BATCH``: one point axis made of
-    rotation-major blocks of the same samples, with the rotation
-    parameters bound per point.  Each batch is one ``evaluate_many`` call
-    on the bundle of the distinct differences, so the nodes they share,
-    the point map included, are computed once.
+    a - b.  Rotations are evaluated in batches of ``_BATCH``: one point
+    axis made of rotation-major blocks of the same samples, with the
+    rotation parameters bound per point.  Each batch is one
+    ``evaluate_many`` call on the bundle of the distinct differences, so
+    the nodes they share, the point map included, are computed once, and
+    its worst residual and sample per comparison go to ``CheckPart.of``.
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
@@ -328,7 +330,7 @@ def _scan(specs, comparisons, n_points, seed):
              for ea, ma, eb, mb in comparisons]
     unique = tuple(dict.fromkeys(diffs))
     roots = bundle(*unique)
-    found = {d: [] for d in unique}    # per batch: (worst, point)
+    found = {d: ([], []) for d in unique}    # per batch: worst, sample
     for start in range(0, len(specs), _BATCH):
         batch = specs[start:start + _BATCH]
         binds = [_rotation_bindings(spec) for spec in batch]
@@ -340,12 +342,10 @@ def _scan(specs, comparisons, n_points, seed):
             # rotation-major blocks make the first worst point the first
             # rotation's
             top, i = worst(_component_abs(value))
-            found[d].append((top, i % n))
-
-    def first_worst(per_batch):
-        top, i = per_batch[worst([w for w, _ in per_batch])[1]]
-        return top, (float(t[i]), tuple(x[:, i]))
-    return [first_worst(found[d]) for d in diffs]
+            found[d][0].append(top)
+            found[d][1].append(i % n)
+    return [CheckPart.of(tops, tol, points=(t[at], x[:, at]))
+            for tops, at in (found[d] for d in diffs)]
 
 
 def form_invariance_defect(q, spec, n_points=200, seed=None,
@@ -397,40 +397,37 @@ def _pairs(q, mode, base_spin):
 
 def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
              base_spin=None, objectivity_mode=None):
-    """Verdict of the tensor, objectivity and, for a relative quantity,
-    relative-objectivity parts.
+    """{part: CheckPart} of the tensor, objectivity and, for a relative
+    quantity, relative-objectivity parts, each with its own witness.
 
     ``objectivity_mode`` defaults to "full" for a scalar inner field and
     to "explicit" otherwise; ``base_spin`` is the spinning base frame of
     a relative quantity.  Every part's comparison runs in one scan.
     Objectivity cannot hold where form-invariance fails: the explicit
     part judges the worse of its own and the tensor comparison, and so
-    does the full part once the tensor part fails.  The witness is the
-    first failing part's, or the tensor comparison's when all pass.
+    does the full part once the tensor part fails.
     """
     specs = random_rotations() if specs is None else _as_specs(specs)
     mode = objectivity_mode or ("full" if q.field_rule == "scalar"
                                 else "explicit")
     spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
-    found = _scan(specs, _pairs(q, mode, spin), n_points, seed)
-    tensor = CheckPart.of(found[0][0], tol)
+    parts = _scan(specs, _pairs(q, mode, spin), n_points, seed, tol)
+    tensor = parts[0]
     if q.relative:
         names = ("tensor", "objective", "relative_objective")
         notes = ("absolute frame-dependence offset %.3e (expected nonzero "
-                 "for a spinning base frame)" % found[1][0],)
+                 "for a spinning base frame)" % parts[1].residual,)
     else:
         names = ("tensor", "objective")
         notes = ("mode=full",) if mode == "full" else ()
         if not tensor.passed:
             notes += ("not form-invariant, objectivity precluded",)
         if mode == "explicit" or not tensor.passed:
-            found[1] = found[worst([found[0][0], found[1][0]])[1]]
-    parts = dict(zip(names, [tensor] + [CheckPart.of(top, tol)
-                                        for top, _ in found[1:]]))
+            parts[1] = parts[worst([p.residual for p in parts])[1]]
+    parts[1] = replace(parts[1], notes=notes)
+    parts = dict(zip(names, parts))
     # audit: objectivity must never outrank form-invariance
     if not q.relative and parts["objective"].passed and not tensor.passed:
         raise RuntimeError("classify: objectivity passed where "
                            "form-invariance failed")
-    witness = next((w for part, (_, w) in zip(parts.values(), found)
-                    if not part.passed), found[0][1])
-    return Verdict(tolerance=tol, witness=witness, notes=notes, **parts)
+    return parts

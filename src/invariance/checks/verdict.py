@@ -1,25 +1,25 @@
-"""Classification records shared by every checker, and the one rule that
-turns residuals into verdicts.
+"""The one result type of every check, and the one rule that turns
+residual arrays into it.
 
-Every check reduces its residual array with ``worst`` and judges the
-result with ``CheckPart.of``, the only constructor of a part outside
-this module; a report judges an expected outcome with ``meets``.  No
-other module compares a residual with its tolerance.
+A check hands its residual array, with the sample points it was taken
+at, to ``CheckPart.of``, the only constructor of a part outside this
+module.  It reduces the array with ``worst``, judges that value against
+the tolerance, and names the sample it came from as the part's witness.
+A report judges an expected outcome with ``meets``.  No other module
+compares a residual with its tolerance.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CheckPart", "Verdict", "FAIL_FLOOR", "worst", "meets"]
+__all__ = ["CheckPart", "FAIL_FLOOR", "worst", "meets"]
 
 # a residual above the tolerance but at or below this floor sits in the
 # dead zone between rounding-level PASS and O(1) FAIL
 FAIL_FLOOR = 1e-3
-
-_PART_NAMES = ("tensor", "objective", "relative_objective", "symmetry")
 
 
 def worst(residuals):
@@ -47,34 +47,27 @@ def meets(part, expected):
 
 @dataclass(frozen=True)
 class CheckPart:
+    """One judged comparison: its flag, its worst residual, the sample
+    ``(t, (x1, x2, x3))`` of that residual or None, and notes."""
+
     passed: bool
     residual: float
+    witness: Optional[Tuple[float, Tuple[float, float, float]]] = None
+    notes: Tuple[str, ...] = ()
 
     @classmethod
-    def of(cls, residual, tol):
-        """PASS only when ``residual`` is finite and at most ``tol``."""
-        residual = float(residual)
+    def of(cls, residuals, tol, points=None, notes=()):
+        """Judge the worst of ``residuals``: PASS only when it is finite
+        and at most ``tol``.
+
+        With ``points`` = (t, x) of n samples, the flat index i of the
+        worst residual names sample i % n as the witness.
+        """
+        residual, i = worst(residuals)
+        witness = None
+        if points is not None:
+            t, x = points
+            k = i % len(t)
+            witness = (float(t[k]), tuple(map(float, x[:, k])))
         return cls(passed=bool(math.isfinite(residual) and residual <= tol),
-                   residual=residual)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one invariance check.
-
-    Each optional part carries its own pass/fail flag and max residual;
-    ``witness`` is the worst sample point (t, (x1, x2, x3)).
-    """
-
-    tolerance: float
-    witness: Optional[Tuple[float, Tuple[float, float, float]]] = None
-    tensor: Optional[CheckPart] = None
-    objective: Optional[CheckPart] = None
-    relative_objective: Optional[CheckPart] = None
-    symmetry: Optional[CheckPart] = None
-    notes: Tuple[str, ...] = field(default_factory=tuple)
-
-    def parts(self):
-        """{name: CheckPart} of the parts this verdict carries."""
-        return {name: getattr(self, name) for name in _PART_NAMES
-                if getattr(self, name) is not None}
+                   residual=residual, witness=witness, notes=tuple(notes))

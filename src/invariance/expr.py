@@ -95,7 +95,10 @@ _intern_lock = threading.Lock()
 
 
 def _mk(kind, args=(), data=None, shape=SCALAR):
-    key = (kind, data, tuple(id(a) for a in args), shape)
+    # a constant is keyed by its bits: -0.0 == 0.0, so keyed by value the
+    # first zero built would stand for both
+    key = (kind, data.hex() if kind == "const" else data,
+           tuple(id(a) for a in args), shape)
     node = _intern.get(key)
     if node is None:
         with _intern_lock:
@@ -175,12 +178,13 @@ def mul(a, b):
         raise ShapeError("product needs a scalar factor (use dot/outer)")
     if a.shape != SCALAR:
         a, b = b, a
+    if _is_const(a) and _is_const(b):
+        # before the zero skip, so that -1 * 0.0 is -0.0
+        return const(a.data * b.data)
     if _is_zero(a) or _is_zero(b):
         return zero(b.shape)
     if _is_const(a, 1.0):
         return b
-    if _is_const(a) and _is_const(b):
-        return const(a.data * b.data)
     if _is_const(a) and b.kind == "mul" and _is_const(b.args[0]):
         return mul(const(a.data * b.args[0].data), b.args[1])
     return _mk("mul", (a, b), shape=b.shape)

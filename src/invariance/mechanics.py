@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from . import frames as fr
 from .expr import Node, add, mul, sym
-from .checks.verdict import CheckPart, Verdict, worst
+from .checks.verdict import CheckPart
 
 __all__ = [
     "ForceModel", "Trajectory", "X_ABS", "V_ABS", "T_ABS",
@@ -268,11 +268,10 @@ def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
     if transport_refs:
         x0r_at, v0r_at, t0r_new = transport_references(model, spec)
         refs = (x0r_at(t_new), v0r_at(t_new), t0r_new)
-    top, k = worst(np.max(np.abs(model.force_at(t_new, x_new, v_new, refs)
-                                 - fr.rotate(q, model.force_at(t, x, v))),
-                          axis=0))
-    return Verdict(tolerance=tol, witness=(float(t[k]), tuple(x[:, k])),
-                   objective=CheckPart.of(top, tol))
+    return CheckPart.of(
+        np.max(np.abs(model.force_at(t_new, x_new, v_new, refs)
+                      - fr.rotate(q, model.force_at(t, x, v))), axis=0),
+        tol, points=(t, x))
 
 
 def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
@@ -300,10 +299,9 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
 
     ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
                       dt, n_steps)
-    top, i = worst(np.maximum(np.max(np.abs(xs - moved.x), axis=0),
-                              np.max(np.abs(vs - moved.v), axis=0)))
-    return Verdict(tolerance=tol, witness=(float(ts[i]), tuple(xs[:, i])),
-                   objective=CheckPart.of(top, tol))
+    return CheckPart.of(np.maximum(np.max(np.abs(xs - moved.x), axis=0),
+                                   np.max(np.abs(vs - moved.v), axis=0)),
+                        tol, points=(ts, xs))
 
 
 def inertial_force(spec, t, x_star, v_star, m, a=0.0):
@@ -346,9 +344,7 @@ def check_noninertial_closure(model, spec, traj, tol=1e-5,
     forces = model.force_at(ts, xs, vs, (x0r_at(ts), v0r_at(ts), t0r_new))
     fict = inertial_force(spec, ts, xs, vs, model.m,
                           a=a if include_drag_term else 0.0)
-    top, k = worst(np.max(np.abs(model.m * xdd_star - forces - fict),
-                          axis=0))
     notes = () if include_drag_term else (
         "drag contribution of the inertial force omitted (expected FAIL)",)
-    return Verdict(tolerance=tol, witness=(float(ts[k]), tuple(xs[:, k])),
-                   objective=CheckPart.of(top, tol), notes=notes)
+    return CheckPart.of(np.max(np.abs(model.m * xdd_star - forces - fict),
+                               axis=0), tol, points=(ts, xs), notes=notes)

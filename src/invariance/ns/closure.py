@@ -21,7 +21,7 @@ import numpy as np
 from .. import expr as ex
 from .. import frames as fr
 from ..expr import Node
-from ..checks.verdict import CheckPart, Verdict, worst
+from ..checks.verdict import CheckPart, worst
 from .residual import SOLUTIONS
 
 __all__ = [
@@ -181,12 +181,9 @@ def _galilei_row(model, rng, n_samples, tol):
             ex.norm(ex.sub(ex.compose(v_new, *forward), av)), ex.norm(av)),
             t, x, bind)
         cases.append(diff / (1.0 + size))
-    top, k = worst(cases)
-    flow, k = divmod(k, n_samples)
-    note = "worst residual on %s at t=%.6g, x=(%.6g, %.6g, %.6g)" % (
-        (_MEAN_FLOWS[flow], t[k]) + tuple(x[:, k]))
-    return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
-                   witness=(float(t[k]), tuple(x[:, k])), notes=(note,))
+    flow = _MEAN_FLOWS[worst(cases)[1] // n_samples]
+    return CheckPart.of(cases, tol, points=(t, x),
+                        notes=("worst residual on %s" % flow,))
 
 
 def _screen_one(model, tag, rng, n_samples, tol):
@@ -198,9 +195,8 @@ def _screen_one(model, tag, rng, n_samples, tol):
         limits = [model.limit_coeff(which) for which in ("phi2", "phi4")]
         top, at = _worst([(np.abs(v), args)
                           for v in _eval_coeffs(limits, args)])
-        return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
-                       notes=("planar limit requires phi2 == phi4 == 0",
-                              at))
+        return CheckPart.of(top, tol, notes=(
+            "planar limit requires phi2 == phi4 == 0", at))
 
     cases = []
     for e in (0.3, -0.45, 0.8):
@@ -213,14 +209,13 @@ def _screen_one(model, tag, rng, n_samples, tol):
             cases.append((np.abs(got - fac * ref) / (1.0 + np.abs(ref)),
                           args))
     top, at = _worst(cases)
-    return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
-                   notes=(at,))
+    return CheckPart.of(top, tol, notes=(at,))
 
 
 def screen_closure(model, tags=("G", "S1", "S3", "S4", "S5approx",
                                 "S6approx"),
                    n_samples=200, tol=1e-10, seed=0xC0FFEE):
-    """Verdict per symmetry tag for one closure model."""
+    """{tag: CheckPart} for one closure model."""
     rng = np.random.default_rng(seed)
     # the G row draws from a stream of its own, so the other rows' samples
     # do not depend on whether G is screened

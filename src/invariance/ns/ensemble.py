@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import expr as ex
-from ..checks.verdict import CheckPart, Verdict, worst
+from ..checks.verdict import CheckPart
 from ..sampling import sample_points
 
 __all__ = ["Ensemble", "reynolds_tau", "check_decomposed_symmetry"]
@@ -101,7 +101,6 @@ def check_decomposed_symmetry(ensemble, spec, n_points=200, tol=1e-12,
         residual[lo:hi] = np.max(np.abs(tau_direct - tau_rule), axis=(0, 1))
         mean_abs[lo:hi] = np.max(np.abs(fluct.mean(axis=0)), axis=0)
         lo = hi
-    return Verdict(tolerance=tol,
-                   symmetry=CheckPart.of(worst(residual)[0], tol),
-                   notes=("fluctuation mean max-norm %.3e"
-                          % np.max(mean_abs),))
+    return CheckPart.of(residual, tol, points=(t, x),
+                        notes=("fluctuation mean max-norm %.3e"
+                               % np.max(mean_abs),))

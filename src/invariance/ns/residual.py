@@ -13,7 +13,7 @@ from .. import expr as ex
 from .. import frames as fr
 from ..expr import Node, parse_field_expr
 from ..sampling import sample_points
-from ..checks.verdict import CheckPart, Verdict, worst
+from ..checks.verdict import CheckPart
 
 __all__ = [
     "FlowState", "ns_residual", "certify", "taylor_green", "beltrami",
@@ -147,7 +147,7 @@ def check_ns_symmetry(state, spec, n_points=200, tol=1e-9, seed=None):
     """PASS iff the transformed fields still solve the equations.
 
     For an ``euler_only`` symmetry (S5) the state must be inviscid; the
-    spec's ``note`` (R3D, the negative control) goes into the verdict.
+    spec's ``note`` (R3D, the negative control) becomes the part's note.
     """
     if spec.euler_only and state.nu != 0.0:
         raise ValueError("%s is exact only for the Euler equations; "
@@ -156,7 +156,6 @@ def check_ns_symmetry(state, spec, n_points=200, tol=1e-9, seed=None):
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     cont, mom = ns_residual(transformed, t, x)
-    top, i = worst(np.maximum(np.abs(cont), np.max(np.abs(mom), axis=0)))
-    return Verdict(tolerance=tol, symmetry=CheckPart.of(top, tol),
-                   witness=(float(t[i]), tuple(x[:, i])),
-                   notes=(spec.note,) if spec.note else ())
+    return CheckPart.of(np.maximum(np.abs(cont), np.max(np.abs(mom), axis=0)),
+                        tol, points=(t, x),
+                        notes=(spec.note,) if spec.note else ())

@@ -3,12 +3,13 @@
 A scenario is a JSON document with a versioned schema: it names one
 check kind, a kind-specific payload, optional tolerance/seed overrides,
 and an ``expect`` block of anticipated pass/fail outcomes that the
-runner re-asserts.  Each kind has one runner, and each runner returns
-the checks' own ``CheckPart.of`` verdicts: a part's flag always means
-that its residual passed, and only ``expect`` says whether it should.
-Every classifier kind runs ``checks.classify``.  Reports are
-deterministic: with timestamps disabled, two runs over the same inputs
-are byte-identical.
+runner re-asserts.  Each kind has one runner, which returns the checks'
+own ``CheckPart``s (naming a one-part check's part) and kind-specific
+details; a part's flag always means that its residual passed, and only
+``expect`` says whether it should.  Every classifier kind runs
+``checks.classify``.  ``details`` maps each part to its witness and
+notes.  Reports are deterministic: with timestamps disabled, two runs
+over the same inputs are byte-identical.
 """
 
 import functools
@@ -91,11 +92,8 @@ def _run_classify(payload, tol, seed):
     if n_rotations < 1:
         raise SchemaError("'rotations' must be at least 1")
     specs = ck.random_rotations(n_rotations, seed=seed)
-    v = ck.classify(q, specs, tol=tol, seed=seed,
-                    objectivity_mode=payload.get("mode"))
-    t_w, x_w = v.witness
-    return v.parts(), {"witness": {"t": t_w, "x": list(x_w)},
-                       "notes": list(v.notes)}
+    return ck.classify(q, specs, tol=tol, seed=seed,
+                       objectivity_mode=payload.get("mode")), {}
 
 
 def _run_christoffel(payload, tol, seed):
@@ -108,14 +106,14 @@ def _run_christoffel(payload, tol, seed):
         pts = chart.sample(int(payload.get("points", 50)), seed)
         got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         ref = geo.closed_form_christoffel(chart_name, pts)
-        return ({"match": CheckPart.of(np.max(np.abs(got - ref)), tol)},
+        t = np.zeros(pts.shape[1])
+        return ({"match": CheckPart.of(np.abs(got - ref), tol, (t, pts))},
                 {"points": int(pts.shape[1])})
     if which == "covariant_derivative":
         phi = ex.parse_field_expr(payload.get("field", "dot(x, x)"))
-        out = geo.check_covariant_derivative(ex.grad(phi), chart,
-                                             int(payload.get("points", 50)),
-                                             tol, seed)
-        return {name: out[name] for name in ("covariant", "partial")}, {}
+        return geo.check_covariant_derivative(
+            ex.grad(phi), chart, int(payload.get("points", 50)), tol,
+            seed), {}
     raise SchemaError("unknown christoffel check %r" % which)
 
 
@@ -136,7 +134,7 @@ def _run_mechanics(payload, tol, seed):
         traj = mech.integrate(model, (np.array([1.0, 0, 0]),
                                       np.zeros(3), 0.0), dt, steps)
         return {"reference": CheckPart.of(
-            np.max(np.abs(traj.x[0] - np.cos(traj.t))), tol)}, {}
+            np.abs(traj.x[0] - np.cos(traj.t)), tol, (traj.t, traj.x))}, {}
     if check == "terminal_speed":
         traj = mech.integrate(model, (np.zeros(3), np.zeros(3), 0.0),
                               dt, steps)
@@ -145,19 +143,16 @@ def _run_mechanics(payload, tol, seed):
                                           tol)},
                 {"vz": float(traj.v[2, -1])})
     if check == "frame_indifference":
-        rng = np.random.default_rng(seed)
-        spec = fr.FrameChange.random_galilei(rng)
-        v = mech.check_force_frame_indifference(
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
+        return {"frame_indifference": mech.check_force_frame_indifference(
             model, spec, tol=tol, seed=seed,
-            transport_refs=payload.get("transport_refs", True))
-        return {"frame_indifference": v.objective}, {}
+            transport_refs=payload.get("transport_refs", True))}, {}
     if check == "galilei_covariance":
-        rng = np.random.default_rng(seed)
-        spec = fr.FrameChange.random_galilei(rng)
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
         ic = (np.array(payload.get("x0", [0.3, -0.2, 0.1])),
               np.array(payload.get("v0", [0.2, 0.1, 0.0])), 0.0)
-        v = mech.check_galilei_covariance(model, spec, ic, dt, steps)
-        return {"covariance": v.objective}, {}
+        return {"covariance": mech.check_galilei_covariance(
+            model, spec, ic, dt, steps)}, {}
     if check == "noninertial_closure":
         rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
         spec = fr.FrameChange.euclidean(rotation=fr.RotationSpec(
@@ -165,11 +160,10 @@ def _run_mechanics(payload, tol, seed):
         ic = (np.array(payload.get("x0", [0.5, 0.2, 0.0])),
               np.array(payload.get("v0", [0.1, 0.0, 0.0])), 0.0)
         traj = mech.integrate(model, ic, dt, steps)
-        v = mech.check_noninertial_closure(
+        return {"closure": mech.check_noninertial_closure(
             model, spec, traj, tol=tol,
             include_drag_term=payload.get("include_drag_term", True),
-            drag_coeff=float(payload.get("drag_coeff", 1.0)))
-        return {"closure": v.objective}, {"notes": list(v.notes)}
+            drag_coeff=float(payload.get("drag_coeff", 1.0)))}, {}
     raise SchemaError("unknown mechanics check %r" % check)
 
 
@@ -180,15 +174,15 @@ def _run_ns_symmetry(payload, tol, seed):
     state = ns.SOLUTIONS[sol]()
     spec = _parse_ns_spec(payload.get("symmetry", {}))
     ns.certify(state)   # a non-solution is an error, not an expected FAIL
-    v = ns.check_ns_symmetry(state, spec, tol=tol, seed=seed)
-    return v.parts(), {"notes": list(v.notes), "solution": sol}
+    return {"symmetry": ns.check_ns_symmetry(
+        state, spec, tol=tol, seed=seed)}, {"solution": sol}
 
 
 def _run_decomposed(payload, tol, seed):
     ensemble = ns.Ensemble.random(int(payload.get("members", 4096)))
     spec = _parse_ns_spec(payload.get("symmetry", {}))
-    v = ns.check_decomposed_symmetry(ensemble, spec, tol=tol, seed=seed)
-    return v.parts(), {"notes": list(v.notes)}
+    return {"symmetry": ns.check_decomposed_symmetry(
+        ensemble, spec, tol=tol, seed=seed)}, {}
 
 
 def _run_closure_screen(payload, tol, seed):
@@ -197,8 +191,7 @@ def _run_closure_screen(payload, tol, seed):
         raise SchemaError("unknown closure model %r" % name)
     model = CLOSURE_MODELS[name]()
     tags = tuple(payload.get("tags", ns_closure.SCENARIO_TAGS))
-    reports = ns_closure.screen_closure(model, tags=tags, seed=seed)
-    return ({tag: v.symmetry for tag, v in reports.items()},
+    return (ns_closure.screen_closure(model, tags=tags, seed=seed),
             {"model": name})
 
 
@@ -303,7 +296,11 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
         "seed": seed_used,
         "parts": {k: part.passed for k, part in parts.items()},
         "residuals": {k: part.residual for k, part in parts.items()},
-        "details": details,
+        "details": dict(details, witness={
+            k: {"t": part.witness[0], "x": list(part.witness[1])}
+            for k, part in parts.items() if part.witness is not None},
+            notes={k: list(part.notes) for k, part in parts.items()
+                   if part.notes}),
         "expect": expect,
         "expectation_met": not mismatches,
         "mismatches": mismatches,

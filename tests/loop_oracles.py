@@ -1,0 +1,99 @@
+"""Per-point loop oracles of the vectorised checks: each evaluates one
+sample at a time and returns (residuals, witnesses), one entry per
+sample, so a test can find the worst sample without ``verdict.worst``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from invariance import frames as fr
+from invariance import mechanics as mech
+from invariance import ns
+from invariance.checks.verdict import FAIL_FLOOR
+from invariance.sampling import sample_points
+
+import frame_oracle as oracle
+
+
+def worst_of(residuals, witnesses):
+    """(residual, witness) of the first maximum."""
+    k = int(np.argmax(residuals))
+    return residuals[k], witnesses[k]
+
+
+def clear_witness(residuals, witnesses, margin=1e-9):
+    """The witness of the worst residual where it stands clear: above
+    ``FAIL_FLOOR`` and above every other residual by more than
+    ``margin`` relative.  None where last-bit noise could decide."""
+    second, top = np.sort(residuals)[-2:]
+    if not (top > FAIL_FLOOR and second < top * (1.0 - margin)):
+        return None
+    return worst_of(residuals, witnesses)[1]
+
+
+def frame_indifference(model, spec, n_points=100, seed=0xC0FFEE,
+                       transport_refs=True):
+    """One state at a time, the Galilei frame applied from its R, v and c,
+    and references moved by replacing model fields.  Products are summed
+    per component as the check sums them: where every point has the same
+    residual (a pure boost of an absolute velocity), the witness is
+    decided by the last bit."""
+    (r, c), (_, vb) = spec.at(0.0), spec.at(0.0, 1)
+    rng = np.random.default_rng(seed)
+    x0r_at, v0r_at, t0r_new = mech.transport_references(model, spec)
+    residuals, witnesses = [], []
+    for _ in range(n_points):
+        t = rng.uniform(0.0, 2.0)
+        x = rng.uniform(-1.0, 1.0, size=3)
+        v = rng.uniform(-1.0, 1.0, size=3)
+        t_new = t + spec.tau
+        moved = model
+        if transport_refs:
+            moved = replace(model, x0r=tuple(x0r_at(t_new)),
+                            v0r=tuple(v0r_at(t_new)), t0r=t0r_new)
+        f_new = moved.force_at(t_new, fr.rotate(r, x) + (vb * t + c),
+                               fr.rotate(r, v) + vb)
+        residuals.append(np.max(np.abs(
+            f_new - fr.rotate(r, model.force_at(t, x, v)))))
+        witnesses.append((t, tuple(x)))
+    return residuals, witnesses
+
+
+def noninertial_closure(model, spec, traj, a, rotation, cddot):
+    """The starred balance one trajectory point at a time, with R and its
+    derivatives in closed form for ``rotation`` (a ``RotationSpec``) and
+    the path's c'' from ``cddot(t)``."""
+    starred = mech.transform_trajectory(traj, spec)
+    x0r_at, v0r_at, t0r_new = mech.transport_references(model, spec)
+    residuals, witnesses = [], []
+    for k in range(traj.t.shape[0]):
+        x, v = traj.x[:, k], traj.v[:, k]
+        ts, xs, vs = starred.t[k], starred.x[:, k], starred.v[:, k]
+        rmat, rdot, rddot = oracle.rotation(rotation.axis, rotation.rate,
+                                            rotation.phase, traj.t[k])
+        xdd = np.asarray(model.force_at(traj.t[k], x, v)) / model.m
+        xdd_star = (rddot @ x + 2.0 * rdot @ v + rmat @ xdd
+                    + cddot(traj.t[k]))
+        moved = replace(model, x0r=tuple(x0r_at(ts)), v0r=tuple(v0r_at(ts)),
+                        t0r=t0r_new)
+        fict = mech.inertial_force(spec, ts, xs, vs, model.m, a=a)
+        residuals.append(np.max(np.abs(model.m * xdd_star
+                                       - moved.force_at(ts, xs, vs) - fict)))
+        witnesses.append((float(ts), tuple(xs)))
+    return residuals, witnesses
+
+
+def ns_symmetry(state, spec, n_points=200, seed=None):
+    """The transformed flow's Navier-Stokes residual one sample point at
+    a time: the larger of |continuity| and the largest |momentum|
+    component."""
+    moved = ns.transform_flow(state, spec)
+    kw = {} if seed is None else {"seed": seed}
+    t, x = sample_points(n_points, **kw)
+    residuals, witnesses = [], []
+    for k in range(n_points):
+        cont, mom = ns.ns_residual(moved, t[k:k + 1], x[:, k:k + 1])
+        residuals.append(max(abs(cont[0]), np.max(np.abs(mom[:, 0]))))
+        witnesses.append((t[k], tuple(x[:, k])))
+    return residuals, witnesses

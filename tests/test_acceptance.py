@@ -50,9 +50,9 @@ def test_criterion_1_classification_matrix():
     worst_pass, worst_fail_floor = 0.0, np.inf
     for name, q, want_tensor, want_obj, want_rel in table:
         v = ck.classify(q, SPECS_100)
-        legs = [(v.tensor, want_tensor), (v.objective, want_obj)]
+        legs = [(v["tensor"], want_tensor), (v["objective"], want_obj)]
         if want_rel is not None:
-            legs.append((v.relative_objective, want_rel))
+            legs.append((v["relative_objective"], want_rel))
         for part, want in legs:
             assert part.passed == want, (name, part)
             if want:
@@ -122,7 +122,7 @@ def test_criterion_5_mechanics():
         spec = fr.FrameChange.random_galilei(rng)
         v = mech.check_galilei_covariance(mech.oscillator_model(), spec,
                                           ic, dt, 1_000)
-        cov_worst = max(cov_worst, v.objective.residual)
+        cov_worst = max(cov_worst, v.residual)
 
     model = mech.drag_gravity_model()
     euclid = fr.FrameChange.euclidean(
@@ -137,12 +137,12 @@ def test_criterion_5_mechanics():
                                              include_drag_term=False)
     ok = (osc_err < 1e-8 and term_err < 1e-6
           and cov_worst < 10 * dt ** 4
-          and closure.objective.passed and not dropped.objective.passed)
+          and closure.passed and not dropped.passed)
     report(5, ok, "oscillator %.1e; terminal %.1e; 20 Galilei specs "
            "< %.1e; closure %s / drag-dropped %s"
            % (osc_err, term_err, cov_worst,
-              "PASS" if closure.objective.passed else "FAIL",
-              "FAIL" if not dropped.objective.passed else "PASS"))
+              "PASS" if closure.passed else "FAIL",
+              "FAIL" if not dropped.passed else "PASS"))
 
 
 def test_criterion_6_ns_symmetry_verdicts():
@@ -159,8 +159,8 @@ def test_criterion_6_ns_symmetry_verdicts():
     worst = 0.0
     for spec in passing:
         v = ns.check_ns_symmetry(beltrami, spec, tol=1e-8)
-        assert v.symmetry.passed, spec.tag
-        worst = max(worst, v.symmetry.residual)
+        assert v.passed, spec.tag
+        worst = max(worst, v.residual)
     s5 = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25),
                               tol=1e-8)
     s6 = ns.check_ns_symmetry(ns.taylor_green(), fr.PlanarRotation(0.8),
@@ -168,11 +168,10 @@ def test_criterion_6_ns_symmetry_verdicts():
     neg = ns.check_ns_symmetry(beltrami,
                                fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9),
                                tol=1e-8)
-    ok = (worst < 1e-8 and s5.symmetry.passed and s6.symmetry.passed
-          and neg.symmetry.residual > 1e-2)
+    ok = worst < 1e-8 and s5.passed and s6.passed and neg.residual > 1e-2
     report(6, ok, "G,S1-S4 < %.1e; S5(Euler) %.1e; S6(TG+regauge) %.1e; "
-           "3D control %.1e" % (worst, s5.symmetry.residual,
-                                s6.symmetry.residual, neg.symmetry.residual))
+           "3D control %.1e" % (worst, s5.residual, s6.residual,
+                                neg.residual))
 
 
 def test_criterion_7_reynolds_decomposition():
@@ -197,11 +196,10 @@ def test_criterion_7_reynolds_decomposition():
         moved = scale * _apply(np.asarray(mat, float), fluct)
         mean_worst = max(mean_worst,
                          float(np.max(np.abs(moved.mean(axis=0)))))
-    ok = (vg.symmetry.passed and vs1.symmetry.passed
-          and mean_worst < 1e-10)
+    ok = vg.passed and vs1.passed and mean_worst < 1e-10
     report(7, ok, "G rule %.1e (machine); S1 rule %.1e (<1e-12); "
            "transformed fluctuation means < %.1e over %d symmetries"
-           % (vg.symmetry.residual, vs1.symmetry.residual, mean_worst,
+           % (vg.residual, vs1.residual, mean_worst,
               len(listed)))
 
 
@@ -212,10 +210,9 @@ def test_criterion_8_closure_restriction_rows():
                                  tags=("G",))
     compliant = ns.screen_closure(
         ns.compliant_model(), tags=("G", "S1", "S3", "S4", "S6approx"))
-    ok = (nu_row["S4"].symmetry.passed
-          and not const_row["S4"].symmetry.passed
-          and not bare_row["G"].symmetry.passed
-          and all(v.symmetry.passed for v in compliant.values()))
+    ok = (nu_row["S4"].passed and not const_row["S4"].passed
+          and not bare_row["G"].passed
+          and all(v.passed for v in compliant.values()))
     report(8, ok, "phi2=c*nu passes S4; phi2=c fails S4; bare <u> fails "
            "G; compliant model passes {G,S1,S3,S4} + S6 2D limit")
 

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +24,15 @@ def verdict_for(factory, **kw):
     return ck.classify(factory(), SPECS, **kw)
 
 
-def loop_scan(specs, comparisons, n_points, seed):
+def loop_scan(specs, comparisons, n_points, seed, tol):
     """Oracle for the batched scan: the plain per-rotation loop.
 
     Each comparison is evaluated with one ``evaluate_many`` call per
     rotation and expression at ``n_points``, the rotation parameters bound
     as scalars, and the points are mapped through the same rotation
     declaration one rotation at a time; the witness is the first maximum
-    (or first NaN) over rotations, then points.
+    (or first NaN) over rotations, then points.  Each part is built
+    field by field, not through ``CheckPart.of``.
     """
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
@@ -50,81 +52,85 @@ def loop_scan(specs, comparisons, n_points, seed):
             worsts.append(total[i])
             witnesses.append((float(t[i]), tuple(x[:, i])))
         k = int(np.argmax(worsts))
-        out.append((float(worsts[k]), witnesses[k]))
+        top = float(worsts[k])
+        out.append(ck.CheckPart(passed=bool(np.isfinite(top) and top <= tol),
+                                residual=top, witness=witnesses[k]))
     return out
 
 
 def bits(found):
-    """(residual, witness) pairs, or a verdict, as exact hex floats."""
-    def witness(w):
-        return float(w[0]).hex(), tuple(float(c).hex() for c in w[1])
+    """A list or a {name: part} dict of parts, with residuals and
+    witnesses as exact hex floats."""
+    def part_bits(part):
+        w = part.witness
+        return (part.passed, float(part.residual).hex(),
+                (float(w[0]).hex(), tuple(float(c).hex() for c in w[1])),
+                part.notes)
     if isinstance(found, list):
-        return [(float(r).hex(), witness(w)) for r, w in found]
-    parts = tuple((name, part.passed, float(part.residual).hex())
-                  for name in ("tensor", "objective", "relative_objective")
-                  for part in [getattr(found, name)] if part is not None)
-    return parts, witness(found.witness), found.notes
+        return [part_bits(part) for part in found]
+    return [(name, part_bits(part)) for name, part in found.items()]
 
 
 class TestClassificationMatrix:
     def test_isotropic_scalar_tensor_and_objective(self):
         v = verdict_for(ck.scalar_quantity)
-        assert v.tensor.passed and v.tensor.residual < 1e-9
-        assert v.objective.passed and v.objective.residual < 1e-9
+        assert v["tensor"].passed and v["tensor"].residual < 1e-9
+        assert v["objective"].passed and v["objective"].residual < 1e-9
 
     def test_generic_gradient_tensor_not_objective(self):
         v = verdict_for(ck.gradient_quantity)
-        assert v.tensor.passed
-        assert not v.objective.passed and v.objective.residual > 1e-3
+        assert v["tensor"].passed
+        assert not v["objective"].passed and v["objective"].residual > 1e-3
 
     def test_isotropic_gradient_objective(self):
         v = ck.classify(ck.gradient_quantity(ck.ISOTROPIC_SCALAR), SPECS)
-        assert v.tensor.passed and v.objective.passed
+        assert v["tensor"].passed and v["objective"].passed
 
     def test_hessian_tensor_not_objective(self):
         v = verdict_for(ck.rank2_quantity)
-        assert v.tensor.passed
-        assert not v.objective.passed and v.objective.residual > 1e-3
+        assert v["tensor"].passed
+        assert not v["objective"].passed and v["objective"].residual > 1e-3
 
     def test_velocity_not_tensor(self):
         v = verdict_for(ck.velocity_quantity)
-        assert not v.tensor.passed and v.tensor.residual > 1e-3
-        assert not v.objective.passed
+        assert not v["tensor"].passed and v["tensor"].residual > 1e-3
+        assert not v["objective"].passed
 
     def test_relative_velocity_tensor_not_absolutely_objective(self):
         v = verdict_for(ck.velocity_relative_quantity)
-        assert v.tensor.passed and v.tensor.residual < 1e-9
-        assert not v.objective.passed and v.objective.residual > 1e-3
-        assert v.relative_objective.passed
+        assert v["tensor"].passed and v["tensor"].residual < 1e-9
+        assert not v["objective"].passed and v["objective"].residual > 1e-3
+        assert v["relative_objective"].passed
 
     def test_strain_rate_tensor_and_objective(self):
         v = verdict_for(ck.strain_rate_quantity)
-        assert v.tensor.passed and v.objective.passed
-        assert max(v.tensor.residual, v.objective.residual) < 1e-9
+        assert v["tensor"].passed and v["objective"].passed
+        assert max(v["tensor"].residual, v["objective"].residual) < 1e-9
 
     def test_vorticity_not_tensor(self):
         v = verdict_for(ck.vorticity_quantity)
-        assert not v.tensor.passed and v.tensor.residual > 1e-3
+        assert not v["tensor"].passed and v["tensor"].residual > 1e-3
 
     def test_relative_vorticity_tensor_and_relatively_objective(self):
         v = verdict_for(ck.vorticity_relative_quantity)
-        assert v.tensor.passed and v.tensor.residual < 1e-9
-        assert not v.objective.passed
-        assert v.relative_objective.passed
-        assert v.relative_objective.residual < 1e-9
+        assert v["tensor"].passed and v["tensor"].residual < 1e-9
+        assert not v["objective"].passed
+        assert v["relative_objective"].passed
+        assert v["relative_objective"].residual < 1e-9
 
     def test_z_tensor_tensor_not_objective(self):
         v = verdict_for(ck.z_tensor_quantity)
-        assert v.tensor.passed and v.tensor.residual < 1e-9
-        assert not v.objective.passed and v.objective.residual > 1e-3
+        assert v["tensor"].passed and v["tensor"].residual < 1e-9
+        assert not v["objective"].passed and v["objective"].residual > 1e-3
 
     def test_composite_norm_explicit_vs_full(self):
         q = ck.composite_norm_quantity()
         explicit = ck.classify(q, SPECS, objectivity_mode="explicit")
-        assert explicit.tensor.passed and explicit.objective.passed
+        assert explicit["tensor"].passed and explicit["objective"].passed
         full = ck.classify(q, SPECS, objectivity_mode="full")
-        assert full.tensor.passed
-        assert not full.objective.passed and full.objective.residual > 1e-3
+        assert full["tensor"].passed
+        assert not full["objective"].passed
+        assert full["objective"].residual > 1e-3
 
     def test_rejects_an_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be"):
@@ -153,15 +159,15 @@ class TestRelativeObjectivity:
     def test_two_part_verdict(self):
         q = ck.velocity_relative_quantity()
         v = ck.classify(q, SPECS, base_spin=BASE_SPIN)
-        assert not v.objective.passed          # absolute frame-dependence
-        assert v.relative_objective.passed     # same form in both frames
+        assert not v["objective"].passed          # absolute frame-dependence
+        assert v["relative_objective"].passed     # same form in both frames
 
     def test_nonspinning_base_frame_removes_absolute_dependence(self):
         q = ck.velocity_relative_quantity()
         still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
         v = ck.classify(q, SPECS, base_spin=still)
-        assert v.objective.passed
-        assert v.relative_objective.passed
+        assert v["objective"].passed
+        assert v["relative_objective"].passed
 
 
 class TestImplicationAudit:
@@ -174,22 +180,25 @@ class TestImplicationAudit:
                      ck.z_tensor_quantity]
         for factory in factories:
             v = verdict_for(factory)
-            assert not (v.objective.passed and not v.tensor.passed)
+            assert not (v["objective"].passed and not v["tensor"].passed)
 
     def test_a_broken_implication_is_an_execution_error(self, monkeypatch,
                                                          tmp_path):
         # a tensor part that fails while the explicit objectivity part
         # passes must stop the check with exit 3, also under ``python -O``.
         # classify judges the tensor part first and the objectivity part
-        # second; this broken judge fails every first one.
+        # second; this broken judge fails every first one at a residual
+        # of -inf, so the worse-of rule keeps the objectivity part.
         judged = []
 
         class FailsTheTensorPart(ck.CheckPart):
             @classmethod
-            def of(cls, residual, tol):
-                judged.append(residual)
-                return ck.CheckPart.of(1.0 if len(judged) % 2 else residual,
-                                       tol)
+            def of(cls, residuals, tol, points=None, notes=()):
+                judged.append(ck.CheckPart.of(residuals, tol, points, notes))
+                if len(judged) % 2:
+                    return replace(judged[-1], passed=False,
+                                   residual=-np.inf)
+                return judged[-1]
 
         monkeypatch.setattr(classify_module, "CheckPart", FailsTheTensorPart)
         with pytest.raises(RuntimeError, match="form-invariance failed"):
@@ -206,7 +215,7 @@ class TestImplicationAudit:
         for factory in (ck.scalar_quantity, ck.velocity_quantity,
                         ck.strain_rate_quantity, ck.vorticity_quantity):
             v = verdict_for(factory)
-            for part in (v.tensor, v.objective):
+            for part in (v["tensor"], v["objective"]):
                 assert part.residual < 1e-9 or part.residual > 1e-3
 
 
@@ -229,8 +238,9 @@ class TestOracles:
 
     def test_witness_is_reported(self):
         v = verdict_for(ck.velocity_quantity)
-        t_w, x_w = v.witness
-        assert np.isfinite(t_w) and len(x_w) == 3
+        for part in v.values():
+            t_w, x_w = part.witness
+            assert np.isfinite(t_w) and len(x_w) == 3
 
     def test_nonfinite_residual_fails_with_witness(self):
         # exp(800 x1) overflows where x1 > 0.89; inf - inf is NaN, and
@@ -238,9 +248,9 @@ class TestOracles:
         q = ck.scalar_quantity(ex.parse_field_expr("exp(800*comp(x,1))"))
         with pytest.warns(RuntimeWarning):
             v = ck.classify(q, SPECS[:3])
-        assert not v.tensor.passed
-        assert not np.isfinite(v.tensor.residual)
-        assert v.witness is not None
+        assert not v["tensor"].passed
+        assert not np.isfinite(v["tensor"].residual)
+        assert v["tensor"].witness is not None
 
         # full mode compares phi(Q^T x) with phi(x) at the raw points.
         # Half-turns about e3 send x1 to about -x1, so the first ten
@@ -254,28 +264,30 @@ class TestOracles:
         assert len(half_turns) == classify_module._BATCH
         full = [classify_module._pairs(q, "full", None)[1]]
         with pytest.warns(RuntimeWarning):
-            (first, _), = classify_module._scan(half_turns, full, 200, None)
+            first, = classify_module._scan(half_turns, full, 200, None, 1e-9)
             got, = classify_module._scan(half_turns + [about_e1], full, 200,
-                                         None)
-            want, = loop_scan(half_turns + [about_e1], full, 200, None)
-        assert first == np.inf
-        assert np.isnan(got[0]) and not ck.CheckPart.of(got[0], 1e-9).passed
-        assert got[1] == want[1] and got[1][1][0] > 0.88
+                                         None, 1e-9)
+            want, = loop_scan(half_turns + [about_e1], full, 200, None, 1e-9)
+        assert first.residual == np.inf
+        assert np.isnan(got.residual) and not got.passed
+        assert got.witness == want.witness and got.witness[1][0] > 0.88
 
     def test_joined_parts_keep_a_nan(self, monkeypatch):
         # Python's max drops a NaN in second position and reported a
         # rounding-level residual for a failed part
-        w = (0.0, (0.0, 0.0, 0.0))
-        monkeypatch.setattr(classify_module, "_scan",
-                            lambda *args: [(1e-15, w), (np.nan, w)])
+        monkeypatch.setattr(
+            classify_module, "_scan",
+            lambda specs, pairs, n, seed, tol: [ck.CheckPart.of(r, tol)
+                                                for r in (1e-15, np.nan)])
         v = ck.classify(ck.strain_rate_quantity(), SPECS,
                         objectivity_mode="explicit")
-        assert v.tensor.passed
-        assert not v.objective.passed and np.isnan(v.objective.residual)
+        assert v["tensor"].passed
+        assert not v["objective"].passed and np.isnan(v["objective"].residual)
 
-    def test_witness_is_the_first_failing_parts(self):
-        # in the order tensor, objective, relative_objective, and the
-        # tensor comparison's when every part passes
+    def test_each_part_carries_its_own_witness(self):
+        # each part's witness is its own comparison's worst sample; the
+        # explicit objectivity part judges the worse of its own and the
+        # tensor comparison, and carries that one's witness
         still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
         specs = ck.random_rotations(10, seed=7)
         for q, spin in [(ck.z_tensor_quantity(), None),
@@ -284,15 +296,21 @@ class TestOracles:
                         (ck.velocity_relative_quantity(), BASE_SPIN),
                         (ck.velocity_relative_quantity(), still)]:
             found = classify_module._scan(
-                specs, classify_module._pairs(q, "explicit", spin), 200, 7)
+                specs, classify_module._pairs(q, "explicit", spin), 200, 7,
+                1e-9)
             v = ck.classify(q, specs, seed=7, base_spin=spin)
-            passed = [part.passed for part in v.parts().values()]
-            first = passed.index(False) if False in passed else 0
-            assert v.witness == found[first][1]
+            if not q.relative:
+                found[1] = max(found, key=lambda part: part.residual)
+            assert [part.witness for part in v.values()] == [
+                part.witness for part in found]
             if q.name == "z_tensor":
                 # the tensor residual is rounding noise at another point
-                assert passed == [True, False]
-                assert found[0][1] != found[1][1]
+                assert [part.passed for part in v.values()] == [True, False]
+                assert found[0].witness != found[1].witness
+            if q.relative and spin is BASE_SPIN:
+                # the relative part reports a witness of its own
+                assert v["relative_objective"].witness != \
+                    v["objective"].witness
 
 
 class TestRandomRotations:
@@ -329,7 +347,7 @@ def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
     monkeypatch.setattr(classify_module, "evaluate_many",
                         counted("evaluate_many", evaluate_many))
     monkeypatch.setattr(fr.FrameChange, "at", counted("at", at))
-    found = classify_module._scan(specs, pairs, 200, 3)
+    found = classify_module._scan(specs, pairs, 200, 3, 1e-9)
     assert len(found) == 4 and found[0] == found[2]
     assert calls == ["evaluate_many"] * 2
 
@@ -359,9 +377,9 @@ class TestBatchInvariance:
             q, kw.get("objectivity_mode"), kw.get("base_spin"))]
         runs = [lambda kw=kw: ck.classify(q, specs, seed=seed, **kw)
                 for kw in kws]
-        got_scan = classify_module._scan(specs, pairs, 200, seed)
+        got_scan = classify_module._scan(specs, pairs, 200, seed, 1e-9)
         got = [run() for run in runs]
-        want_scan = loop_scan(specs, pairs, 200, seed)
+        want_scan = loop_scan(specs, pairs, 200, seed, 1e-9)
         monkeypatch.setattr(classify_module, "_scan", loop_scan)
         want = [run() for run in runs]
         assert bits(got_scan) == bits(want_scan)

@@ -131,7 +131,43 @@ class TestRunScenario:
         assert not report["expectation_met"]
 
 
+# shipped parts that report no witness; this list may only shrink.  The
+# closure screen's S rows sample coefficient arguments, not points, and
+# name their worst sample in a note; the geometric suite reduces each case
+# to one number, and the terminal speed is one final value.
+NO_WITNESS = {
+    "closure_compliant": ("S1", "S3", "S4", "S6approx"),
+    "closure_constant_phi2": ("S1", "S4"),
+    "geometric_suite": ("curvilinear_differential", "curvilinear_point",
+                        "four_d_differential", "four_d_velocity_tensor",
+                        "linear_point", "shift_difference", "shift_point",
+                        "time_dependent_3d_defect_identity",
+                        "time_dependent_3d_differential"),
+    "mech_drag_terminal_speed": ("terminal",),
+}
+
+
 class TestRunSuite:
+    def test_every_part_reports_a_witness(self):
+        reports, code = run_suite(sorted(SCENARIOS.glob("*.json")),
+                                  no_timestamp=True)
+        assert code == 0 and len(reports) == 36
+        missing = {}
+        for got in reports:
+            witness = got["details"]["witness"]
+            assert set(witness) <= set(got["parts"])
+            for w in witness.values():
+                assert isinstance(w["t"], float) and len(w["x"]) == 3
+            absent = tuple(sorted(set(got["parts"]) - set(witness)))
+            if absent:
+                missing[got["scenario"]] = absent
+        assert missing == NO_WITNESS
+        for name in ("closure_compliant", "closure_constant_phi2"):
+            notes = next(r for r in reports
+                         if r["scenario"] == name)["details"]["notes"]
+            assert all(notes[tag][-1].startswith("worst residual at ")
+                       for tag in NO_WITNESS[name])
+
     def test_merge_is_sorted_and_deterministic(self):
         names = ["classify_strain_rate", "classify_velocity",
                  "mech_frame_indifference_oscillator"]

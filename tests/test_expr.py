@@ -573,8 +573,8 @@ class TestReciprocal:
 class TestConstantDot:
     """A ``dot`` of two constant operands folds to constants summed in
     the evaluator's order, so it keeps the bits of the product that the
-    evaluator would take; only a sum of -0.0 differs, since ``const``
-    interns it as the 0.0 node."""
+    evaluator would take, a sum of -0.0 included: ``const`` keys a
+    constant by its bits."""
 
     @staticmethod
     def unfolded(a, b):
@@ -592,6 +592,25 @@ class TestConstantDot:
         want = evaluate_many(self.unfolded(a, b), *point(0.0, (0.0,) * 3))
         got = evaluate_many(folded, *point(0.0, (0.0,) * 3))
         assert got.tobytes() == want.tobytes()
+
+    def test_a_negative_zero_sum_keeps_its_sign(self):
+        a = ex.matrix_const([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0],
+                             [0.0, 1.0, 0.0]])
+        b = ex.vector_const([-1.0, -1.0, -1.0])
+        want = evaluate_many(self.unfolded(a, b), *point(0.0, (0.0,) * 3))
+        got = evaluate_many(dot(a, b), *point(0.0, (0.0,) * 3))
+        assert np.signbit(want[0, 0])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_zeros_keep_their_sign_bits(self, first, monkeypatch):
+        # a fresh intern table, so the zero of either sign is built first
+        monkeypatch.setattr(ex, "_intern", {})
+        const(first)
+        neg_zero, pos_zero = const(-0.0), const(0.0)
+        assert neg_zero is not pos_zero
+        assert np.signbit(neg_zero.data) and not np.signbit(pos_zero.data)
+        assert ex.neg(const(0.0)) is neg_zero
 
     def test_a_galilei_carry_compiles_without_the_product(self):
         spec = fr.FrameChange.random_galilei(np.random.default_rng(3))

@@ -135,4 +135,4 @@ class TestGeometricSuite:
         assert code == 0 and got["expectation_met"]
         assert tuple(sorted(case for case, ok in got["parts"].items()
                             if not ok)) == FRAME_DEPENDENT
-        assert got["details"] == {}
+        assert got["details"] == {"witness": {}, "notes": {}}

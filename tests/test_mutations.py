@@ -14,10 +14,13 @@ Navier-Stokes symmetry derives its inverse map from them.
 ``FrameChange.carry`` transports the reference values of the mechanics
 checks and of the closure screen's G row.  Evaluator side: ``dot`` is
 the one contraction rule of ``evaluate_many``.  Verdict side:
-``verdict.worst`` is the one reduction of residual arrays, and
-``verdict.meets`` the one rule that judges an expected outcome.
+``verdict.worst`` is the one reduction of residual arrays, which
+``CheckPart.of`` applies to every check's residuals and which picks each
+part's witness, and ``verdict.meets`` the one rule that judges an
+expected outcome.
 """
 
+import functools
 import importlib
 import json
 import sys
@@ -29,12 +32,17 @@ import pytest
 
 from invariance import expr as ex
 from invariance import frames as fr
+from invariance import mechanics as mech
+from invariance import ns
 from invariance import report
 from invariance.checks import verdict
 from invariance.checks.verdict import CheckPart, meets
 from invariance.cli import main
 from invariance.expr import MAT, VEC, matrix_const, transpose, zero
 from invariance.report import run_scenario
+from invariance.sampling import DEFAULT_SEED
+
+import loop_oracles as loops
 
 SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
 classify_module = importlib.import_module("invariance.checks.classify")
@@ -104,19 +112,70 @@ def _dot_without_last_product(node, slots):
 
 
 # module reading ``verdict.worst`` -> shipped scenarios that a reducer
-# returning the first minimum must flip.  The mechanics and Navier-Stokes
-# reports carry no witness, and each of their expected FAILs stays above
-# FAIL_FLOOR at every sample, so no shipped scenario sees it there; the
-# decomposed scenarios expect only PASS, which a smaller residual keeps.
+# returning the first minimum must flip; the three are patched together.
+# ``CheckPart.of`` reduces every check's residuals through the verdict
+# module's ``worst``.  Each mechanics and Navier-Stokes expected FAIL stays
+# above FAIL_FLOOR at every sample, so those reports are gated on their
+# witnesses instead (``WITNESS_GATED``); the decomposed scenarios expect
+# only PASS, which a smaller residual keeps.
 REDUCER_READERS = {
+    "invariance.checks.verdict": ("covariant_derivative_spherical",),
     "invariance.checks.classify": ("classify_composite_norm_full",
                                    "classify_gradient_generic",
                                    "classify_z_tensor"),
     "invariance.ns.closure": ("closure_constant_phi2",),
-    "invariance.mechanics": (),
-    "invariance.ns.residual": (),
-    "invariance.ns.ensemble": (),
 }
+
+# shipped scenarios whose reported witness must be the worst sample of a
+# per-point loop wherever that worst stands clear of the other samples,
+# and those where it does.  The absolute-velocity law under a boost has
+# the same residual at every sample, so its worst is decided by the last
+# bit (see ``TestBatchedChecksAgainstLoops``), and a PASS sits at
+# rounding level.
+WITNESS_GATED = tuple(sorted(
+    p.stem for p in SCENARIO_DIR.glob("*.json")
+    if p.stem.startswith(("mech_frame_indifference_", "mech_noninertial_",
+                          "ns_"))))
+CLEAR_WITNESSES = ("mech_noninertial_drag_dropped",
+                   "ns_r3d_negative_control")
+
+
+@functools.lru_cache(maxsize=None)
+def loop_witness(name):
+    """The clear worst sample of a gated scenario, one sample at a time
+    (None where no sample stands clear), set up as ``report`` sets up its
+    check."""
+    doc = json.loads((SCENARIO_DIR / (name + ".json")).read_text())
+    payload, seed = doc["payload"], doc.get("seed", DEFAULT_SEED)
+    if doc["kind"] == "ns-symmetry":
+        found = loops.ns_symmetry(ns.SOLUTIONS[payload["solution"]](),
+                                  report._parse_ns_spec(payload["symmetry"]),
+                                  seed=seed)
+        return loops.clear_witness(*found)
+    model = report.MECHANICS_MODELS[payload["model"]](
+        **payload.get("params", {}))
+    if payload["check"] == "frame_indifference":
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
+        return loops.clear_witness(*loops.frame_indifference(
+            model, spec, seed=seed,
+            transport_refs=payload.get("transport_refs", True)))
+    rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
+    rotation = fr.RotationSpec(axis=rot["axis"], rate=float(rot["rate"]))
+    ic = (np.array(payload.get("x0", [0.5, 0.2, 0.0])),
+          np.array(payload.get("v0", [0.1, 0.0, 0.0])), 0.0)
+    traj = mech.integrate(model, ic, payload["dt"], payload["steps"])
+    drag = payload["drag_coeff"] if payload["include_drag_term"] else 0.0
+    return loops.clear_witness(*loops.noninertial_closure(
+        model, fr.FrameChange.euclidean(rotation=rotation), traj, drag,
+        rotation, lambda t: np.zeros(3)))
+
+
+def reported_witness(name):
+    got, code = run_scenario(SCENARIO_DIR / (name + ".json"),
+                             no_timestamp=True)
+    assert code == 0, got
+    (w,) = got["details"]["witness"].values()
+    return w["t"], tuple(w["x"])
 
 
 def _first_minimum(residuals):
@@ -190,16 +249,27 @@ def test_contraction_mutation_flips_shipped_verdicts(monkeypatch):
     assert not any(expectation_met(name) for name in DROPPED_DOT_PRODUCT)
 
 
+def test_reported_witnesses_are_the_loops_worst_samples():
+    clear = tuple(name for name in WITNESS_GATED if loop_witness(name))
+    assert clear == CLEAR_WITNESSES
+    for name in clear:
+        assert reported_witness(name) == loop_witness(name), name
+
+
 def test_reducer_mutation_flips_shipped_verdicts(monkeypatch):
     readers = {name for name, module in list(sys.modules.items())
-               if name.startswith("invariance.") and module is not verdict
+               if name.startswith("invariance.")
                and getattr(module, "worst", None) is verdict.worst}
     assert readers == set(REDUCER_READERS)
     scenarios = [s for names in REDUCER_READERS.values() for s in names]
     assert all(expectation_met(name) for name in scenarios)
+    assert all(reported_witness(name) == loop_witness(name)
+               for name in CLEAR_WITNESSES)
     for name in readers:
         monkeypatch.setattr(sys.modules[name], "worst", _first_minimum)
     assert not any(expectation_met(name) for name in scenarios)
+    assert not any(reported_witness(name) == loop_witness(name)
+                   for name in CLEAR_WITNESSES)
 
 
 @pytest.mark.parametrize("residual, met", [

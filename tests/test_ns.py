@@ -43,11 +43,11 @@ def galilei_spec():
 class TestSymmetryVerdicts:
     def test_galilei_passes(self):
         v = ns.check_ns_symmetry(ns.beltrami(), galilei_spec(), tol=1e-8)
-        assert v.symmetry.passed and v.symmetry.residual < 1e-8
+        assert v.passed and v.residual < 1e-8
 
     def test_s1_scaling_passes(self):
         v = ns.check_ns_symmetry(ns.beltrami(), fr.Scaling(0.4), tol=1e-8)
-        assert v.symmetry.passed
+        assert v.passed
 
     def test_s2_accelerating_shift_passes(self):
         from invariance import expr as ex
@@ -55,28 +55,28 @@ class TestSymmetryVerdicts:
              ("0.5*t*t", "sin(t)", "0.0")]
         v = ns.check_ns_symmetry(ns.beltrami(), fr.AcceleratedShift(f),
                                  tol=1e-8)
-        assert v.symmetry.passed
+        assert v.passed
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_s3_reflection_passes(self, axis):
         v = ns.check_ns_symmetry(ns.beltrami(), fr.Reflection(axis), tol=1e-8)
-        assert v.symmetry.passed
+        assert v.passed
 
     def test_s4_time_reversal_passes(self):
         v = ns.check_ns_symmetry(ns.beltrami(), fr.TimeReversal(), tol=1e-8)
-        assert v.symmetry.passed
+        assert v.passed
 
     def test_s5_passes_on_euler_only(self):
         v = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25),
                                  tol=1e-8)
-        assert v.symmetry.passed
+        assert v.passed
         with pytest.raises(ValueError):
             ns.check_ns_symmetry(ns.beltrami(), fr.EulerScaling(0.25))
 
     def test_s6_rotation_with_regauge_passes_on_taylor_green(self):
         v = ns.check_ns_symmetry(ns.taylor_green(), fr.PlanarRotation(0.8),
                                  tol=1e-8)
-        assert v.symmetry.passed and v.symmetry.residual < 1e-8
+        assert v.passed and v.residual < 1e-8
 
     def test_s6_requires_2d(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestSymmetryVerdicts:
     def test_r3d_negative_control_fails(self):
         spec = fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9)
         v = ns.check_ns_symmetry(ns.beltrami(), spec, tol=1e-8)
-        assert not v.symmetry.passed and v.symmetry.residual > 1e-2
+        assert not v.passed and v.residual > 1e-2
         assert any("negative control" in n for n in v.notes)
 
     def test_viscosity_flips_sign_under_time_reversal(self):
@@ -103,10 +103,10 @@ class TestDeadZoneProperty:
         tg = ns.taylor_green()
         for spec in (fr.Scaling(eps), fr.PlanarRotation(omega)):
             v = ns.check_ns_symmetry(tg, spec, n_points=50, tol=1e-8)
-            assert v.symmetry.residual < 1e-8
+            assert v.residual < 1e-8
         bad = fr.Rotation3D(axis=(1.0, 0.0, 0.5), rate=1.0 + abs(omega))
         v = ns.check_ns_symmetry(ns.beltrami(), bad, n_points=50, tol=1e-8)
-        assert v.symmetry.residual > 1e-3
+        assert v.residual > 1e-3
 
     def test_one_parameter_group_composition(self):
         # S1(e1) then S1(e2) equals S1(e1+e2) on the check level
