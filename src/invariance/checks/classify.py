@@ -234,6 +234,7 @@ def _transformed_inner(q):
     return moved
 
 
+@lru_cache(maxsize=None)
 def _spin_const(base_spin):
     if base_spin is None:
         return matrix_const(np.zeros((3, 3)))
@@ -289,12 +290,21 @@ def _component_abs(arr):
 
 
 @lru_cache(maxsize=None)
-def _on_mapped_points(e):
-    """``e``, an expression of the rotated frame's coordinates, read at
-    x~ = Q x + c of the rotation frame: an expression of the raw points."""
+def _differences(comparisons):
+    """The expression a - b of each of ``_scan``'s ``comparisons`` (a
+    tuple) over the raw points, and the bundle of the distinct ones, which
+    keeps its tape while the cache holds it.  A mapped side, an
+    expression of the rotated frame's coordinates, is composed with the
+    rotation frame's x~ = Q x + c."""
     q, c = _FRAME.exprs(0)
     x_new = add(dot(q, x_vector()), c)
-    return compose(e, [comp(x_new, i) for i in range(3)], time())
+    mapped = [comp(x_new, i) for i in range(3)]
+
+    def side(e, is_mapped):
+        return compose(e, mapped, time()) if is_mapped else e
+    diffs = tuple(sub(side(ea, ma), side(eb, mb))
+                  for ea, ma, eb, mb in comparisons)
+    return diffs, bundle(*dict.fromkeys(diffs))
 
 
 def _as_specs(specs):
@@ -325,12 +335,8 @@ def _scan(specs, comparisons, n_points, seed, tol):
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     n = t.shape[0]
-    diffs = [sub(_on_mapped_points(ea) if ma else ea,
-                 _on_mapped_points(eb) if mb else eb)
-             for ea, ma, eb, mb in comparisons]
-    unique = tuple(dict.fromkeys(diffs))
-    roots = bundle(*unique)
-    found = {d: ([], []) for d in unique}    # per batch: worst, sample
+    diffs, roots = _differences(tuple(comparisons))
+    found = {d: ([], []) for d in roots.args}    # per batch: worst, sample
     for start in range(0, len(specs), _BATCH):
         batch = specs[start:start + _BATCH]
         binds = [_rotation_bindings(spec) for spec in batch]
@@ -338,7 +344,7 @@ def _scan(specs, comparisons, n_points, seed, tol):
                 for name in binds[0]}
         values = evaluate_many(roots, np.tile(t, len(batch)),
                                np.tile(x, len(batch)), bind)
-        for d, value in zip(unique, values):
+        for d, value in zip(roots.args, values):
             # rotation-major blocks make the first worst point the first
             # rotation's
             top, i = worst(_component_abs(value))
@@ -355,13 +361,10 @@ def form_invariance_defect(q, spec, n_points=200, seed=None,
     Shape matches the quantity's rank with a trailing point axis; used to
     witness exact inhomogeneous offsets such as the vorticity spin term.
     """
-    _, tilde_value, rule_value, _ = _built(q, base_spin)
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
-    got, want = evaluate_many(
-        bundle(_on_mapped_points(tilde_value), rule_value), t, x,
-        _rotation_bindings(spec))
-    return got - want
+    (diff,), _ = _differences((_tensor_pair(q, base_spin),))
+    return evaluate_many(diff, t, x, _rotation_bindings(spec))
 
 
 def _tensor_pair(q, base_spin):

@@ -1,9 +1,13 @@
 """Expression trees for tensor-valued fields over 3D space and time.
 
 A :class:`Node` denotes a scalar, 3-vector or 3x3-matrix field of (x, t).
-Trees are immutable and hash-consed: building the same expression twice
-yields the *same* object, so structural equality is identity and the
-evaluator/differentiator can memoise by ``id``.
+Trees are immutable and hash-consed: building the same expression twice,
+while the first is alive, yields the *same* object, so structural
+equality is identity.  What is derived from a node (its derivative flag,
+derivatives, expansion, tape and float kernel) is kept in the node's own
+``derived`` dict, so it lives exactly as long as the node.  The intern
+table holds its nodes weakly: a node that nothing else holds is freed
+with everything derived from it.
 
 Derivative operators (grad/div/lap/dt) are kept as first-class nodes and
 expanded symbolically before evaluation; no finite differences are ever
@@ -18,6 +22,7 @@ import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 
@@ -72,13 +77,14 @@ class EvalError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Node:
-    __slots__ = ("kind", "args", "data", "shape")
+    __slots__ = ("kind", "args", "data", "shape", "derived", "__weakref__")
 
     def __init__(self, kind, args, data, shape):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "derived", {})
 
     def __setattr__(self, *_):
         raise AttributeError("Node is immutable")
@@ -90,13 +96,15 @@ class Node:
     # default __eq__/__hash__ from object.
 
 
-_intern = {}
+_intern = weakref.WeakValueDictionary()
 _intern_lock = threading.Lock()
 
 
 def _mk(kind, args=(), data=None, shape=SCALAR):
     # a constant is keyed by its bits: -0.0 == 0.0, so keyed by value the
-    # first zero built would stand for both
+    # first zero built would stand for both.  An operand is keyed by its
+    # id, valid while the node that holds it lives: a key holding it
+    # would keep it alive
     key = (kind, data.hex() if kind == "const" else data,
            tuple(id(a) for a in args), shape)
     node = _intern.get(key)
@@ -155,12 +163,13 @@ def _is_zero(e):
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeError("cannot add %s and %s" % (a.shape, b.shape))
+    if _is_const(a) and _is_const(b):
+        # before the zero skip, so that 0.0 + -0.0 is 0.0
+        return const(a.data + b.data)
     if _is_zero(a):
         return b
     if _is_zero(b):
         return a
-    if _is_const(a) and _is_const(b):
-        return const(a.data + b.data)
     return _mk("add", (a, b), shape=a.shape)
 
 
@@ -379,24 +388,23 @@ def x_vector():
 
 _DERIV_KINDS = ("grad", "div", "lap", "dt")
 
-_cd_memo = {}
+
+def _derived(e, key, build):
+    """``build(e)``, built once and kept in ``e.derived`` under ``key``."""
+    got = e.derived.get(key)
+    if got is None:
+        got = e.derived[key] = build(e)
+    return got
 
 
 def contains_derivatives(e):
-    got = _cd_memo.get(id(e))
-    if got is None:
-        got = e.kind in _DERIV_KINDS or any(
-            contains_derivatives(a) for a in e.args)
-        _cd_memo[id(e)] = got
-    return got
+    return _derived(e, "has derivatives", lambda n: n.kind in _DERIV_KINDS
+                    or any(map(contains_derivatives, n.args)))
 
 
 # ---------------------------------------------------------------------------
 # symbolic differentiation
 # ---------------------------------------------------------------------------
-
-_diff_memo = {}
-
 
 def differentiate(e, wrt):
     """d(e)/d(x^wrt) for wrt in {0,1,2}, or d(e)/dt for wrt='t'.
@@ -404,13 +412,7 @@ def differentiate(e, wrt):
     Derivative operator nodes inside ``e`` are expanded on the fly, so the
     result is always a plain tree.
     """
-    key = (id(e), wrt)
-    out = _diff_memo.get(key)
-    if out is not None:
-        return out
-    out = _diff(e, wrt)
-    _diff_memo[key] = out
-    return out
+    return _derived(e, ("d", wrt), lambda n: _diff(n, wrt))
 
 
 def _diff(e, wrt):
@@ -491,18 +493,11 @@ def _diff_func(e, wrt):
     raise ExprError("no derivative rule for %r" % name)
 
 
-_expand_memo = {}
-_tape_memo = {}      # expanded root id -> compiled tape (evaluate_many)
-
-
 def expand_derivatives(e):
     """Rewrite grad/div/lap/dt into plain component derivatives."""
-    out = _expand_memo.get(id(e))
-    if out is not None:
-        return out
-    out = _expand(e)
-    _expand_memo[id(e)] = out
-    return out
+    if not contains_derivatives(e):
+        return e        # not kept: a node that held itself would wait for gc
+    return _derived(e, "expanded", _expand)
 
 
 def _rebuild(e, args):
@@ -528,8 +523,6 @@ _REBUILD = {"add": add, "mul": mul, "dot": dot, "outer": outer,
 
 
 def _expand(e):
-    if not contains_derivatives(e):
-        return e
     if e.kind not in _DERIV_KINDS:
         return _rebuild(e, [expand_derivatives(a) for a in e.args])
     inner = expand_derivatives(e.args[0])
@@ -637,13 +630,11 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     Returns arrays of shape (N,), (3, N) or (3, 3, N) according to the
     expression's shape, or for a ``bundle`` the tuple of its roots'
     arrays.  Derivative nodes are expanded symbolically first; the
-    expanded DAG is compiled once into a tape (see ``_build_tape``) and
-    each call is one pass over that tape, each shared node computed once.
+    expanded DAG is compiled once into a tape (see ``_build_tape``), kept
+    while that DAG lives, and each call is one pass over that tape, each
+    shared node computed once.
     """
-    e = expand_derivatives(e)
-    tape = _tape_memo.get(id(e))
-    if tape is None:
-        tape = _tape_memo[id(e)] = _build_tape(e)
+    tape = _derived(expand_derivatives(e), "tape", _build_tape)
     t_arr = np.asarray(t_arr, dtype=float)
     env = (t_arr.shape[0], t_arr, np.asarray(x_arr, dtype=float),
            bindings or {})
@@ -878,9 +869,6 @@ _OPS = {
 # float kernels: one point, straight-line Python
 # ---------------------------------------------------------------------------
 
-_kernel_memo = {}    # expanded root id -> compiled float kernel
-
-
 def float_kernel(e):
     """``e`` compiled to a Python function of one point, over floats.
 
@@ -901,13 +889,9 @@ def float_kernel(e):
     scalar path round some of them differently.  A ``power`` whose
     exponent is not a constant is refused when the kernel is built:
     numpy rounds such a power in two ways.  The source is compiled on
-    first use and cached per expanded root.
+    first use and kept while the expanded root lives.
     """
-    e = expand_derivatives(e)
-    kernel = _kernel_memo.get(id(e))
-    if kernel is None:
-        kernel = _kernel_memo[id(e)] = _emit_kernel(e)
-    return kernel
+    return _derived(expand_derivatives(e), "kernel", _emit_kernel)
 
 
 def _emit_kernel(root):

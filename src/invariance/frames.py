@@ -33,7 +33,7 @@ Conventions:
     for a uniform rotation), velocity u_tilde = Q u - Omega x_tilde.
 """
 
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -137,8 +137,6 @@ class FrameChange:
     q: Node
     c: Node
     tau: float = 0.0
-    _derived: dict = dc_field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         if self.q.shape != MAT or self.c.shape != VEC:
@@ -187,12 +185,9 @@ class FrameChange:
         return cls(rodrigues_q(axis, theta), zero(VEC))
 
     def exprs(self, order=0):
-        """(Q^(k), c^(k)) as expressions for k = ``order``, cached."""
-        got = self._derived.get(order)
-        if got is None:
-            got = self._derived[order] = (_d_dt(self.q, order),
-                                          _d_dt(self.c, order))
-        return got
+        """(Q^(k), c^(k)) as expressions for k = ``order``; each
+        derivative is kept on the expression it derives from."""
+        return _d_dt(self.q, order), _d_dt(self.c, order)
 
     def at(self, t, order=0, bindings=None):
         """Q^(k)(t) and c^(k)(t) for k = ``order`` (0, 1 or 2).

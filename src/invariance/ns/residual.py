@@ -5,6 +5,7 @@ so an exact solution really does produce zeros down to rounding noise.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,19 +43,25 @@ class FlowState:
         if self.dim not in ("2D", "3D"):
             raise ValueError("dim must be '2D' or '3D'")
 
+    @cached_property
+    def _residual(self):
+        """The bundle of the continuity and momentum residuals, built
+        once, so that its tape lives as long as the state."""
+        u, p, nu = self.u, self.p, self.nu
+        return ex.bundle(
+            ex.div(u),
+            ex.add(ex.add(ex.dt(u), ex.dot(ex.grad(u), u)),
+                   ex.sub(ex.grad(p), ex.mul(ex.const(nu), ex.lap(u)))))
+
 
 def ns_residual(state, t_arr, x_arr):
     """(continuity, momentum) residual arrays at the given points."""
-    u, p, nu = state.u, state.p, state.nu
-    cont = ex.div(u)
-    mom = ex.add(ex.add(ex.dt(u), ex.dot(ex.grad(u), u)),
-                 ex.sub(ex.grad(p), ex.mul(ex.const(nu), ex.lap(u))))
-    return (ex.evaluate_many(cont, t_arr, x_arr),
-            ex.evaluate_many(mom, t_arr, x_arr))
+    return ex.evaluate_many(state._residual, t_arr, x_arr)
 
 
+@lru_cache(maxsize=None)
 def certify(state, n_points=200, tol=CERTIFY_TOL):
-    """Verify the state solves the equations; raise if it does not."""
+    """Verify, once per state, that it solves the equations; raise if not."""
     t, x = sample_points(n_points)
     cont, mom = ns_residual(state, t, x)
     part = CheckPart.of(

@@ -107,7 +107,8 @@ def _run_christoffel(payload, tol, seed):
         got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         ref = geo.closed_form_christoffel(chart_name, pts)
         t = np.zeros(pts.shape[1])
-        return ({"match": CheckPart.of(np.abs(got - ref), tol, (t, pts))},
+        return ({"match": CheckPart.of(np.abs(got - ref), tol,
+                                       (t, chart.cartesian(pts)))},
                 {"points": int(pts.shape[1])})
     if which == "covariant_derivative":
         phi = ex.parse_field_expr(payload.get("field", "dot(x, x)"))

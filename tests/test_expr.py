@@ -5,9 +5,11 @@ oracle — the oracle is the ground truth here, the symbolic engine the
 implementation under test.
 """
 
+import gc
 import sys
 import tracemalloc
 import warnings
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -243,7 +245,7 @@ class TestTape:
                 released[slot] = k
         assert sorted(released) == list(range(len(tape) - 1))
 
-    def test_tape_is_built_once_per_root(self, monkeypatch):
+    def test_tape_is_built_once_per_root(self, monkeypatch, drop_compiled):
         builds = []
         build = ex._build_tape
 
@@ -251,7 +253,6 @@ class TestTape:
             builds.append(root)
             return build(root)
 
-        monkeypatch.setattr(ex, "_tape_memo", {})
         monkeypatch.setattr(ex, "_build_tape", counting)
         e = parse_field_expr("sin(comp(x, 1)) * t")
         g = grad(e)
@@ -261,9 +262,8 @@ class TestTape:
             evaluate_many(g, np.ones(n), x[:, :n])
         evaluate_many(e, *point(0.5, (1.0, 2.0, 3.0)))
         assert builds == [e, expand_derivatives(g)]
-        assert len(ex._tape_memo) == 2
         for root in builds:
-            self.assert_each_value_released_once(ex._tape_memo[id(root)])
+            self.assert_each_value_released_once(root.derived["tape"])
 
     def test_dead_values_are_released(self):
         # a chain of 120 steps at 1e5 points: each value is dropped after
@@ -303,7 +303,8 @@ class TestBundle:
             assert value.shape == want.shape
             assert value.tobytes() == want.tobytes(), to_dsl(root)
 
-    def test_a_shared_node_is_computed_once(self, monkeypatch):
+    def test_a_shared_node_is_computed_once(self, monkeypatch,
+                                            drop_compiled):
         calls = []
         op_func = ex._OPS["func"]
 
@@ -315,7 +316,6 @@ class TestBundle:
                 return step(v, env)
             return counted
 
-        monkeypatch.setattr(ex, "_tape_memo", {})
         monkeypatch.setitem(ex._OPS, "func", counting)
         shared = func("sin", comp(ex.x_vector(), 0))
         roots = (mul(shared, time()), add(shared, const(1.0)),
@@ -343,7 +343,7 @@ class TestBundle:
         e = ex.bundle(*chains)
         t, x = np.zeros(n), RNG.uniform(-1.0, 1.0, size=(3, n))
         want = evaluate_many(e, t[:5], x[:, :5])    # compiles the tape
-        TestTape.assert_each_value_released_once(ex._tape_memo[id(e)])
+        TestTape.assert_each_value_released_once(e.derived["tape"])
         tracemalloc.start()
         try:
             got = evaluate_many(e, t, x)
@@ -490,7 +490,8 @@ class TestFloatKernel:
         with pytest.raises(ex.ExprError, match="float kernel"):
             ex.float_kernel(e)
 
-    def test_kernel_is_built_once_per_root(self, monkeypatch):
+    def test_kernel_is_built_once_per_root(self, monkeypatch,
+                                           drop_compiled):
         builds = []
         emit = ex._emit_kernel
 
@@ -498,7 +499,6 @@ class TestFloatKernel:
             builds.append(root)
             return emit(root)
 
-        monkeypatch.setattr(ex, "_kernel_memo", {})
         monkeypatch.setattr(ex, "_emit_kernel", counting)
         e = parse_field_expr("sin(comp(x, 1)) * t")
         for _ in range(3):
@@ -624,6 +624,27 @@ class TestConstantDot:
         t, x = np.linspace(-2.0, 2.0, 9), RNG.normal(size=(3, 9))
         assert (evaluate_many(root, t, x).tobytes()
                 == evaluate_many(unfolded, t, x).tobytes())
+
+
+class TestLifetime:
+    """What is derived from a node lives on the node: nothing keeps a node
+    that the program dropped."""
+
+    def test_a_dropped_expression_is_freed(self):
+        gc.collect()
+        before = len(ex._intern)
+        c = const(np.random.default_rng(0x11FE).uniform(10.0, 11.0))
+        # the derivative of exp(f) refers back to exp(f)
+        e = grad(mul(func("exp", mul(c, coord(0))), coord(1)))
+        evaluate_many(e, *point(0.5, (0.1, 0.2, 0.3)))
+        ex.float_kernel(e)
+        root = weakref.ref(expand_derivatives(e))
+        assert {"tape", "kernel"} <= set(root().derived)
+        assert len(ex._intern) > before
+        del c, e
+        gc.collect()
+        assert root() is None
+        assert len(ex._intern) == before
 
 
 class TestShippedRoots:
@@ -783,6 +804,12 @@ def test_shape_soundness(e, seed):
 @given(e=st.one_of(scalar_exprs(2), vector_exprs(2)))
 def test_fuzz_round_trip(e):
     assert parse_field_expr(to_dsl(e)) is e
+
+
+@pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+def test_a_sum_of_constant_zeros_is_their_ieee_sum(a, b):
+    got = add(const(a), const(b)).data
+    assert np.signbit(got) == np.signbit(a + b)
 
 
 def test_compose_requires_expansion():

@@ -77,6 +77,31 @@ class TestChristoffel:
         got = christoffel_transform(gamma, chart, pts)
         assert np.max(np.abs(got - gamma[:, :, :, None])) < 1e-12
 
+    @pytest.mark.parametrize("scenario", ["christoffel_cylindrical",
+                                          "christoffel_spherical",
+                                          "covariant_derivative_spherical"])
+    def test_a_witness_is_a_cartesian_position(self, scenario):
+        got, code = report.run_scenario(SCENARIO.with_name(scenario
+                                                           + ".json"))
+        assert code == 0
+        payload = json.loads(SCENARIO.with_name(scenario + ".json")
+                             .read_text())["payload"]
+        chart = CHARTS[payload["chart"]]
+        pts = chart.sample(payload["points"], got["seed"])
+        r = pts[0]
+        if payload["chart"] == "spherical":
+            want = [r * np.sin(pts[1]) * np.cos(pts[2]),
+                    r * np.sin(pts[1]) * np.sin(pts[2]), r * np.cos(pts[1])]
+        else:
+            want = [r * np.cos(pts[1]), r * np.sin(pts[1]), pts[2]]
+        cart = chart.cartesian(pts)
+        np.testing.assert_allclose(cart, want, rtol=0.0, atol=1e-12)
+        assert got["details"]["witness"]
+        for w in got["details"]["witness"].values():
+            assert w["t"] == 0.0
+            assert any(w["x"] == list(cart[:, k])
+                       for k in range(cart.shape[1]))
+
 
 class TestCovariantDerivative:
     def test_covariant_passes_partial_fails_on_curved_chart(self):

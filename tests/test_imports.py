@@ -3,8 +3,9 @@ or re-exported through its ``__all__``, every other module-level name is
 exported or read somewhere in the package, only ``checks/verdict.py``
 turns residuals into verdicts or builds a ``CheckPart`` other than through
 ``CheckPart.of``, no check is an ``assert``, which
-``python -O`` removes, and ``expr.py`` contracts only by its own
-component-wise rule, never through numpy's einsum or matmul."""
+``python -O`` removes, ``expr.py`` contracts only by its own
+component-wise rule, never through numpy's einsum or matmul, and no state
+keyed by ``id`` outlives the objects whose ids it holds."""
 
 import ast
 from pathlib import Path
@@ -220,3 +221,45 @@ def test_the_check_sees_a_numpy_contraction(tmp_path):
         "    return np.einsum('i,i', a, b), np.matmul(a, b), einsum, "
         "getattr(np, 'matmul'), np.dot(a, b)\n")
     assert numpy_contractions(module) == [2, 4, 5, 6, 6, 6, 6]
+
+
+# the functions of ``src`` that may call ``id``: each keys by ``id`` only
+# what lives as long as the call, or (``_mk``) as long as the node that
+# holds it.  This list may only shrink.
+ID_CALLERS = {"expr.py": ("_mk", "_rewrite", "_post_order", "_build_tape",
+                          "_emit_kernel")}
+
+
+def id_calls(root):
+    """``path:function`` (``path:<module>`` at module level) of each call
+    of ``id`` in the modules under ``root``; a call in a nested function
+    counts under the outermost function."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        where = path.relative_to(root).as_posix()
+        for top in tree.body:
+            name = (top.name if isinstance(
+                top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else "<module>")
+            found.extend("%s:%s" % (where, name) for n in ast.walk(top)
+                         if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name)
+                         and n.func.id == "id")
+    return found
+
+
+def test_id_keys_no_state_that_outlives_a_call():
+    allowed = {"%s:%s" % (path, name) for path, names in ID_CALLERS.items()
+               for name in names}
+    found = set(id_calls(SRC))
+    assert found == allowed
+
+
+def test_the_check_sees_an_id_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "MEMO = {id(object): 1}\n"
+        "def f(x):\n    def g(y):\n        return id(y)\n    return g(x)\n"
+        "class C:\n    def m(self):\n        return id(self), 'id(self)'\n"
+        "def h(x):\n    return x.id(x)\n")
+    assert id_calls(tmp_path) == ["a.py:<module>", "a.py:f", "a.py:C"]

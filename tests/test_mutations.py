@@ -184,18 +184,20 @@ def _first_minimum(residuals):
     return float(flat[i]), i
 
 
+def clear_classify_builds():
+    """The classifiers cache their built expressions, the base spin and
+    the compared differences included: clear every cache of the module."""
+    for value in vars(classify_module).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
 def fresh_classify_builds():
-    """The classifiers cache their built expressions, the base spin and
-    the point map included: clear them so no mutated value outlives its
-    test."""
-    caches = (classify_module._built, classify_module._built_full,
-              classify_module._on_mapped_points)
-    for cache in caches:
-        cache.cache_clear()
+    """No classifier build outlives its test, so no mutated one does."""
+    clear_classify_builds()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    clear_classify_builds()
 
 
 def expectation_met(name):
@@ -216,8 +218,7 @@ def test_frame_mutation_flips_shipped_verdicts(mutation, monkeypatch,
         return mutate(*exprs(self, order), order)
 
     monkeypatch.setattr(fr.FrameChange, "exprs", mutated)
-    for cache in (classify_module._built, classify_module._on_mapped_points):
-        cache.cache_clear()
+    clear_classify_builds()
     assert not any(expectation_met(name) for name in scenarios)
 
 
@@ -242,9 +243,10 @@ def test_reference_transport_mutation_flips_shipped_verdicts(monkeypatch):
     assert not any(expectation_met(name) for name in DROPPED_C_DOT)
 
 
-def test_contraction_mutation_flips_shipped_verdicts(monkeypatch):
+def test_contraction_mutation_flips_shipped_verdicts(monkeypatch,
+                                                     drop_compiled):
     assert all(expectation_met(name) for name in DROPPED_DOT_PRODUCT)
-    monkeypatch.setattr(ex, "_tape_memo", {})
+    drop_compiled()
     monkeypatch.setitem(ex._OPS, "dot", _dot_without_last_product)
     assert not any(expectation_met(name) for name in DROPPED_DOT_PRODUCT)
 
