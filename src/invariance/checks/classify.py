@@ -58,8 +58,6 @@ __all__ = [
     "GENERIC_VELOCITY", "GENERIC_SCALAR", "ISOTROPIC_SCALAR",
 ]
 
-DEFAULT_TOL = 1e-9
-
 U = sym("u", VEC, field=True)
 PHI = sym("phi", SCALAR, field=True)
 OMEGA = sym("OMEGA", MAT)
@@ -202,7 +200,7 @@ def _rotation_bindings(spec):
             "rot_ph": spec.phase}
 
 
-def random_rotations(n=100, seed=0x507A):
+def random_rotations(n, seed):
     """Rotations with rate and phase bounded away from the identity."""
     rng = np.random.default_rng(seed)
     out = []
@@ -307,13 +305,6 @@ def _differences(comparisons):
     return diffs, bundle(*dict.fromkeys(diffs))
 
 
-def _as_specs(specs):
-    try:
-        return list(specs)
-    except TypeError:       # one RotationSpec, which is not iterable
-        return [specs]
-
-
 # rotations per evaluator call: enough to amortise the per-call cost at
 # the default 200 points, few enough to keep the values of one call small
 _BATCH = 10
@@ -332,8 +323,7 @@ def _scan(specs, comparisons, n_points, seed, tol):
     the nodes they share, the point map included, are computed once, and
     its worst residual and sample per comparison go to ``CheckPart.of``.
     """
-    kw = {} if seed is None else {"seed": seed}
-    t, x = sample_points(n_points, **kw)
+    t, x = sample_points(n_points, seed)
     n = t.shape[0]
     diffs, roots = _differences(tuple(comparisons))
     found = {d: ([], []) for d in roots.args}    # per batch: worst, sample
@@ -354,15 +344,13 @@ def _scan(specs, comparisons, n_points, seed, tol):
             for tops, at in (found[d] for d in diffs)]
 
 
-def form_invariance_defect(q, spec, n_points=200, seed=None,
-                           base_spin=None):
+def form_invariance_defect(q, spec, seed, n_points=200, base_spin=None):
     """Raw difference (rotated-frame value minus rule prediction).
 
     Shape matches the quantity's rank with a trailing point axis; used to
     witness exact inhomogeneous offsets such as the vorticity spin term.
     """
-    kw = {} if seed is None else {"seed": seed}
-    t, x = sample_points(n_points, **kw)
+    t, x = sample_points(n_points, seed)
     (diff,), _ = _differences((_tensor_pair(q, base_spin),))
     return evaluate_many(diff, t, x, _rotation_bindings(spec))
 
@@ -398,19 +386,19 @@ def _pairs(q, mode, base_spin):
     return [tensor, (tilde_value, True, base_form, True)]
 
 
-def classify(q, specs=None, n_points=200, tol=DEFAULT_TOL, seed=None,
-             base_spin=None, objectivity_mode=None):
+def classify(q, specs, tol, seed, n_points=200, base_spin=None,
+             objectivity_mode=None):
     """{part: CheckPart} of the tensor, objectivity and, for a relative
     quantity, relative-objectivity parts, each with its own witness.
 
-    ``objectivity_mode`` defaults to "full" for a scalar inner field and
-    to "explicit" otherwise; ``base_spin`` is the spinning base frame of
-    a relative quantity.  Every part's comparison runs in one scan.
-    Objectivity cannot hold where form-invariance fails: the explicit
-    part judges the worse of its own and the tensor comparison, and so
-    does the full part once the tensor part fails.
+    ``specs`` is a list of rotations; ``objectivity_mode`` defaults to
+    "full" for a scalar inner field and to "explicit" otherwise, and
+    ``base_spin`` is the spinning base frame of a relative quantity.  All
+    comparisons run in one scan.  Objectivity cannot hold where
+    form-invariance fails: the explicit part judges the worse of its own
+    and the tensor comparison, and so does the full part once the tensor
+    part fails.
     """
-    specs = random_rotations() if specs is None else _as_specs(specs)
     mode = objectivity_mode or ("full" if q.field_rule == "scalar"
                                 else "explicit")
     spin = base_spin or fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)

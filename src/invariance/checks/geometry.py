@@ -62,7 +62,7 @@ class Chart:
     cart_of_chart: Tuple[Node, Node, Node]
     sampler: Callable[[int, int], np.ndarray]
 
-    def sample(self, n=50, seed=0xC0FFEE):
+    def sample(self, n, seed):
         return self.sampler(n, seed)
 
     def coord_exprs(self):
@@ -170,8 +170,7 @@ def closed_form_christoffel(name, pts):
     return out
 
 
-def check_covariant_derivative(a_expr, chart, n_points=50, tol=1e-9,
-                               seed=0xC0FFEE):
+def check_covariant_derivative(a_expr, chart, n_points, tol, seed):
     """Rank-2 tensor test of the covariant derivative of a covector field:
     {"covariant", "partial"} parts, each witnessed at the Cartesian
     position of a chart point, with t = 0.
@@ -209,7 +208,7 @@ def check_covariant_derivative(a_expr, chart, n_points=50, tol=1e-9,
 # geometric invariance of points and differences across frame classes
 # ---------------------------------------------------------------------------
 
-def geometric_invariance_suite(n_points=100, tol=1e-10, seed=0xC0FFEE):
+def geometric_invariance_suite(n_points, tol, seed):
     """{case: CheckPart} of point/difference invariance across the
     frame-change cases.
 

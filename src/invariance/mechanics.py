@@ -51,10 +51,12 @@ _INVARIANTS = {"r": ex.norm(DX), "s": ex.norm(DV), "q": ex.dot(DX, DV)}
 
 @dataclass(frozen=True)
 class ForceModel:
-    """F(x, xdot, t) with reference values and mass.
+    """F(x, xdot, t) with reference values, mass and linear drag.
 
     ``force`` is a vec3 expression over the argument symbols above;
     reference values are stored as tuples so models stay hashable.
+    ``drag`` is the coefficient a of the force's -a (xdot - v0r) term,
+    which couples into the fictitious force of a rotating frame.
     """
 
     force: Node
@@ -62,6 +64,7 @@ class ForceModel:
     x0r: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     v0r: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     t0r: float = 0.0
+    drag: float = 0.0
 
     @classmethod
     def from_invariants(cls, f1, f2, **kw):
@@ -143,7 +146,7 @@ def drag_gravity_model(a=1.0, m=1.0, g=1.0,
              ex.func("power", R_ARG, ex.const(-1.0)))
     return ForceModel.from_invariants(f1, ex.const(-float(a)),
                                       m=float(m), x0r=tuple(x0r),
-                                      v0r=tuple(v0r))
+                                      v0r=tuple(v0r), drag=float(a))
 
 
 def absolute_velocity_model(m=1.0):
@@ -252,8 +255,8 @@ def transform_trajectory(traj, spec):
 # checks
 # ---------------------------------------------------------------------------
 
-def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
-                                   seed=0xC0FFEE, transport_refs=True):
+def check_force_frame_indifference(model, spec, tol, seed, transport_refs,
+                                   n_points=100):
     """F(x~, xdot~, t~; refs~) == Q F(x, xdot, t; refs) at sampled states."""
     rng = np.random.default_rng(seed)
     t = np.empty(n_points)
@@ -274,16 +277,15 @@ def check_force_frame_indifference(model, spec, n_points=100, tol=1e-10,
         tol, points=(t, x))
 
 
-def check_galilei_covariance(model, spec, ic, dt, n_steps, tol=None):
+def check_galilei_covariance(model, spec, ic, dt, n_steps, tol):
     """Transformed solutions solve the transformed equation of motion.
 
     Integrates in the original frame, transports the trajectory, then
     independently re-integrates the boosted problem (with transported
     reference values) from the boosted initial condition and compares
-    the paths.  Default tolerance is ten times the dt^4 error scale.
+    the paths.  The two paths differ by rounding, so a ``tol`` of ten
+    times the dt^4 error scale is ample.
     """
-    if tol is None:
-        tol = 10.0 * dt ** 4
     base = integrate(model, ic, dt, n_steps)
     moved = transform_trajectory(base, spec)
     # the references ride the frame: float kernels of the same expressions
@@ -323,17 +325,14 @@ def inertial_force(spec, t, x_star, v_star, m, a=0.0):
             - a * fr.rotate(spin, dx))
 
 
-def check_noninertial_closure(model, spec, traj, tol=1e-5,
-                              include_drag_term=True, drag_coeff=None):
+def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     """Starred equation residual along a transported trajectory.
 
     The inertial trajectory's own equation supplies xddot analytically,
-    so the residual isolates the frame bookkeeping.  Omitting the drag
-    contribution -a R Rdot^T (x*-c) must break the balance.
+    so the residual isolates the frame bookkeeping.  The drag
+    contribution -a R Rdot^T (x*-c) carries the model's own ``drag``;
+    omitting it must break the balance of a model with drag.
     """
-    if drag_coeff is None:
-        raise ValueError("drag_coeff (the model's linear drag) is required")
-    a = float(drag_coeff)
     ts, xs, vs, rmat = _moved(spec, traj.t, traj.x, traj.v)
     x0r_at, v0r_at, t0r_new = transport_references(model, spec)
     rdot = spec.at(traj.t, 1)[0]
@@ -343,7 +342,7 @@ def check_noninertial_closure(model, spec, traj, tol=1e-5,
                 + fr.rotate(rmat, xdd) + ddc)
     forces = model.force_at(ts, xs, vs, (x0r_at(ts), v0r_at(ts), t0r_new))
     fict = inertial_force(spec, ts, xs, vs, model.m,
-                          a=a if include_drag_term else 0.0)
+                          a=model.drag if include_drag_term else 0.0)
     notes = () if include_drag_term else (
         "drag contribution of the inertial force omitted (expected FAIL)",)
     return CheckPart.of(np.max(np.abs(model.m * xdd_star - forces - fict),

@@ -27,12 +27,10 @@ from .residual import SOLUTIONS
 __all__ = [
     "ClosureModel", "ARG_NAMES", "MEAN_U", "U0", "compliant_model",
     "constant_phi2_model", "nu_phi2_model", "bare_mean_velocity_model",
-    "screen_closure",
+    "screen_closure", "TAGS",
 ]
 
 ARG_NAMES = ("nu", "dt0", "r", "s", "q")
-# screened when a closure-screen scenario names no tags
-SCENARIO_TAGS = ("G", "S1", "S3", "S4", "S6approx")
 ARG_SYMS = {name: ex.SCALAR for name in ARG_NAMES}
 PHI_NAMES = ("phi1", "phi2", "phi3", "phi4", "phi5")
 # a model's velocity block w is an expression of <u> and u0
@@ -87,6 +85,8 @@ _SCREENED = {
     "S4": lambda e: fr.TimeReversal(),
     "S5approx": fr.EulerScaling,
 }
+# every tag the screen knows: the Galilei row, scalings and planar limit
+TAGS = ("G", *_SCREENED, "S6approx")
 
 
 def _arg_samples(rng, n):
@@ -212,10 +212,8 @@ def _screen_one(model, tag, rng, n_samples, tol):
     return CheckPart.of(top, tol, notes=(at,))
 
 
-def screen_closure(model, tags=("G", "S1", "S3", "S4", "S5approx",
-                                "S6approx"),
-                   n_samples=200, tol=1e-10, seed=0xC0FFEE):
-    """{tag: CheckPart} for one closure model."""
+def screen_closure(model, tags, tol, seed, n_samples=200):
+    """{tag: CheckPart} for one closure model, each tag one of ``TAGS``."""
     rng = np.random.default_rng(seed)
     # the G row draws from a stream of its own, so the other rows' samples
     # do not depend on whether G is screened

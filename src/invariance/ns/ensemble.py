@@ -16,7 +16,6 @@ from ..sampling import sample_points
 
 __all__ = ["Ensemble", "reynolds_tau", "check_decomposed_symmetry"]
 
-DEFAULT_MEMBERS = 4096
 DEFAULT_ENSEMBLE_SEED = 0xBEEF
 # doubles in one (members, 3, points) block of the decomposed check
 _BLOCK_DOUBLES = 2 ** 17
@@ -31,7 +30,7 @@ class Ensemble:
     phase: np.ndarray
 
     @classmethod
-    def random(cls, n_members=DEFAULT_MEMBERS, seed=DEFAULT_ENSEMBLE_SEED):
+    def random(cls, n_members, seed=DEFAULT_ENSEMBLE_SEED):
         rng = np.random.default_rng(seed)
         k = rng.uniform(-3.0, 3.0, size=(3, n_members))
         a = rng.normal(size=(3, n_members))
@@ -72,8 +71,7 @@ def _conjugate(mat, tau):
     return np.einsum("iap,abp,jbp->ijp", mat, tau, mat)
 
 
-def check_decomposed_symmetry(ensemble, spec, n_points=200, tol=1e-12,
-                              seed=None):
+def check_decomposed_symmetry(ensemble, spec, tol, seed, n_points=200):
     """Transform the members, re-average, and compare with the tensor rule.
 
     The transformed second moment must equal scale^2 * M tau M^T exactly:
@@ -85,8 +83,7 @@ def check_decomposed_symmetry(ensemble, spec, n_points=200, tol=1e-12,
     one point would not (numpy rounds it on other paths), so a one-point
     tail joins the block before it.
     """
-    kw = {} if seed is None else {"seed": seed}
-    t, x = sample_points(n_points, **kw)
+    t, x = sample_points(n_points, seed)
     mat, scale = _fluctuation_action(spec, t)
     step = max(2, _BLOCK_DOUBLES // (3 * ensemble.n_members))
     residual = np.empty(n_points)

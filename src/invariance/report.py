@@ -3,9 +3,11 @@
 A scenario is a JSON document with a versioned schema: it names one
 check kind, a kind-specific payload, optional tolerance/seed overrides,
 and an ``expect`` block of anticipated pass/fail outcomes that the
-runner re-asserts.  Each kind has one runner, which returns the checks'
+runner re-asserts.  Each kind has one runner, the one place where a
+payload value gets its default; it checks every value before its checks
+run, each judged at the report's tolerance and seed, and returns their
 own ``CheckPart``s (naming a one-part check's part) and kind-specific
-details; a part's flag always means that its residual passed, and only
+details.  A part's flag always means that its residual passed, and only
 ``expect`` says whether it should.  Every classifier kind runs
 ``checks.classify``.  ``details`` maps each part to its witness and
 notes.  Reports are deterministic: with timestamps disabled, two runs
@@ -15,6 +17,7 @@ over the same inputs are byte-identical.
 import functools
 import hashlib
 import json
+import math
 import os
 import time as _time
 
@@ -68,132 +71,210 @@ CLOSURE_MODELS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# kind runners: each reads its whole payload, every value once with its
+# default and its check, then runs its checks and returns
+# ({part name: CheckPart}, details)
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class _Payload:
+    """A payload read value by value: ``get`` gives ``read`` of a key's
+    value, or of its default, and ``done`` refuses every key that no
+    ``get`` read; a value ``read`` refuses is a schema error naming it."""
+
+    def __init__(self, values):
+        self._values = values
+        self._unread = set(values)
+
+    def get(self, key, read, default=_REQUIRED):
+        self._unread.discard(key)
+        value = self._values.get(key, default)
+        if value is _REQUIRED:
+            raise SchemaError("missing %r" % key)
+        try:
+            return read(value)
+        except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
+            raise SchemaError("malformed %r: %r (%s)" % (key, value, exc))
+
+    def done(self):
+        if self._unread:
+            raise SchemaError("unknown key %s"
+                              % ", ".join(map(repr, sorted(self._unread))))
+
+
+def _is_real(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_vector(value):
+    return type(value) is list and len(value) == 3 \
+        and all(map(_is_real, value))
+
+
+def _reader(what, ok, convert=lambda value: value):
+    """A reader that refuses a value unless ``ok(value)``, saying that it
+    expected ``what``, and gives ``convert(value)``."""
+    def read(value):
+        if not ok(value):
+            raise ValueError("expected " + what)
+        return convert(value)
+    return read
+
+
+def _count(least):
+    return _reader("an integer of at least %d" % least,
+                   lambda v: type(v) is int and v >= least)
+
+
+def _one_of(choices):
+    choices = list(choices)
+    return _reader("one of " + ", ".join(map(repr, choices)),
+                   lambda v: v in choices)
+
+
+_real = _reader("a finite number", _is_real, float)
+_positive = _reader("a positive number", lambda v: _is_real(v) and v > 0,
+                    float)
+_nonnegative = _reader("a nonnegative number",
+                       lambda v: _is_real(v) and v >= 0, float)
+_flag = _reader("true or false", lambda v: type(v) is bool)
+_object = _reader("an object", lambda v: type(v) is dict)
+_outcomes = _reader("an object of true or false", lambda v: type(v) is dict
+                    and all(type(x) is bool for x in v.values()))
+_vector = _reader("a list of 3 numbers", _is_vector,
+                  lambda v: np.array(v, float))
+_tags = _reader("a nonempty list of %s" % ", ".join(ns_closure.TAGS),
+                lambda v: type(v) is list and v
+                and all(tag in ns_closure.TAGS for tag in v), tuple)
+_params = _reader("an object of numbers and lists of 3 numbers",
+                  lambda v: type(v) is dict and all(
+                      _is_real(x) or _is_vector(x) for x in v.values()))
+_rotation = _reader(
+    "an object of an 'axis', a list of 3 numbers, and a numeric 'rate'",
+    lambda v: type(v) is dict and set(v) == {"axis", "rate"}
+    and _is_vector(v["axis"]) and _is_real(v["rate"]),
+    lambda v: fr.RotationSpec(axis=v["axis"], rate=float(v["rate"])))
+_scalar_field = _reader(
+    "a scalar field", lambda v: ex.parse_field_expr(v).shape == ex.SCALAR,
+    ex.parse_field_expr)
+
+
 def _parse_ns_spec(d):
-    cls = fr.NS_SYMMETRIES.get(d.get("tag")) if isinstance(d, dict) else None
-    if cls is None:
-        raise SchemaError("unknown symmetry %r" % (d,))
-    try:
-        return cls.from_json(d)
-    except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
-        raise SchemaError("malformed %s symmetry %r: %s"
-                          % (cls.json_tag, d, exc))
+    return fr.NS_SYMMETRIES[d["tag"]].from_json(d)
 
 
-# ---------------------------------------------------------------------------
-# kind runners: each returns ({part name: CheckPart}, details)
-# ---------------------------------------------------------------------------
-
-def _run_classify(payload, tol, seed):
-    name = payload.get("quantity")
-    if name not in QUANTITIES:
-        raise SchemaError("unknown quantity %r" % name)
-    q = QUANTITIES[name]()
-    n_rotations = int(payload.get("rotations", 10))
-    if n_rotations < 1:
-        raise SchemaError("'rotations' must be at least 1")
-    specs = ck.random_rotations(n_rotations, seed=seed)
-    return ck.classify(q, specs, tol=tol, seed=seed,
-                       objectivity_mode=payload.get("mode")), {}
+def _run_classify(p, tol, seed):
+    q = QUANTITIES[p.get("quantity", _one_of(QUANTITIES))]()
+    n_rotations = p.get("rotations", _count(1), 10)
+    # a relative quantity has no objectivity mode: a given one is refused
+    mode = None if q.relative else p.get(
+        "mode", _one_of(("explicit", "full", None)), None)
+    p.done()
+    specs = ck.random_rotations(n_rotations, seed)
+    return ck.classify(q, specs, tol, seed, objectivity_mode=mode), {}
 
 
-def _run_christoffel(payload, tol, seed):
-    chart_name = payload.get("chart")
-    if chart_name not in geo.CHARTS:
-        raise SchemaError("unknown chart %r" % chart_name)
-    chart = geo.CHARTS[chart_name]
-    which = payload.get("check", "transform")
-    if which == "transform":
-        pts = chart.sample(int(payload.get("points", 50)), seed)
-        got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
-        ref = geo.closed_form_christoffel(chart_name, pts)
-        t = np.zeros(pts.shape[1])
-        return ({"match": CheckPart.of(np.abs(got - ref), tol,
-                                       (t, chart.cartesian(pts)))},
-                {"points": int(pts.shape[1])})
+def _run_christoffel(p, tol, seed):
+    chart = geo.CHARTS[p.get("chart", _one_of(geo.CHARTS))]
+    which = p.get("check", _one_of(("transform", "covariant_derivative")),
+                  "transform")
+    n_points = p.get("points", _count(1), 50)
     if which == "covariant_derivative":
-        phi = ex.parse_field_expr(payload.get("field", "dot(x, x)"))
-        return geo.check_covariant_derivative(
-            ex.grad(phi), chart, int(payload.get("points", 50)), tol,
-            seed), {}
-    raise SchemaError("unknown christoffel check %r" % which)
+        phi = p.get("field", _scalar_field, "dot(x, x)")
+        p.done()
+        return geo.check_covariant_derivative(ex.grad(phi), chart, n_points,
+                                              tol, seed), {}
+    p.done()
+    pts = chart.sample(n_points, seed)
+    got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+    ref = geo.closed_form_christoffel(chart.name, pts)
+    t = np.zeros(pts.shape[1])
+    return ({"match": CheckPart.of(np.abs(got - ref), tol,
+                                   (t, chart.cartesian(pts)))},
+            {"points": int(pts.shape[1])})
 
 
-def _run_geometric_suite(payload, tol, seed):
-    return geo.geometric_invariance_suite(int(payload.get("points", 100)),
-                                          tol, seed), {}
+def _run_geometric_suite(p, tol, seed):
+    n_points = p.get("points", _count(1), 100)
+    p.done()
+    return geo.geometric_invariance_suite(n_points, tol, seed), {}
 
 
-def _run_mechanics(payload, tol, seed):
-    name = payload.get("model", "oscillator")
-    if name not in MECHANICS_MODELS:
-        raise SchemaError("unknown mechanics model %r" % name)
-    model = MECHANICS_MODELS[name](**payload.get("params", {}))
-    check = payload.get("check")
-    dt = float(payload.get("dt", 1e-3))
-    steps = int(payload.get("steps", 1000))
+def _run_mechanics(p, tol, seed):
+    name = p.get("model", _one_of(MECHANICS_MODELS), "oscillator")
+    model = p.get("params", lambda kw: MECHANICS_MODELS[name](
+        **_params(kw)), {})
+    check = p.get("check", _one_of((
+        "oscillator_reference", "terminal_speed", "frame_indifference",
+        "galilei_covariance", "noninertial_closure")))
+    if check == "frame_indifference":
+        transport_refs = p.get("transport_refs", _flag, True)
+        p.done()
+        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
+        return {"frame_indifference": mech.check_force_frame_indifference(
+            model, spec, tol, seed, transport_refs)}, {}
+    dt = p.get("dt", _positive, 1e-3)
+    steps = p.get("steps", _count(1), 1000)
     if check == "oscillator_reference":
+        p.done()
         traj = mech.integrate(model, (np.array([1.0, 0, 0]),
                                       np.zeros(3), 0.0), dt, steps)
         return {"reference": CheckPart.of(
             np.abs(traj.x[0] - np.cos(traj.t)), tol, (traj.t, traj.x))}, {}
     if check == "terminal_speed":
+        expected = p.get("expected_vz", _real, -1.0)
+        p.done()
         traj = mech.integrate(model, (np.zeros(3), np.zeros(3), 0.0),
                               dt, steps)
-        expected = payload.get("expected_vz", -1.0)
         return ({"terminal": CheckPart.of(abs(traj.v[2, -1] - expected),
                                           tol)},
                 {"vz": float(traj.v[2, -1])})
-    if check == "frame_indifference":
-        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
-        return {"frame_indifference": mech.check_force_frame_indifference(
-            model, spec, tol=tol, seed=seed,
-            transport_refs=payload.get("transport_refs", True))}, {}
     if check == "galilei_covariance":
+        ic = (p.get("x0", _vector, [0.3, -0.2, 0.1]),
+              p.get("v0", _vector, [0.2, 0.1, 0.0]), 0.0)
+        p.done()
         spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
-        ic = (np.array(payload.get("x0", [0.3, -0.2, 0.1])),
-              np.array(payload.get("v0", [0.2, 0.1, 0.0])), 0.0)
         return {"covariance": mech.check_galilei_covariance(
-            model, spec, ic, dt, steps)}, {}
-    if check == "noninertial_closure":
-        rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
-        spec = fr.FrameChange.euclidean(rotation=fr.RotationSpec(
-            axis=rot["axis"], rate=float(rot["rate"])))
-        ic = (np.array(payload.get("x0", [0.5, 0.2, 0.0])),
-              np.array(payload.get("v0", [0.1, 0.0, 0.0])), 0.0)
-        traj = mech.integrate(model, ic, dt, steps)
-        return {"closure": mech.check_noninertial_closure(
-            model, spec, traj, tol=tol,
-            include_drag_term=payload.get("include_drag_term", True),
-            drag_coeff=float(payload.get("drag_coeff", 1.0)))}, {}
-    raise SchemaError("unknown mechanics check %r" % check)
+            model, spec, ic, dt, steps, tol)}, {}
+    rotation = p.get("rotation", _rotation, {"axis": [0, 0, 1], "rate": 0.5})
+    ic = (p.get("x0", _vector, [0.5, 0.2, 0.0]),
+          p.get("v0", _vector, [0.1, 0.0, 0.0]), 0.0)
+    include_drag_term = p.get("include_drag_term", _flag, True)
+    p.done()
+    spec = fr.FrameChange.euclidean(rotation=rotation)
+    traj = mech.integrate(model, ic, dt, steps)
+    return {"closure": mech.check_noninertial_closure(
+        model, spec, traj, tol, include_drag_term)}, {}
 
 
-def _run_ns_symmetry(payload, tol, seed):
-    sol = payload.get("solution")
-    if sol not in ns.SOLUTIONS:
-        raise SchemaError("unknown solution %r" % sol)
+def _run_ns_symmetry(p, tol, seed):
+    sol = p.get("solution", _one_of(ns.SOLUTIONS))
+    spec = p.get("symmetry", _parse_ns_spec)
+    p.done()
     state = ns.SOLUTIONS[sol]()
-    spec = _parse_ns_spec(payload.get("symmetry", {}))
     ns.certify(state)   # a non-solution is an error, not an expected FAIL
-    return {"symmetry": ns.check_ns_symmetry(
-        state, spec, tol=tol, seed=seed)}, {"solution": sol}
+    return {"symmetry": ns.check_ns_symmetry(state, spec, tol, seed)}, \
+        {"solution": sol}
 
 
-def _run_decomposed(payload, tol, seed):
-    ensemble = ns.Ensemble.random(int(payload.get("members", 4096)))
-    spec = _parse_ns_spec(payload.get("symmetry", {}))
+def _run_decomposed(p, tol, seed):
+    # one member has no fluctuation: a PASS on it would compare zeros
+    n_members = p.get("members", _count(2), 4096)
+    spec = p.get("symmetry", _parse_ns_spec)
+    p.done()
     return {"symmetry": ns.check_decomposed_symmetry(
-        ensemble, spec, tol=tol, seed=seed)}, {}
+        ns.Ensemble.random(n_members), spec, tol, seed)}, {}
 
 
-def _run_closure_screen(payload, tol, seed):
-    name = payload.get("model")
-    if name not in CLOSURE_MODELS:
-        raise SchemaError("unknown closure model %r" % name)
-    model = CLOSURE_MODELS[name]()
-    tags = tuple(payload.get("tags", ns_closure.SCENARIO_TAGS))
-    return (ns_closure.screen_closure(model, tags=tags, seed=seed),
-            {"model": name})
+def _run_closure_screen(p, tol, seed):
+    name = p.get("model", _one_of(CLOSURE_MODELS))
+    tags = p.get("tags", _tags, ["G", "S1", "S3", "S4", "S6approx"])
+    p.done()
+    parts = ns_closure.screen_closure(CLOSURE_MODELS[name](), tags, tol, seed)
+    return parts, {"model": name}
 
 
 KINDS = {
@@ -225,21 +306,23 @@ def _load(path):
     return doc
 
 
-def _validate(doc):
+def _validate(doc, overrides):
+    """(kind, payload, expect, tolerance, seed) of the scenario ``doc``
+    with its values replaced by ``overrides``, read as a payload is read,
+    with the kind's default tolerance."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise SchemaError("unsupported schema version %r"
-                          % doc.get("schema"))
-    if not isinstance(doc.get("name"), str) or not doc["name"]:
-        raise SchemaError("scenario needs a nonempty 'name'")
-    if doc.get("kind") not in KINDS:
-        raise SchemaError("unknown check kind %r" % doc.get("kind"))
-    if not isinstance(doc.get("payload", {}), dict):
-        raise SchemaError("'payload' must be an object")
-    if not isinstance(doc.get("expect", {}), dict):
-        raise SchemaError("'expect' must be an object")
-    return doc
+    top = _Payload(dict(doc, **overrides))
+    top.get("schema", _one_of([SCHEMA_VERSION]))
+    top.get("name", _reader("a nonempty string",
+                            lambda v: type(v) is str and v))
+    kind = top.get("kind", _one_of(KINDS))
+    read = (kind, _Payload(top.get("payload", _object, {})),
+            top.get("expect", _outcomes, {}),
+            top.get("tolerance", _nonnegative, _DEFAULT_TOLS.get(kind, 1e-9)),
+            top.get("seed", _count(0), DEFAULT_SEED))
+    top.done()
+    return read
 
 
 def _name_of(path, doc=None):
@@ -256,30 +339,28 @@ def _name_of(path, doc=None):
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 
-def run_scenario(path, tol=None, seed=None, no_timestamp=False):
+def run_scenario(path, tol, seed, no_timestamp=False):
     """Run one scenario file and return (report dict, exit code).
 
+    ``tol`` and ``seed``, unless None, override the scenario's own.
     Every report, an error report too, is keyed by the scenario's name,
     or by the file stem when the file does not give a name.
     """
     doc = None
     try:
         doc = _load(path)
-        _validate(doc)
+        kind, payload, expect, tolerance, seed_used = _validate(doc, {
+            k: v for k, v in (("tolerance", tol), ("seed", seed))
+            if v is not None})
     except SchemaError as exc:
         return {"scenario": _name_of(path, doc or {}), "error": str(exc),
                 "error_kind": "schema"}, 2
 
     raw = json.dumps(doc, sort_keys=True).encode()
     digest = hashlib.sha256(raw).hexdigest()
-    kind = doc["kind"]
-    tolerance = (tol if tol is not None
-                 else doc.get("tolerance", _DEFAULT_TOLS.get(kind, 1e-9)))
-    seed_used = seed if seed is not None else doc.get("seed", DEFAULT_SEED)
     started = _time.time()
     try:
-        parts, details = KINDS[kind](doc.get("payload", {}), tolerance,
-                                     seed_used)
+        parts, details = KINDS[kind](payload, tolerance, seed_used)
     except SchemaError as exc:
         return {"scenario": doc["name"], "error": str(exc),
                 "error_kind": "schema"}, 2
@@ -287,9 +368,8 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
         return {"scenario": doc["name"], "error": str(exc),
                 "error_kind": "execution"}, 3
 
-    expect = doc.get("expect", {})
     mismatches = sorted(k for k, v in expect.items()
-                        if k not in parts or not meets(parts[k], bool(v)))
+                        if k not in parts or not meets(parts[k], v))
     report = {
         "scenario": doc["name"],
         "kind": kind,
@@ -314,8 +394,9 @@ def run_scenario(path, tol=None, seed=None, no_timestamp=False):
     return report, 0
 
 
-def run_suite(paths, tol=None, seed=None, no_timestamp=False, jobs=1):
-    """Run many scenarios; reports merged deterministically by name.
+def run_suite(paths, tol, seed, no_timestamp=False, jobs=1):
+    """Run many scenarios, each as ``run_scenario`` runs it; reports
+    merged deterministically by name.
 
     With ``jobs`` > 1 the scenarios run in worker processes: at most
     ``jobs``, one per CPU and one per scenario.  When that allows only one

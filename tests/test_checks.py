@@ -8,7 +8,7 @@ from invariance import checks as ck
 from invariance import expr as ex
 from invariance import frames as fr
 from invariance import report
-from invariance.sampling import sample_points
+from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
 
@@ -18,10 +18,11 @@ classify_module = importlib.import_module("invariance.checks.classify")
 
 SPECS = ck.random_rotations(10, seed=0xA11CE)
 BASE_SPIN = fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
+TOL = 1e-9
 
 
 def verdict_for(factory, **kw):
-    return ck.classify(factory(), SPECS, **kw)
+    return ck.classify(factory(), SPECS, TOL, DEFAULT_SEED, **kw)
 
 
 def loop_scan(specs, comparisons, n_points, seed, tol):
@@ -34,8 +35,7 @@ def loop_scan(specs, comparisons, n_points, seed, tol):
     (or first NaN) over rotations, then points.  Each part is built
     field by field, not through ``CheckPart.of``.
     """
-    kw = {} if seed is None else {"seed": seed}
-    t, x = sample_points(n_points, **kw)
+    t, x = sample_points(n_points, seed)
     out = []
     for ea, ma, eb, mb in comparisons:
         worsts, witnesses = [], []
@@ -83,7 +83,7 @@ class TestClassificationMatrix:
         assert not v["objective"].passed and v["objective"].residual > 1e-3
 
     def test_isotropic_gradient_objective(self):
-        v = ck.classify(ck.gradient_quantity(ck.ISOTROPIC_SCALAR), SPECS)
+        v = verdict_for(lambda: ck.gradient_quantity(ck.ISOTROPIC_SCALAR))
         assert v["tensor"].passed and v["objective"].passed
 
     def test_hessian_tensor_not_objective(self):
@@ -124,18 +124,18 @@ class TestClassificationMatrix:
         assert not v["objective"].passed and v["objective"].residual > 1e-3
 
     def test_composite_norm_explicit_vs_full(self):
-        q = ck.composite_norm_quantity()
-        explicit = ck.classify(q, SPECS, objectivity_mode="explicit")
+        explicit = verdict_for(ck.composite_norm_quantity,
+                               objectivity_mode="explicit")
         assert explicit["tensor"].passed and explicit["objective"].passed
-        full = ck.classify(q, SPECS, objectivity_mode="full")
+        full = verdict_for(ck.composite_norm_quantity,
+                           objectivity_mode="full")
         assert full["tensor"].passed
         assert not full["objective"].passed
         assert full["objective"].residual > 1e-3
 
     def test_rejects_an_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be"):
-            ck.classify(ck.strain_rate_quantity(), SPECS,
-                        objectivity_mode="partial")
+            verdict_for(ck.strain_rate_quantity, objectivity_mode="partial")
 
 
 class TestVorticityDefect:
@@ -144,28 +144,28 @@ class TestVorticityDefect:
         # exactly -Omega, not merely nonzero
         q = ck.vorticity_quantity()
         for spec in SPECS[:5]:
-            diff = ck.form_invariance_defect(q, spec, n_points=50)
+            diff = ck.form_invariance_defect(q, spec, DEFAULT_SEED,
+                                             n_points=50)
             omega = oracle.spin(spec)
             assert np.max(np.abs(diff + omega[:, :, None])) < 1e-10
 
     def test_defect_zero_for_strain_rate(self):
         q = ck.strain_rate_quantity()
         for spec in SPECS[:3]:
-            diff = ck.form_invariance_defect(q, spec, n_points=50)
+            diff = ck.form_invariance_defect(q, spec, DEFAULT_SEED,
+                                             n_points=50)
             assert np.max(np.abs(diff)) < 1e-12
 
 
 class TestRelativeObjectivity:
     def test_two_part_verdict(self):
-        q = ck.velocity_relative_quantity()
-        v = ck.classify(q, SPECS, base_spin=BASE_SPIN)
+        v = verdict_for(ck.velocity_relative_quantity, base_spin=BASE_SPIN)
         assert not v["objective"].passed          # absolute frame-dependence
         assert v["relative_objective"].passed     # same form in both frames
 
     def test_nonspinning_base_frame_removes_absolute_dependence(self):
-        q = ck.velocity_relative_quantity()
         still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
-        v = ck.classify(q, SPECS, base_spin=still)
+        v = verdict_for(ck.velocity_relative_quantity, base_spin=still)
         assert v["objective"].passed
         assert v["relative_objective"].passed
 
@@ -207,7 +207,7 @@ class TestImplicationAudit:
         path.write_text('{"schema": 1, "name": "strain_rate", "kind": '
                         '"objectivity", "payload": {"quantity": '
                         '"strain_rate", "rotations": 10}}')
-        got, code = report.run_scenario(path, no_timestamp=True)
+        got, code = report.run_scenario(path, None, None, no_timestamp=True)
         assert code == 3 and got["error_kind"] == "execution"
 
     def test_residual_dead_zone(self):
@@ -247,7 +247,7 @@ class TestOracles:
         # NaN must fail the tensor part and carry its witness point
         q = ck.scalar_quantity(ex.parse_field_expr("exp(800*comp(x,1))"))
         with pytest.warns(RuntimeWarning):
-            v = ck.classify(q, SPECS[:3])
+            v = ck.classify(q, SPECS[:3], TOL, DEFAULT_SEED)
         assert not v["tensor"].passed
         assert not np.isfinite(v["tensor"].residual)
         assert v["tensor"].witness is not None
@@ -264,10 +264,12 @@ class TestOracles:
         assert len(half_turns) == classify_module._BATCH
         full = [classify_module._pairs(q, "full", None)[1]]
         with pytest.warns(RuntimeWarning):
-            first, = classify_module._scan(half_turns, full, 200, None, 1e-9)
+            first, = classify_module._scan(half_turns, full, 200,
+                                           DEFAULT_SEED, TOL)
             got, = classify_module._scan(half_turns + [about_e1], full, 200,
-                                         None, 1e-9)
-            want, = loop_scan(half_turns + [about_e1], full, 200, None, 1e-9)
+                                         DEFAULT_SEED, TOL)
+            want, = loop_scan(half_turns + [about_e1], full, 200,
+                              DEFAULT_SEED, TOL)
         assert first.residual == np.inf
         assert np.isnan(got.residual) and not got.passed
         assert got.witness == want.witness and got.witness[1][0] > 0.88
@@ -279,8 +281,7 @@ class TestOracles:
             classify_module, "_scan",
             lambda specs, pairs, n, seed, tol: [ck.CheckPart.of(r, tol)
                                                 for r in (1e-15, np.nan)])
-        v = ck.classify(ck.strain_rate_quantity(), SPECS,
-                        objectivity_mode="explicit")
+        v = verdict_for(ck.strain_rate_quantity, objectivity_mode="explicit")
         assert v["tensor"].passed
         assert not v["objective"].passed and np.isnan(v["objective"].residual)
 
@@ -298,7 +299,7 @@ class TestOracles:
             found = classify_module._scan(
                 specs, classify_module._pairs(q, "explicit", spin), 200, 7,
                 1e-9)
-            v = ck.classify(q, specs, seed=7, base_spin=spin)
+            v = ck.classify(q, specs, TOL, 7, base_spin=spin)
             if not q.relative:
                 found[1] = max(found, key=lambda part: part.residual)
             assert [part.witness for part in v.values()] == [
@@ -375,7 +376,7 @@ class TestBatchInvariance:
             kws = [{"objectivity_mode": mode} for mode in ("explicit", "full")]
         pairs = [pair for kw in kws for pair in classify_module._pairs(
             q, kw.get("objectivity_mode"), kw.get("base_spin"))]
-        runs = [lambda kw=kw: ck.classify(q, specs, seed=seed, **kw)
+        runs = [lambda kw=kw: ck.classify(q, specs, TOL, seed, **kw)
                 for kw in kws]
         got_scan = classify_module._scan(specs, pairs, 200, seed, 1e-9)
         got = [run() for run in runs]

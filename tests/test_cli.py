@@ -40,14 +40,15 @@ def modules_after_cli_import():
 
 class TestRunScenario:
     def test_basic_pass(self):
-        report, code = run_scenario(shipped("classify_strain_rate"))
+        report, code = run_scenario(shipped("classify_strain_rate"), None,
+                                    None)
         assert code == 0
         assert report["parts"] == {"tensor": True, "objective": True}
         assert report["expectation_met"]
         assert report["input_digest"].startswith("sha256:")
 
     def test_expected_fail_is_not_an_error(self):
-        report, code = run_scenario(shipped("classify_velocity"))
+        report, code = run_scenario(shipped("classify_velocity"), None, None)
         assert code == 0
         assert report["parts"]["tensor"] is False
         assert report["expectation_met"]
@@ -56,7 +57,7 @@ class TestRunScenario:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 99, "name": "x",
                                    "kind": "tensor"}))
-        report, code = run_scenario(str(bad))
+        report, code = run_scenario(str(bad), None, None)
         assert code == 2 and report["error_kind"] == "schema"
 
     def test_schema_error_reports_by_name_or_stem(self, tmp_path):
@@ -65,7 +66,7 @@ class TestRunScenario:
                                      "kind": "tensor"}))
         malformed = tmp_path / "malformed.json"
         malformed.write_text("{not json")
-        reports, code = run_suite([str(named), str(malformed)],
+        reports, code = run_suite([str(named), str(malformed)], None, None,
                                   no_timestamp=True)
         assert code == 2
         assert sorted(r["scenario"] for r in reports) == \
@@ -76,7 +77,7 @@ class TestRunScenario:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "name": "x",
                                    "kind": "nope", "payload": {}}))
-        _, code = run_scenario(str(bad))
+        _, code = run_scenario(str(bad), None, None)
         assert code == 2
 
     def test_execution_error(self, tmp_path):
@@ -87,7 +88,7 @@ class TestRunScenario:
                "expect": {}}
         p = tmp_path / "boom.json"
         p.write_text(json.dumps(doc))
-        report, code = run_scenario(str(p))
+        report, code = run_scenario(str(p), None, None)
         assert code == 3 and report["error_kind"] == "execution"
 
     def test_broken_base_flow_is_execution_error(self, monkeypatch):
@@ -96,7 +97,8 @@ class TestRunScenario:
         # rotation meets the negative control's expected FAIL
         monkeypatch.setitem(ns.SOLUTIONS, "beltrami",
                             lambda: replace(ns.beltrami(), nu=0.5))
-        report, code = run_scenario(shipped("ns_r3d_negative_control"))
+        report, code = run_scenario(shipped("ns_r3d_negative_control"),
+                                    None, None)
         assert code == 3 and report["error_kind"] == "execution"
         assert "not an exact solution" in report["error"]
         assert main(["check", shipped("ns_r3d_negative_control")]) == 3
@@ -113,7 +115,7 @@ class TestRunScenario:
                "expect": {}}
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
-        report, code = run_scenario(str(p))
+        report, code = run_scenario(str(p), None, None)
         assert code == 2 and report["error_kind"] == "schema"
 
     def test_zero_rotations_is_schema_error(self, tmp_path):
@@ -122,13 +124,79 @@ class TestRunScenario:
                "payload": {"quantity": "strain_rate", "rotations": 0}}
         p = tmp_path / "none.json"
         p.write_text(json.dumps(doc))
-        report, code = run_scenario(str(p))
+        report, code = run_scenario(str(p), None, None)
         assert code == 2 and report["error_kind"] == "schema"
 
     def test_tolerance_override_flips_verdict(self):
-        report, _ = run_scenario(shipped("classify_strain_rate"), tol=1e-30)
+        report, _ = run_scenario(shipped("classify_strain_rate"), 1e-30,
+                                 None)
         assert report["parts"]["tensor"] is False
         assert not report["expectation_met"]
+
+    @pytest.mark.parametrize("base, where, key, value", [
+        ("classify_strain_rate", "payload", "rotations", "abc"),
+        ("classify_strain_rate", "payload", "rotations", 2.7),
+        ("classify_composite_norm_explicit", "payload", "mode", "weird"),
+        ("classify_velocity_relative", "payload", "mode", "full"),
+        ("classify_velocity", "payload", "quantity", ["velocity"]),
+        ("mech_noninertial_closure", "payload", "params", {"zeta": 1}),
+        ("mech_noninertial_closure", "payload", "dt", "x"),
+        ("mech_noninertial_closure", "payload", "dt", -1),
+        ("mech_noninertial_closure", "payload", "rotaton",
+         {"axis": [0, 0, 1], "rate": 0.5}),
+        ("mech_noninertial_closure", "payload", "drag_coeff", 1.0),
+        ("closure_compliant", "payload", "tags", ["XX"]),
+        ("closure_compliant", "payload", "tags", "G"),
+        ("decomposed_s1_scaling", "payload", "members", 0),
+        ("christoffel_spherical", "payload", "points", 0),
+        ("christoffel_spherical", "payload", "chart", ["spherical"]),
+        ("covariant_derivative_spherical", "payload", "field", "dot(x, "),
+        ("classify_strain_rate", None, "tolerance", "abc"),
+        ("classify_strain_rate", None, "seed", "abc"),
+        ("classify_strain_rate", None, "tolerence", 1e-12),
+        ("classify_strain_rate", None, "expect", {"tensor": "false"}),
+    ], ids=["rotations-text", "rotations-fraction", "mode-unknown",
+            "mode-of-a-relative-quantity", "quantity-list",
+            "params-unknown", "dt-text", "dt-negative", "rotation-misspelt",
+            "drag-coeff-removed", "tags-unknown", "tags-text",
+            "members-zero", "points-zero", "chart-list", "field-unparsable",
+            "tolerance-text", "seed-text", "tolerance-misspelt",
+            "expect-text"])
+    def test_malformed_value_is_schema_error(self, tmp_path, base, where,
+                                             key, value):
+        # every payload value is read and checked before a check runs,
+        # and a key that nothing reads is refused, not ignored
+        doc = json.loads(Path(shipped(base)).read_text())
+        (doc[where] if where else doc)[key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        report, code = run_scenario(str(p), None, None)
+        assert code == 2 and report["error_kind"] == "schema", report
+        assert repr(key) in report["error"]
+
+    @pytest.mark.parametrize("tol, seed, key", [
+        (float("nan"), None, "tolerance"), (-1.0, None, "tolerance"),
+        (None, -1, "seed")])
+    def test_malformed_override_is_schema_error(self, tol, seed, key):
+        # an override is read as the scenario's own value is
+        report, code = run_scenario(shipped("classify_strain_rate"), tol,
+                                    seed)
+        assert code == 2 and report["error_kind"] == "schema"
+        assert repr(key) in report["error"]
+
+    @pytest.mark.parametrize("model, params", [
+        ("oscillator", {}), ("drag_gravity", {"a": 2.0})])
+    def test_closure_drag_is_the_models(self, tmp_path, model, params):
+        # the inertial force carries the law's own drag coupling, whatever
+        # it is: none for the oscillator, 2 for a doubled drag
+        doc = json.loads(Path(shipped("mech_noninertial_closure"))
+                         .read_text())
+        doc["payload"].update(model=model, params=params)
+        p = tmp_path / "closure.json"
+        p.write_text(json.dumps(doc))
+        report, code = run_scenario(str(p), None, None)
+        assert code == 0 and report["expectation_met"]
+        assert report["residuals"]["closure"] < 1e-12
 
 
 # shipped parts that report no witness; this list may only shrink.  The
@@ -149,7 +217,7 @@ NO_WITNESS = {
 
 class TestRunSuite:
     def test_every_part_reports_a_witness(self):
-        reports, code = run_suite(sorted(SCENARIOS.glob("*.json")),
+        reports, code = run_suite(sorted(SCENARIOS.glob("*.json")), None, None,
                                   no_timestamp=True)
         assert code == 0 and len(reports) == 36
         missing = {}
@@ -168,14 +236,27 @@ class TestRunSuite:
             assert all(notes[tag][-1].startswith("worst residual at ")
                        for tag in NO_WITNESS[name])
 
+    def test_every_part_is_judged_at_the_report_tolerance(self):
+        # at a tolerance below every nonzero residual, only an exact zero
+        # may pass: no check may judge at a tolerance of its own
+        for path in sorted(SCENARIOS.glob("*.json")):
+            got, code = run_scenario(str(path), 1e-300, None,
+                                     no_timestamp=True)
+            assert code == 0 and got["tolerance"] == 1e-300
+            for part, passed in got["parts"].items():
+                residual = got["residuals"][part]
+                assert passed == (residual == 0.0), \
+                    (got["scenario"], part, residual)
+
     def test_merge_is_sorted_and_deterministic(self):
         names = ["classify_strain_rate", "classify_velocity",
                  "mech_frame_indifference_oscillator"]
         paths = [shipped(n) for n in names]
-        reports, code = run_suite(paths, no_timestamp=True, jobs=3)
+        reports, code = run_suite(paths, None, None, no_timestamp=True, jobs=3)
         assert code == 0
         assert [r["scenario"] for r in reports] == sorted(names)
-        again, _ = run_suite(list(reversed(paths)), no_timestamp=True)
+        again, _ = run_suite(list(reversed(paths)), None, None,
+                             no_timestamp=True)
         assert json.dumps(reports, sort_keys=True) == \
             json.dumps(again, sort_keys=True)
 
@@ -183,7 +264,7 @@ class TestRunSuite:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         reports, code = run_suite([shipped("classify_strain_rate"),
-                                   str(bad)])
+                                   str(bad)], None, None)
         assert code == 2 and len(reports) == 2
 
     def test_worker_count_is_clamped(self, monkeypatch):
@@ -211,7 +292,7 @@ class TestRunSuite:
         names = ["classify_strain_rate", "classify_velocity",
                  "ns_s4_time_reversal_beltrami"]
         paths = [shipped(n) for n in names]
-        serial, _ = run_suite(paths, no_timestamp=True)
+        serial, _ = run_suite(paths, None, None, no_timestamp=True)
         for cpus, jobs, n_paths, expected in [
                 (64, 10 ** 5, 3, [3]),       # one worker per scenario
                 (2, 10 ** 5, 3, [2]),        # one worker per CPU
@@ -220,8 +301,8 @@ class TestRunSuite:
                 (64, 10 ** 5, 1, [])]:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             sizes.clear()
-            reports, code = run_suite(paths[:n_paths], no_timestamp=True,
-                                      jobs=jobs)
+            reports, code = run_suite(paths[:n_paths], None, None,
+                                      no_timestamp=True, jobs=jobs)
             assert sizes == expected
             assert code == 0
             assert json.dumps(reports, sort_keys=True) == \
@@ -242,7 +323,7 @@ class TestRunSuite:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         paths = [shipped("classify_strain_rate"),
                  shipped("mech_frame_indifference_oscillator")]
-        reports, code = run_suite(paths, no_timestamp=True, jobs=2)
+        reports, code = run_suite(paths, None, None, no_timestamp=True, jobs=2)
         assert code == 3 and len(reports) == 2
         by_name = {r["scenario"]: r for r in reports}
         assert by_name["mech_frame_indifference_oscillator"]["error_kind"] \

@@ -10,7 +10,7 @@ from invariance import expr as ex
 from invariance.checks.verdict import FAIL_FLOOR
 from invariance.expr import SCALAR, parse_field_expr
 from invariance.ns.closure import ARG_NAMES, _scaling_case
-from invariance.sampling import sample_points
+from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
 
@@ -69,7 +69,8 @@ class TestEnsemble:
 class TestDecomposedSymmetries:
     @pytest.mark.parametrize("tag,make", ALL_DECOMPOSED)
     def test_tau_follows_tensor_rule(self, tag, make):
-        v = ns.check_decomposed_symmetry(ENSEMBLE, make(), tol=1e-12)
+        v = ns.check_decomposed_symmetry(ENSEMBLE, make(), 1e-12,
+                                         DEFAULT_SEED)
         assert v.passed, tag
         assert v.residual < 1e-12
 
@@ -147,7 +148,8 @@ class TestBlockedDecomposedCheck:
         spec = make()
         want = one_pass_decomposed(ensemble, spec, 203)
         widths = self.block_widths(monkeypatch)
-        v = ns.check_decomposed_symmetry(ensemble, spec, n_points=203)
+        v = ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED,
+                                         n_points=203)
         assert sum(widths) == 203
         # 203 points end in a partial block once there are blocks at all
         assert len(widths) == 1 if members == 1 else widths[-1] < widths[0]
@@ -161,8 +163,8 @@ class TestBlockedDecomposedCheck:
         step = en._BLOCK_DOUBLES // (3 * 2048)
         want = one_pass_decomposed(ensemble, fr.Scaling(0.3), 2 * step + 1)
         widths = self.block_widths(monkeypatch)
-        v = ns.check_decomposed_symmetry(ensemble, fr.Scaling(0.3),
-                                         n_points=2 * step + 1)
+        v = ns.check_decomposed_symmetry(ensemble, fr.Scaling(0.3), 1e-12,
+                                         DEFAULT_SEED, n_points=2 * step + 1)
         assert widths == [step, step + 1]
         assert (v.residual, v.notes) == want
 
@@ -171,10 +173,11 @@ class TestBlockedDecomposedCheck:
         # each, and peaked near 22 MB
         ensemble = ns.Ensemble.random(2048)
         spec = fr.PlanarRotation(0.8)
-        ns.check_decomposed_symmetry(ensemble, spec)   # warm the caches
+        # warm the caches
+        ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED)
         tracemalloc.start()
         try:
-            ns.check_decomposed_symmetry(ensemble, spec)
+            ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -276,27 +279,29 @@ def galilei_oracle(model, n, seed):
     return out
 
 
+def screen(model, tags, seed=DEFAULT_SEED, **kw):
+    """The closure screen at the shipped scenarios' tolerance."""
+    return ns.screen_closure(model, tags, 1e-10, seed, **kw)
+
+
 class TestClosureScreening:
     def test_compliant_model_passes_required_rows(self):
-        reports = ns.screen_closure(
-            ns.compliant_model(),
-            tags=("G", "S1", "S3", "S4", "S6approx"))
+        reports = screen(ns.compliant_model(),
+                         ("G", "S1", "S3", "S4", "S6approx"))
         for tag, v in reports.items():
             assert v.passed, tag
 
     def test_constant_phi2_fails_time_reversal(self):
-        reports = ns.screen_closure(ns.constant_phi2_model(),
-                                    tags=("S4",))
+        reports = screen(ns.constant_phi2_model(), ("S4",))
         assert not reports["S4"].passed
         assert reports["S4"].residual > 1e-3
 
     def test_nu_phi2_passes_time_reversal(self):
-        reports = ns.screen_closure(ns.nu_phi2_model(), tags=("S4",))
+        reports = screen(ns.nu_phi2_model(), ("S4",))
         assert reports["S4"].passed
 
     def test_bare_mean_velocity_fails_galilei(self):
-        reports = ns.screen_closure(ns.bare_mean_velocity_model(),
-                                    tags=("G",))
+        reports = screen(ns.bare_mean_velocity_model(), ("G",))
         assert not reports["G"].passed
 
     @pytest.mark.parametrize("seed", (0xC0FFEE, 1, 7))
@@ -304,7 +309,7 @@ class TestClosureScreening:
                                          ns.constant_phi2_model,
                                          ns.nu_phi2_model))
     def test_galilei_row_passes_at_rounding(self, factory, seed):
-        v = ns.screen_closure(factory(), tags=("G",), seed=seed)["G"]
+        v = screen(factory(), ("G",), seed=seed)["G"]
         assert v.passed and v.residual <= 1e-12
 
     def test_galilei_oracle_passes_the_compliant_model(self):
@@ -315,8 +320,8 @@ class TestClosureScreening:
     def test_bare_mean_velocity_galilei_residual_names_its_sample(self,
                                                                   seed):
         n = 40
-        v = ns.screen_closure(ns.bare_mean_velocity_model(), tags=("G",),
-                              n_samples=n, seed=seed)["G"]
+        v = screen(ns.bare_mean_velocity_model(), ("G",), seed=seed,
+                   n_samples=n)["G"]
         assert not v.passed
         assert FAIL_FLOOR < v.residual < np.inf
         per_flow = galilei_oracle(ns.bare_mean_velocity_model(), n, seed)
@@ -331,7 +336,7 @@ class TestClosureScreening:
 
     def test_compliant_two_d_limit(self):
         model = ns.compliant_model()
-        reports = ns.screen_closure(model, tags=("S6approx",))
+        reports = screen(model, ("S6approx",))
         assert reports["S6approx"].passed
 
     def test_nonfinite_residual_fails_with_witness(self):
@@ -343,7 +348,7 @@ class TestClosureScreening:
         model = ns.ClosureModel(name="overflow", phi=tuple(phi),
                                 two_d_limit=base.two_d_limit)
         with pytest.warns(RuntimeWarning):
-            v = ns.screen_closure(model, tags=("S1",))["S1"]
+            v = screen(model, ("S1",))["S1"]
         assert not v.passed
         assert not np.isfinite(v.residual)
         q = float(v.notes[-1].split("q=")[1])

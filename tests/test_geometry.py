@@ -13,6 +13,7 @@ from invariance.checks.geometry import (
     check_covariant_derivative, geometric_invariance_suite,
 )
 from invariance.checks.verdict import meets
+from invariance.sampling import DEFAULT_SEED
 
 SCENARIO = Path(str(resources.files("invariance") / "scenarios"
                     / "geometric_suite.json"))
@@ -42,7 +43,7 @@ class TestChristoffel:
     @pytest.mark.parametrize("name", ["spherical", "cylindrical"])
     def test_matches_closed_form(self, name):
         chart = CHARTS[name]
-        pts = chart.sample(50)
+        pts = chart.sample(50, DEFAULT_SEED)
         got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         ref = closed_form_christoffel(name, pts)
         assert np.max(np.abs(got - ref)) < 1e-9
@@ -51,7 +52,7 @@ class TestChristoffel:
                                       "rotation_frozen"])
     def test_matches_finite_difference_oracle(self, name):
         chart = CHARTS[name]
-        pts = chart.sample(20)
+        pts = chart.sample(20, DEFAULT_SEED)
         got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         ref = finite_difference_christoffel(chart, pts)
         assert np.max(np.abs(got - ref)) < 1e-5
@@ -59,13 +60,13 @@ class TestChristoffel:
     def test_flat_charts_give_zero_connection(self):
         for name in ("identity", "rotation_frozen"):
             chart = CHARTS[name]
-            pts = chart.sample(20)
+            pts = chart.sample(20, DEFAULT_SEED)
             got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
             assert np.max(np.abs(got)) < 1e-12
 
     def test_symmetry_in_lower_indices(self):
         chart = CHARTS["spherical"]
-        pts = chart.sample(20)
+        pts = chart.sample(20, DEFAULT_SEED)
         g = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
         assert np.max(np.abs(g - np.transpose(g, (0, 2, 1, 3)))) < 1e-12
 
@@ -73,7 +74,7 @@ class TestChristoffel:
         # with Gamma != 0 on the identity chart the symbols pass through
         gamma = np.arange(27, dtype=float).reshape(3, 3, 3)
         chart = CHARTS["identity"]
-        pts = chart.sample(10)
+        pts = chart.sample(10, DEFAULT_SEED)
         got = christoffel_transform(gamma, chart, pts)
         assert np.max(np.abs(got - gamma[:, :, :, None])) < 1e-12
 
@@ -81,8 +82,8 @@ class TestChristoffel:
                                           "christoffel_spherical",
                                           "covariant_derivative_spherical"])
     def test_a_witness_is_a_cartesian_position(self, scenario):
-        got, code = report.run_scenario(SCENARIO.with_name(scenario
-                                                           + ".json"))
+        got, code = report.run_scenario(
+            SCENARIO.with_name(scenario + ".json"), None, None)
         assert code == 0
         payload = json.loads(SCENARIO.with_name(scenario + ".json")
                              .read_text())["payload"]
@@ -107,7 +108,8 @@ class TestCovariantDerivative:
     def test_covariant_passes_partial_fails_on_curved_chart(self):
         a_expr = ex.grad(ex.parse_field_expr("dot(x, x) + sin(comp(x, 1))"))
         for name in ("spherical", "cylindrical"):
-            out = check_covariant_derivative(a_expr, CHARTS[name])
+            out = check_covariant_derivative(a_expr, CHARTS[name], 50, 1e-9,
+                                             DEFAULT_SEED)
             assert out["covariant"].passed
             assert out["covariant"].residual < 1e-9
             assert not out["partial"].passed
@@ -115,14 +117,15 @@ class TestCovariantDerivative:
 
     def test_both_pass_on_identity_chart(self):
         a_expr = ex.grad(ex.parse_field_expr("dot(x, x)"))
-        out = check_covariant_derivative(a_expr, CHARTS["identity"])
+        out = check_covariant_derivative(a_expr, CHARTS["identity"], 50,
+                                         1e-9, DEFAULT_SEED)
         assert out["covariant"].passed and out["partial"].passed
 
 
 class TestGeometricSuite:
     def test_all_cases_behave_as_stated(self):
         expect = json.loads(SCENARIO.read_text())["expect"]
-        parts = geometric_invariance_suite()
+        parts = geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
         assert set(parts) == set(expect)
         assert all(meets(parts[case], want) for case, want in expect.items())
 
@@ -138,25 +141,26 @@ class TestGeometricSuite:
             "four_d_differential": True,
             "four_d_velocity_tensor": True,
         }
-        parts = geometric_invariance_suite()
+        parts = geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
         assert set(parts) == set(expected)
         for name, invariant in expected.items():
             assert parts[name].passed == invariant
         assert json.loads(SCENARIO.read_text())["expect"] == expected
 
     def test_four_d_velocity_tensor_tolerance(self):
-        parts = geometric_invariance_suite()
+        parts = geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
         assert parts["four_d_velocity_tensor"].residual < 1e-10
 
     def test_non_invariant_cases_fail_loudly(self):
-        parts = geometric_invariance_suite()
+        parts = geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
         for name in FRAME_DEPENDENT:
             assert parts[name].residual > 1e-3
 
     def test_report_parts_are_the_verdicts(self):
         # a part is false exactly where the case is frame-dependent, and
         # the expectation lives in the scenario, not in the part
-        got, code = report.run_scenario(SCENARIO, no_timestamp=True)
+        got, code = report.run_scenario(SCENARIO, None, None,
+                                        no_timestamp=True)
         assert code == 0 and got["expectation_met"]
         assert tuple(sorted(case for case, ok in got["parts"].items()
                             if not ok)) == FRAME_DEPENDENT

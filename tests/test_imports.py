@@ -5,7 +5,8 @@ turns residuals into verdicts or builds a ``CheckPart`` other than through
 ``CheckPart.of``, no check is an ``assert``, which
 ``python -O`` removes, ``expr.py`` contracts only by its own
 component-wise rule, never through numpy's einsum or matmul, and no state
-keyed by ``id`` outlives the objects whose ids it holds."""
+keyed by ``id`` outlives the objects whose ids it holds, and no check
+defaults the tolerance or the seed that a scenario sets."""
 
 import ast
 from pathlib import Path
@@ -263,3 +264,55 @@ def test_the_check_sees_an_id_call(tmp_path):
         "class C:\n    def m(self):\n        return id(self), 'id(self)'\n"
         "def h(x):\n    return x.id(x)\n")
     assert id_calls(tmp_path) == ["a.py:<module>", "a.py:f", "a.py:C"]
+
+
+# the functions of ``src`` that may default a ``tol`` or a ``seed``: the
+# sampler's own seed, the fixed ensemble's seed and the certificate's fixed
+# tolerance, none of which a scenario sets.  This list may only shrink.
+DEFAULTED_SETTINGS = ("sample_points", "Ensemble.random", "certify")
+
+
+def defaulted_settings(root):
+    """``path:name`` (``Class.method`` for a method) of each function in
+    the modules under ``root`` with a default for a parameter named
+    ``tol`` or ``seed``."""
+    found = []
+
+    def visit(node, where, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional)
+                                       - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                    if default is not None]
+                if any(arg.arg in ("tol", "seed") for arg in defaulted):
+                    found.append("%s:%s%s" % (where, prefix, child.name))
+                visit(child, where, prefix + child.name + ".")
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+              path.relative_to(root).as_posix(), "")
+    return found
+
+
+def test_no_check_defaults_a_scenario_setting():
+    found = defaulted_settings(SRC)
+    assert sorted(name.split(":")[1] for name in found) == \
+        sorted(DEFAULTED_SETTINGS)
+
+
+def test_the_check_sees_a_defaulted_setting(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, tol=1e-9):\n    return x\n"
+        "def g(tol, seed, n=3, tolerance=1.0, seeds=()):\n"
+        "    def inner(*, seed=7):\n        return seed\n"
+        "    return inner\n"
+        "class C:\n    def m(self, seed=None, /):\n        pass\n"
+        "    def k(self, *, seed, tol=None):\n        pass\n")
+    assert defaulted_settings(tmp_path) == ["a.py:f", "a.py:g.inner",
+                                            "a.py:C.m", "a.py:C.k"]

@@ -9,11 +9,19 @@ from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import report
 from invariance.checks.verdict import FAIL_FLOOR
+from invariance.sampling import DEFAULT_SEED
 
 import frame_oracle as oracle
 import loop_oracles as loops
 
 RNG = np.random.default_rng(0xD1CE)
+
+
+def frame_indifference(model, spec, transport_refs=True):
+    """The force frame-indifference check at the shipped scenarios'
+    tolerance and seed."""
+    return mech.check_force_frame_indifference(model, spec, 1e-10,
+                                               DEFAULT_SEED, transport_refs)
 
 
 # force laws that no shipped scenario runs: the free particle, and two
@@ -71,7 +79,7 @@ class TestAbsoluteArguments:
         for model in (mech.oscillator_model(), mech.drag_gravity_model(),
                       free_model()):
             for spec in self.SPECS:
-                v = mech.check_force_frame_indifference(model, spec)
+                v = frame_indifference(model, spec)
                 assert v.residual < 1e-12
 
     def test_rejects_absolute_argument_models(self):
@@ -79,7 +87,7 @@ class TestAbsoluteArguments:
                       absolute_position_model(),
                       time_scaled_position_model()):
             for spec in self.SPECS:
-                v = mech.check_force_frame_indifference(model, spec)
+                v = frame_indifference(model, spec)
                 assert not v.passed
                 assert FAIL_FLOOR < v.residual < np.inf
 
@@ -89,26 +97,24 @@ class TestFrameIndifference:
         return fr.FrameChange.random_galilei(RNG)
 
     def test_oscillator_force_frame_indifferent(self):
-        v = mech.check_force_frame_indifference(mech.oscillator_model(),
-                                                self.random_spec())
+        v = frame_indifference(mech.oscillator_model(), self.random_spec())
         assert v.passed and v.residual < 1e-10
 
     def test_drag_gravity_force_frame_indifferent(self):
-        v = mech.check_force_frame_indifference(mech.drag_gravity_model(),
-                                                self.random_spec())
+        v = frame_indifference(mech.drag_gravity_model(),
+                               self.random_spec())
         assert v.passed
 
     def test_absolute_velocity_force_fails_under_boost(self):
         spec = fr.FrameChange.galilei(v=np.array([1.0, 0, 0]))
-        v = mech.check_force_frame_indifference(
-            mech.absolute_velocity_model(), spec)
+        v = frame_indifference(mech.absolute_velocity_model(), spec)
         assert not v.passed
         # the defect is exactly the boost magnitude
         assert abs(v.residual - 1.0) < 1e-12
 
     def test_frozen_references_break_frame_indifference(self):
         spec = fr.FrameChange.galilei(v=np.array([1.0, 0, 0]))
-        v = mech.check_force_frame_indifference(
+        v = frame_indifference(
             mech.drag_gravity_model(), spec, transport_refs=False)
         assert not v.passed and v.residual > 1e-3
 
@@ -120,7 +126,8 @@ class TestGalileiCovariance:
         for _ in range(20):
             spec = fr.FrameChange.random_galilei(RNG)
             v = mech.check_galilei_covariance(mech.oscillator_model(),
-                                              spec, ic, dt, steps)
+                                              spec, ic, dt, steps,
+                                              10 * dt ** 4)
             assert v.passed
             assert v.residual < 10 * dt ** 4
 
@@ -133,21 +140,32 @@ class TestNoninertialClosure:
         ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
         self.traj = mech.integrate(self.model, ic, 2e-3, 1_500)
 
+    def closure(self, model, include_drag_term=True):
+        traj = self.traj if model is self.model else mech.integrate(
+            model, (self.traj.x[:, 0], self.traj.v[:, 0], 0.0), 2e-3, 1_500)
+        return mech.check_noninertial_closure(model, self.spec, traj, 1e-5,
+                                              include_drag_term)
+
     def test_four_term_inertial_force_closes_the_balance(self):
-        v = mech.check_noninertial_closure(self.model, self.spec,
-                                           self.traj, drag_coeff=1.0)
+        v = self.closure(self.model)
         assert v.passed and v.residual < 1e-10
 
     def test_dropping_the_drag_term_breaks_it(self):
-        v = mech.check_noninertial_closure(self.model, self.spec,
-                                           self.traj, drag_coeff=1.0,
-                                           include_drag_term=False)
+        v = self.closure(self.model, include_drag_term=False)
         assert not v.passed and v.residual > 1e-3
 
-    def test_drag_coeff_is_required(self):
-        with pytest.raises(ValueError):
-            mech.check_noninertial_closure(self.model, self.spec,
-                                           self.traj)
+    def test_drag_comes_from_the_model(self):
+        # the drag coupling is the model's own: a drag-free law and a
+        # drag of 2 both close at rounding level
+        assert self.model.drag == 1.0
+        for model in (mech.oscillator_model(), free_model(),
+                      mech.drag_gravity_model(a=2.0)):
+            v = self.closure(model)
+            assert v.passed and v.residual < 1e-10, (model.drag, v)
+        assert mech.oscillator_model().drag == 0.0
+        dropped = self.closure(mech.drag_gravity_model(a=2.0),
+                               include_drag_term=False)
+        assert dropped.residual > FAIL_FLOOR
 
 
 class TestInertialForceOracles:
@@ -309,8 +327,7 @@ class TestBatchedChecksAgainstLoops:
     ])
     def test_frame_indifference_witness(self, factory, transport_refs):
         model = factory()
-        v = mech.check_force_frame_indifference(
-            model, self.BOOST, transport_refs=transport_refs)
+        v = frame_indifference(model, self.BOOST, transport_refs)
         worst, witness = loops.worst_of(*loops.frame_indifference(
             model, self.BOOST, transport_refs=transport_refs))
         # under a pure boost every absolute-velocity residual is |v| of the
@@ -322,7 +339,7 @@ class TestBatchedChecksAgainstLoops:
     def test_frame_indifference_rounding_level(self):
         for factory in (mech.oscillator_model, mech.drag_gravity_model,
                         free_model):
-            v = mech.check_force_frame_indifference(factory(), self.BOOST)
+            v = frame_indifference(factory(), self.BOOST)
             worst, _ = loops.worst_of(*loops.frame_indifference(
                 factory(), self.BOOST))
             assert v.residual < 1e-12 and worst < 1e-12
@@ -338,13 +355,13 @@ class TestBatchedChecksAgainstLoops:
         ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
         traj = mech.integrate(model, ic, 1e-2, 200)
         dropped = mech.check_noninertial_closure(
-            model, spec, traj, drag_coeff=1.0, include_drag_term=False)
+            model, spec, traj, 1e-5, include_drag_term=False)
         worst, witness = loops.worst_of(*loops.noninertial_closure(
             model, spec, traj, 0.0, rotation, cddot))
         assert dropped.witness == witness
         assert dropped.residual == pytest.approx(worst, rel=1e-12)
-        closed = mech.check_noninertial_closure(model, spec, traj,
-                                                drag_coeff=1.0)
+        closed = mech.check_noninertial_closure(model, spec, traj, 1e-5,
+                                                include_drag_term=True)
         worst, _ = loops.worst_of(*loops.noninertial_closure(
             model, spec, traj, 1.0, rotation, cddot))
         assert closed.residual < 1e-10 and worst < 1e-10
@@ -510,7 +527,8 @@ class TestRK4Oracle:
         model = factory()
         spec = fr.FrameChange.random_galilei(np.random.default_rng(0x6A1))
         dt, steps = 1e-2, 60
-        got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps)
+        got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps,
+                                            10 * dt ** 4)
         base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
                                                         steps), spec)
         x0r_at, v0r_at, t0r = mech.transport_references(model, spec)
@@ -528,7 +546,8 @@ class TestRK4Oracle:
             ex.const(0.0), ex.const(0.0)))
         spec = fr.FrameChange.random_galilei(np.random.default_rng(0x6A1))
         dt, steps = 1e-2, 100
-        got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps)
+        got = mech.check_galilei_covariance(model, spec, self.IC, dt, steps,
+                                            10 * dt ** 4)
         base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
                                                         steps), spec)
         x0r_at, v0r_at, t0r = mech.transport_references(model, spec)

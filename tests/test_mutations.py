@@ -164,14 +164,14 @@ def loop_witness(name):
     ic = (np.array(payload.get("x0", [0.5, 0.2, 0.0])),
           np.array(payload.get("v0", [0.1, 0.0, 0.0])), 0.0)
     traj = mech.integrate(model, ic, payload["dt"], payload["steps"])
-    drag = payload["drag_coeff"] if payload["include_drag_term"] else 0.0
+    drag = model.drag if payload["include_drag_term"] else 0.0
     return loops.clear_witness(*loops.noninertial_closure(
         model, fr.FrameChange.euclidean(rotation=rotation), traj, drag,
         rotation, lambda t: np.zeros(3)))
 
 
 def reported_witness(name):
-    got, code = run_scenario(SCENARIO_DIR / (name + ".json"),
+    got, code = run_scenario(SCENARIO_DIR / (name + ".json"), None, None,
                              no_timestamp=True)
     assert code == 0, got
     (w,) = got["details"]["witness"].values()
@@ -201,7 +201,7 @@ def fresh_classify_builds():
 
 
 def expectation_met(name):
-    report, code = run_scenario(SCENARIO_DIR / (name + ".json"),
+    report, code = run_scenario(SCENARIO_DIR / (name + ".json"), None, None,
                                 no_timestamp=True)
     assert code == 0, report
     return report["expectation_met"]
@@ -296,7 +296,7 @@ def test_expected_fail_needs_a_residual_above_the_floor(residual, met,
     path.write_text(json.dumps({"schema": 1, "name": "expected_fail",
                                 "kind": "tensor",
                                 "expect": {"tensor": False}}))
-    got, code = run_scenario(path, no_timestamp=True)
+    got, code = run_scenario(path, None, None, no_timestamp=True)
     assert code == 0 and got["parts"] == {"tensor": False}
     assert got["mismatches"] == ([] if met else ["tensor"])
     assert main(["check", str(path), "--strict"]) == (0 if met else 1)

@@ -65,7 +65,8 @@ def test_the_check_sees_a_narrow_margin():
 def test_seeds_keep_their_margins_and_free_their_frames():
     held = []
     for seed in SEEDS:
-        reports, code = run_suite(SCENARIOS, seed=seed, no_timestamp=True)
+        reports, code = run_suite(SCENARIOS, None, seed,
+                                     no_timestamp=True)
         assert code == 0 and len(reports) == len(SCENARIOS) == 36
         assert [r["scenario"] for r in reports
                 if not r["expectation_met"]] == [], seed
