@@ -7,8 +7,7 @@ from .classify import (
     Quantity, scalar_quantity, gradient_quantity, rank2_quantity,
     velocity_quantity, velocity_relative_quantity, strain_rate_quantity,
     vorticity_quantity, vorticity_relative_quantity, z_tensor_quantity,
-    composite_norm_quantity, classify, form_invariance_defect,
-    random_rotations,
+    composite_norm_quantity, classify, random_rotations,
     GENERIC_VELOCITY, GENERIC_SCALAR, ISOTROPIC_SCALAR,
 )
 from .geometry import (
@@ -22,8 +21,7 @@ __all__ = [
     "velocity_quantity", "velocity_relative_quantity",
     "strain_rate_quantity", "vorticity_quantity",
     "vorticity_relative_quantity", "z_tensor_quantity",
-    "composite_norm_quantity", "classify", "form_invariance_defect",
-    "random_rotations",
+    "composite_norm_quantity", "classify", "random_rotations",
     "GENERIC_VELOCITY", "GENERIC_SCALAR", "ISOTROPIC_SCALAR",
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
     "check_covariant_derivative", "geometric_invariance_suite",

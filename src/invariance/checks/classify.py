@@ -53,8 +53,7 @@ __all__ = [
     "Quantity", "scalar_quantity", "gradient_quantity", "rank2_quantity",
     "velocity_quantity", "velocity_relative_quantity", "strain_rate_quantity",
     "vorticity_quantity", "vorticity_relative_quantity", "z_tensor_quantity",
-    "composite_norm_quantity", "classify", "form_invariance_defect",
-    "random_rotations",
+    "composite_norm_quantity", "classify", "random_rotations",
     "GENERIC_VELOCITY", "GENERIC_SCALAR", "ISOTROPIC_SCALAR",
 ]
 
@@ -342,17 +341,6 @@ def _scan(specs, comparisons, n_points, seed, tol):
             found[d][1].append(i % n)
     return [CheckPart.of(tops, tol, points=(t[at], x[:, at]))
             for tops, at in (found[d] for d in diffs)]
-
-
-def form_invariance_defect(q, spec, seed, n_points=200, base_spin=None):
-    """Raw difference (rotated-frame value minus rule prediction).
-
-    Shape matches the quantity's rank with a trailing point axis; used to
-    witness exact inhomogeneous offsets such as the vorticity spin term.
-    """
-    t, x = sample_points(n_points, seed)
-    (diff,), _ = _differences((_tensor_pair(q, base_spin),))
-    return evaluate_many(diff, t, x, _rotation_bindings(spec))
 
 
 def _tensor_pair(q, base_spin):

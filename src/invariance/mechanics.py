@@ -12,57 +12,57 @@ frames, never from the symbols it is written in.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from typing import Tuple
+from functools import cached_property
+from typing import Tuple, Union
 
 import numpy as np
 
 from . import expr as ex
 from . import frames as fr
-from .expr import Node, add, mul, sym
+from .expr import Node, add, mul, sub, sym
 from .checks.verdict import CheckPart
 
 __all__ = [
     "ForceModel", "Trajectory", "X_ABS", "V_ABS", "T_ABS",
     "oscillator_model", "drag_gravity_model", "absolute_velocity_model",
-    "integrate", "transform_trajectory", "transport_references",
+    "integrate", "transform_trajectory",
     "check_force_frame_indifference", "check_galilei_covariance",
     "inertial_force", "check_noninertial_closure",
 ]
 
 # invariant argument vocabulary for force expressions: the vectors dx and
 # dv and the scalars r = |x - x0r|, s = |xdot - v0r|,
-# q = (x - x0r) . (xdot - v0r) and w = t - t0r, bound by name
+# q = (x - x0r) . (xdot - v0r) and w = t - t0r, which the model writes out
+# against its references
 DX = sym("dx", ex.VEC)       # x - x0r
 DV = sym("dv", ex.VEC)       # xdot - v0r
 R_ARG = sym("r")             # |x - x0r|
 # absolute (frame-dependent) leaves x, xdot and t, for deliberately
-# non-compliant models
-X_ABS = sym("x_abs", ex.VEC)
+# non-compliant models: the point and the time themselves, and the
+# velocity, the one symbol a force law binds
+X_ABS = ex.x_vector()
 V_ABS = sym("v_abs", ex.VEC)
-T_ABS = sym("t_abs")
+T_ABS = ex.time()
 
-
-# force_at substitutes these for r, s and q, so the evaluator computes
-# only the invariants a force law uses; ``norm`` and ``dot`` give a state
-# the same bits on either evaluator and in any batch
-_INVARIANTS = {"r": ex.norm(DX), "s": ex.norm(DV), "q": ex.dot(DX, DV)}
+Reference = Union[Tuple[float, float, float], Node]
 
 
 @dataclass(frozen=True)
 class ForceModel:
     """F(x, xdot, t) with reference values, mass and linear drag.
 
-    ``force`` is a vec3 expression over the argument symbols above;
-    reference values are stored as tuples so models stay hashable.
-    ``drag`` is the coefficient a of the force's -a (xdot - v0r) term,
-    which couples into the fictitious force of a rotating frame.
+    ``force`` is a vec3 expression over the argument symbols above.  The
+    references ``x0r`` and ``v0r`` are three numbers each, or vec3
+    expressions of time once they ride a frame (``carried``), so models
+    stay hashable.  ``drag`` is the coefficient a of the force's
+    -a (xdot - v0r) term, which couples into the fictitious force of a
+    rotating frame.
     """
 
     force: Node
     m: float = 1.0
-    x0r: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    v0r: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    x0r: Reference = (0.0, 0.0, 0.0)
+    v0r: Reference = (0.0, 0.0, 0.0)
     t0r: float = 0.0
     drag: float = 0.0
 
@@ -71,29 +71,24 @@ class ForceModel:
         """The two-coefficient solution family f1*(x-x0r) + f2*(xdot-v0r)."""
         return cls(force=add(mul(f1, DX), mul(f2, DV)), **kw)
 
-    def force_at(self, t, x, v, refs=None):
+    def carried(self, spec):
+        """The model seen from the new frame of ``spec``: x0r and v0r ride
+        the frame by ``FrameChange.carry``, and t0r moves by tau."""
+        x0r, v0r = spec.carry(self.x0r, self.v0r)
+        return replace(self, x0r=x0r, v0r=v0r, t0r=self.t0r + spec.tau)
+
+    def force_at(self, t, x, v):
         """F at one state, or at B states in one evaluator call.
 
         ``x`` and ``v`` are (3,) with a scalar ``t``, or (3, B) with ``t``
-        a scalar or (B,).  ``refs`` = (x0r, v0r, t0r) replaces the model's
-        reference values; each may be per state, (3, B) or (B,).  One
-        state runs on the force's float kernel, may also be given as
-        sequences of three floats, and gives F as the kernel's 3-tuple of
-        floats.  B states run on the numpy evaluator and give a (3, B)
-        array.
+        a scalar or (B,).  One state runs on the force's float kernel, may
+        also be given as sequences of three floats, and gives F as the
+        kernel's 3-tuple of floats.  B states run on the numpy evaluator
+        and give a (3, B) array.
         """
-        x0r, v0r, t0r = (self.x0r, self.v0r, self.t0r) if refs is None \
-            else refs
         if getattr(x, "ndim", 1) == 1 and (isinstance(t, float)
                                            or np.ndim(t) == 0):
-            x0, x1, x2 = x
-            v0, v1, v2 = v
-            a0, a1, a2 = x0r
-            b0, b1, b2 = v0r
-            return self._kernel(t, _ORIGIN, {
-                "dx": (x0 - a0, x1 - a1, x2 - a2),
-                "dv": (v0 - b0, v1 - b1, v2 - b2),
-                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t})
+            return self._kernel(t, x, {"v_abs": v})
         x = np.asarray(x, float)
         v = np.asarray(v, float)
         t = np.asarray(t, float)
@@ -103,17 +98,21 @@ class ForceModel:
                              "with a scalar or (B,) time; got t of shape "
                              "%s, x of shape %s and v of shape %s"
                              % (t.shape, x.shape, v.shape))
-        n = x.shape[1]
         if t.ndim == 0:
-            t = np.full(n, t)
-        bind = {"dx": x - _columns(x0r), "dv": v - _columns(v0r),
-                "w": t - t0r, "x_abs": x, "v_abs": v, "t_abs": t}
-        return ex.evaluate_many(self._evaluated, t, np.zeros((3, n)), bind)
+            t = np.full(x.shape[1], t)
+        return ex.evaluate_many(self._evaluated, t, x, {"v_abs": v})
 
     @cached_property
     def _evaluated(self):
-        """``force`` with r, s and q replaced by ``_INVARIANTS``."""
-        return ex.substitute(self.force, _INVARIANTS)
+        """``force`` over the point, the time and ``V_ABS``: dx, dv, r, s,
+        q and w written out against the references.  ``norm`` and
+        ``dot`` give a state the same bits on either evaluator and in any
+        batch."""
+        dx = sub(X_ABS, _reference(self.x0r))
+        dv = sub(V_ABS, _reference(self.v0r))
+        return ex.substitute(self.force, {
+            "dx": dx, "dv": dv, "r": ex.norm(dx), "s": ex.norm(dv),
+            "q": ex.dot(dx, dv), "w": sub(T_ABS, ex.const(self.t0r))})
 
     @cached_property
     def _kernel(self):
@@ -121,13 +120,9 @@ class ForceModel:
         return ex.float_kernel(self._evaluated)
 
 
-_ORIGIN = (0.0, 0.0, 0.0)
-
-
-def _columns(a):
-    """A (3,) vector as a (3, 1) column; a (3, B) array unchanged."""
-    a = np.asarray(a, float)
-    return a[:, None] if a.ndim == 1 else a
+def _reference(ref):
+    """A reference as a vec3 expression: itself, or its three numbers."""
+    return ref if isinstance(ref, Node) else ex.vector_const(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +219,6 @@ def integrate(model, ic, dt, n_steps):
     return Trajectory(t=ts, x=xs, v=vs, dt=dt)
 
 
-def transport_references(model, spec):
-    """Reference values seen from the new frame, (x0r_at, v0r_at, t0r*).
-
-    x0r and v0r ride the frame by ``FrameChange.carry``; both are
-    functions of the new-frame time t*, taking a scalar, giving (3,), or
-    (B,) times, giving (3, B).  t0r* = t0r + tau.
-    """
-    x0r, v0r = spec.carry(model.x0r, model.v0r)
-    return (partial(fr.at_times, x0r), partial(fr.at_times, v0r),
-            model.t0r + spec.tau)
-
-
 def _moved(spec, t, x, v):
     """New-frame (t, x, v) of states (3, N) at times (N,), and Q(t):
     x~ = Q x + c and v~ = Q v + Q' x + c'."""
@@ -267,12 +250,9 @@ def check_force_frame_indifference(model, spec, tol, seed, transport_refs,
         x[:, k] = rng.uniform(-1.0, 1.0, size=3)
         v[:, k] = rng.uniform(-1.0, 1.0, size=3)
     t_new, x_new, v_new, q = _moved(spec, t, x, v)
-    refs = None
-    if transport_refs:
-        x0r_at, v0r_at, t0r_new = transport_references(model, spec)
-        refs = (x0r_at(t_new), v0r_at(t_new), t0r_new)
+    moved = model.carried(spec) if transport_refs else model
     return CheckPart.of(
-        np.max(np.abs(model.force_at(t_new, x_new, v_new, refs)
+        np.max(np.abs(moved.force_at(t_new, x_new, v_new)
                       - fr.rotate(q, model.force_at(t, x, v))), axis=0),
         tol, points=(t, x))
 
@@ -281,29 +261,16 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol):
     """Transformed solutions solve the transformed equation of motion.
 
     Integrates in the original frame, transports the trajectory, then
-    independently re-integrates the boosted problem (with transported
-    reference values) from the boosted initial condition and compares
-    the paths.  The two paths differ by rounding, so a ``tol`` of ten
-    times the dt^4 error scale is ample.
+    independently re-integrates the ``carried`` model from the boosted
+    initial condition and compares the paths.  The two paths differ by
+    rounding, so a ``tol`` of ten times the dt^4 error scale is ample.
     """
-    base = integrate(model, ic, dt, n_steps)
-    moved = transform_trajectory(base, spec)
-    # the references ride the frame: float kernels of the same expressions
-    # that transport_references evaluates, so their values are its bits
-    x0r_at, v0r_at = map(ex.float_kernel, spec.carry(model.x0r, model.v0r))
-    t0r_new = model.t0r + spec.tau
-    inv_m = 1.0 / model.m
-
-    def accel(tt, xx, vv):
-        refs = (x0r_at(tt, _ORIGIN, {}), v0r_at(tt, _ORIGIN, {}), t0r_new)
-        f0, f1, f2 = model.force_at(tt, xx, vv, refs)
-        return inv_m * f0, inv_m * f1, inv_m * f2
-
-    ts, xs, vs = _rk4(accel, (moved.x[:, 0], moved.v[:, 0], moved.t[0]),
-                      dt, n_steps)
-    return CheckPart.of(np.maximum(np.max(np.abs(xs - moved.x), axis=0),
-                                   np.max(np.abs(vs - moved.v), axis=0)),
-                        tol, points=(ts, xs))
+    moved = transform_trajectory(integrate(model, ic, dt, n_steps), spec)
+    again = integrate(model.carried(spec),
+                      (moved.x[:, 0], moved.v[:, 0], moved.t[0]), dt, n_steps)
+    return CheckPart.of(np.maximum(np.max(np.abs(again.x - moved.x), axis=0),
+                                   np.max(np.abs(again.v - moved.v), axis=0)),
+                        tol, points=(again.t, again.x))
 
 
 def inertial_force(spec, t, x_star, v_star, m, a=0.0):
@@ -334,13 +301,12 @@ def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     omitting it must break the balance of a model with drag.
     """
     ts, xs, vs, rmat = _moved(spec, traj.t, traj.x, traj.v)
-    x0r_at, v0r_at, t0r_new = transport_references(model, spec)
     rdot = spec.at(traj.t, 1)[0]
     rddot, ddc = spec.at(traj.t, 2)
     xdd = model.force_at(traj.t, traj.x, traj.v) / model.m
     xdd_star = (fr.rotate(rddot, traj.x) + fr.rotate(2.0 * rdot, traj.v)
                 + fr.rotate(rmat, xdd) + ddc)
-    forces = model.force_at(ts, xs, vs, (x0r_at(ts), v0r_at(ts), t0r_new))
+    forces = model.carried(spec).force_at(ts, xs, vs)
     fict = inertial_force(spec, ts, xs, vs, model.m,
                           a=model.drag if include_drag_term else 0.0)
     notes = () if include_drag_term else (

@@ -289,11 +289,13 @@ KINDS = {
     "closure-screen": _run_closure_screen,
 }
 
+# a mechanics check's error scale is its own (rounding for a covariance,
+# dt^4 for a reference solution), so its scenario states a tolerance
 _DEFAULT_TOLS = {
     "decomposed": 1e-12,
     "closure-screen": 1e-10,
     "geometric-suite": 1e-10,
-    "mechanics": 1e-6,
+    "mechanics": _REQUIRED,
 }
 
 
@@ -309,7 +311,7 @@ def _load(path):
 def _validate(doc, overrides):
     """(kind, payload, expect, tolerance, seed) of the scenario ``doc``
     with its values replaced by ``overrides``, read as a payload is read,
-    with the kind's default tolerance."""
+    with the kind's default tolerance where it has one."""
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
     top = _Payload(dict(doc, **overrides))

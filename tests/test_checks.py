@@ -11,6 +11,7 @@ from invariance import report
 from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
+from defect_oracle import form_invariance_defect
 
 # the module, not the ``classify`` function that ``invariance.checks``
 # re-exports under the same name
@@ -144,16 +145,16 @@ class TestVorticityDefect:
         # exactly -Omega, not merely nonzero
         q = ck.vorticity_quantity()
         for spec in SPECS[:5]:
-            diff = ck.form_invariance_defect(q, spec, DEFAULT_SEED,
-                                             n_points=50)
+            diff = form_invariance_defect(q, spec, DEFAULT_SEED,
+                                          n_points=50)
             omega = oracle.spin(spec)
             assert np.max(np.abs(diff + omega[:, :, None])) < 1e-10
 
     def test_defect_zero_for_strain_rate(self):
         q = ck.strain_rate_quantity()
         for spec in SPECS[:3]:
-            diff = ck.form_invariance_defect(q, spec, DEFAULT_SEED,
-                                             n_points=50)
+            diff = form_invariance_defect(q, spec, DEFAULT_SEED,
+                                          n_points=50)
             assert np.max(np.abs(diff)) < 1e-12
 
 

@@ -184,6 +184,23 @@ class TestRunScenario:
         assert code == 2 and report["error_kind"] == "schema"
         assert repr(key) in report["error"]
 
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in SCENARIOS.glob("mech_*.json")))
+    def test_mechanics_tolerance_is_required(self, tmp_path, name):
+        # each mechanics check has its own error scale, so no kind default
+        # stands in for it: a scenario without one is a schema error
+        # unless --tol gives it
+        doc = json.loads(Path(shipped(name)).read_text())
+        del doc["tolerance"]
+        p = tmp_path / "untold.json"
+        p.write_text(json.dumps(doc))
+        report, code = run_scenario(str(p), None, None)
+        assert code == 2 and report["error_kind"] == "schema"
+        assert repr("tolerance") in report["error"]
+        assert main(["check", str(p)]) == 2
+        report, code = run_scenario(str(p), 1e-5, None)
+        assert code == 0 and report["tolerance"] == 1e-5
+
     @pytest.mark.parametrize("model, params", [
         ("oscillator", {}), ("drag_gravity", {"a": 2.0})])
     def test_closure_drag_is_the_models(self, tmp_path, model, params):

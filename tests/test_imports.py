@@ -5,10 +5,17 @@ turns residuals into verdicts or builds a ``CheckPart`` other than through
 ``CheckPart.of``, no check is an ``assert``, which
 ``python -O`` removes, ``expr.py`` contracts only by its own
 component-wise rule, never through numpy's einsum or matmul, and no state
-keyed by ``id`` outlives the objects whose ids it holds, and no check
-defaults the tolerance or the seed that a scenario sets."""
+keyed by ``id`` outlives the objects whose ids it holds, no check
+defaults the tolerance or the seed that a scenario sets, and every
+function that ``src`` defines runs in the shipped use of the command
+line unless it is an error path or a library entry that only tests
+reach."""
 
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invariance"
@@ -316,3 +323,114 @@ def test_the_check_sees_a_defaulted_setting(tmp_path):
         "    def k(self, *, seed, tol=None):\n        pass\n")
     assert defaulted_settings(tmp_path) == ["a.py:f", "a.py:g.inner",
                                             "a.py:C.m", "a.py:C.k"]
+
+
+# functions of ``src`` that the shipped use of the command line never
+# runs, so that only tests reach them: error paths, the worker pool of
+# ``--jobs``, the float kernel's emitters for node kinds that no force
+# law holds, and library entries that no shipped scenario names.  This
+# list may only shrink.
+TEST_ONLY = {
+    "checks/geometry.py": ("_box_sampler",),
+    "expr.py": ("Node.__repr__", "Node.__setattr__", "ParseError.__init__",
+                "_emit_comp", "_emit_dot", "_emit_outer", "_emit_transpose",
+                "_op_outer", "outer"),
+    "ns/closure.py": ("nu_phi2_model",),
+    "ns/residual.py": ("rigid_shear",),
+    "report.py": ("_name_of", "_run_in_processes"),
+}
+
+# the shipped use: every shipped scenario, the demo list and one demo, and
+# one strict check, each through ``cli.main``
+SHIPPED_USE = """
+from importlib import resources
+from invariance.cli import main
+scenarios = str(resources.files("invariance") / "scenarios")
+main(["suite", scenarios, "--json", "--no-timestamp"])
+main(["demo"])
+main(["demo", "classify_strain_rate"])
+main(["check", scenarios + "/classify_velocity.json", "--strict"])
+"""
+
+# runs ``script`` (argv[1]) under ``sys.setprofile`` and writes the file
+# and qualified name of every Python function it called to argv[2]
+_PROFILED = r"""
+import contextlib, io, sys
+ran = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_code)
+
+sys.setprofile(profile)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(sys.argv[1], "<use>", "exec"), {})
+finally:
+    sys.setprofile(None)
+    with open(sys.argv[2], "w", encoding="utf-8") as fh:
+        fh.writelines("%s\t%s\n" % (code.co_filename, code.co_qualname)
+                      for code in ran)
+"""
+
+
+def defined_functions(root):
+    """``path:qualname`` of each function defined at module level or in a
+    class body in the modules under ``root``; a function nested in
+    another, a lambda and a comprehension are not counted."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        bodies = [compile(path.read_text(encoding="utf-8"), str(path),
+                          "exec")]
+        while bodies:
+            for const in bodies.pop().co_consts:
+                if not isinstance(const, types.CodeType) \
+                        or const.co_name.startswith("<"):
+                    continue
+                if const.co_flags & 0x2:        # CO_NEWLOCALS: a function
+                    found.append("%s:%s" % (where, const.co_qualname))
+                else:                           # a class body
+                    bodies.append(const)
+    return found
+
+
+def unreached_functions(root, script, tmp_path):
+    """``defined_functions(root)`` that never run while ``script`` runs in
+    a fresh interpreter with the parent of ``root`` on its import path."""
+    out = tmp_path / "ran.txt"
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    subprocess.run([sys.executable, "-c", _PROFILED, script, str(out)],
+                   env=env, check=True)
+    ran = set()
+    for line in out.read_text(encoding="utf-8").splitlines():
+        filename, qualname = line.split("\t")
+        path = Path(filename).resolve()
+        if path.is_relative_to(root):
+            ran.add("%s:%s" % (path.relative_to(root).as_posix(), qualname))
+    return [name for name in defined_functions(root) if name not in ran]
+
+
+def test_only_tests_reach_the_listed_functions(tmp_path):
+    allowed = {"%s:%s" % (path, name) for path, names in TEST_ONLY.items()
+               for name in names}
+    assert set(unreached_functions(SRC, SHIPPED_USE, tmp_path)) == allowed
+
+
+def test_the_check_sees_a_function_only_tests_reach(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text(
+        "def used():\n    def inner():\n        pass\n"
+        "    return [x for x in (1, 2)], (lambda: 0)\n"
+        "def spare():\n    pass\n"
+        "class C:\n    def m(self):\n        return used()\n"
+        "    def n(self):\n        pass\n"
+        "    class D:\n        def k(self):\n            pass\n")
+    assert defined_functions(package) == ["a.py:used", "a.py:spare",
+                                          "a.py:C.m", "a.py:C.n",
+                                          "a.py:C.D.k"]
+    assert unreached_functions(package, "from pkg.a import C\nC().m()\n",
+                               tmp_path) == ["a.py:spare", "a.py:C.n",
+                                             "a.py:C.D.k"]

@@ -11,7 +11,6 @@ from invariance import report
 from invariance.checks.verdict import FAIL_FLOOR
 from invariance.sampling import DEFAULT_SEED
 
-import frame_oracle as oracle
 import loop_oracles as loops
 
 RNG = np.random.default_rng(0xD1CE)
@@ -198,15 +197,16 @@ class TestInertialForceOracles:
 
 class TestTrajectoryTransport:
     def test_galilei_transform_preserves_relative_separation_norm(self):
+        # x0r rides the boost in closed form: R x0r + v (t' - tau) + c
         ic = (np.array([0.4, 0.0, 0.1]), np.array([0.0, 0.2, 0.0]), 0.0)
-        traj = mech.integrate(mech.oscillator_model(), ic, 1e-2, 200)
-        spec = fr.FrameChange.random_galilei(RNG)
-        moved = mech.transform_trajectory(traj, spec)
-        x0r_at, _, _ = mech.transport_references(mech.oscillator_model(),
-                                                 spec)
-        sep_old = traj.x - np.zeros(3)[:, None]
-        sep_new = moved.x - np.stack([x0r_at(tk) for tk in moved.t],
-                                     axis=1)
+        model = replace(mech.oscillator_model(), x0r=(0.2, -0.1, 0.3))
+        traj = mech.integrate(model, ic, 1e-2, 200)
+        r, vb, c, tau = loops.boost_parts(0x7A)
+        moved = mech.transform_trajectory(
+            traj, fr.FrameChange.random_galilei(np.random.default_rng(0x7A)))
+        sep_old = traj.x - np.array(model.x0r)[:, None]
+        sep_new = moved.x - ((r @ model.x0r + c)[:, None]
+                             + vb[:, None] * (moved.t - tau))
         assert np.max(np.abs(np.linalg.norm(sep_new, axis=0)
                              - np.linalg.norm(sep_old, axis=0))) < 1e-10
 
@@ -218,13 +218,16 @@ ALL_MODELS = sorted(report.MECHANICS_MODELS.items()) + [
 ]
 
 
-def boost_parts(seed):
-    """(R, v, c, tau) of ``FrameChange.random_galilei`` at ``seed``, drawn
-    in its order with R from the closed form: x' = R x + v t + c."""
-    rng = np.random.default_rng(seed)
-    axis, angle = rng.normal(size=3), rng.uniform(0, 2 * np.pi)
-    r = oracle.rotation(axis, 1.0, angle, 0.0)[0]
-    return r, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3), rng.uniform(-1, 1)
+# a frame with a rotating axis, a moving origin and a time shift, and a
+# model whose references it carries away from the origin
+MOVING = fr.FrameChange.euclidean(
+    rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
+    path=("sin(t)", "t*t", "0.5"), tau=0.3)
+
+
+def off_origin(model):
+    return replace(model, x0r=(-2.5, -2.2, -2.8), v0r=(0.3, -0.1, 0.2),
+                   t0r=0.4)
 
 
 class TestBatchedForce:
@@ -235,32 +238,31 @@ class TestBatchedForce:
         t = rng.uniform(0.0, 2.0, size=self.B)
         x = rng.uniform(-1.0, 1.0, size=(3, self.B))
         v = rng.uniform(-1.0, 1.0, size=(3, self.B))
-        refs = (rng.uniform(-3.0, -2.0, size=(3, self.B)),
-                rng.uniform(-1.0, 1.0, size=(3, self.B)),
-                rng.uniform(-1.0, 1.0, size=self.B))
-        return t, x, v, refs
+        return t, x, v
 
     @pytest.mark.parametrize("name, factory", ALL_MODELS)
     def test_batch_equals_per_state_loop(self, name, factory):
-        model = factory()
-        t, x, v, refs = self.states()
-        loop = np.stack([model.force_at(t[k], x[:, k], v[:, k])
-                         for k in range(self.B)], axis=1)
-        np.testing.assert_array_equal(model.force_at(t, x, v), loop)
-        loop = np.stack([model.force_at(0.7, x[:, k], v[:, k])
-                         for k in range(self.B)], axis=1)
-        np.testing.assert_array_equal(model.force_at(0.7, x, v), loop)
+        t, x, v = self.states()
+        for model in (factory(), off_origin(factory()).carried(MOVING)):
+            loop = np.stack([model.force_at(t[k], x[:, k], v[:, k])
+                             for k in range(self.B)], axis=1)
+            np.testing.assert_array_equal(model.force_at(t, x, v), loop)
+            loop = np.stack([model.force_at(0.7, x[:, k], v[:, k])
+                             for k in range(self.B)], axis=1)
+            np.testing.assert_array_equal(model.force_at(0.7, x, v), loop)
 
     @pytest.mark.parametrize("name, factory", ALL_MODELS)
     def test_per_state_refs_equal_replaced_models(self, name, factory):
-        model = factory()
-        t, x, v, (x0r, v0r, t0r) = self.states()
-        loop = np.stack([replace(model, x0r=tuple(x0r[:, k]),
-                                 v0r=tuple(v0r[:, k]), t0r=t0r[k])
+        # carried references are expressions of time: at each state the
+        # model gives what a model holding their values there gives
+        model = off_origin(factory()).carried(MOVING)
+        t, x, v = self.states()
+        loop = np.stack([replace(model, x0r=tuple(fr.at_times(model.x0r,
+                                                              t[k])),
+                                 v0r=tuple(fr.at_times(model.v0r, t[k])))
                          .force_at(t[k], x[:, k], v[:, k])
                          for k in range(self.B)], axis=1)
-        np.testing.assert_array_equal(
-            model.force_at(t, x, v, refs=(x0r, v0r, t0r)), loop)
+        np.testing.assert_array_equal(model.force_at(t, x, v), loop)
 
     @pytest.mark.parametrize("t, x, v", [
         (np.array([0.1, 0.2]), np.zeros(3), np.zeros(3)),
@@ -277,23 +279,18 @@ class TestBatchedForce:
 
     def test_transport_and_inertial_force_take_time_arrays(self):
         model = mech.drag_gravity_model()
-        t, x, v, _ = self.states()
+        t, x, v = self.states()
         galilei = fr.FrameChange.random_galilei(np.random.default_rng(3))
-        x0r_at, _, _ = mech.transport_references(model, galilei)
-        np.testing.assert_allclose(
-            x0r_at(t), np.stack([x0r_at(tk) for tk in t], axis=1),
-            rtol=0, atol=1e-12)
-        spec = fr.FrameChange.euclidean(
-            rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
-            path=("sin(t)", "t*t", "0.5"), tau=0.3)
-        x0r_at, v0r_at, _ = mech.transport_references(model, spec)
-        for fn in (x0r_at, v0r_at):
-            np.testing.assert_allclose(
-                fn(t), np.stack([fn(tk) for tk in t], axis=1),
-                rtol=0, atol=1e-12)
-        got = mech.inertial_force(spec, t, x, v, m=1.5, a=0.4)
-        loop = np.stack([mech.inertial_force(spec, t[k], x[:, k], v[:, k],
-                                             m=1.5, a=0.4)
+        for spec in (galilei, MOVING):
+            carried = model.carried(spec)
+            for ref in (carried.x0r, carried.v0r):
+                np.testing.assert_allclose(
+                    fr.at_times(ref, t),
+                    np.stack([fr.at_times(ref, tk) for tk in t], axis=1),
+                    rtol=0, atol=1e-12)
+        got = mech.inertial_force(MOVING, t, x, v, m=1.5, a=0.4)
+        loop = np.stack([mech.inertial_force(MOVING, t[k], x[:, k],
+                                             v[:, k], m=1.5, a=0.4)
                          for k in range(self.B)], axis=1)
         np.testing.assert_allclose(got, loop, rtol=0, atol=1e-12)
 
@@ -309,7 +306,7 @@ class TestBatchedChecksAgainstLoops:
 
     def test_random_galilei_keeps_its_draw_order(self):
         for seed in (0x5EED, 1, 2):
-            r, vb, c, tau = boost_parts(seed)
+            r, vb, c, tau = loops.boost_parts(seed)
             spec = fr.FrameChange.random_galilei(
                 np.random.default_rng(seed))
             (q, c0), (_, v0) = spec.at(0.0), spec.at(0.0, 1)
@@ -329,7 +326,8 @@ class TestBatchedChecksAgainstLoops:
         model = factory()
         v = frame_indifference(model, self.BOOST, transport_refs)
         worst, witness = loops.worst_of(*loops.frame_indifference(
-            model, self.BOOST, transport_refs=transport_refs))
+            model, loops.boost_parts(0x5EED),
+            transport_refs=transport_refs))
         # under a pure boost every absolute-velocity residual is |v| of the
         # boost, so which point is worst is decided by the last bit
         if factory is not mech.absolute_velocity_model:
@@ -341,7 +339,7 @@ class TestBatchedChecksAgainstLoops:
                         free_model):
             v = frame_indifference(factory(), self.BOOST)
             worst, _ = loops.worst_of(*loops.frame_indifference(
-                factory(), self.BOOST))
+                factory(), loops.boost_parts(0x5EED)))
             assert v.residual < 1e-12 and worst < 1e-12
 
     def test_noninertial_closure_witness(self):
@@ -350,20 +348,22 @@ class TestBatchedChecksAgainstLoops:
         spec = fr.FrameChange.euclidean(
             rotation=rotation, path=("0.3*t*t", "sin(t)", "0.0"), tau=0.2)
 
-        def cddot(t):
-            return np.array([0.6, -np.sin(t), 0.0])
+        def path(t):
+            return (np.array([0.3 * t * t, np.sin(t), 0.0]),
+                    np.array([0.6 * t, np.cos(t), 0.0]),
+                    np.array([0.6, -np.sin(t), 0.0]))
         ic = (np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0]), 0.0)
         traj = mech.integrate(model, ic, 1e-2, 200)
         dropped = mech.check_noninertial_closure(
             model, spec, traj, 1e-5, include_drag_term=False)
         worst, witness = loops.worst_of(*loops.noninertial_closure(
-            model, spec, traj, 0.0, rotation, cddot))
+            model, spec, traj, 0.0, rotation, path))
         assert dropped.witness == witness
         assert dropped.residual == pytest.approx(worst, rel=1e-12)
         closed = mech.check_noninertial_closure(model, spec, traj, 1e-5,
                                                 include_drag_term=True)
         worst, _ = loops.worst_of(*loops.noninertial_closure(
-            model, spec, traj, 1.0, rotation, cddot))
+            model, spec, traj, 1.0, rotation, path))
         assert closed.residual < 1e-10 and worst < 1e-10
 
 
@@ -395,41 +395,32 @@ class TestFloatKernel:
 
     @pytest.mark.parametrize("name, factory", ALL_MODELS)
     def test_kernel_equals_evaluator(self, name, factory, monkeypatch):
-        model = factory()
+        models = (factory(), off_origin(factory()).carried(MOVING))
         rng = np.random.default_rng(0xF10A7)
         t = rng.uniform(-3.0, 3.0, size=self.N)
         x = rng.uniform(-2.0, 2.0, size=(3, self.N))
         v = rng.uniform(-2.0, 2.0, size=(3, self.N))
-        refs = (rng.uniform(-1.0, 1.0, size=(3, self.N)),
-                rng.uniform(-1.0, 1.0, size=(3, self.N)),
-                rng.uniform(-1.0, 1.0, size=self.N))
-        want = [model.force_at(t[k:k + 1], x[:, k:k + 1], v[:, k:k + 1])
-                for k in range(self.N)]
-        want_refs = [model.force_at(t[k:k + 1], x[:, k:k + 1],
-                                    v[:, k:k + 1],
-                                    tuple(r[..., k:k + 1] for r in refs))
-                     for k in range(self.N)]
+        want = [[model.force_at(t[k:k + 1], x[:, k:k + 1], v[:, k:k + 1])
+                 for k in range(self.N)] for model in models]
 
         def no_evaluator(*args, **kwargs):
             raise AssertionError("a single state reached evaluate_many")
 
         monkeypatch.setattr(mech.ex, "evaluate_many", no_evaluator)
-        for k in range(self.N):
-            np.testing.assert_array_equal(
-                model.force_at(float(t[k]), tuple(x[:, k]), tuple(v[:, k])),
-                want[k][:, 0])
-            np.testing.assert_array_equal(
-                model.force_at(t[k], x[:, k], v[:, k],
-                               tuple(r[..., k] for r in refs)),
-                want_refs[k][:, 0])
+        for model, model_want in zip(models, want):
+            for k in range(self.N):
+                np.testing.assert_array_equal(
+                    model.force_at(float(t[k]), tuple(x[:, k]),
+                                   tuple(v[:, k])), model_want[k][:, 0])
+                np.testing.assert_array_equal(
+                    model.force_at(t[k], x[:, k], v[:, k]),
+                    model_want[k][:, 0])
 
     @pytest.mark.parametrize("name, factory", ALL_MODELS)
     def test_one_state_gives_three_python_floats(self, name, factory):
         # what RK4 unpacks and scales, with no numpy array between
-        model = factory()
-        for refs in (None, ((0.1, 0.2, 0.3), (-0.1, 0.0, 0.1), 0.25)):
-            got = model.force_at(0.5, (0.3, -0.2, 0.1), (0.2, 0.1, 0.0),
-                                 refs)
+        for model in (factory(), off_origin(factory()).carried(MOVING)):
+            got = model.force_at(0.5, (0.3, -0.2, 0.1), (0.2, 0.1, 0.0))
             assert type(got) is tuple and len(got) == 3
             assert all(type(f) is float for f in got)
 
@@ -482,13 +473,11 @@ def oracle_rk4(accel, ic, dt, n_steps):
     return ts, xs, vs
 
 
-def evaluator_accel(model, refs_at=None):
-    """m^-1 F at one state through the numpy evaluator, as a (3, 1) batch;
-    ``refs_at(t)`` gives per-time references."""
+def evaluator_accel(model):
+    """m^-1 F at one state through the numpy evaluator, as a (3, 1)
+    batch."""
     def accel(t, x, v):
-        refs = None if refs_at is None else tuple(
-            np.asarray(r, float)[..., None] for r in refs_at(t))
-        f = model.force_at(np.array([t]), x[:, None], v[:, None], refs)
+        f = model.force_at(np.array([t]), x[:, None], v[:, None])
         return (1.0 / model.m) * f[:, 0]
     return accel
 
@@ -506,20 +495,20 @@ class TestRK4Oracle:
         np.testing.assert_array_equal(traj.v, vs)
 
     def test_float_reference_transport_equals_numpy(self):
+        # the carried references are part of the force's expression, so
+        # its float kernel transports them with the evaluator's bits
         model = mech.drag_gravity_model()
         specs = [fr.FrameChange.random_galilei(np.random.default_rng(seed))
-                 for seed in range(5)]
-        specs.append(fr.FrameChange.euclidean(
-            rotation=fr.RotationSpec(axis=(1.0, 2.0, 2.0), rate=0.8),
-            path=("sin(t)", "t*t", "0.5"), tau=0.3))
+                 for seed in range(5)] + [MOVING]
         for seed, spec in enumerate(specs):
-            numpy_refs = mech.transport_references(model, spec)[:2]
-            kernels = [ex.float_kernel(e)
-                       for e in spec.carry(model.x0r, model.v0r)]
-            for t in np.random.default_rng(seed).uniform(-2.0, 2.0, 200):
-                for kernel, at in zip(kernels, numpy_refs):
-                    np.testing.assert_array_equal(
-                        kernel(float(t), (0.0, 0.0, 0.0), {}), at(t))
+            carried = model.carried(spec)
+            rng = np.random.default_rng(seed)
+            for t in rng.uniform(-2.0, 2.0, 200):
+                x, v = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+                np.testing.assert_array_equal(
+                    carried.force_at(float(t), tuple(x), tuple(v)),
+                    carried.force_at(np.array([t]), x[:, None],
+                                     v[:, None])[:, 0])
 
     @pytest.mark.parametrize("factory", [mech.oscillator_model,
                                          mech.drag_gravity_model])
@@ -531,9 +520,8 @@ class TestRK4Oracle:
                                             10 * dt ** 4)
         base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
                                                         steps), spec)
-        x0r_at, v0r_at, t0r = mech.transport_references(model, spec)
         _, xs, vs = oracle_rk4(
-            evaluator_accel(model, lambda t: (x0r_at(t), v0r_at(t), t0r)),
+            evaluator_accel(model.carried(spec)),
             (base.x[:, 0], base.v[:, 0], base.t[0]), dt, steps)
         worst = max(np.max(np.abs(xs - base.x)), np.max(np.abs(vs - base.v)))
         assert got.residual == worst
@@ -550,9 +538,8 @@ class TestRK4Oracle:
                                             10 * dt ** 4)
         base = mech.transform_trajectory(mech.integrate(model, self.IC, dt,
                                                         steps), spec)
-        x0r_at, v0r_at, t0r = mech.transport_references(model, spec)
         ts, xs, vs = oracle_rk4(
-            evaluator_accel(model, lambda t: (x0r_at(t), v0r_at(t), t0r)),
+            evaluator_accel(model.carried(spec)),
             (base.x[:, 0], base.v[:, 0], base.t[0]), dt, steps)
         per_step = [max(np.max(np.abs(xs[:, k] - base.x[:, k])),
                         np.max(np.abs(vs[:, k] - base.v[:, k])))

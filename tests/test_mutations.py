@@ -12,8 +12,9 @@ them for the mechanics checks, the geometric suite and the classifiers'
 base spin, the classifiers compose their point map with them, and each
 Navier-Stokes symmetry derives its inverse map from them.
 ``FrameChange.carry`` transports the reference values of the mechanics
-checks and of the closure screen's G row.  Evaluator side: ``dot`` is
-the one contraction rule of ``evaluate_many``.  Verdict side:
+checks, through ``ForceModel.carried``, and of the closure screen's G
+row.  Evaluator side: ``dot`` is the one contraction rule of
+``evaluate_many``.  Verdict side:
 ``verdict.worst`` is the one reduction of residual arrays, which
 ``CheckPart.of`` applies to every check's residuals and which picks each
 part's witness, and ``verdict.meets`` the one rule that judges an
@@ -24,6 +25,7 @@ import functools
 import importlib
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -94,7 +96,8 @@ NS_MUTATIONS = {
 
 # shipped scenarios that a carried reference velocity without c' must
 # flip: only the G row sees it, since no shipped mechanics check runs a
-# law that reads xdot - v0r under a frame with a moving origin
+# law that reads xdot - v0r under a frame with a moving origin (the
+# decaying spring below does)
 DROPPED_C_DOT = ("closure_compliant",)
 
 
@@ -155,9 +158,8 @@ def loop_witness(name):
     model = report.MECHANICS_MODELS[payload["model"]](
         **payload.get("params", {}))
     if payload["check"] == "frame_indifference":
-        spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
         return loops.clear_witness(*loops.frame_indifference(
-            model, spec, seed=seed,
+            model, loops.boost_parts(seed), seed=seed,
             transport_refs=payload.get("transport_refs", True)))
     rot = payload.get("rotation", {"axis": [0, 0, 1], "rate": 0.5})
     rotation = fr.RotationSpec(axis=rot["axis"], rate=float(rot["rate"]))
@@ -167,7 +169,7 @@ def loop_witness(name):
     drag = model.drag if payload["include_drag_term"] else 0.0
     return loops.clear_witness(*loops.noninertial_closure(
         model, fr.FrameChange.euclidean(rotation=rotation), traj, drag,
-        rotation, lambda t: np.zeros(3)))
+        rotation, lambda t: (np.zeros(3),) * 3))
 
 
 def reported_witness(name):
@@ -230,17 +232,64 @@ def test_ns_mutation_flips_shipped_verdicts(mutation, monkeypatch):
     assert not any(expectation_met(name) for name in scenarios)
 
 
+_CARRY = fr.FrameChange.carry
+_CARRIED = mech.ForceModel.carried
+
+
+def _carry_without_c_dot(self, x0, v0):
+    # the same frame with its origin held still carries v0 as Q v0
+    still = fr.FrameChange(self.q, zero(VEC), self.tau)
+    return _CARRY(self, x0, v0)[0], _CARRY(still, x0, v0)[1]
+
+
+def _carried_without_tau(self, spec):
+    return replace(_CARRIED(self, spec), t0r=self.t0r)
+
+
 def test_reference_transport_mutation_flips_shipped_verdicts(monkeypatch):
     assert all(expectation_met(name) for name in DROPPED_C_DOT)
-    carry = fr.FrameChange.carry
-
-    def without_c_dot(self, x0, v0):
-        # the same frame with its origin held still carries v0 as Q v0
-        still = fr.FrameChange(self.q, zero(VEC), self.tau)
-        return carry(self, x0, v0)[0], carry(still, x0, v0)[1]
-
-    monkeypatch.setattr(fr.FrameChange, "carry", without_c_dot)
+    monkeypatch.setattr(fr.FrameChange, "carry", _carry_without_c_dot)
     assert not any(expectation_met(name) for name in DROPPED_C_DOT)
+
+
+def decaying_spring():
+    """-2 exp(-w/2) dx - 0.7 dv about references off the origin: a law
+    that reads every reference a frame carries.  No shipped model reads w
+    or dv under a moving origin, so the shipped suite sees neither
+    mutation below; this law's checks see both."""
+    stiffness = ex.mul(ex.const(-2.0), ex.func(
+        "exp", ex.mul(ex.const(-0.5), ex.sym("w"))))
+    return mech.ForceModel.from_invariants(
+        stiffness, ex.const(-0.7), x0r=(0.4, -0.3, 0.2),
+        v0r=(0.1, 0.2, -0.1), t0r=0.5, drag=0.7)
+
+
+# name -> (patched class, attribute, mutated value)
+CARRIED_REFERENCE_MUTATIONS = {
+    "carried_without_tau": (mech.ForceModel, "carried",
+                            _carried_without_tau),
+    "carry_without_c_dot": (fr.FrameChange, "carry", _carry_without_c_dot),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+@pytest.mark.parametrize("mutation",
+                         [None] + sorted(CARRIED_REFERENCE_MUTATIONS))
+def test_reference_transport_mutation_fails_a_decaying_spring(
+        mutation, seed, monkeypatch):
+    # both checks agree to rounding on the intact engine, and each
+    # mutation lifts both above the FAIL floor
+    if mutation is not None:
+        monkeypatch.setattr(*CARRIED_REFERENCE_MUTATIONS[mutation])
+    model = decaying_spring()
+    spec = fr.FrameChange.random_galilei(np.random.default_rng(seed))
+    ic = (np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0]), 0.0)
+    parts = (mech.check_force_frame_indifference(model, spec, 1.2e-15, seed,
+                                                 True),
+             mech.check_galilei_covariance(model, spec, ic, 1e-2, 100,
+                                           1.2e-15))
+    for part in parts:
+        assert meets(part, mutation is None), (mutation, part)
 
 
 def test_contraction_mutation_flips_shipped_verdicts(monkeypatch,
