@@ -129,22 +129,17 @@ CHARTS = {
 }
 
 
-def christoffel_transform(gamma, chart, pts):
-    """Connection components in the chart, from Cartesian ones.
-
-    gamma is the Cartesian (3,3,3) array Gamma^nu_{rho sigma} (zero for
-    the standard flat connection); returns (3,3,3,N) over the chart
-    points via Gamma~^mu_{ab} = A B B Gamma + A d2x, A = (dchart/dcart).
+def christoffel_transform(chart, pts):
+    """Connection components in the chart of the flat Cartesian
+    connection: (3,3,3,N) over the chart points via
+    Gamma~^mu_{ab} = A d2x, A = (dchart/dcart).
     """
-    gamma = np.asarray(gamma, dtype=float)
     b = chart.jacobian(pts)                      # (3,3,N)
     if np.min(np.abs(np.linalg.det(np.moveaxis(b, 2, 0)))) < 1e-12:
         raise ValueError("singular chart Jacobian at a sample point")
     a = np.moveaxis(np.linalg.inv(np.moveaxis(b, 2, 0)), 0, 2)
     d2 = chart.second_derivatives(pts)           # (3,3,3,N)
-    term1 = np.einsum("mvn,ran,sbn,vrs->mabn", a, b, b, gamma)
-    term2 = np.einsum("mvn,vabn->mabn", a, d2)
-    return term1 + term2
+    return np.einsum("mvn,vabn->mabn", a, d2)
 
 
 def closed_form_christoffel(name, pts):
@@ -194,7 +189,7 @@ def check_covariant_derivative(a_expr, chart, n_points, tol, seed):
     grad_val = evaluate_many(grad_tilde, t, pts)
     rhs_val = evaluate_many(rhs_expr, t, pts)
     a_val = evaluate_many(expand_derivatives(a_tilde), t, pts)
-    gamma = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+    gamma = christoffel_transform(chart, pts)
     cov_val = grad_val - np.einsum("mabn,mn->abn", gamma, a_val)
 
     at = (t, chart.cartesian(pts))

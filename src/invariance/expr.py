@@ -18,10 +18,13 @@ products of ``dot`` and ``norm`` left to right, so a value has the same
 bits on either path and at any number of points.
 """
 
+import ast
+import bisect
+import functools
 import math
-import re
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -1082,164 +1085,22 @@ _EMIT = {
 
 
 # ---------------------------------------------------------------------------
-# DSL parser / printer
+# DSL parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[()+\-*/^,])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-_CALLABLES = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign", "power",
-              "vec", "mat", "dot", "outer", "transpose", "norm", "grad",
-              "div", "lap", "dt", "comp")
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    line, col = 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), line, col))
-        chunk = m.group()
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n") - 1
-        else:
-            col += len(chunk)
-        pos = m.end()
-    out.append(("eof", "", line, col))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, symbols):
-        self.toks = tokens
-        self.i = 0
-        self.symbols = symbols
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None, value=None):
-        tk = self.toks[self.i]
-        if kind and tk[0] != kind or value is not None and tk[1] != value:
-            raise ParseError("expected %s, got %r" % (value or kind, tk[1]),
-                             tk[2], tk[3])
-        self.i += 1
-        return tk
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            try:
-                node = mul(node, rhs) if op == "*" else div_by(node, rhs)
-            except ShapeError as exc:
-                tk = self.peek()
-                raise ParseError(str(exc), tk[2], tk[3]) from None
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.take()
-            return neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.primary()
-        if self.peek()[1] == "^":
-            self.take()
-            return func("power", base, self.unary())
-        return base
-
-    def primary(self):
-        tk = self.peek()
-        if tk[0] == "num":
-            self.take()
-            return const(float(tk[1]))
-        if tk[1] == "(":
-            self.take()
-            node = self.expr()
-            self.take(value=")")
-            return node
-        if tk[0] == "ident":
-            return self.ident()
-        raise ParseError("unexpected token %r" % tk[1], tk[2], tk[3])
-
-    def ident(self):
-        tk = self.take("ident")
-        name = tk[1]
-        if self.peek()[1] == "(" and name in _CALLABLES:
-            return self.call(name, tk)
-        if name == "x":
-            return x_vector()
-        if name == "t":
-            return time()
-        if name in self.symbols:
-            spec = self.symbols[name]
-            if isinstance(spec, tuple):
-                shape, field = spec
-            else:
-                shape, field = spec, False
-            return sym(name, shape, field)
-        if name == "u":
-            return sym("u", VEC, field=True)
-        if name == "p":
-            return sym("p", SCALAR, field=True)
-        return sym(name)
-
-    def call(self, name, tk):
-        self.take(value="(")
-        args = [self.expr()]
-        while self.peek()[1] == ",":
-            self.take()
-            if name == "comp" and self.peek()[0] == "num":
-                args.append(self.take()[1])
-                continue
-            args.append(self.expr())
-        self.take(value=")")
-        try:
-            return self._build(name, args)
-        except ShapeError as exc:
-            raise ParseError(str(exc), tk[2], tk[3]) from None
-
-    def _build(self, name, args):
-        if name in _FUNCS_1 or name == "power":
-            return func(name, *args)
-        if name == "vec":
-            return vec(*args)
-        if name == "mat":
-            if len(args) != 9:
-                raise ShapeError("mat takes 9 entries (row-major)")
-            return mat([args[0:3], args[3:6], args[6:9]])
-        if name == "comp":
-            e = args[0]
-            if not all(isinstance(a, str) for a in args[1:]):
-                raise ShapeError("comp indices must be integer literals")
-            idx = [int(a) - 1 for a in args[1:]]  # DSL indices are 1-based
-            if not idx or len(idx) > 2 or any(i not in (0, 1, 2) for i in idx):
-                raise ShapeError("comp indices must be 1..3")
-            return comp(e, *idx)
-        fn = {"dot": dot, "outer": outer, "transpose": transpose,
-              "norm": norm, "grad": grad, "div": div, "lap": lap, "dt": dt}[name]
-        return fn(*args)
+_CALLABLES = {
+    **{name: functools.partial(func, name) for name in _FUNCS_1 + ("power",)},
+    "vec": vec, "mat": lambda *e: mat([e[0:3], e[3:6], e[6:]]),
+    "dot": dot, "outer": outer, "transpose": transpose, "norm": norm,
+    "grad": grad, "div": div, "lap": lap, "dt": dt, "comp": comp,
+}
+# the DSL's ``^`` is read as Python's ``**``, which the DSL itself refuses
+_BINOPS = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: div_by,
+           ast.Pow: _CALLABLES["power"]}
+_FIELDS = {"u": (VEC, True), "p": (SCALAR, True)}
+_DSL_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                       "0123456789_ ()+-*/^,.")
+_NUMBER_CHARS = frozenset("0123456789.eE+-")
 
 
 def parse_field_expr(text, symbols=None):
@@ -1247,8 +1108,84 @@ def parse_field_expr(text, symbols=None):
 
     ``symbols`` optionally declares extra identifiers as name -> shape or
     name -> (shape, is_field).  The identifiers x, t, u, p are reserved.
+    The text is read by Python's own expression parser, ``^`` as ``**``,
+    and whatever that parser accepts beyond the DSL is refused.  Every
+    failure is a :class:`ParseError` at its line and column in ``text``.
     """
-    parser = _Parser(_tokenize(text), symbols or {})
-    node = parser.expr()
-    parser.take("eof")
-    return node
+    symbols = symbols or {}
+    flat = "".join(" " if ch.isspace() else ch for ch in text)
+    body = flat.strip(" ")
+    src = body.replace("^", "**")
+    # the offset in ``src`` of the second star of each caret's ``**``
+    stars = [k + n + 1 for n, k in enumerate(
+        k for k, ch in enumerate(body) if ch == "^")]
+
+    def error(msg, at):
+        # ``at`` is an offset in ``src``
+        i = len(flat) - len(flat.lstrip(" ")) + at - bisect.bisect_right(
+            stars, at)
+        return ParseError(msg, text.count("\n", 0, i) + 1,
+                          i - text.rfind("\n", 0, i) - 1)
+
+    def index(node):
+        # comp's 0-based index, from an unparenthesized literal 1, 2 or 3
+        at = node.col_offset
+        if type(node) is ast.Constant \
+                and src[at:node.end_col_offset] in ("1", "2", "3") \
+                and not src[src.rfind(",", 0, at) + 1:at].strip():
+            return node.value - 1
+        raise error("comp indices must be integer literals 1..3", at)
+
+    def walk(node):
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINOPS:
+            build = _BINOPS[type(node.op)]
+            args = walk(node.left), walk(node.right)
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            build, args = neg, (walk(node.operand),)
+        elif kind is ast.Constant and type(node.value) in (int, float) \
+                and _NUMBER_CHARS.issuperset(
+                    src[node.col_offset:node.end_col_offset]):
+            return const(float(src[node.col_offset:node.end_col_offset]))
+        elif kind is ast.Name:
+            if node.id in ("x", "t"):
+                return x_vector() if node.id == "x" else time()
+            spec = symbols.get(node.id, _FIELDS.get(node.id, SCALAR))
+            return sym(node.id, *(spec if isinstance(spec, tuple)
+                                  else (spec,)))
+        # a callable by its bare name, not ``(sin)(t)``, with no trailing
+        # comma, which also refuses ``sin(t, ^t)`` (``sin(t, **t)``); a
+        # lone keyword, ``sin(^t)``, leaves no argument, which every
+        # callable refuses
+        elif kind is ast.Call and type(node.func) is ast.Name \
+                and node.func.id in _CALLABLES \
+                and node.func.col_offset == node.col_offset \
+                and "," not in src[(node.args or [node.func])[-1]
+                                   .end_col_offset:node.end_col_offset]:
+            build = _CALLABLES[node.func.id]
+            args = [walk(a) if build is not comp or k == 0 else index(a)
+                    for k, a in enumerate(node.args)]
+        else:
+            raise error("unexpected %r" % src[
+                node.col_offset:node.end_col_offset].replace("**", "^"),
+                node.col_offset)
+        try:
+            return build(*args)
+        except (ShapeError, TypeError) as exc:
+            raise error(str(exc), node.col_offset) from None
+
+    bad = next((k for k, ch in enumerate(body) if ch not in _DSL_CHARS
+                or body.startswith("**", k)), None)
+    if bad is not None:
+        what = "**" if body.startswith("**", bad) else body[bad]
+        raise error("unexpected %r" % what, bad + body.count("^", 0, bad))
+    try:
+        with warnings.catch_warnings():
+            # "1if" is refused, not warned about
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(src, mode="eval")
+        return walk(tree.body)
+    except SyntaxError as exc:
+        raise error(exc.msg, (exc.offset or 1) - 1) from None
+    except (RecursionError, MemoryError):
+        raise error("expression nested too deeply", 0) from None

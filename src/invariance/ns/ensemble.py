@@ -16,7 +16,6 @@ from ..sampling import sample_points
 
 __all__ = ["Ensemble", "reynolds_tau", "check_decomposed_symmetry"]
 
-DEFAULT_ENSEMBLE_SEED = 0xBEEF
 # doubles in one (members, 3, points) block of the decomposed check
 _BLOCK_DOUBLES = 2 ** 17
 
@@ -30,7 +29,7 @@ class Ensemble:
     phase: np.ndarray
 
     @classmethod
-    def random(cls, n_members, seed=DEFAULT_ENSEMBLE_SEED):
+    def random(cls, n_members, seed):
         rng = np.random.default_rng(seed)
         k = rng.uniform(-3.0, 3.0, size=(3, n_members))
         a = rng.normal(size=(3, n_members))

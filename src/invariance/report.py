@@ -189,7 +189,7 @@ def _run_christoffel(p, tol, seed):
                                               tol, seed), {}
     p.done()
     pts = chart.sample(n_points, seed)
-    got = geo.christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+    got = geo.christoffel_transform(chart, pts)
     ref = geo.closed_form_christoffel(chart.name, pts)
     t = np.zeros(pts.shape[1])
     return ({"match": CheckPart.of(np.abs(got - ref), tol,
@@ -266,7 +266,7 @@ def _run_decomposed(p, tol, seed):
     spec = p.get("symmetry", _parse_ns_spec)
     p.done()
     return {"symmetry": ns.check_decomposed_symmetry(
-        ns.Ensemble.random(n_members), spec, tol, seed)}, {}
+        ns.Ensemble.random(n_members, seed), spec, tol, seed)}, {}
 
 
 def _run_closure_screen(p, tol, seed):

@@ -14,7 +14,7 @@ from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
 
-ENSEMBLE = ns.Ensemble.random(1024)
+ENSEMBLE = ns.Ensemble.random(1024, DEFAULT_SEED)
 ALL_DECOMPOSED = [
     ("G", lambda: fr.Galilei(
         c0=0.2, a_mat=oracle.matrix(fr.RotationSpec(axis=(0, 1, 1)), 0.6),
@@ -144,7 +144,7 @@ class TestBlockedDecomposedCheck:
     @pytest.mark.parametrize("members", (1, 2048, 4096))
     @pytest.mark.parametrize("tag,make", SPECS)
     def test_blocks_equal_one_pass(self, members, tag, make, monkeypatch):
-        ensemble = ns.Ensemble.random(members)
+        ensemble = ns.Ensemble.random(members, DEFAULT_SEED)
         spec = make()
         want = one_pass_decomposed(ensemble, spec, 203)
         widths = self.block_widths(monkeypatch)
@@ -159,7 +159,7 @@ class TestBlockedDecomposedCheck:
 
     def test_a_one_point_tail_joins_the_block_before(self, monkeypatch):
         # numpy rounds a one-point block on other paths than a wider one
-        ensemble = ns.Ensemble.random(2048)
+        ensemble = ns.Ensemble.random(2048, DEFAULT_SEED)
         step = en._BLOCK_DOUBLES // (3 * 2048)
         want = one_pass_decomposed(ensemble, fr.Scaling(0.3), 2 * step + 1)
         widths = self.block_widths(monkeypatch)
@@ -171,7 +171,7 @@ class TestBlockedDecomposedCheck:
     def test_peak_memory_is_a_few_blocks(self):
         # the one-pass check held three (2048, 3, 200) arrays, 9.8 MB
         # each, and peaked near 22 MB
-        ensemble = ns.Ensemble.random(2048)
+        ensemble = ns.Ensemble.random(2048, DEFAULT_SEED)
         spec = fr.PlanarRotation(0.8)
         # warm the caches
         ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED)

@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import gc
+import json
 import sys
 import tracemalloc
 import warnings
@@ -752,6 +753,83 @@ class TestParserPrinter:
         a = parse_field_expr("dot(x, x) + t")
         b = parse_field_expr("dot(x, x) + t")
         assert a is b
+
+
+
+A, B, C = sym("a"), sym("b"), sym("c")
+MINUS_A2 = ex.neg(func("power", A, const(2.0)))
+
+# each DSL text with the node that the constructors build for it, or, for
+# a refused text, the (line, column) of its ParseError (None: unchecked)
+DSL_TABLE = [
+    ("  t + 1 ", add(time(), const(1.0))),
+    ("t\n+ 1", add(time(), const(1.0))),
+    ("\tt *\xa0a", mul(time(), A)),
+    ("2^-1", const(0.5)),
+    ("t^-1", func("power", time(), const(-1.0))),
+    ("-a^2", MINUS_A2),
+    ("a^b^c", func("power", A, func("power", B, C))),
+    ("a - b - c", sub(sub(A, B), C)),
+    ("a / b / c", div_by(div_by(A, B), C)),
+    ("-a^2 * 1.e1 + .5E-1", add(mul(MINUS_A2, const(10.0)), const(0.05))),
+    ("comp(x, 2) + sin (t)", add(coord(1), func("sin", time()))),
+    # characters outside the DSL, which Python's grammar would take
+    ("t # c", (1, 2)), ("t @ t", (1, 2)), ("t % 2", (1, 2)),
+    ("a[1]", (1, 1)), ("'t'", (1, 0)), ("\u00e9", (1, 0)),
+    ("\u0663", (1, 0)),
+    # Python's power; a trailing comma; literals outside the DSL's numbers
+    ("t**2", (1, 1)), ("t ^ 2 ** 2", (1, 6)), ("comp(x, 1, )", (1, 0)),
+    ("sin(t,)", (1, 0)), ("0x1F", (1, 0)), ("1_0", (1, 0)),
+    ("1j", (1, 0)), ("True", (1, 0)), ("...", (1, 0)),
+    # other Python forms
+    ("(sin)(t)", (1, 0)), ("sin(^t)", (1, 0)), ("sin(t, ^t)", (1, 0)),
+    ("vec(^t)", (1, 0)), ("sin(*t)", (1, 4)),
+    ("comp(x, (1))", (1, 9)), ("t) + (q", (1, 1)), ("+t", (1, 0)),
+    ("t.real", (1, 0)), ("t, t", (1, 0)), ("t // 2", (1, 0)),
+    ("1if t else p", None),
+    # constructor failures, which escaped as TypeError and ValueError
+    ("dot(x, x, x)", (1, 0)), ("comp(x, 1.)", (1, 8)),
+    ("vec(t, t)", (1, 0)), ("x + t", (1, 0)),
+    # the position in the caller's text, after a caret and leading spaces
+    ("t^2 + foo(t)", (1, 6)), ("   t^2 + foo(t)", (1, 9)),
+    ("t^2\n + foo(t)", (2, 3)), ("t^2 # c", (1, 4)),
+    # narrowings: Python keywords as names, leading-zero integers, deeper
+    # nesting than Python's parser takes and a sum too long for its AST
+    ("lambda", None), ("t * in", None), ("not", None), ("None", None),
+    ("01", None), ("comp(x, 01)", None),
+    ("(" * 201 + "t" + ")" * 201, None), ("-" * 100000 + "t", (1, 0)),
+    ("+".join(["t"] * 30000), (1, 0)),
+]
+
+
+@pytest.mark.parametrize("text, want", DSL_TABLE,
+                         ids=[repr(text[:20]) for text, _ in DSL_TABLE])
+def test_the_dsl_accepts_and_refuses(text, want):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = parse_field_expr(text, {"a": SCALAR})
+        except ex.ParseError as err:
+            got = (err.line, err.col)
+    assert not caught   # a SyntaxWarning of Python's parser is a refusal
+    if isinstance(want, ex.Node):
+        assert got is want
+    else:
+        assert isinstance(got, tuple) and want in (None, got)
+
+
+@pytest.mark.parametrize("field", ["(" * 6000 + "t" + ")" * 6000,
+                                   "-" * 100000 + "t"],
+                         ids=["nested", "unary"])
+def test_a_field_too_deep_to_parse_is_a_schema_error(field, tmp_path):
+    doc = json.loads((SCENARIO_DIR / "covariant_derivative_spherical.json")
+                     .read_text())
+    doc["payload"]["field"] = field
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    got, code = run_scenario(path, None, None, no_timestamp=True)
+    assert (code, got["error_kind"]) == (2, "schema")
+    assert "'field'" in got["error"]
 
 
 # --- randomised well-shaped ASTs (shape soundness fuzz) --------------------

@@ -44,7 +44,7 @@ class TestChristoffel:
     def test_matches_closed_form(self, name):
         chart = CHARTS[name]
         pts = chart.sample(50, DEFAULT_SEED)
-        got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+        got = christoffel_transform(chart, pts)
         ref = closed_form_christoffel(name, pts)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -53,7 +53,7 @@ class TestChristoffel:
     def test_matches_finite_difference_oracle(self, name):
         chart = CHARTS[name]
         pts = chart.sample(20, DEFAULT_SEED)
-        got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+        got = christoffel_transform(chart, pts)
         ref = finite_difference_christoffel(chart, pts)
         assert np.max(np.abs(got - ref)) < 1e-5
 
@@ -61,22 +61,14 @@ class TestChristoffel:
         for name in ("identity", "rotation_frozen"):
             chart = CHARTS[name]
             pts = chart.sample(20, DEFAULT_SEED)
-            got = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+            got = christoffel_transform(chart, pts)
             assert np.max(np.abs(got)) < 1e-12
 
     def test_symmetry_in_lower_indices(self):
         chart = CHARTS["spherical"]
         pts = chart.sample(20, DEFAULT_SEED)
-        g = christoffel_transform(np.zeros((3, 3, 3)), chart, pts)
+        g = christoffel_transform(chart, pts)
         assert np.max(np.abs(g - np.transpose(g, (0, 2, 1, 3)))) < 1e-12
-
-    def test_nonzero_cartesian_input_participates(self):
-        # with Gamma != 0 on the identity chart the symbols pass through
-        gamma = np.arange(27, dtype=float).reshape(3, 3, 3)
-        chart = CHARTS["identity"]
-        pts = chart.sample(10, DEFAULT_SEED)
-        got = christoffel_transform(gamma, chart, pts)
-        assert np.max(np.abs(got - gamma[:, :, :, None])) < 1e-12
 
     @pytest.mark.parametrize("scenario", ["christoffel_cylindrical",
                                           "christoffel_spherical",

@@ -276,7 +276,7 @@ def test_the_check_sees_an_id_call(tmp_path):
 # the functions of ``src`` that may default a ``tol`` or a ``seed``: the
 # sampler's own seed, the fixed ensemble's seed and the certificate's fixed
 # tolerance, none of which a scenario sets.  This list may only shrink.
-DEFAULTED_SETTINGS = ("sample_points", "Ensemble.random", "certify")
+DEFAULTED_SETTINGS = ("sample_points", "certify")
 
 
 def defaulted_settings(root):
