@@ -307,7 +307,7 @@ def comp(e, i, j=None):
 _FUNCS_1 = ("sin", "cos", "exp", "log", "sqrt", "abs", "sign")
 _FUNC_EVAL = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "abs": abs,
+    "sqrt": math.sqrt, "abs": abs, "power": math.pow,
     "sign": lambda v: float(np.sign(v)),
 }
 
@@ -326,9 +326,8 @@ def func(name, *args):
             raise ShapeError("%s arguments must be scalar" % name)
     if all(_is_const(a) for a in args):
         try:
-            if name == "power":
-                return const(args[0].data ** args[1].data)
-            return const(_FUNC_EVAL[name](args[0].data))
+            # math.pow refuses a complex result, where ** would give one
+            return const(_FUNC_EVAL[name](*(a.data for a in args)))
         except (ValueError, ZeroDivisionError, OverflowError):
             pass  # keep symbolic; evaluation will report the domain error
     if name == "power" and _is_const(args[1], 1.0):

@@ -97,7 +97,10 @@ class _Payload:
         try:
             return read(value)
         except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
-            raise SchemaError("malformed %r: %r (%s)" % (key, value, exc))
+            text = repr(value)
+            if len(text) > 80:  # quote a bounded prefix, and the length
+                text = "%s... (%d characters)" % (text[:80], len(text))
+            raise SchemaError("malformed %r: %s (%s)" % (key, text, exc))
 
     def done(self):
         if self._unread:
@@ -157,9 +160,11 @@ _rotation = _reader(
     lambda v: type(v) is dict and set(v) == {"axis", "rate"}
     and _is_vector(v["axis"]) and _is_real(v["rate"]),
     lambda v: fr.RotationSpec(axis=v["axis"], rate=float(v["rate"])))
-_scalar_field = _reader(
-    "a scalar field", lambda v: ex.parse_field_expr(v).shape == ex.SCALAR,
-    ex.parse_field_expr)
+
+
+def _scalar_field(value):
+    phi = ex.parse_field_expr(value)
+    return _reader("a scalar field", lambda e: e.shape == ex.SCALAR)(phi)
 
 
 def _parse_ns_spec(d):

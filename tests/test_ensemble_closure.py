@@ -45,24 +45,24 @@ class TestEnsemble:
     def test_fluctuation_mean_vanishes(self):
         _, x = sample_points(100)
         fluct = ENSEMBLE.fluctuations(x)
-        assert np.max(np.abs(fluct.mean(axis=0))) < 1e-10
+        assert np.max(np.abs(fluct.mean(axis=2))) < 1e-10
 
     def test_tau_is_symmetric_positive_semidefinite(self):
         _, x = sample_points(50)
         tau = ns.reynolds_tau(ENSEMBLE.fluctuations(x))
-        assert np.max(np.abs(tau - np.transpose(tau, (1, 0, 2)))) < 1e-14
-        eigs = np.linalg.eigvalsh(np.moveaxis(tau, 2, 0))
+        assert np.max(np.abs(tau - np.transpose(tau, (0, 2, 1)))) < 1e-14
+        eigs = np.linalg.eigvalsh(tau)
         assert np.min(eigs) > -1e-12
 
     def test_two_member_analytic_oracle(self):
         # two opposite constant members +/-(1,0,0): mean is zero and
         # tau must be exactly diag(1, 0, 0)
-        fluct = np.zeros((2, 3, 5))
-        fluct[0, 0] = 1.0
-        fluct[1, 0] = -1.0
+        fluct = np.zeros((5, 3, 2))
+        fluct[:, 0, 0] = 1.0
+        fluct[:, 0, 1] = -1.0
         tau = ns.reynolds_tau(fluct)
-        expected = np.zeros((3, 3, 5))
-        expected[0, 0] = 1.0
+        expected = np.zeros((5, 3, 3))
+        expected[:, 0, 0] = 1.0
         assert np.array_equal(tau, expected)
 
 
@@ -80,10 +80,10 @@ class TestDecomposedSymmetries:
         fluct = ENSEMBLE.fluctuations(x)
         tau = ns.reynolds_tau(fluct)
         refl = np.diag([-1.0, 1.0, 1.0])
-        reflected = ns.reynolds_tau(np.einsum("ij,njp->nip", refl, fluct))
-        assert np.max(np.abs(reflected[0, 1] + tau[0, 1])) < 1e-14
-        assert np.max(np.abs(reflected[0, 2] + tau[0, 2])) < 1e-14
-        assert np.max(np.abs(reflected[1, 2] - tau[1, 2])) < 1e-14
+        reflected = ns.reynolds_tau(refl @ fluct)
+        assert np.max(np.abs(reflected[:, 0, 1] + tau[:, 0, 1])) < 1e-14
+        assert np.max(np.abs(reflected[:, 0, 2] + tau[:, 0, 2])) < 1e-14
+        assert np.max(np.abs(reflected[:, 1, 2] - tau[:, 1, 2])) < 1e-14
 
     def test_s1_scaling_factor_on_tau(self):
         # tau scales by exp(-2 eps) when fluctuations scale by exp(-eps)
@@ -100,23 +100,21 @@ class TestDecomposedSymmetries:
         fluct = ENSEMBLE.fluctuations(x)
         for tag, make in ALL_DECOMPOSED:
             spec = make()
-            from invariance.ns.ensemble import (_fluctuation_action,
-                                                _apply)
-            mat, scale = _fluctuation_action(spec, t)
-            moved = scale * _apply(np.asarray(mat, float), fluct)
-            assert np.max(np.abs(moved.mean(axis=0))) < 1e-10, tag
+            mat, scale = en._fluctuation_action(spec, t)
+            moved = scale * (mat @ fluct)
+            assert np.max(np.abs(moved.mean(axis=2))) < 1e-10, tag
 
 
 def one_pass_decomposed(ensemble, spec, n_points):
     """The decomposed check's residual and note from one pass over all
-    points at once, every (members, 3, points) array whole."""
+    points at once, every (points, 3, members) array whole."""
     t, x = sample_points(n_points)
     fluct = ensemble.fluctuations(x)
     tau = ns.reynolds_tau(fluct)
     mat, scale = en._fluctuation_action(spec, t)
-    tau_direct = ns.reynolds_tau(scale * en._apply(mat, fluct))
-    tau_rule = scale * scale * en._conjugate(mat, tau)
-    mean_norm = float(np.max(np.abs(fluct.mean(axis=0))))
+    tau_direct = ns.reynolds_tau(scale * (mat @ fluct))
+    tau_rule = scale * scale * (mat @ tau @ mat.transpose(0, 2, 1))
+    mean_norm = float(np.max(np.abs(fluct.mean(axis=2))))
     return (float(np.max(np.abs(tau_direct - tau_rule))),
             ("fluctuation mean max-norm %.3e" % mean_norm,))
 
@@ -151,8 +149,13 @@ class TestBlockedDecomposedCheck:
         v = ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED,
                                          n_points=203)
         assert sum(widths) == 203
-        # 203 points end in a partial block once there are blocks at all
-        assert len(widths) == 1 if members == 1 else widths[-1] < widths[0]
+        # 203 points end in a partial block once there are blocks at all;
+        # at 4096 members a block is 2 points, and the one-point tail
+        # joins the block before it
+        step = max(2, en._BLOCK_DOUBLES // (3 * members))
+        full, tail = divmod(203, step)
+        assert widths == ([step] * full + [tail] if tail != 1
+                          else [step] * (full - 1) + [step + 1])
         assert np.float64(v.residual).tobytes() \
             == np.float64(want[0]).tobytes(), tag
         assert v.notes == want[1]
@@ -170,18 +173,34 @@ class TestBlockedDecomposedCheck:
 
     def test_peak_memory_is_a_few_blocks(self):
         # the one-pass check held three (2048, 3, 200) arrays, 9.8 MB
-        # each, and peaked near 22 MB
-        ensemble = ns.Ensemble.random(2048, DEFAULT_SEED)
+        # each, and peaked near 22 MB; (members, 3, points) blocks of
+        # 2**17 doubles peaked near 3.5 MB, and (points, 3, members)
+        # blocks of 2**15 doubles peak under 1 MB
         spec = fr.PlanarRotation(0.8)
-        # warm the caches
-        ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED)
-        tracemalloc.start()
-        try:
+        # the shipped scenarios' members, and the kind's default
+        for members in (2048, 4096):
+            ensemble = ns.Ensemble.random(members, DEFAULT_SEED)
+            # warm the caches
             ns.check_decomposed_symmetry(ensemble, spec, 1e-12, DEFAULT_SEED)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 6e6
+            tracemalloc.start()
+            try:
+                ns.check_decomposed_symmetry(ensemble, spec, 1e-12,
+                                             DEFAULT_SEED)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5e6, members
+
+    def test_member_arrays_are_contiguous(self):
+        # np.cross returns a strided view; a product of it inherits the
+        # layout and made the member sums about 15 times slower
+        ensemble = ns.Ensemble.random(2048, DEFAULT_SEED)
+        for arr in (ensemble.k, ensemble.amp, ensemble.phase):
+            assert arr.flags.c_contiguous
+        _, x = sample_points(5)
+        fluct = ensemble.fluctuations(x)
+        assert fluct.shape == (5, 3, 2048)
+        assert fluct.flags.c_contiguous
 
 
 def hand_scaling_case(tag, e):

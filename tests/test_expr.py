@@ -822,14 +822,36 @@ def test_the_dsl_accepts_and_refuses(text, want):
                                    "-" * 100000 + "t"],
                          ids=["nested", "unary"])
 def test_a_field_too_deep_to_parse_is_a_schema_error(field, tmp_path):
+    got, code = run_field(field, tmp_path)
+    assert (code, got["error_kind"]) == (2, "schema")
+    assert "'field'" in got["error"]
+    # the error quotes a bounded prefix of the value, not all of it
+    assert len(got["error"]) < 1000
+
+
+def run_field(field, tmp_path):
+    """The shipped covariant-derivative scenario run with ``field``."""
     doc = json.loads((SCENARIO_DIR / "covariant_derivative_spherical.json")
                      .read_text())
     doc["payload"]["field"] = field
-    path = tmp_path / "deep.json"
+    path = tmp_path / "field.json"
     path.write_text(json.dumps(doc))
-    got, code = run_scenario(path, None, None, no_timestamp=True)
-    assert (code, got["error_kind"]) == (2, "schema")
-    assert "'field'" in got["error"]
+    return run_scenario(path, None, None, no_timestamp=True)
+
+
+def test_a_complex_constant_power_stays_symbolic(tmp_path):
+    # Python gives (-8.0) ** 0.5 as a complex number: the fold keeps the
+    # node, and evaluation reports the domain error
+    e = func("power", const(-8.0), const(0.5))
+    assert (e.kind, e.data) == ("func", "power")
+    assert parse_field_expr("power(-8, 0.5)") is e
+    with pytest.raises(ex.EvalError, match="power: domain error"):
+        evaluate_many(e, *point(0.0, (0.0,) * 3))
+    with pytest.raises(ex.EvalError, match="power: domain error"):
+        ex.float_kernel(e)(0.0, (0.0,) * 3, {})
+    # a field that evaluates it is an execution error, not a schema error
+    got, code = run_field("power(-8, 0.5) * comp(x, 1)", tmp_path)
+    assert (code, got["error_kind"]) == (3, "execution")
 
 
 # --- randomised well-shaped ASTs (shape soundness fuzz) --------------------
