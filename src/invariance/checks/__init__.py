@@ -12,7 +12,8 @@ from .classify import (
 )
 from .geometry import (
     Chart, CHARTS, christoffel_transform, closed_form_christoffel,
-    check_covariant_derivative, geometric_invariance_suite,
+    check_christoffel_transform, check_covariant_derivative,
+    geometric_invariance_suite,
 )
 
 __all__ = [
@@ -24,5 +25,6 @@ __all__ = [
     "composite_norm_quantity", "classify", "random_rotations",
     "GENERIC_VELOCITY", "GENERIC_SCALAR", "ISOTROPIC_SCALAR",
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
-    "check_covariant_derivative", "geometric_invariance_suite",
+    "check_christoffel_transform", "check_covariant_derivative",
+    "geometric_invariance_suite",
 ]

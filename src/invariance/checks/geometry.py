@@ -3,142 +3,85 @@ geometric-invariance case suite, which judges each case with
 ``CheckPart.of`` like every other check: a frame-dependent case fails,
 and the scenario's ``expect`` says which cases should.
 
-A Chart stores the Cartesian coordinates as closed-form expressions of
-the chart coordinates; Jacobians and second derivatives come from
-symbolic differentiation of those expressions, so the transformation law
-for the connection is evaluated without any finite differencing.
+A Chart is one vec3 expression of the chart coordinates and the box it
+is sampled in; its Jacobian and second derivatives are that expression's
+symbolic derivatives, evaluated with it in one pass, so the connection's
+transformation law needs no finite differencing.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .. import expr as ex
 from .. import frames as fr
 from ..expr import (
-    Node, compose, differentiate, dot, evaluate_many, expand_derivatives,
-    grad, mat, parse_field_expr, transpose,
+    Node, bundle, comp, compose, dot, evaluate_many, expand_derivatives,
+    grad, parse_field_expr, transpose,
 )
 from .verdict import CheckPart
 
 __all__ = [
     "Chart", "CHARTS", "christoffel_transform", "closed_form_christoffel",
-    "check_covariant_derivative", "geometric_invariance_suite",
+    "check_christoffel_transform", "check_covariant_derivative",
+    "geometric_invariance_suite",
 ]
-
-
-def _box_sampler(n, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(3, n))
-    keep = np.linalg.norm(pts, axis=0) >= 0.3
-    pts = pts[:, keep]
-    while pts.shape[1] < n:
-        extra = rng.uniform(-1.0, 1.0, size=(3, n))
-        extra = extra[:, np.linalg.norm(extra, axis=0) >= 0.3]
-        pts = np.concatenate([pts, extra], axis=1)
-    return pts[:, :n]
-
-
-def _spherical_sampler(n, seed):
-    rng = np.random.default_rng(seed)
-    return np.stack([rng.uniform(0.5, 2.0, size=n),
-                     rng.uniform(0.4, np.pi - 0.4, size=n),
-                     rng.uniform(0.2, 6.0, size=n)])
-
-
-def _cylindrical_sampler(n, seed):
-    rng = np.random.default_rng(seed)
-    return np.stack([rng.uniform(0.5, 2.0, size=n),
-                     rng.uniform(0.2, 6.0, size=n),
-                     rng.uniform(-1.0, 1.0, size=n)])
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Cartesian position as closed-form expressions of chart coordinates."""
+    """The Cartesian position as one vec3 expression of the chart
+    coordinates, sampled uniformly in ``box``, one (lo, hi) per axis."""
 
     name: str
-    cart_of_chart: Tuple[Node, Node, Node]
-    sampler: Callable[[int, int], np.ndarray]
+    position: Node
+    box: Tuple[Tuple[float, float], ...]
 
     def sample(self, n, seed):
-        return self.sampler(n, seed)
+        """(3, n) chart points, drawn axis by axis."""
+        rng = np.random.default_rng(seed)
+        return np.stack([rng.uniform(lo, hi, size=n) for lo, hi in self.box])
 
-    def coord_exprs(self):
-        return [expand_derivatives(c) for c in self.cart_of_chart]
-
-    def cartesian(self, pts):
-        """The Cartesian positions (3, N) of the chart points ``pts``."""
-        t = np.zeros(pts.shape[1])
-        return np.stack([evaluate_many(c, t, pts)
-                         for c in self.coord_exprs()])
-
-    def jacobian_expr(self):
-        """B^i_j = d(cartesian x^i)/d(chart coordinate j), as a matrix."""
-        cs = self.coord_exprs()
-        return mat([[differentiate(cs[i], j) for j in range(3)]
-                    for i in range(3)])
-
-    def jacobian(self, pts):
-        t = np.zeros(pts.shape[1])
-        return evaluate_many(self.jacobian_expr(), t, pts)
-
-    def second_derivatives(self, pts):
-        """d2[i, j, k, n] = d^2 x^i / (dchart_j dchart_k) at each point."""
-        cs = self.coord_exprs()
-        t = np.zeros(pts.shape[1])
-        rows = []
-        for i in range(3):
-            m = mat([[differentiate(differentiate(cs[i], j), k)
-                      for k in range(3)] for j in range(3)])
-            rows.append(evaluate_many(m, t, pts))
-        return np.stack(rows)
+    def at(self, pts):
+        """(x, B, d2) at the chart points ``pts`` from one evaluation: the
+        Cartesian positions (3, N), B^i_j = dx^i/dchart^j (3, 3, N) and
+        d2[i, j, k] = d^2 x^i / (dchart^j dchart^k) (3, 3, 3, N)."""
+        p = self.position
+        x, b, *d2 = evaluate_many(
+            bundle(p, grad(p), *(grad(grad(comp(p, i))) for i in range(3))),
+            np.zeros(pts.shape[1]), pts)
+        return x, b, np.stack(d2)
 
 
-def _frozen_rotation_chart():
-    q0 = fr.RotationSpec(axis=(1.0, 2.0, 0.5)).frame().at(0.7)[0]
-    x = ex.x_vector()
-    inv = dot(transpose(ex.matrix_const(q0)), x)
-    return Chart(name="rotation_frozen",
-                 cart_of_chart=tuple(ex.comp(inv, i) for i in range(3)),
-                 sampler=_box_sampler)
+_SPHERICAL = ("vec(comp(x,1)*sin(comp(x,2))*cos(comp(x,3)),"
+              " comp(x,1)*sin(comp(x,2))*sin(comp(x,3)),"
+              " comp(x,1)*cos(comp(x,2)))")
+_CYLINDRICAL = ("vec(comp(x,1)*cos(comp(x,2)), comp(x,1)*sin(comp(x,2)),"
+                " comp(x,3))")
+_BOX = ((-1.0, 1.0),) * 3
+_Q_FROZEN = fr.RotationSpec(axis=(1.0, 2.0, 0.5)).frame().at(0.7)[0]
+
+CHARTS = {c.name: c for c in (
+    Chart("identity", parse_field_expr("x"), _BOX),
+    Chart("spherical", parse_field_expr(_SPHERICAL),
+          ((0.5, 2.0), (0.4, np.pi - 0.4), (0.2, 6.0))),
+    Chart("cylindrical", parse_field_expr(_CYLINDRICAL),
+          ((0.5, 2.0), (0.2, 6.0), (-1.0, 1.0))),
+    Chart("rotation_frozen",
+          dot(transpose(ex.matrix_const(_Q_FROZEN)), ex.x_vector()), _BOX),
+)}
 
 
-CHARTS = {
-    "identity": Chart(
-        name="identity",
-        cart_of_chart=(parse_field_expr("comp(x,1)"),
-                       parse_field_expr("comp(x,2)"),
-                       parse_field_expr("comp(x,3)")),
-        sampler=_box_sampler),
-    "spherical": Chart(
-        name="spherical",
-        cart_of_chart=(
-            parse_field_expr("comp(x,1)*sin(comp(x,2))*cos(comp(x,3))"),
-            parse_field_expr("comp(x,1)*sin(comp(x,2))*sin(comp(x,3))"),
-            parse_field_expr("comp(x,1)*cos(comp(x,2))")),
-        sampler=_spherical_sampler),
-    "cylindrical": Chart(
-        name="cylindrical",
-        cart_of_chart=(parse_field_expr("comp(x,1)*cos(comp(x,2))"),
-                       parse_field_expr("comp(x,1)*sin(comp(x,2))"),
-                       parse_field_expr("comp(x,3)")),
-        sampler=_cylindrical_sampler),
-    "rotation_frozen": _frozen_rotation_chart(),
-}
-
-
-def christoffel_transform(chart, pts):
-    """Connection components in the chart of the flat Cartesian
-    connection: (3,3,3,N) over the chart points via
+def christoffel_transform(b, d2):
+    """Connection components in a chart of the flat Cartesian
+    connection: (3,3,3,N) from the chart's Jacobian ``b`` and second
+    derivatives ``d2`` (as ``Chart.at`` gives them) via
     Gamma~^mu_{ab} = A d2x, A = (dchart/dcart).
     """
-    b = chart.jacobian(pts)                      # (3,3,N)
     if np.min(np.abs(np.linalg.det(np.moveaxis(b, 2, 0)))) < 1e-12:
         raise ValueError("singular chart Jacobian at a sample point")
     a = np.moveaxis(np.linalg.inv(np.moveaxis(b, 2, 0)), 0, 2)
-    d2 = chart.second_derivatives(pts)           # (3,3,3,N)
     return np.einsum("mvn,vabn->mabn", a, d2)
 
 
@@ -158,45 +101,51 @@ def closed_form_christoffel(name, pts):
         rho = pts[0]
         out[0, 1, 1] = -rho
         out[1, 0, 1] = out[1, 1, 0] = 1.0 / rho
-    elif name in ("identity", "rotation_frozen"):
-        pass
-    else:
+    elif name not in ("identity", "rotation_frozen"):
         raise ValueError("no closed form for chart %r" % name)
     return out
 
 
-def check_covariant_derivative(a_expr, chart, n_points, tol, seed):
-    """Rank-2 tensor test of the covariant derivative of a covector field:
-    {"covariant", "partial"} parts, each witnessed at the Cartesian
-    position of a chart point, with t = 0.
+def check_christoffel_transform(chart, n_points, tol, seed):
+    """{"match": CheckPart} of the transformed connection against the
+    closed form at ``n_points`` chart points, each witnessed at its
+    Cartesian position, with t = 0."""
+    pts = chart.sample(n_points, seed)
+    cart, b, d2 = chart.at(pts)
+    got = christoffel_transform(b, d2)
+    ref = closed_form_christoffel(chart.name, pts)
+    return {"match": CheckPart.of(np.abs(got - ref), tol,
+                                  (np.zeros(n_points), cart))}
+
+
+def check_covariant_derivative(phi, chart, n_points, tol, seed):
+    """Rank-2 tensor test of the covariant derivative of the covector
+    field A = grad ``phi``: {"covariant", "partial"} parts, each witnessed
+    at the Cartesian position of a chart point, with t = 0.
 
     Verifies d~_b A~_a - Gamma~^m_{ab} A~_m == B^r_a B^s_b d_s A_r at the
     chart points, and that the bare partial derivative alone fails the
-    same comparison on curved charts.
+    same comparison on curved charts.  ``phi`` itself is evaluated with
+    them, so a field that cannot be evaluated is an error, not a pass on
+    its gradient alone.
     """
     pts = chart.sample(n_points, seed)
-    t = np.zeros(pts.shape[1])
-    xs = chart.coord_exprs()
-    b_expr = chart.jacobian_expr()
-
-    a_cart = expand_derivatives(a_expr)
-    a_moved = compose(a_cart, xs, ex.time())
-    a_tilde = dot(transpose(b_expr), a_moved)
-    grad_tilde = expand_derivatives(grad(a_tilde))
+    t = np.zeros(n_points)
+    cart, b, d2 = chart.at(pts)
+    xs = [comp(chart.position, i) for i in range(3)]
+    b_expr = expand_derivatives(grad(chart.position))
+    a_cart = expand_derivatives(grad(phi))
+    a_tilde = dot(transpose(b_expr), compose(a_cart, xs, ex.time()))
     cart_grad = compose(expand_derivatives(grad(a_cart)), xs, ex.time())
     rhs_expr = dot(transpose(b_expr), dot(cart_grad, b_expr))
-
-    grad_val = evaluate_many(grad_tilde, t, pts)
-    rhs_val = evaluate_many(rhs_expr, t, pts)
-    a_val = evaluate_many(expand_derivatives(a_tilde), t, pts)
-    gamma = christoffel_transform(chart, pts)
+    field = compose(expand_derivatives(phi), xs, ex.time())
+    grad_val, rhs_val, a_val, _ = evaluate_many(
+        bundle(grad(a_tilde), rhs_expr, a_tilde, field), t, pts)
+    gamma = christoffel_transform(b, d2)
     cov_val = grad_val - np.einsum("mabn,mn->abn", gamma, a_val)
-
-    at = (t, chart.cartesian(pts))
-    return {
-        "covariant": CheckPart.of(np.abs(cov_val - rhs_val), tol, at),
-        "partial": CheckPart.of(np.abs(grad_val - rhs_val), tol, at),
-    }
+    at = (t, cart)
+    return {"covariant": CheckPart.of(np.abs(cov_val - rhs_val), tol, at),
+            "partial": CheckPart.of(np.abs(grad_val - rhs_val), tol, at)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +183,7 @@ def geometric_invariance_suite(n_points, tol, seed):
     # recombined with the local basis, the differential can
     chart = CHARTS["spherical"]
     pts = chart.sample(n_points, seed)
-    bmat = chart.jacobian(pts)
-    cart = chart.cartesian(pts)
+    cart, bmat, _ = chart.at(pts)
     point_recombined = np.einsum("ijn,jn->in", bmat, pts)
     residual["curvilinear_point"] = np.max(np.abs(point_recombined - cart))
     dchart = np.einsum("nij,jn->in",

@@ -324,7 +324,11 @@ def func(name, *args):
     for a in args:
         if a.shape != SCALAR:
             raise ShapeError("%s arguments must be scalar" % name)
-    if all(_is_const(a) for a in args):
+    # a near-zero base under a negative exponent is not folded, so that
+    # evaluation reports it, as it does for a bound base
+    if all(_is_const(a) for a in args) and not (
+            name == "power" and abs(args[0].data) < _SINGULARITY_EPS
+            and args[1].data < 0):
         try:
             # math.pow refuses a complex result, where ** would give one
             return const(_FUNC_EVAL[name](*(a.data for a in args)))

@@ -242,13 +242,10 @@ def check_force_frame_indifference(model, spec, tol, seed, transport_refs,
                                    n_points=100):
     """F(x~, xdot~, t~; refs~) == Q F(x, xdot, t; refs) at sampled states."""
     rng = np.random.default_rng(seed)
-    t = np.empty(n_points)
-    x = np.empty((3, n_points))
-    v = np.empty((3, n_points))
-    for k in range(n_points):   # draw order t, x, v per point fixes samples
-        t[k] = rng.uniform(0.0, 2.0)
-        x[:, k] = rng.uniform(-1.0, 1.0, size=3)
-        v[:, k] = rng.uniform(-1.0, 1.0, size=3)
+    # one row per point, drawn in the order t, x, v
+    s = rng.uniform((0.0,) + (-1.0,) * 6, (2.0,) + (1.0,) * 6,
+                    size=(n_points, 7))
+    t, x, v = s[:, 0], s[:, 1:4].T, s[:, 4:7].T
     t_new, x_new, v_new, q = _moved(spec, t, x, v)
     moved = model.carried(spec) if transport_refs else model
     return CheckPart.of(

@@ -104,7 +104,7 @@ def _eval_coeffs(coeffs, args):
     t = np.zeros(n)
     x = np.zeros((3, n))
     bind = {name: args[name] for name in ARG_NAMES}
-    return [ex.evaluate_many(p, t, x, bind) for p in coeffs]
+    return ex.evaluate_many(ex.bundle(*coeffs), t, x, bind)
 
 
 def _scaling_case(tag, group_param):

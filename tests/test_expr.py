@@ -574,6 +574,19 @@ class TestReciprocal:
             evaluate_many(self.E, np.zeros(9), np.zeros((3, 9)),
                           {"b": batch})
 
+    @pytest.mark.parametrize("e", [
+        func("power", const(1e-20), const(-1.0)),
+        div_by(const(1.0), const(1e-20)),
+    ], ids=["power", "div_by"])
+    def test_a_constant_base_is_not_folded_past_the_guard(self, e):
+        # folded, the reciprocal would be const(1e+20): the guard must
+        # see it at evaluation, as it sees a bound base
+        assert e.kind == "func"
+        with pytest.raises(ex.EvalError, match="singularity guard"):
+            evaluate_many(e, *point(0.0, (0.0,) * 3))
+        with pytest.raises(ex.EvalError, match="singularity guard"):
+            ex.float_kernel(e)(0.0, (0.0,) * 3, {})
+
 
 class TestConstantDot:
     """A ``dot`` of two constant operands folds to constants summed in

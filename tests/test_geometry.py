@@ -8,9 +8,11 @@ import pytest
 from invariance import checks as ck
 from invariance import expr as ex
 from invariance import report
+from invariance.checks import geometry
 from invariance.checks.geometry import (
     CHARTS, christoffel_transform, closed_form_christoffel,
-    check_covariant_derivative, geometric_invariance_suite,
+    check_christoffel_transform, check_covariant_derivative,
+    geometric_invariance_suite,
 )
 from invariance.checks.verdict import meets
 from invariance.sampling import DEFAULT_SEED
@@ -26,14 +28,14 @@ def finite_difference_christoffel(chart, pts, h=1e-5):
     Jacobians instead of the symbolic second derivatives."""
     n = pts.shape[1]
     out = np.empty((3, 3, 3, n))
-    b = chart.jacobian(pts)
+    b = chart.at(pts)[1]
     a = np.moveaxis(np.linalg.inv(np.moveaxis(b, 2, 0)), 0, 2)
     d2 = np.empty((3, 3, 3, n))
     for j in range(3):
         plus, minus = pts.copy(), pts.copy()
         plus[j] += h
         minus[j] -= h
-        d2[:, :, j] = (chart.jacobian(plus) - chart.jacobian(minus)) / (2 * h)
+        d2[:, :, j] = (chart.at(plus)[1] - chart.at(minus)[1]) / (2 * h)
     for m in range(3):
         out[m] = np.einsum("vn,vabn->abn", a[m], d2)
     return out
@@ -44,7 +46,7 @@ class TestChristoffel:
     def test_matches_closed_form(self, name):
         chart = CHARTS[name]
         pts = chart.sample(50, DEFAULT_SEED)
-        got = christoffel_transform(chart, pts)
+        got = christoffel_transform(*chart.at(pts)[1:])
         ref = closed_form_christoffel(name, pts)
         assert np.max(np.abs(got - ref)) < 1e-9
 
@@ -53,7 +55,7 @@ class TestChristoffel:
     def test_matches_finite_difference_oracle(self, name):
         chart = CHARTS[name]
         pts = chart.sample(20, DEFAULT_SEED)
-        got = christoffel_transform(chart, pts)
+        got = christoffel_transform(*chart.at(pts)[1:])
         ref = finite_difference_christoffel(chart, pts)
         assert np.max(np.abs(got - ref)) < 1e-5
 
@@ -61,13 +63,13 @@ class TestChristoffel:
         for name in ("identity", "rotation_frozen"):
             chart = CHARTS[name]
             pts = chart.sample(20, DEFAULT_SEED)
-            got = christoffel_transform(chart, pts)
+            got = christoffel_transform(*chart.at(pts)[1:])
             assert np.max(np.abs(got)) < 1e-12
 
     def test_symmetry_in_lower_indices(self):
         chart = CHARTS["spherical"]
         pts = chart.sample(20, DEFAULT_SEED)
-        g = christoffel_transform(chart, pts)
+        g = christoffel_transform(*chart.at(pts)[1:])
         assert np.max(np.abs(g - np.transpose(g, (0, 2, 1, 3)))) < 1e-12
 
     @pytest.mark.parametrize("scenario", ["christoffel_cylindrical",
@@ -87,7 +89,7 @@ class TestChristoffel:
                     r * np.sin(pts[1]) * np.sin(pts[2]), r * np.cos(pts[1])]
         else:
             want = [r * np.cos(pts[1]), r * np.sin(pts[1]), pts[2]]
-        cart = chart.cartesian(pts)
+        cart = chart.at(pts)[0]
         np.testing.assert_allclose(cart, want, rtol=0.0, atol=1e-12)
         assert got["details"]["witness"]
         for w in got["details"]["witness"].values():
@@ -96,20 +98,57 @@ class TestChristoffel:
                        for k in range(cart.shape[1]))
 
 
+class TestOneEvaluation:
+    """A chart's position, Jacobian and second derivatives are one
+    evaluation, and the covariant-derivative check adds one for its
+    compared expressions and the field."""
+
+    @pytest.mark.parametrize("check, calls", [
+        (lambda chart: check_christoffel_transform(chart, 20, 1e-9, 1), 1),
+        (lambda chart: check_covariant_derivative(
+            ex.parse_field_expr("dot(x, x)"), chart, 20, 1e-9, 1), 2),
+    ], ids=["transform", "covariant_derivative"])
+    def test_evaluator_calls(self, monkeypatch, check, calls):
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return ex.evaluate_many(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "evaluate_many", counted)
+        check(CHARTS["spherical"])
+        assert len(made) == calls
+
+
 class TestCovariantDerivative:
     def test_covariant_passes_partial_fails_on_curved_chart(self):
-        a_expr = ex.grad(ex.parse_field_expr("dot(x, x) + sin(comp(x, 1))"))
+        phi = ex.parse_field_expr("dot(x, x) + sin(comp(x, 1))")
         for name in ("spherical", "cylindrical"):
-            out = check_covariant_derivative(a_expr, CHARTS[name], 50, 1e-9,
+            out = check_covariant_derivative(phi, CHARTS[name], 50, 1e-9,
                                              DEFAULT_SEED)
             assert out["covariant"].passed
             assert out["covariant"].residual < 1e-9
             assert not out["partial"].passed
             assert out["partial"].residual - out["covariant"].residual > 1e-3
 
+    @pytest.mark.parametrize("field", ["power(-8, 0.5)",
+                                       "dot(x, x) + power(-8, 0.5)"])
+    def test_a_field_that_cannot_be_evaluated_is_an_error(self, tmp_path,
+                                                          field):
+        # its gradient alone is zero and evaluates: the field must be
+        # evaluated for the domain error to show
+        doc = json.loads(SCENARIO.with_name(
+            "covariant_derivative_spherical.json").read_text())
+        doc["payload"]["field"] = field
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(doc))
+        got, code = report.run_scenario(path, None, None)
+        assert code == 3 and got["error_kind"] == "execution"
+        assert "domain error" in got["error"]
+
     def test_both_pass_on_identity_chart(self):
-        a_expr = ex.grad(ex.parse_field_expr("dot(x, x)"))
-        out = check_covariant_derivative(a_expr, CHARTS["identity"], 50,
+        phi = ex.parse_field_expr("dot(x, x)")
+        out = check_covariant_derivative(phi, CHARTS["identity"], 50,
                                          1e-9, DEFAULT_SEED)
         assert out["covariant"].passed and out["partial"].passed
 

@@ -331,7 +331,6 @@ def test_the_check_sees_a_defaulted_setting(tmp_path):
 # law holds, and library entries that no shipped scenario names.  This
 # list may only shrink.
 TEST_ONLY = {
-    "checks/geometry.py": ("_box_sampler",),
     "expr.py": ("Node.__repr__", "Node.__setattr__", "ParseError.__init__",
                 "_emit_comp", "_emit_dot", "_emit_outer", "_emit_transpose",
                 "_op_outer", "outer"),
