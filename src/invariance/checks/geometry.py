@@ -10,6 +10,7 @@ transformation law needs no finite differencing.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -43,14 +44,19 @@ class Chart:
         rng = np.random.default_rng(seed)
         return np.stack([rng.uniform(lo, hi, size=n) for lo, hi in self.box])
 
+    @cached_property
+    def _derivatives(self):
+        # held by the chart, so that the tape compiled for this root on the
+        # first call serves every later one
+        p = self.position
+        return bundle(p, grad(p), *(grad(grad(comp(p, i))) for i in range(3)))
+
     def at(self, pts):
         """(x, B, d2) at the chart points ``pts`` from one evaluation: the
         Cartesian positions (3, N), B^i_j = dx^i/dchart^j (3, 3, N) and
         d2[i, j, k] = d^2 x^i / (dchart^j dchart^k) (3, 3, 3, N)."""
-        p = self.position
-        x, b, *d2 = evaluate_many(
-            bundle(p, grad(p), *(grad(grad(comp(p, i))) for i in range(3))),
-            np.zeros(pts.shape[1]), pts)
+        x, b, *d2 = evaluate_many(self._derivatives, np.zeros(pts.shape[1]),
+                                  pts)
         return x, b, np.stack(d2)
 
 

@@ -7,9 +7,14 @@ errors.
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+
+# set before numpy loads OpenBLAS: the checks make only small BLAS calls
+# and run in parallel as processes, so an idle worker pool just costs CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .report import run_scenario, run_suite
 

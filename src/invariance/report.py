@@ -425,8 +425,8 @@ def _run_in_processes(run, paths, workers):
     from concurrent.futures.process import BrokenProcessPool
 
     # fork hands the imported package to the workers instead of importing
-    # it again in each; numpy's OpenBLAS threads, the only other threads
-    # here, stop themselves before a fork
+    # it again in each; the command line loads OpenBLAS without its worker
+    # threads, and a library caller's OpenBLAS stops its own before a fork
     method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
               else None)
     with ProcessPoolExecutor(max_workers=workers,

@@ -38,6 +38,28 @@ def modules_after_cli_import():
     return out.stdout.split()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def threads_after_import(module, blas_threads=None):
+    """(entries in ``/proc/self/task``, ``OPENBLAS_NUM_THREADS``) after
+    ``import module`` in a fresh interpreter whose environment sets no
+    BLAS thread count, or sets ``OPENBLAS_NUM_THREADS`` to
+    ``blas_threads``."""
+    src = str(Path(invariance.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = src
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    code = ("import os, %s; print(len(os.listdir('/proc/self/task')),"
+            " os.environ.get('OPENBLAS_NUM_THREADS'))" % module)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    count, value = out.stdout.split()
+    return int(count), value
+
+
 class TestRunScenario:
     def test_basic_pass(self):
         report, code = run_scenario(shipped("classify_strain_rate"), None,
@@ -421,3 +443,22 @@ class TestCommandLine:
         assert [m for m in loaded
                 if m.split(".")[0] == "multiprocessing"
                 or m.startswith("concurrent.futures.process")] == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                    or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and two CPUs")
+class TestBlasThreads:
+    """The command line loads OpenBLAS without its worker threads unless
+    the user sets their number."""
+
+    def test_cli_import_runs_one_thread(self):
+        assert threads_after_import("invariance.cli") == (1, "1")
+
+    def test_numpy_alone_starts_workers(self):
+        # the control: without the command line's default the count is
+        # more than one, so the check above can fail
+        assert threads_after_import("numpy")[0] > 1
+
+    def test_user_setting_is_kept(self):
+        assert threads_after_import("invariance.cli", "2")[1] == "2"

@@ -119,6 +119,18 @@ class TestOneEvaluation:
         check(CHARTS["spherical"])
         assert len(made) == calls
 
+    def test_chart_compiles_its_tape_once(self, monkeypatch):
+        built, build = [], ex._build_tape
+        # counted without holding the root, which would keep its tape alive
+        monkeypatch.setattr(ex, "_build_tape",
+                            lambda root: built.append(1) or build(root))
+        chart = CHARTS["spherical"]
+        pts = chart.sample(20, 1)
+        for _ in range(3):
+            chart.at(pts)
+        # none when an earlier test already compiled it
+        assert len(built) <= 1
+
 
 class TestCovariantDerivative:
     def test_covariant_passes_partial_fails_on_curved_chart(self):
