@@ -6,6 +6,7 @@ errors.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -15,6 +16,18 @@ from pathlib import Path
 # set before numpy loads OpenBLAS: the checks make only small BLAS calls
 # and run in parallel as processes, so an idle worker pool just costs CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# no check uses OpenSSL, yet the report's digest (hashlib) and numpy.random
+# (secrets -> hmac, random) load its libcrypto; with CPython's own modules
+# for every hash that hashlib takes from OpenSSL present, both fall back to
+# them, which give the same digests.  One missing would fail random's sha512
+# or log an error from hashlib at import, so then OpenSSL stays.  (blake2 is
+# always CPython's own.)
+_BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_sha3")
+                   if sys.version_info >= (3, 12) else
+                   ("_md5", "_sha1", "_sha256", "_sha512", "_sha3"))
+if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
+    sys.modules.setdefault("_hashlib", None)
 
 from .report import run_scenario, run_suite
 

@@ -1,4 +1,6 @@
 import concurrent.futures
+import importlib.machinery
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -12,7 +14,7 @@ import pytest
 
 import invariance
 from invariance import ns
-from invariance.cli import main
+from invariance.cli import _BUILTIN_HASHES, main
 from invariance.report import run_scenario, run_suite
 
 SCENARIOS = Path(str(resources.files("invariance") / "scenarios"))
@@ -27,19 +29,24 @@ class RanInTestProcess(BaseException):
     ``Exception``, so ``run_scenario`` cannot turn it into a report."""
 
 
-def modules_after_cli_import():
-    """Names in ``sys.modules`` after ``import invariance.cli``, in a fresh
-    interpreter so that modules the test session loaded do not count."""
+def in_fresh_interpreter(code, **env):
+    """Standard output of ``python -c code`` in a fresh interpreter that
+    imports the package under test, so that modules the test session
+    loaded do not count.  Each keyword sets that environment variable, or
+    with the value None removes it."""
     src = str(Path(invariance.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, invariance.cli; print('\\n'.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    environ = dict(os.environ, PYTHONPATH=src, **env)
+    environ = {k: v for k, v in environ.items() if v is not None}
+    out = subprocess.run([sys.executable, "-c", code], env=environ,
                          capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return out.stdout
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                    "OMP_NUM_THREADS")
+def modules_after(imports):
+    """Names in ``sys.modules`` after ``import imports`` in a fresh
+    interpreter."""
+    return in_fresh_interpreter(
+        "import sys, %s; print('\\n'.join(sys.modules))" % imports).split()
 
 
 def threads_after_import(module, blas_threads=None):
@@ -47,16 +54,11 @@ def threads_after_import(module, blas_threads=None):
     ``import module`` in a fresh interpreter whose environment sets no
     BLAS thread count, or sets ``OPENBLAS_NUM_THREADS`` to
     ``blas_threads``."""
-    src = str(Path(invariance.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["PYTHONPATH"] = src
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    code = ("import os, %s; print(len(os.listdir('/proc/self/task')),"
-            " os.environ.get('OPENBLAS_NUM_THREADS'))" % module)
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    count, value = out.stdout.split()
+    count, value = in_fresh_interpreter(
+        "import os, %s; print(len(os.listdir('/proc/self/task')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'))" % module,
+        OPENBLAS_NUM_THREADS=blas_threads, GOTO_NUM_THREADS=None,
+        OMP_NUM_THREADS=None).split()
     return int(count), value
 
 
@@ -434,12 +436,12 @@ class TestCommandLine:
         assert "2/2 scenarios matched expectations" in out
 
     def test_import_leaves_scipy_out(self):
-        loaded = modules_after_cli_import()
+        loaded = modules_after("invariance.cli")
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
     def test_import_leaves_pool_out(self):
         # the worker pool is imported only when a suite runs in parallel
-        loaded = modules_after_cli_import()
+        loaded = modules_after("invariance.cli")
         assert [m for m in loaded
                 if m.split(".")[0] == "multiprocessing"
                 or m.startswith("concurrent.futures.process")] == []
@@ -462,3 +464,73 @@ class TestBlasThreads:
 
     def test_user_setting_is_kept(self):
         assert threads_after_import("invariance.cli", "2")[1] == "2"
+
+
+# looked up past sys.modules, where importing the CLI here blocks it
+HAS_OPENSSL = ("_hashlib" in sys.builtin_module_names
+               or importlib.machinery.PathFinder.find_spec("_hashlib")
+               is not None)
+# the command line blocks OpenSSL only when all of these are present
+HAS_BUILTIN_HASHES = all(importlib.util.find_spec(name)
+                         for name in _BUILTIN_HASHES)
+
+
+class TestNoOpenSSL:
+    """The command line keeps OpenSSL's libcrypto out of the process when
+    CPython's own hash modules serve hashlib; a library import keeps it."""
+
+    @pytest.mark.skipif(not HAS_BUILTIN_HASHES
+                        or not Path("/proc/self/maps").is_file(),
+                        reason="needs CPython's built-in hash modules and "
+                               "/proc/self/maps")
+    def test_check_loads_no_libcrypto(self):
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "from invariance.cli import main\n"
+            "main(['check', %r, '--json', '--no-timestamp'])\n"
+            "maps = open('/proc/self/maps').read()\n"
+            "print(sys.modules.get('_hashlib') is None, 'libcrypto' in maps)"
+            % shipped("christoffel_spherical"))
+        assert out.split()[-2:] == ["True", "False"]
+
+    @pytest.mark.skipif(not HAS_OPENSSL, reason="needs _hashlib")
+    def test_numpy_random_alone_loads_openssl(self):
+        # the control: numpy.random reaches _hashlib through secrets and
+        # hmac, so the check above can fail
+        assert "_hashlib" in modules_after("numpy.random")
+
+    @pytest.mark.skipif(not HAS_OPENSSL, reason="needs _hashlib")
+    def test_library_import_keeps_openssl(self):
+        assert "_hashlib" in modules_after("invariance.report, numpy.random")
+
+    @pytest.mark.skipif(not HAS_OPENSSL, reason="needs _hashlib")
+    @pytest.mark.parametrize("missing", _BUILTIN_HASHES)
+    def test_a_missing_builtin_hash_keeps_openssl(self, missing):
+        # without it, random's sha512 would fail to import or hashlib would
+        # log an error; stderr is read with stdout, so either shows
+        out = in_fresh_interpreter(
+            "import sys\n"
+            "sys.stderr = sys.stdout\n"
+            "sys.modules[%r] = None\n"
+            "import invariance.cli, hashlib, random, numpy.random\n"
+            "print(sys.modules.get('_hashlib') is not None)" % missing)
+        assert out.split() == ["True"]
+
+    @pytest.mark.skipif(not HAS_OPENSSL or not HAS_BUILTIN_HASHES,
+                        reason="needs _hashlib and the built-in hashes")
+    def test_check_output_is_the_library_report(self):
+        # the reference is made where OpenSSL computes the digest, the
+        # command line's where CPython's built-in sha256 does
+        path = shipped("christoffel_spherical")
+        out = in_fresh_interpreter(
+            "from invariance.cli import main\n"
+            "main(['check', %r, '--json', '--no-timestamp'])" % path)
+        reference = in_fresh_interpreter(
+            "import json, sys\n"
+            "from invariance.report import run_scenario\n"
+            "report, code = run_scenario(%r, None, None, no_timestamp=True)\n"
+            "assert code == 0 and sys.modules.get('_hashlib') is not None\n"
+            "print(json.dumps(report))" % path)
+        report = json.loads(reference)
+        assert report["input_digest"].startswith("sha256:")
+        assert json.loads(out) == report
