@@ -1,7 +1,9 @@
 """Charts, affine connection transport, covariant derivatives, and the
-geometric-invariance case suite, which judges each case with
-``CheckPart.of`` like every other check: a frame-dependent case fails,
-and the scenario's ``expect`` says which cases should.
+geometric-invariance case suite.  Each of its cases compares what
+``Chart.at``, ``FrameChange.at`` or ``FrameChange.moved`` computes with a
+closed form, point by point, and judges it with ``CheckPart.of`` like
+every other check: a frame-dependent case fails, and the scenario's
+``expect`` says which cases should.
 
 A Chart is one vec3 expression of the chart coordinates and the box it
 is sampled in; its Jacobian and second derivatives are that expression's
@@ -159,83 +161,49 @@ def check_covariant_derivative(phi, chart, n_points, tol, seed):
 # ---------------------------------------------------------------------------
 
 def geometric_invariance_suite(n_points, tol, seed):
-    """{case: CheckPart} of point/difference invariance across the
-    frame-change cases.
+    """{case: CheckPart} of point and difference invariance across frame
+    classes.  In each case one side reads the engine (``Chart.at``,
+    ``FrameChange.at`` or ``FrameChange.moved``) and the other is a
+    closed form; each is compared point by point and witnessed at its
+    Cartesian sample.
 
-    Components always change; what is tested is whether recombining the
-    new components with the correspondingly transformed basis restores
-    the original geometric object.  Each case is judged as invariant or
-    not; a point under a shift or a curvilinear chart, and a difference
-    under a time-dependent 3D map, are frame-dependent and fail.
+    A point in the spherical chart is not B times its chart coordinates,
+    but a differential is B dchart.  Under a rotation about x3 at unit
+    rate even a difference is frame-dependent: Q^T (Q dx + Q' x dt) - dx
+    is the basis drift dt (-x2, x1, 0).  In the 4D embedding the velocity
+    (1, v) is a tensor again: v~ = Q v + Q' x.  The two frame-dependent
+    cases fail.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, size=(3, n_points))
-    y = rng.uniform(-1.0, 1.0, size=(3, n_points))
-    dx = rng.uniform(-0.1, 0.1, size=(3, n_points))
-    residual = {}
-
-    # constant invertible linear map: the point itself is invariant
-    a_lin = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
-    recombined = np.linalg.inv(a_lin) @ (a_lin @ x)
-    residual["linear_point"] = np.max(np.abs(recombined - x))
-
-    # constant shift: the point is frame-dependent, the difference is not
-    b = np.array([1.0, 0.0, 0.0])
-    residual["shift_point"] = np.max(np.abs((x + b[:, None]) - x))
-    diff_shift = (x + b[:, None]) - (y + b[:, None])
-    residual["shift_difference"] = np.max(np.abs(diff_shift - (x - y)))
-
-    # curvilinear (spherical) chart: position components cannot be
-    # recombined with the local basis, the differential can
     chart = CHARTS["spherical"]
     pts = chart.sample(n_points, seed)
-    cart, bmat, _ = chart.at(pts)
-    point_recombined = np.einsum("ijn,jn->in", bmat, pts)
-    residual["curvilinear_point"] = np.max(np.abs(point_recombined - cart))
-    dchart = np.einsum("nij,jn->in",
-                       np.linalg.inv(np.moveaxis(bmat, 2, 0)), dx)
-    dx_back = np.einsum("ijn,jn->in", bmat, dchart)
-    residual["curvilinear_differential"] = np.max(np.abs(dx_back - dx))
-
-    # time-dependent linear map: even the difference picks up the
-    # basis-drift term (A dA^{-1}/dt) x~ dt in 3D
-    rot = fr.RotationSpec(axis=(0.0, 0.0, 1.0)).frame()
-    t = rng.uniform(0.0, 1.0, size=n_points)
-    dt_step = 0.1
-    a_t = rot.at(t)[0]                           # (3,3,N)
-    adot = rot.at(t, 1)[0]
-    dx_tilde = (np.einsum("ijn,jn->in", a_t, dx)
-                + np.einsum("ijn,jn->in", adot, x) * dt_step)
-    back = np.einsum("nij,jn->in", np.linalg.inv(np.moveaxis(a_t, 2, 0)),
-                     dx_tilde)
-    defect = back - dx
-    residual["time_dependent_3d_differential"] = np.max(np.abs(defect))
-    # the defect is exactly the drift term
-    drift = np.einsum("nij,jn->in", np.linalg.inv(np.moveaxis(a_t, 2, 0)),
-                      np.einsum("ijn,jn->in", adot, x)) * dt_step
-    residual["time_dependent_3d_defect_identity"] = np.max(
-        np.abs(defect - drift))
-
-    # 4D embedding of the same frame change restores the differential
-    n = n_points
-    j4 = np.zeros((4, 4, n))
-    j4[0, 0] = 1.0
-    j4[1:, 1:] = a_t
-    j4[1:, 0] = np.einsum("ijn,jn->in", adot, x)
-    d4 = np.concatenate([np.full((1, n), dt_step), dx], axis=0)
-    d4_tilde = np.einsum("abn,bn->an", j4, d4)
-    back4 = np.einsum("nab,bn->an", np.linalg.inv(np.moveaxis(j4, 2, 0)),
-                      d4_tilde)
-    residual["four_d_differential"] = np.max(np.abs(back4 - d4))
-
-    # 4D velocity (1, u) transforms as a tensor under x~ = A(t) x
-    u = rng.uniform(-1.0, 1.0, size=(3, n_points))
-    u4 = np.concatenate([np.ones((1, n)), u], axis=0)
-    predicted = np.einsum("abn,bn->an", j4, u4)
-    physical = np.concatenate(
-        [np.ones((1, n)),
-         np.einsum("ijn,jn->in", a_t, u)
-         + np.einsum("ijn,jn->in", adot, x)], axis=0)
-    residual["four_d_velocity_tensor"] = np.max(np.abs(predicted - physical))
-
-    return {case: CheckPart.of(r, tol) for case, r in residual.items()}
+    cart, b, _ = chart.at(pts)
+    r, th, ph = pts
+    st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    jacobian = np.array([[st * cp, r * ct * cp, -r * st * sp],
+                         [st * sp, r * ct * sp, r * st * cp],
+                         [ct, -r * st, np.zeros(n_points)]])
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, n_points)
+    x, u = rng.uniform(-1.0, 1.0, (2, 3, n_points))
+    dx, dchart = rng.uniform(-0.1, 0.1, (2, 3, n_points))
+    dt = 0.1
+    frame = fr.RotationSpec(axis=(0.0, 0.0, 1.0)).frame()
+    q, dq = frame.at(t)[0], frame.at(t, 1)[0]
+    defect = fr.rotate(np.swapaxes(q, 0, 1),
+                       fr.rotate(q, dx) + dt * fr.rotate(dq, x)) - dx
+    c, s = np.cos(t), np.sin(t)
+    on_chart, on_frame = (np.zeros(n_points), cart), (t, x)
+    residuals = {
+        "curvilinear_point": (fr.rotate(b, pts) - cart, on_chart),
+        "curvilinear_differential": (
+            fr.rotate(b, dchart) - fr.rotate(jacobian, dchart), on_chart),
+        "time_dependent_3d_differential": (defect, on_frame),
+        "time_dependent_3d_defect_identity": (
+            defect - dt * np.stack([-x[1], x[0], np.zeros(n_points)]),
+            on_frame),
+        "four_d_velocity_tensor": (frame.moved(t, x, u)[2] - np.stack([
+            c * u[0] - s * u[1] - s * x[0] - c * x[1],
+            s * u[0] + c * u[1] + c * x[0] - s * x[1], u[2]]), on_frame),
+    }
+    return {case: CheckPart.of(np.abs(res), tol, at)
+            for case, (res, at) in residuals.items()}

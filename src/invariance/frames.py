@@ -8,10 +8,13 @@ rotation and a path) and ``FrameChange.rotation`` (the Rodrigues form of
 a uniform rotation, with numbers or symbols as its parameters) build it.
 ``FrameChange.exprs`` gives Q, Q', Q'' and c, c', c'' as expressions,
 derived by ``differentiate``, and ``FrameChange.at`` evaluates them at
-given times.  The mechanics checks, the geometric suite and the
-classifiers' base spin read ``at``; the classifiers compose their point
-map with ``exprs``.  ``FrameChange.carry`` moves reference values with
-the frame, for the mechanics checks and the closure screen's G row alike.
+given times.  ``FrameChange.moved`` is the one velocity rule,
+x~ = Q x + c and v~ = Q v + Q' x + c', over states at given times; the
+mechanics checks and the geometric suite read it.  The suite's
+difference cases and the classifiers' base spin read ``at``, and the
+classifiers compose their point map with ``exprs``.
+``FrameChange.carry`` moves reference values with the frame, for the
+mechanics checks and the closure screen's G row alike.
 Q times a vector is ``dot`` in expressions and ``rotate`` over arrays;
 both sum one component at a time, so neither depends on the batch size.
 A ``RotationSpec`` only names the axis, rate and phase of a uniform
@@ -198,6 +201,14 @@ class FrameChange:
         """
         q, c = self.exprs(order)
         return at_times(q, t, bindings), at_times(c, t, bindings)
+
+    def moved(self, t, x, v):
+        """New-frame (t, x, v) of states (3, N) at times (N,), and Q(t):
+        x~ = Q x + c and v~ = Q v + Q' x + c'."""
+        q, c = self.at(t)
+        dq, dc = self.at(t, 1)
+        return (t + self.tau, rotate(q, x) + c,
+                rotate(q, v) + rotate(dq, x) + dc, q)
 
     def carry(self, x0, v0):
         """x0~ = Q x0 + c and v0~ = Q v0 + c' at the old time t~ - tau, as

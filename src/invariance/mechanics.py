@@ -1,9 +1,10 @@
 """Newtonian point mechanics: frame-indifferent force laws, a fixed-step
 4th-order integrator, trajectory and reference transport under a
 ``frames.FrameChange``, and the fictitious-force closure check in
-accelerating frames.  Every frame change takes one path: Q, c and their
-time derivatives come from ``FrameChange.at``, so a Galilei boost is the
-Euclidean case with a constant Q and a linear c.
+accelerating frames.  Every frame change takes one path: states move by
+``FrameChange.moved`` and Q, c and their time derivatives come from
+``FrameChange.at``, so a Galilei boost is the Euclidean case with a
+constant Q and a linear c.
 
 Force laws are expressions over the invariant argument vocabulary
 (differences against transported reference values and their norms).
@@ -219,18 +220,9 @@ def integrate(model, ic, dt, n_steps):
     return Trajectory(t=ts, x=xs, v=vs, dt=dt)
 
 
-def _moved(spec, t, x, v):
-    """New-frame (t, x, v) of states (3, N) at times (N,), and Q(t):
-    x~ = Q x + c and v~ = Q v + Q' x + c'."""
-    q, c = spec.at(t)
-    dq, dc = spec.at(t, 1)
-    return (t + spec.tau, fr.rotate(q, x) + c,
-            fr.rotate(q, v) + fr.rotate(dq, x) + dc, q)
-
-
 def transform_trajectory(traj, spec):
     """Pointwise mapped states with the full velocity transport rule."""
-    t, x, v, _ = _moved(spec, traj.t, traj.x, traj.v)
+    t, x, v, _ = spec.moved(traj.t, traj.x, traj.v)
     return replace(traj, t=t, x=x, v=v)
 
 
@@ -246,7 +238,7 @@ def check_force_frame_indifference(model, spec, tol, seed, transport_refs,
     s = rng.uniform((0.0,) + (-1.0,) * 6, (2.0,) + (1.0,) * 6,
                     size=(n_points, 7))
     t, x, v = s[:, 0], s[:, 1:4].T, s[:, 4:7].T
-    t_new, x_new, v_new, q = _moved(spec, t, x, v)
+    t_new, x_new, v_new, q = spec.moved(t, x, v)
     moved = model.carried(spec) if transport_refs else model
     return CheckPart.of(
         np.max(np.abs(moved.force_at(t_new, x_new, v_new)
@@ -297,7 +289,7 @@ def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     contribution -a R Rdot^T (x*-c) carries the model's own ``drag``;
     omitting it must break the balance of a model with drag.
     """
-    ts, xs, vs, rmat = _moved(spec, traj.t, traj.x, traj.v)
+    ts, xs, vs, rmat = spec.moved(traj.t, traj.x, traj.v)
     rdot = spec.at(traj.t, 1)[0]
     rddot, ddc = spec.at(traj.t, 2)
     xdd = model.force_at(traj.t, traj.x, traj.v) / model.m

@@ -229,9 +229,9 @@ def _run_mechanics(p, tol, seed):
         p.done()
         traj = mech.integrate(model, (np.zeros(3), np.zeros(3), 0.0),
                               dt, steps)
-        return ({"terminal": CheckPart.of(abs(traj.v[2, -1] - expected),
-                                          tol)},
-                {"vz": float(traj.v[2, -1])})
+        return ({"terminal": CheckPart.of(
+            abs(traj.v[2, -1] - expected), tol,
+            (traj.t[-1:], traj.x[:, -1:]))}, {"vz": float(traj.v[2, -1])})
     if check == "galilei_covariance":
         ic = (p.get("x0", _vector, [0.3, -0.2, 0.1]),
               p.get("v0", _vector, [0.2, 0.1, 0.0]), 0.0)

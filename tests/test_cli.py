@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import invariance
+from invariance import mechanics as mech
 from invariance import ns
 from invariance.cli import _BUILTIN_HASHES, main
 from invariance.report import run_scenario, run_suite
@@ -242,17 +243,10 @@ class TestRunScenario:
 
 # shipped parts that report no witness; this list may only shrink.  The
 # closure screen's S rows sample coefficient arguments, not points, and
-# name their worst sample in a note; the geometric suite reduces each case
-# to one number, and the terminal speed is one final value.
+# name their worst sample in a note.
 NO_WITNESS = {
     "closure_compliant": ("S1", "S3", "S4", "S6approx"),
     "closure_constant_phi2": ("S1", "S4"),
-    "geometric_suite": ("curvilinear_differential", "curvilinear_point",
-                        "four_d_differential", "four_d_velocity_tensor",
-                        "linear_point", "shift_difference", "shift_point",
-                        "time_dependent_3d_defect_identity",
-                        "time_dependent_3d_differential"),
-    "mech_drag_terminal_speed": ("terminal",),
 }
 
 
@@ -276,6 +270,14 @@ class TestRunSuite:
                          if r["scenario"] == name)["details"]["notes"]
             assert all(notes[tag][-1].startswith("worst residual at ")
                        for tag in NO_WITNESS[name])
+
+    def test_terminal_speed_witness_is_the_final_state(self):
+        got, code = run_scenario(shipped("mech_drag_terminal_speed"), None,
+                                 None, no_timestamp=True)
+        traj = mech.integrate(mech.drag_gravity_model(),
+                              ((0.0,) * 3, (0.0,) * 3, 0.0), 5e-3, 4_000)
+        assert code == 0 and got["details"]["witness"]["terminal"] == {
+            "t": traj.t[-1], "x": traj.x[:, -1].tolist()}
 
     def test_every_part_is_judged_at_the_report_tolerance(self):
         # at a tolerance below every nonzero residual, only an exact zero

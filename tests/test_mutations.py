@@ -8,9 +8,12 @@ checks, not a test to skip.
 
 Frame side: ``FrameChange.exprs`` gives every frame change's Q, c and
 their time derivatives as expressions.  ``FrameChange.at`` evaluates
-them for the mechanics checks, the geometric suite and the classifiers'
-base spin, the classifiers compose their point map with them, and each
-Navier-Stokes symmetry derives its inverse map from them.
+them for ``FrameChange.moved`` (the velocity rule of the mechanics checks
+and the geometric suite), for the geometric suite's difference cases and
+for the classifiers' base spin, the classifiers compose their point map
+with them, and each Navier-Stokes symmetry derives its inverse map from
+them.  Chart side: ``Chart.at`` gives a chart's Jacobian to the
+connection, the covariant derivative and the geometric suite.
 ``FrameChange.carry`` transports the reference values of the mechanics
 checks, through ``ForceModel.carried``, and of the closure screen's G
 row.  Evaluator side: ``dot`` is the one contraction rule of
@@ -37,10 +40,13 @@ from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import ns
 from invariance import report
+from invariance.checks import geometry as geo
 from invariance.checks import verdict
 from invariance.checks.verdict import CheckPart, meets
 from invariance.cli import main
-from invariance.expr import MAT, VEC, matrix_const, transpose, zero
+from invariance.expr import (
+    MAT, VEC, const, matrix_const, mul, transpose, zero,
+)
 from invariance.report import run_scenario
 from invariance.sampling import DEFAULT_SEED
 
@@ -58,6 +64,10 @@ def _transpose_q(q, c, order):
     return (transpose(q) if order == 0 else q), c
 
 
+def _triple_qdot(q, c, order):
+    return (mul(const(3.0), q) if order == 1 else q), c
+
+
 # name -> (change of the expressions (Q^(k), c^(k), k), shipped scenarios
 # it must flip)
 FRAME_MUTATIONS = {
@@ -72,9 +82,19 @@ FRAME_MUTATIONS = {
                                    "classify_velocity_relative",
                                    "classify_vorticity_relative",
                                    "classify_z_tensor", "closure_compliant",
+                                   "geometric_suite",
+                                   "mech_noninertial_closure",
+                                   "ns_s6_rotation_taylor_green")),
+    "triple_qdot": (_triple_qdot, ("geometric_suite",
                                    "mech_noninertial_closure",
                                    "ns_s6_rotation_taylor_green")),
 }
+
+# shipped scenarios that a chart Jacobian scaled by 1.7 in ``Chart.at``
+# must flip: the connection, the covariant derivative and the geometric
+# suite's curvilinear differential read it
+SCALED_JACOBIAN = ("christoffel_cylindrical", "christoffel_spherical",
+                   "covariant_derivative_spherical", "geometric_suite")
 
 
 # name -> (patched attribute of NSSymmetry, its mutated value, shipped
@@ -222,6 +242,18 @@ def test_frame_mutation_flips_shipped_verdicts(mutation, monkeypatch,
     monkeypatch.setattr(fr.FrameChange, "exprs", mutated)
     clear_classify_builds()
     assert not any(expectation_met(name) for name in scenarios)
+
+
+def test_chart_jacobian_mutation_flips_shipped_verdicts(monkeypatch):
+    assert all(expectation_met(name) for name in SCALED_JACOBIAN)
+    at = geo.Chart.at
+
+    def scaled(self, pts):
+        x, b, d2 = at(self, pts)
+        return x, 1.7 * b, d2
+
+    monkeypatch.setattr(geo.Chart, "at", scaled)
+    assert not any(expectation_met(name) for name in SCALED_JACOBIAN)
 
 
 @pytest.mark.parametrize("mutation", sorted(NS_MUTATIONS))
