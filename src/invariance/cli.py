@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including FAIL verdicts, unless --strict and an
 expectation is missed), 2 on scenario schema errors, 3 on execution
-errors.
+errors, and 141 (128 + SIGPIPE) when the reader closes standard output
+early, as ``| head`` does: the command then ends quietly.
 """
 
 import argparse
@@ -84,6 +85,19 @@ def _add_common(p):
 
 
 def main(argv=None):
+    try:
+        code = _main(argv)
+        # output still buffered for a pipe fails here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point standard output at devnull, so that
+        # the flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _main(argv):
     parser = argparse.ArgumentParser(
         prog="invariance",
         description="Numerical checks separating form-invariance from "

@@ -11,10 +11,12 @@ derived by ``differentiate``, and ``FrameChange.at`` evaluates them at
 given times.  ``FrameChange.moved`` is the one velocity rule,
 x~ = Q x + c and v~ = Q v + Q' x + c', over states at given times; the
 mechanics checks and the geometric suite read it.  The suite's
-difference cases and the classifiers' base spin read ``at``, and the
-classifiers compose their point map with ``exprs``.
-``FrameChange.carry`` moves reference values with the frame, for the
-mechanics checks and the closure screen's G row alike.
+difference cases, the classifiers' base spin and the closure screen's
+point map read ``at``, and the classifiers compose their point map with
+``exprs``.
+``FrameChange.carry`` moves reference values with the frame, and with a
+symmetry's scales, for the mechanics checks and every row of the closure
+screen alike.
 Q times a vector is ``dot`` in expressions and ``rotate`` over arrays;
 both sum one component at a time, so neither depends on the batch size.
 A ``RotationSpec`` only names the axis, rate and phase of a uniform
@@ -27,9 +29,9 @@ the map x~ = lam Q(t) x + c(t), t~ = mu t + tau as a ``FrameChange``
 ``NSSymmetry`` derives the rest: the inverse map, the velocity action
 u~ = s M (u o phi^-1) + offset with s = lam / mu and M = Q, and the
 viscosity action lam^2 / mu.  ``transform_ns_fields``, the fluctuation
-action (M, s) of the Reynolds-ensemble check, the closure screen's
-coefficient scalings, the scenario parser and the residual guards all
-read the same classes, so adding a symmetry means adding one class.
+action (M, s) of the Reynolds-ensemble check, the closure screen's rows,
+the scenario parser and the residual guards all read the same classes,
+so adding a symmetry means adding one class.
 
 Conventions:
     x_tilde = Q x + c, spin Omega := Q Qdot^T (antisymmetric, constant
@@ -210,17 +212,19 @@ class FrameChange:
         return (t + self.tau, rotate(q, x) + c,
                 rotate(q, v) + rotate(dq, x) + dc, q)
 
-    def carry(self, x0, v0):
-        """x0~ = Q x0 + c and v0~ = Q v0 + c' at the old time t~ - tau, as
-        vec3 expressions of t~; ``x0`` and ``v0`` are vec3 expressions or
-        three numbers each."""
+    def carry(self, x0, v0, lam=1.0, mu=1.0):
+        """x0~ = lam Q x0 + c and v0~ = (lam Q v0 + c') / mu at the old
+        time (t~ - tau) / mu, as vec3 expressions of t~; ``x0`` and ``v0``
+        are vec3 expressions or three numbers each.  ``lam`` and ``mu``
+        scale a Navier-Stokes symmetry; at 1 their products fold away."""
         q, c = self.exprs(0)
         dc = self.exprs(1)[1]
-        back = sub(time(), const(self.tau))
-        return tuple(
-            compose(add(dot(q, ref if isinstance(ref, Node)
-                            else vector_const(ref)), shift), (), back)
-            for ref, shift in ((x0, c), (v0, dc)))
+        back = mul(const(1.0 / mu), sub(time(), const(self.tau)))
+        x0, v0 = (mul(const(lam), dot(q, ref if isinstance(ref, Node)
+                                      else vector_const(ref)))
+                  for ref in (x0, v0))
+        return (compose(add(x0, c), (), back),
+                compose(mul(const(1.0 / mu), add(v0, dc)), (), back))
 
 
 @dataclass(frozen=True)

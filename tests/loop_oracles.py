@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
 from invariance import ns
@@ -109,4 +110,65 @@ def ns_symmetry(state, spec, n_points=200, seed=None):
         cont, mom = ns.ns_residual(moved, t[k:k + 1], x[:, k:k + 1])
         residuals.append(max(abs(cont[0]), np.max(np.abs(mom[:, 0]))))
         witnesses.append((t[k], tuple(x[:, k])))
+    return residuals, witnesses
+
+
+# the mean flows of the closure screen's rows, in its order
+CLOSURE_FLOWS = ("beltrami", "taylor_green")
+
+
+def closure_row(model, tag, n, seed):
+    """(residuals, witnesses) of the closure screen's ``tag`` row (G or a
+    scaling, so Q is constant), one point at a time: |v~ - A v| /
+    (1 + |A v|) with A = (lam / mu^2) Q over ``CLOSURE_FLOWS`` in turn,
+    each at the row's n points, drawn as the row draws them.  The new
+    frame's blocks are built from the old frame's by hand rules, never
+    through the transformed flow: x~ - x0~ = lam Q (x - x0), <u>~ =
+    s Q <u> + c' / mu, u0~ = s Q u0 + c' / mu with s = lam / mu, grad~ =
+    Q grad Q^T / mu, lap~ = Q lap / (lam mu), nu~ = (lam^2 / mu) nu (nu
+    held fixed by the Euler-only S5approx) and t - t0 scaled by mu."""
+    rng = np.random.default_rng(seed)
+    if tag == "G":
+        frame, lam, mu = fr.FrameChange.random_galilei(rng), 1.0, 1.0
+    else:
+        spec = ns.closure._SCALINGS[tag]
+        frame, lam, mu = spec.frame, spec.lam, spec.mu
+    q, dc = frame.at(0.0)[0], frame.at(0.0, 1)[1]
+    s, nu_scale = lam / mu, 1.0 if tag == "S5approx" else lam * lam / mu
+    t = rng.uniform(0.0, 2.0, size=n)
+    x = rng.uniform(-1.0, 1.0, size=(3, n))
+    t0 = rng.uniform(-1.0, 1.0, size=n)
+    x0 = rng.uniform(-1.0, 1.0, size=(3, n))
+    u0 = rng.uniform(-1.0, 1.0, size=(3, n))
+    relative = model.w is not ns.closure.MEAN_U
+
+    def ansatz(nu, dt0, dx, u, u_ref, grad, lap_u):
+        w = u - u_ref if relative else u
+        args = {"nu": nu, "dt0": dt0, "r": np.linalg.norm(dx),
+                "s": np.linalg.norm(w), "q": float(w @ dx)}
+        phi = [float(ex.evaluate_many(
+            p, np.zeros(1), np.zeros((3, 1)),
+            {key: np.array([val]) for key, val in args.items()})[0])
+            for p in model.phi]
+        terms = (dx, w, (grad + grad.T) @ dx, grad @ w, lap_u)
+        return sum(f * term for f, term in zip(phi, terms))
+
+    residuals, witnesses = [], []
+    for name in CLOSURE_FLOWS:
+        state = ns.SOLUTIONS[name]()
+        ubar, g, lap = (ex.evaluate_many(e, t, x) for e in (
+            state.u, ex.grad(state.u), ex.lap(state.u)))
+        for k in range(n):
+            dx, dt0 = x[:, k] - x0[:, k], t[k] - t0[k]
+            old = ansatz(state.nu, dt0, dx, ubar[:, k], u0[:, k],
+                         g[:, :, k], lap[:, k])
+            new = ansatz(nu_scale * state.nu, mu * dt0, lam * q @ dx,
+                         s * q @ ubar[:, k] + dc / mu,
+                         s * q @ u0[:, k] + dc / mu,
+                         q @ g[:, :, k] @ q.T / mu,
+                         q @ lap[:, k] / (lam * mu))
+            ref = lam / (mu * mu) * q @ old
+            residuals.append(np.linalg.norm(new - ref)
+                             / (1.0 + np.linalg.norm(ref)))
+            witnesses.append((t[k], tuple(x[:, k])))
     return residuals, witnesses

@@ -6,13 +6,12 @@ import pytest
 from invariance import frames as fr
 from invariance import ns
 from invariance.ns import ensemble as en
-from invariance import expr as ex
 from invariance.checks.verdict import FAIL_FLOOR
 from invariance.expr import SCALAR, parse_field_expr
-from invariance.ns.closure import ARG_NAMES, _scaling_case
 from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
+import loop_oracles as loops
 
 ENSEMBLE = ns.Ensemble.random(1024, DEFAULT_SEED)
 ALL_DECOMPOSED = [
@@ -203,101 +202,6 @@ class TestBlockedDecomposedCheck:
         assert fluct.flags.c_contiguous
 
 
-def hand_scaling_case(tag, e):
-    """(argument map, coefficient factors) written out per symmetry.
-
-    Under S1 (scaling) with parameter e: nu fixed, dt0 -> e^{2e} dt0,
-    r -> e^{e} r, s -> e^{-e} s, q -> q, and term-by-term consistency with
-    v -> e^{-3e} v demands the factors below.  Under S4 (time reversal)
-    the arguments flip sign as (nu, dt0, q) -> -(nu, dt0, q) and the
-    odd/even pattern follows from w, grad<u>, lap<u> all being odd.
-    Under S5 (inviscid space-time dilation by e^{a}): r, s -> e^{a}(r, s),
-    q -> e^{2a} q, and only phi5 must rescale (by e^{2a}).  Reflections
-    (S3) leave every argument fixed.
-    """
-    if tag == "S1":
-        amap = {"nu": 1.0, "dt0": np.exp(2 * e), "r": np.exp(e),
-                "s": np.exp(-e), "q": 1.0}
-        factors = (np.exp(-4 * e), np.exp(-2 * e), np.exp(-2 * e), 1.0, 1.0)
-    elif tag == "S3":
-        amap = {name: 1.0 for name in ARG_NAMES}
-        factors = (1.0, 1.0, 1.0, 1.0, 1.0)
-    elif tag == "S4":
-        amap = {"nu": -1.0, "dt0": -1.0, "r": 1.0, "s": 1.0, "q": -1.0}
-        factors = (1.0, -1.0, -1.0, 1.0, -1.0)
-    else:
-        amap = {"nu": 1.0, "dt0": 1.0, "r": np.exp(e), "s": np.exp(e),
-                "q": np.exp(2 * e)}
-        factors = (1.0, 1.0, 1.0, 1.0, np.exp(2 * e))
-    return amap, factors
-
-
-class TestDerivedScalingTable:
-    """The closure screen reads its argument maps and factors from each
-    symmetry's (lam, mu); the hand-written table is the oracle."""
-
-    @pytest.mark.parametrize("e", (0.3, -0.45, 0.8))
-    @pytest.mark.parametrize("tag", ("S1", "S3", "S4", "S5approx"))
-    def test_matches_hand_table(self, tag, e):
-        amap, factors = _scaling_case(tag, e)
-        want_map, want_factors = hand_scaling_case(tag, e)
-        assert sorted(amap) == sorted(want_map)
-        np.testing.assert_array_max_ulp(
-            [amap[name] for name in ARG_NAMES],
-            [want_map[name] for name in ARG_NAMES], maxulp=2)
-        np.testing.assert_array_max_ulp(factors, want_factors, maxulp=2)
-
-    def test_unscreened_tag_is_refused(self):
-        with pytest.raises(ValueError):
-            _scaling_case("G", 0.3)
-
-
-def galilei_oracle(model, n, seed):
-    """{flow: (|v~ - A v| / (1 + |A v|), (t, x))} of the G row, one point
-    at a time: the new frame's blocks are built from the old frame's by
-    the Galilei rules x~ - x0~ = A (x - x0), <u>~ = A <u> + c1,
-    u0~ = A u0 + c1 and grad~ = A grad A^T, never through the transformed
-    flow.  The samples are drawn as the row draws them."""
-    rng = np.random.default_rng(seed)
-    frame = fr.FrameChange.random_galilei(rng)
-    a, c1 = frame.at(0.0)[0], frame.at(0.0, 1)[1]
-    t = rng.uniform(0.0, 2.0, size=n)
-    x = rng.uniform(-1.0, 1.0, size=(3, n))
-    t0 = rng.uniform(-1.0, 1.0, size=n)
-    x0 = rng.uniform(-1.0, 1.0, size=(3, n))
-    u0 = rng.uniform(-1.0, 1.0, size=(3, n))
-    relative = model.w is not ns.closure.MEAN_U
-
-    def ansatz(nu, dt0, dx, u, u_ref, grad, lap_u):
-        w = u - u_ref if relative else u
-        args = {"nu": nu, "dt0": dt0, "r": np.linalg.norm(dx),
-                "s": np.linalg.norm(w), "q": float(w @ dx)}
-        phi = [float(ex.evaluate_many(
-            p, np.zeros(1), np.zeros((3, 1)),
-            {key: np.array([val]) for key, val in args.items()})[0])
-            for p in model.phi]
-        terms = (dx, w, (grad + grad.T) @ dx, grad @ w, lap_u)
-        return sum(f * term for f, term in zip(phi, terms))
-
-    out = {}
-    for name in ("beltrami", "taylor_green"):
-        state = ns.SOLUTIONS[name]()
-        ubar, g, lap = (ex.evaluate_many(e, t, x) for e in (
-            state.u, ex.grad(state.u), ex.lap(state.u)))
-        res = np.empty(n)
-        for k in range(n):
-            dx, dt0 = x[:, k] - x0[:, k], t[k] - t0[k]
-            old = ansatz(state.nu, dt0, dx, ubar[:, k], u0[:, k],
-                         g[:, :, k], lap[:, k])
-            new = ansatz(state.nu, dt0, a @ dx, a @ ubar[:, k] + c1,
-                         a @ u0[:, k] + c1, a @ g[:, :, k] @ a.T,
-                         a @ lap[:, k])
-            res[k] = (np.linalg.norm(new - a @ old)
-                      / (1.0 + np.linalg.norm(a @ old)))
-        out[name] = (res, (t, x))
-    return out
-
-
 def screen(model, tags, seed=DEFAULT_SEED, **kw):
     """The closure screen at the shipped scenarios' tolerance."""
     return ns.screen_closure(model, tags, 1e-10, seed, **kw)
@@ -331,32 +235,52 @@ class TestClosureScreening:
         v = screen(factory(), ("G",), seed=seed)["G"]
         assert v.passed and v.residual <= 1e-12
 
-    def test_galilei_oracle_passes_the_compliant_model(self):
-        for res, _ in galilei_oracle(ns.compliant_model(), 40, 1).values():
-            assert np.max(res) <= 1e-12
+    @pytest.mark.parametrize("tag", ("G", "S1", "S3", "S4"))
+    def test_oracle_passes_the_compliant_model(self, tag):
+        residuals = loops.closure_row(ns.compliant_model(), tag, 40, 1)[0]
+        assert np.max(residuals) <= 1e-12
 
     @pytest.mark.parametrize("seed", (0xC0FFEE, 1, 7))
-    def test_bare_mean_velocity_galilei_residual_names_its_sample(self,
-                                                                  seed):
+    @pytest.mark.parametrize("factory,tag", (
+        (ns.bare_mean_velocity_model, "G"), (ns.constant_phi2_model, "S1"),
+        (ns.constant_phi2_model, "S4"), (ns.nu_phi2_model, "S1"),
+        (ns.compliant_model, "S5approx")))
+    def test_failing_row_is_the_oracles_and_names_its_sample(
+            self, factory, tag, seed):
         n = 40
-        v = screen(ns.bare_mean_velocity_model(), ("G",), seed=seed,
-                   n_samples=n)["G"]
+        v = screen(factory(), (tag,), seed=seed, n_samples=n)[tag]
         assert not v.passed
         assert FAIL_FLOOR < v.residual < np.inf
-        per_flow = galilei_oracle(ns.bare_mean_velocity_model(), n, seed)
-        flows = list(per_flow)
-        residuals = np.concatenate([per_flow[f][0] for f in flows])
+        residuals, witnesses = loops.closure_row(factory(), tag, n, seed)
         k = int(np.argmax(residuals))
         assert v.residual == pytest.approx(residuals[k], rel=1e-10)
-        flow, i = flows[k // n], k % n
-        t, x = per_flow[flow][1][0][i], per_flow[flow][1][1][:, i]
-        assert v.notes == ("worst residual on %s" % flow,)
-        assert v.witness == (t, tuple(x))
+        assert v.notes[-1] == ("worst residual on %s"
+                               % loops.CLOSURE_FLOWS[k // n])
+        assert v.witness == witnesses[k]
+
+    @pytest.mark.parametrize("factory", (
+        ns.compliant_model, ns.constant_phi2_model, ns.nu_phi2_model,
+        ns.bare_mean_velocity_model))
+    def test_reflection_row_reads_zero_and_says_why(self, factory):
+        # every argument is an invariant and a sign flip is exact, so no
+        # model of this ansatz can fail a reflection
+        v = screen(factory(), ("S3",))["S3"]
+        assert v.residual == 0.0 and v.witness is not None
+        assert "cannot express a reflection defect" in v.notes[0]
 
     def test_compliant_two_d_limit(self):
-        model = ns.compliant_model()
-        reports = screen(model, ("S6approx",))
-        assert reports["S6approx"].passed
+        v = screen(ns.compliant_model(), ("S6approx",))["S6approx"]
+        assert v.passed and v.witness is not None
+        assert v.notes == ("reads the declared planar limits (two_d_limit): "
+                           "phi2 == phi4 == 0, not judged under S6",)
+
+    def test_undeclared_two_d_limit_reads_the_coefficients(self):
+        # without declared limits, phi2 = 0.5 and phi4 = 0.3 stand
+        base = ns.constant_phi2_model()
+        model = ns.ClosureModel(name="no_limit", phi=base.phi)
+        v = screen(model, ("S6approx",))["S6approx"]
+        assert not v.passed and v.residual == pytest.approx(0.8)
+        assert v.witness is not None
 
     def test_nonfinite_residual_fails_with_witness(self):
         # phi4 = exp(800 q) overflows to inf on both sides of the S1
@@ -366,9 +290,14 @@ class TestClosureScreening:
         phi[3] = parse_field_expr("exp(800.0*q)", {"q": SCALAR})
         model = ns.ClosureModel(name="overflow", phi=tuple(phi),
                                 two_d_limit=base.two_d_limit)
+        n = 40
         with pytest.warns(RuntimeWarning):
-            v = screen(model, ("S1",))["S1"]
+            v = screen(model, ("S1",), n_samples=n)["S1"]
         assert not v.passed
         assert not np.isfinite(v.residual)
-        q = float(v.notes[-1].split("q=")[1])
-        assert 800.0 * q > np.log(np.finfo(float).max)
+        with pytest.warns(RuntimeWarning):
+            residuals, witnesses = loops.closure_row(model, "S1", n,
+                                                     DEFAULT_SEED)
+        flow = loops.CLOSURE_FLOWS.index(v.notes[-1].split(" on ")[1])
+        k = flow * n + witnesses[flow * n:].index(v.witness)
+        assert np.isnan(residuals[k])

@@ -197,6 +197,21 @@ class TestGalilei:
         assert np.max(np.abs(tb - t)) < 1e-12
         assert np.max(np.abs(xb - x)) < 1e-12
 
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (1.7, -0.6)])
+    def test_carry_with_a_symmetrys_scales(self, lam, mu):
+        # x0~ = lam R x0 + v t + c and v0~ = (lam R v0 + v) / mu at the old
+        # time t = (t~ - tau) / mu
+        g = fr.FrameChange.random_galilei(np.random.default_rng(9))
+        r, v, c = galilei_parts(g)
+        x0, v0 = np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0])
+        t_new = np.linspace(-1.0, 2.0, 7)
+        t = (t_new - g.tau) / mu
+        got = [fr.at_times(e, t_new) for e in g.carry(x0, v0, lam, mu)]
+        assert np.allclose(got[0], lam * (r @ x0)[:, None] + np.outer(v, t)
+                           + c[:, None], rtol=0, atol=1e-14)
+        assert np.allclose(got[1], ((lam * r @ v0 + v) / mu)[:, None],
+                           rtol=0, atol=1e-14)
+
 
 class TestEuclidean:
     def test_parabolic_path_example(self):
