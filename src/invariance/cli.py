@@ -7,6 +7,8 @@ early, as ``| head`` does: the command then ends quietly.
 """
 
 import argparse
+import atexit
+import gc
 import importlib.util
 import json
 import os
@@ -30,7 +32,19 @@ _BUILTIN_HASHES = (("_md5", "_sha1", "_sha2", "_sha3")
 if all(importlib.util.find_spec(name) for name in _BUILTIN_HASHES):
     sys.modules.setdefault("_hashlib", None)
 
-from .report import run_scenario, run_suite
+# what the imports leave lives as long as the process, so the collector
+# skips it: no pass during numpy's import, none over it afterwards (nor
+# in a forked worker, whose pages it would copy), and none at teardown
+# over what the process still holds.  Import-time cycles are never freed.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .report import run_scenario, run_suite
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
+atexit.register(gc.freeze)
 
 __all__ = ["main"]
 

@@ -536,3 +536,52 @@ class TestNoOpenSSL:
         report = json.loads(reference)
         assert report["input_digest"].startswith("sha256:")
         assert json.loads(out) == report
+
+
+def objects_at_exit(module):
+    """Objects the collector tracks (outside the frozen generation) when
+    an ``atexit`` handler registered before ``import module`` runs."""
+    return int(in_fresh_interpreter(
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(len(gc.get_objects())))\n"
+        "import %s" % module))
+
+
+class TestCollector:
+    """The command line imports with the collector off, freezes what the
+    imports leave, and freezes the heap again at exit, so no collection
+    walks it; a library import leaves the collector alone."""
+
+    def test_cli_import_freezes_the_heap(self):
+        out = in_fresh_interpreter(
+            "import gc, invariance.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert out.split() == ["True", "True"]
+
+    def test_a_disabled_collector_stays_off(self):
+        out = in_fresh_interpreter(
+            "import gc\n"
+            "gc.disable()\n"
+            "import invariance.cli\n"
+            "print(gc.isenabled())")
+        assert out.split() == ["False"]
+
+    def test_teardown_finds_nothing_to_collect(self):
+        # atexit runs its handlers last registered first, so this one runs
+        # after the package's
+        assert objects_at_exit("invariance.cli") == 0
+
+    def test_library_import_leaves_teardown_to_collect(self):
+        # the control: without the command line's handler the heap is
+        # tracked at exit, so the check above can fail
+        assert objects_at_exit("invariance.report") > 0
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_library_import_leaves_the_collector_alone(self, enabled):
+        out = in_fresh_interpreter(
+            "import gc\n"
+            "%s\n"
+            "import invariance.report\n"
+            "print(gc.isenabled(), gc.get_freeze_count())"
+            % ("gc.enable()" if enabled else "gc.disable()"))
+        assert out.split() == [str(enabled), "0"]

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invariance import expr as ex
 from invariance import frames as fr
 from invariance import ns
+from invariance.ns import closure
 from invariance.ns import ensemble as en
 from invariance.checks.verdict import FAIL_FLOOR
 from invariance.expr import SCALAR, parse_field_expr
@@ -281,6 +283,27 @@ class TestClosureScreening:
         v = screen(model, ("S6approx",))["S6approx"]
         assert not v.passed and v.residual == pytest.approx(0.8)
         assert v.witness is not None
+
+    def test_each_untransformed_ansatz_compiles_once(self, monkeypatch,
+                                                     drop_compiled):
+        # every evaluated row compares with the ansatz over the same
+        # untransformed mean flows, which one screen builds and holds
+        model, build, compiled = ns.compliant_model(), ex._build_tape, []
+
+        def counting(root):
+            # matched against a rebuilt ansatz, not held: holding the root
+            # would keep its tape alive between the rows
+            for name in loops.CLOSURE_FLOWS:
+                state = ns.SOLUTIONS[name]()
+                v = closure._ansatz(model, state.u, state.nu, closure.T0,
+                                    closure.X0, closure.U0)[0]
+                if ex.expand_derivatives(v) is root:
+                    compiled.append(name)
+            return build(root)
+
+        monkeypatch.setattr(ex, "_build_tape", counting)
+        screen(model, closure.TAGS, n_samples=10)
+        assert sorted(compiled) == sorted(loops.CLOSURE_FLOWS)
 
     def test_nonfinite_residual_fails_with_witness(self):
         # phi4 = exp(800 q) overflows to inf on both sides of the S1
