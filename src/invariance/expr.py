@@ -3,11 +3,14 @@
 A :class:`Node` denotes a scalar, 3-vector or 3x3-matrix field of (x, t).
 Trees are immutable and hash-consed: building the same expression twice,
 while the first is alive, yields the *same* object, so structural
-equality is identity.  What is derived from a node (its derivative flag,
-derivatives, expansion, tape and float kernel) is kept in the node's own
-``derived`` dict, so it lives exactly as long as the node.  The intern
-table holds its nodes weakly: a node that nothing else holds is freed
-with everything derived from it.
+equality is identity.  Two flags are set when a node is built, from its
+operands' flags: ``has_deriv`` (a derivative operator somewhere in the
+tree) and ``is_zero`` (a constant zero, or a vector or matrix of them).
+What is derived from a node later (its derivatives, expansion, tape and
+float kernel) is kept in the node's own ``derived`` dict, so it lives
+exactly as long as the node.  The intern table maps each node's key to a
+weak reference to it: a node that nothing else holds is freed with
+everything derived from it, and its entry goes with it.
 
 Derivative operators (grad/div/lap/dt) are kept as first-class nodes and
 expanded symbolically before evaluation; no finite differences are ever
@@ -22,10 +25,12 @@ import ast
 import bisect
 import functools
 import math
+import operator
 import sys
 import threading
 import warnings
 import weakref
+from _weakref import _remove_dead_weakref
 
 import numpy as np
 
@@ -41,8 +46,7 @@ __all__ = [
     "grad", "div", "lap", "dt", "zero", "bundle",
     "vector_const", "matrix_const", "x_vector",
     "differentiate", "expand_derivatives", "substitute", "compose",
-    "evaluate_many", "float_kernel", "contains_derivatives",
-    "parse_field_expr",
+    "evaluate_many", "float_kernel", "parse_field_expr",
 ]
 
 SCALAR = "scalar"
@@ -80,14 +84,8 @@ class EvalError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Node:
-    __slots__ = ("kind", "args", "data", "shape", "derived", "__weakref__")
-
-    def __init__(self, kind, args, data, shape):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "derived", {})
+    __slots__ = ("kind", "args", "data", "shape", "derived", "has_deriv",
+                 "is_zero", "__weakref__")
 
     def __setattr__(self, *_):
         raise AttributeError("Node is immutable")
@@ -99,8 +97,27 @@ class Node:
     # default __eq__/__hash__ from object.
 
 
-_intern = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """The intern table's weak reference to a node, carrying its key."""
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    # a dead node's entry goes only while its key maps to a dead
+    # reference: a node built since under the same key keeps its entry
+    _remove_dead_weakref(_intern, ref.key)
+
+
+_intern = {}
 _intern_lock = threading.Lock()
+_DERIV_KINDS = ("grad", "div", "lap", "dt")
+_new_node = object.__new__
+# the slots' own setters, which write past ``Node.__setattr__``
+(_set_kind, _set_args, _set_data, _set_shape, _set_derived, _set_has_deriv,
+ _set_is_zero) = (getattr(Node, name).__set__ for name in Node.__slots__
+                  if name != "__weakref__")
+_deriv_flag = operator.attrgetter("has_deriv")
+_zero_flag = operator.attrgetter("is_zero")
 
 
 def _mk(kind, args=(), data=None, shape=SCALAR):
@@ -108,15 +125,30 @@ def _mk(kind, args=(), data=None, shape=SCALAR):
     # first zero built would stand for both.  An operand is keyed by its
     # id, valid while the node that holds it lives: a key holding it
     # would keep it alive
-    key = (kind, data.hex() if kind == "const" else data,
-           tuple(id(a) for a in args), shape)
-    node = _intern.get(key)
-    if node is None:
-        with _intern_lock:
-            node = _intern.get(key)
-            if node is None:
-                node = Node(kind, tuple(args), data, shape)
-                _intern[key] = node
+    key = (kind, data.hex() if kind == "const" else data, shape,
+           *map(id, args))
+    ref = _intern.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    with _intern_lock:
+        ref = _intern.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = _new_node(Node)
+            _set_kind(node, kind)
+            _set_args(node, args)
+            _set_data(node, data)
+            _set_shape(node, shape)
+            _set_derived(node, {})
+            _set_has_deriv(node, kind in _DERIV_KINDS
+                           or any(map(_deriv_flag, args)))
+            _set_is_zero(node, data == 0.0 if kind == "const" else
+                         kind in ("vec", "mat") and all(map(_zero_flag, args)))
+            ref = _Ref(node, _forget)
+            ref.key = key
+            _intern[key] = ref
     return node
 
 
@@ -155,23 +187,15 @@ def _is_const(e, value=None):
     return e.kind == "const" and (value is None or e.data == value)
 
 
-def _is_zero(e):
-    if e.kind == "const":
-        return e.data == 0.0
-    if e.kind in ("vec", "mat"):
-        return all(_is_zero(a) for a in e.args)
-    return False
-
-
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeError("cannot add %s and %s" % (a.shape, b.shape))
     if _is_const(a) and _is_const(b):
         # before the zero skip, so that 0.0 + -0.0 is 0.0
         return const(a.data + b.data)
-    if _is_zero(a):
+    if a.is_zero:
         return b
-    if _is_zero(b):
+    if b.is_zero:
         return a
     return _mk("add", (a, b), shape=a.shape)
 
@@ -193,7 +217,7 @@ def mul(a, b):
     if _is_const(a) and _is_const(b):
         # before the zero skip, so that -1 * 0.0 is -0.0
         return const(a.data * b.data)
-    if _is_zero(a) or _is_zero(b):
+    if a.is_zero or b.is_zero:
         return zero(b.shape)
     if _is_const(a, 1.0):
         return b
@@ -230,7 +254,7 @@ def dot(a, b):
     if (a.shape, b.shape) not in _DOT:
         raise ShapeError("dot undefined for (%s, %s)" % (a.shape, b.shape))
     out = _DOT[(a.shape, b.shape)][0]
-    if _is_zero(a) or _is_zero(b):
+    if a.is_zero or b.is_zero:
         return zero(out)
     if all(e.kind in ("vec", "mat") and all(map(_is_const, e.args))
            for e in (a, b)):
@@ -389,11 +413,8 @@ def x_vector():
 
 
 # ---------------------------------------------------------------------------
-# structural queries
+# derived values
 # ---------------------------------------------------------------------------
-
-_DERIV_KINDS = ("grad", "div", "lap", "dt")
-
 
 def _derived(e, key, build):
     """``build(e)``, built once and kept in ``e.derived`` under ``key``."""
@@ -401,11 +422,6 @@ def _derived(e, key, build):
     if got is None:
         got = e.derived[key] = build(e)
     return got
-
-
-def contains_derivatives(e):
-    return _derived(e, "has derivatives", lambda n: n.kind in _DERIV_KINDS
-                    or any(map(contains_derivatives, n.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +517,7 @@ def _diff_func(e, wrt):
 
 def expand_derivatives(e):
     """Rewrite grad/div/lap/dt into plain component derivatives."""
-    if not contains_derivatives(e):
+    if not e.has_deriv:
         return e        # not kept: a node that held itself would wait for gc
     return _derived(e, "expanded", _expand)
 
@@ -615,7 +631,7 @@ def compose(e, x_exprs, t_expr):
     ``e`` must not contain derivative operator nodes (expand first), since
     those are defined with respect to the coordinates being replaced.
     """
-    if contains_derivatives(e):
+    if e.has_deriv:
         raise ExprError("expand_derivatives before composing coordinates")
 
     def leaf(n):

@@ -6,9 +6,11 @@ from invariance import expr as ex
 
 
 def _drop_compiled():
-    for node in list(ex._intern.values()):
-        node.derived.pop("tape", None)
-        node.derived.pop("kernel", None)
+    for ref in list(ex._intern.values()):
+        node = ref()
+        if node is not None:
+            node.derived.pop("tape", None)
+            node.derived.pop("kernel", None)
 
 
 @pytest.fixture

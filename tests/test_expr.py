@@ -8,6 +8,7 @@ implementation under test.
 import gc
 import json
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -622,7 +623,10 @@ class TestConstantDot:
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_zeros_keep_their_sign_bits(self, first, monkeypatch):
-        # a fresh intern table, so the zero of either sign is built first
+        # a fresh intern table, so the zero of either sign is built first;
+        # collected before, so that no node of the real table dies while
+        # it is swapped out and leaves its dead entry there
+        gc.collect()
         monkeypatch.setattr(ex, "_intern", {})
         const(first)
         neg_zero, pos_zero = const(-0.0), const(0.0)
@@ -664,6 +668,102 @@ class TestLifetime:
         assert root() is None
         assert len(ex._intern) == before
 
+    def test_a_node_of_a_swapped_table_leaves_the_restored_one_alone(
+            self, monkeypatch):
+        kept = const(-0.0), const(0.0)
+        gc.collect()
+        table, entries = ex._intern, dict(ex._intern)
+        monkeypatch.setattr(ex, "_intern", {})
+        # the zeros under keys that the restored table holds too
+        built = [const(-0.0), const(0.0),
+                 const(np.random.default_rng(0x5A9).uniform(10.0, 11.0))]
+        gone = [weakref.ref(node) for node in built]
+        assert built[0] is not kept[0] and built[1] is not kept[1]
+        monkeypatch.undo()
+        assert ex._intern is table
+        del built
+        gc.collect()
+        assert all(ref() is None for ref in gone)
+        assert table.keys() == entries.keys()
+        assert all(table[key] is ref for key, ref in entries.items())
+        assert const(-0.0) is kept[0] and const(0.0) is kept[1]
+
+
+def flag_oracles(roots):
+    """{node: (derivative operator in its tree, zero)} for every node of
+    the DAGs of ``roots``, by the recursive definitions that the flags
+    ``has_deriv`` and ``is_zero`` set at construction replace."""
+    memo = {}
+
+    def walk(n):
+        if n not in memo:
+            below = [walk(a) for a in n.args]
+            if n.kind == "const":
+                zero = n.data == 0.0
+            else:
+                zero = n.kind in ("vec", "mat") and all(z for _, z in below)
+            memo[n] = (n.kind in ("grad", "div", "lap", "dt")
+                       or any(d for d, _ in below), zero)
+        return memo[n]
+
+    for root in roots:
+        walk(root)
+    return memo
+
+
+def assert_flags_match_their_oracles(roots):
+    wrong = [node for node, flags in flag_oracles(roots).items()
+             if (node.has_deriv, node.is_zero) != flags]
+    assert not wrong, wrong[:5]
+
+
+class TestSharedTable:
+    """Threads that build the same expressions at once share one node for
+    each, and no entry outlives its node."""
+
+    TEXTS = ["sin(dot(x, x)) * t", "lap(norm(x)^3)",
+             "grad(exp(-t) * comp(x, 1) * comp(x, 2))",
+             "div(vec(comp(x, 2), t * comp(x, 3), dot(x, x)))",
+             "dt(cos(t) * x)"]
+
+    def test_threads_get_one_node_per_expression(self):
+        threads_n = 8
+        # a fresh scale, so that every thread builds what no table holds
+        scale = "%r" % np.random.default_rng(0x7EAD).uniform(10.0, 11.0)
+        texts = [scale + " * " + text for text in self.TEXTS]
+        start = threading.Barrier(threads_n)
+        got = [None] * threads_n
+
+        def build(k):
+            start.wait(timeout=30)
+            nodes = []
+            for text in texts:
+                e = parse_field_expr(text)
+                nodes += [e, expand_derivatives(e), grad(e) if
+                          e.shape == SCALAR else div(e),
+                          differentiate(expand_derivatives(e), "t")]
+            got[k] = nodes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(nodes is not None for nodes in got)
+        for nodes in got[1:]:
+            assert len(nodes) == len(got[0])
+            assert all(a is b for a, b in zip(nodes, got[0]))
+        del got, nodes
+        gc.collect()
+        assert all(ref() is not None for ref in ex._intern.values())
+
 
 class TestShippedRoots:
     """Every expanded root that the shipped scenarios evaluate gives the
@@ -686,7 +786,11 @@ class TestShippedRoots:
         return (np.asarray(t_arr, dtype=float)[take],
                 np.asarray(x_arr, dtype=float)[:, take], bind)
 
-    def test_one_point_equals_nine(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def shipped_calls(self):
+        """{id(root): (root, nine points, field)} of every expanded root
+        that the 36 shipped scenarios evaluate, with the first nine points
+        of its first ``evaluate_many`` call and the field passed to it."""
         evaluate, calls = ex.evaluate_many, {}
 
         def recording(e, t_arr, x_arr, bindings=None):
@@ -696,24 +800,29 @@ class TestShippedRoots:
                 # the first nine points, repeated if the call has fewer
                 take = np.arange(9) % np.shape(t_arr)[0]
                 calls[id(root)] = (root, self.cut(root, take, t_arr, x_arr,
-                                                  bindings))
+                                                  bindings), e)
             return out
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("invariance.") \
-                    and getattr(module, "evaluate_many", None) is evaluate:
-                monkeypatch.setattr(module, "evaluate_many", recording)
-        scenarios = sorted(SCENARIO_DIR.glob("*.json"))
-        assert len(scenarios) == 36
-        for path in scenarios:
-            assert run_scenario(path, None, None,
-                                no_timestamp=True)[1] == 0, path.name
+        with pytest.MonkeyPatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("invariance.") \
+                        and getattr(module, "evaluate_many", None) is evaluate:
+                    patch.setattr(module, "evaluate_many", recording)
+            scenarios = sorted(SCENARIO_DIR.glob("*.json"))
+            assert len(scenarios) == 36
+            for path in scenarios:
+                assert run_scenario(path, None, None,
+                                    no_timestamp=True)[1] == 0, path.name
+        return calls
+
+    def test_one_point_equals_nine(self, shipped_calls):
+        evaluate, calls = ex.evaluate_many, shipped_calls
         # a bundle's roots count one by one
-        roots = [r for root, _ in calls.values()
+        roots = [r for root, _, _ in calls.values()
                  for r in (root.args if root.kind == "bundle" else (root,))]
         assert len(roots) > 50
         differ = set()
-        for root, nine_points in calls.values():
+        for root, nine_points, _ in calls.values():
             nine = evaluate(root, *nine_points)
             for k in range(9):
                 one = evaluate(root, *self.cut(root, [k], *nine_points))
@@ -723,6 +832,12 @@ class TestShippedRoots:
                     if many[..., k].tobytes() != single[..., 0].tobytes():
                         differ.add(r)
         assert not differ, "%d of %d roots differ" % (len(differ), len(roots))
+
+    def test_flags_match_their_oracles(self, shipped_calls):
+        fields = [e for _, _, e in shipped_calls.values()]
+        assert any(e.has_deriv for e in fields)
+        assert_flags_match_their_oracles(
+            [root for root, _, _ in shipped_calls.values()] + fields)
 
 
 class TestParserPrinter:
@@ -922,6 +1037,18 @@ def test_shape_soundness(e, seed):
 @given(e=st.one_of(scalar_exprs(2), vector_exprs(2)))
 def test_fuzz_round_trip(e):
     assert parse_field_expr(to_dsl(e)) is e
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.one_of(scalar_exprs(2), vector_exprs(2)),
+       op=st.sampled_from(["", "grad", "div", "lap", "dt"]))
+def test_drawn_fields_flags_match_their_oracles(e, op):
+    text = to_dsl(e)
+    if op == "div" and e.shape == SCALAR:
+        text = "grad(%s)" % text
+    field = parse_field_expr("%s(%s)" % (op, text))
+    assert field.has_deriv or not op
+    assert_flags_match_their_oracles([field, expand_derivatives(field)])
 
 
 @pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])

@@ -239,9 +239,10 @@ ID_CALLERS = {"expr.py": ("_mk", "_rewrite", "_post_order", "_build_tape",
 
 
 def id_calls(root):
-    """``path:function`` (``path:<module>`` at module level) of each call
-    of ``id`` in the modules under ``root``; a call in a nested function
-    counts under the outermost function."""
+    """``path:function`` (``path:<module>`` at module level) of each use
+    of the name ``id`` in the modules under ``root``, a call or the bare
+    name handed on, as to ``map``; a use in a nested function counts
+    under the outermost function."""
     found = []
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -251,9 +252,7 @@ def id_calls(root):
                 top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 else "<module>")
             found.extend("%s:%s" % (where, name) for n in ast.walk(top)
-                         if isinstance(n, ast.Call)
-                         and isinstance(n.func, ast.Name)
-                         and n.func.id == "id")
+                         if isinstance(n, ast.Name) and n.id == "id")
     return found
 
 
@@ -269,8 +268,10 @@ def test_the_check_sees_an_id_call(tmp_path):
         "MEMO = {id(object): 1}\n"
         "def f(x):\n    def g(y):\n        return id(y)\n    return g(x)\n"
         "class C:\n    def m(self):\n        return id(self), 'id(self)'\n"
-        "def h(x):\n    return x.id(x)\n")
-    assert id_calls(tmp_path) == ["a.py:<module>", "a.py:f", "a.py:C"]
+        "def h(x):\n    return x.id(x)\n"
+        "def k(xs):\n    return tuple(map(id, xs))\n")
+    assert id_calls(tmp_path) == ["a.py:<module>", "a.py:f", "a.py:C",
+                                  "a.py:k"]
 
 
 # the functions of ``src`` that may default a ``tol`` or a ``seed``: the
