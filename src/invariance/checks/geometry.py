@@ -12,7 +12,7 @@ transformation law needs no finite differencing.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -140,21 +140,6 @@ def check_covariant_derivative(phi, chart, n_points, tol, seed):
     pts = chart.sample(n_points, seed)
     t = np.zeros(n_points)
     cart, b, d2 = chart.at(pts)
-    grad_val, rhs_val, a_val, _ = evaluate_many(_compared(phi, chart), t,
-                                                pts)
-    gamma = christoffel_transform(b, d2)
-    cov_val = grad_val - np.einsum("mabn,mn->abn", gamma, a_val)
-    at = (t, cart)
-    return {"covariant": CheckPart.of(np.abs(cov_val - rhs_val), tol, at),
-            "partial": CheckPart.of(np.abs(grad_val - rhs_val), tol, at)}
-
-
-@lru_cache(maxsize=32)
-def _compared(phi, chart):
-    """The bundle that ``check_covariant_derivative`` evaluates: d~_b A~_a,
-    B^r_a B^s_b d_s A_r, A~_a and ``phi``, each a function of the chart
-    coordinates.  Held here, so that the tape compiled for it on the
-    first call serves every later one."""
     xs = [comp(chart.position, i) for i in range(3)]
     b_expr = expand_derivatives(grad(chart.position))
     a_cart = expand_derivatives(grad(phi))
@@ -162,7 +147,13 @@ def _compared(phi, chart):
     cart_grad = compose(expand_derivatives(grad(a_cart)), xs, ex.time())
     rhs_expr = dot(transpose(b_expr), dot(cart_grad, b_expr))
     field = compose(expand_derivatives(phi), xs, ex.time())
-    return bundle(grad(a_tilde), rhs_expr, a_tilde, field)
+    grad_val, rhs_val, a_val, _ = evaluate_many(
+        bundle(grad(a_tilde), rhs_expr, a_tilde, field), t, pts)
+    gamma = christoffel_transform(b, d2)
+    cov_val = grad_val - np.einsum("mabn,mn->abn", gamma, a_val)
+    at = (t, cart)
+    return {"covariant": CheckPart.of(np.abs(cov_val - rhs_val), tol, at),
+            "partial": CheckPart.of(np.abs(grad_val - rhs_val), tol, at)}
 
 
 # ---------------------------------------------------------------------------

@@ -98,14 +98,16 @@ class Node:
 
 
 class _Ref(weakref.ref):
-    """The intern table's weak reference to a node, carrying its key."""
-    __slots__ = ("key",)
+    """An intern table's weak reference to a node, carrying the table and
+    the node's key in it."""
+    __slots__ = ("table", "key")
 
 
 def _forget(ref):
-    # a dead node's entry goes only while its key maps to a dead
-    # reference: a node built since under the same key keeps its entry
-    _remove_dead_weakref(_intern, ref.key)
+    # a dead node's entry goes from the table it was added to, and only
+    # while its key maps to a dead reference: a node built since under
+    # the same key keeps its entry
+    _remove_dead_weakref(ref.table, ref.key)
 
 
 _intern = {}
@@ -113,9 +115,13 @@ _intern_lock = threading.Lock()
 _DERIV_KINDS = ("grad", "div", "lap", "dt")
 _new_node = object.__new__
 # the slots' own setters, which write past ``Node.__setattr__``
-(_set_kind, _set_args, _set_data, _set_shape, _set_derived, _set_has_deriv,
- _set_is_zero) = (getattr(Node, name).__set__ for name in Node.__slots__
-                  if name != "__weakref__")
+_set_kind = Node.kind.__set__
+_set_args = Node.args.__set__
+_set_data = Node.data.__set__
+_set_shape = Node.shape.__set__
+_set_derived = Node.derived.__set__
+_set_has_deriv = Node.has_deriv.__set__
+_set_is_zero = Node.is_zero.__set__
 _deriv_flag = operator.attrgetter("has_deriv")
 _zero_flag = operator.attrgetter("is_zero")
 
@@ -133,7 +139,8 @@ def _mk(kind, args=(), data=None, shape=SCALAR):
         if node is not None:
             return node
     with _intern_lock:
-        ref = _intern.get(key)
+        table = _intern
+        ref = table.get(key)
         node = None if ref is None else ref()
         if node is None:
             node = _new_node(Node)
@@ -147,8 +154,9 @@ def _mk(kind, args=(), data=None, shape=SCALAR):
             _set_is_zero(node, data == 0.0 if kind == "const" else
                          kind in ("vec", "mat") and all(map(_zero_flag, args)))
             ref = _Ref(node, _forget)
+            ref.table = table
             ref.key = key
-            _intern[key] = ref
+            table[key] = ref
     return node
 
 

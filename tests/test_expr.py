@@ -623,10 +623,7 @@ class TestConstantDot:
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_zeros_keep_their_sign_bits(self, first, monkeypatch):
-        # a fresh intern table, so the zero of either sign is built first;
-        # collected before, so that no node of the real table dies while
-        # it is swapped out and leaves its dead entry there
-        gc.collect()
+        # a fresh intern table, so the zero of either sign is built first
         monkeypatch.setattr(ex, "_intern", {})
         const(first)
         neg_zero, pos_zero = const(-0.0), const(0.0)
@@ -687,6 +684,23 @@ class TestLifetime:
         assert table.keys() == entries.keys()
         assert all(table[key] is ref for key, ref in entries.items())
         assert const(-0.0) is kept[0] and const(0.0) is kept[1]
+
+    def test_a_node_that_dies_while_its_table_is_swapped_out_leaves_it(
+            self, monkeypatch):
+        gc.collect()
+        before = len(ex._intern)
+        c = const(np.random.default_rng(0x50D).uniform(10.0, 11.0))
+        root = weakref.ref(grad(func("exp", mul(c, coord(0)))))
+        assert root() is None and len(ex._intern) > before
+        # c's entry goes from the table it was added to, not the one in use
+        swapped = {}
+        monkeypatch.setattr(ex, "_intern", swapped)
+        del c
+        gc.collect()
+        assert not swapped
+        monkeypatch.undo()
+        assert len(ex._intern) == before
+        assert all(ref() is not None for ref in ex._intern.values())
 
 
 def flag_oracles(roots):

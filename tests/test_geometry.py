@@ -130,17 +130,6 @@ class TestOneEvaluation:
         # none when an earlier test already compiled it
         assert len(built) <= 1
 
-    def test_compared_bundle_compiles_its_tape_once(self, monkeypatch,
-                                                    drop_compiled):
-        built, build = [], ex._build_tape
-        monkeypatch.setattr(ex, "_build_tape",
-                            lambda root: built.append(1) or build(root))
-        phi = ex.parse_field_expr("dot(x, x)")
-        for _ in range(3):
-            check_covariant_derivative(phi, CHARTS["spherical"], 20, 1e-9, 1)
-        # the chart's tape and the compared bundle's
-        assert len(built) == 2
-
 
 class TestCovariantDerivative:
     def test_covariant_passes_partial_fails_on_curved_chart(self):
