@@ -7,14 +7,20 @@ equality is identity.  Two flags are set when a node is built, from its
 operands' flags: ``has_deriv`` (a derivative operator somewhere in the
 tree) and ``is_zero`` (a constant zero, or a vector or matrix of them).
 What is derived from a node later (its derivatives, expansion, tape and
-float kernel) is kept in the node's own ``derived`` dict, so it lives
-exactly as long as the node.  The intern table maps each node's key to a
-weak reference to it: a node that nothing else holds is freed with
-everything derived from it, and its entry goes with it.
+float kernel) is kept in the node's own ``derived`` dict, made with the
+first such value (``None`` until then), so it lives exactly as long as
+the node.  The intern table maps each node's key to a weak reference to
+it: a node that nothing else holds is freed with everything derived from
+it, and its entry goes with it.
 
 Derivative operators (grad/div/lap/dt) are kept as first-class nodes and
 expanded symbolically before evaluation; no finite differences are ever
 used outside the test oracles.
+
+``evaluate_many`` runs a tape: a flat tuple of instructions, one per node
+of the expanded DAG.  Each is a module-level step function, shared by
+every tape, with its operands: the slots of earlier values, or the node's
+own data.  No closure is made per node.
 
 Both evaluators, ``evaluate_many`` and ``float_kernel``, sum the three
 products of ``dot`` and ``norm`` left to right, so a value has the same
@@ -148,7 +154,7 @@ def _mk(kind, args=(), data=None, shape=SCALAR):
             _set_args(node, args)
             _set_data(node, data)
             _set_shape(node, shape)
-            _set_derived(node, {})
+            _set_derived(node, None)
             _set_has_deriv(node, kind in _DERIV_KINDS
                            or any(map(_deriv_flag, args)))
             _set_is_zero(node, data == 0.0 if kind == "const" else
@@ -238,14 +244,14 @@ def div_by(a, b):
     return mul(a, func("power", b, const(-1.0)))
 
 
-# dot's shape by operand shapes, and the left operand's j-th slice along
+# dot's shape by operand shapes, and the left operand's three slices along
 # the contracted index, which ``evaluate_many`` multiplies by the right
-# operand's j-th row
+# operand's rows in turn
 _DOT = {
-    (VEC, VEC): (SCALAR, lambda j: j),
-    (MAT, VEC): (VEC, lambda j: (slice(None), j)),
-    (MAT, MAT): (MAT, lambda j: (slice(None), j, None)),
-    (VEC, MAT): (VEC, lambda j: j),
+    (VEC, VEC): (SCALAR, (0, 1, 2)),
+    (MAT, VEC): (VEC, tuple((slice(None), j) for j in range(3))),
+    (MAT, MAT): (MAT, tuple((slice(None), j, None) for j in range(3))),
+    (VEC, MAT): (VEC, (0, 1, 2)),
 }
 
 
@@ -425,10 +431,21 @@ def x_vector():
 # ---------------------------------------------------------------------------
 
 def _derived(e, key, build):
-    """``build(e)``, built once and kept in ``e.derived`` under ``key``."""
-    got = e.derived.get(key)
+    """``build(e)``, built once and kept in ``e.derived`` under ``key``.
+
+    The one writer of ``derived``: a node gets the dict with the first
+    value stored in it, and reads as ``None`` until then.
+    """
+    derived = e.derived
+    got = None if derived is None else derived.get(key)
     if got is None:
-        got = e.derived[key] = build(e)
+        got = build(e)
+        # re-read: ``build`` may have stored other values of ``e``
+        derived = e.derived
+        if derived is None:
+            derived = {}
+            _set_derived(e, derived)
+        derived[key] = got
     return got
 
 
@@ -661,8 +678,10 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
     expression's shape, or for a ``bundle`` the tuple of its roots'
     arrays.  Derivative nodes are expanded symbolically first; the
     expanded DAG is compiled once into a tape (see ``_build_tape``), kept
-    while that DAG lives, and each call is one pass over that tape, each
-    shared node computed once.
+    while that DAG lives.  Each call is one pass over that tape, each
+    shared node computed once: every instruction calls its shared step
+    function on its operands, then drops the values that no later step
+    reads.
     """
     tape = _derived(expand_derivatives(e), "tape", _build_tape)
     t_arr = np.asarray(t_arr, dtype=float)
@@ -670,8 +689,8 @@ def evaluate_many(e, t_arr, x_arr, bindings=None):
            bindings or {})
     vals = []
     push = vals.append
-    for step, dead in tape:
-        push(step(vals, env))
+    for fn, a, b, dead in tape:
+        push(fn(vals, env, a, b))
         for k in dead:
             vals[k] = None
     return vals[-1]
@@ -707,29 +726,65 @@ def _post_order(root):
 
 
 def _build_tape(root):
-    """Compile an expanded DAG into a tuple of (step, dead) in ``_post_order``.
+    """Compile an expanded DAG into a tuple of (fn, a, b, dead)
+    instructions in ``_post_order``.
 
-    Step k is a closure ``step(vals, env)`` returning the value of the
-    k-th node from the values of the earlier ones; ``env`` is
-    (N, t_arr, x_arr, bindings).  ``dead`` names the slots whose last use
-    is step k: the evaluator drops their values once it has run, so a call
+    Instruction k computes the value of the k-th node as
+    ``fn(vals, env, a, b)`` from the values of the earlier ones; ``env``
+    is (N, t_arr, x_arr, bindings).  ``fn`` is a module-level step
+    function, shared by every tape, and ``a`` and ``b`` are its operands
+    (see ``_instruction``).  ``dead`` names the slots whose last use is
+    step k: the evaluator drops their values once it has run, so a call
     holds only the values that later steps still read.
     """
     slot, last_use, steps = {}, {}, []
     for k, node in enumerate(_post_order(root)):
-        op = _OPS.get(node.kind)
-        if op is None:
-            raise ExprError("unexpandable node %r reached evaluator"
-                            % node.kind)
         args = [slot[id(a)] for a in _reads(node)]
-        steps.append(op(node, args))
+        steps.append(_instruction(node, args))
         for a in args:
             last_use[a] = k
         slot[id(node)] = k
     dead = [[] for _ in steps]
     for a, k in last_use.items():
         dead[k].append(a)
-    return tuple(zip(steps, map(tuple, dead)))
+    return tuple((*step, tuple(d)) for step, d in zip(steps, dead))
+
+
+def _instruction(node, slots):
+    """The (fn, a, b) of the step that computes ``node`` from the values
+    in ``slots``.
+
+    ``fn`` is the ``_STEPS`` entry of the node's kind, or of its
+    function's name (``reciprocal`` for a power whose exponent is not
+    read).  ``a`` and ``b`` are the operand slots, or the static data of
+    the node: a constant's value, a coordinate's index, a symbol's name
+    and shape, the slot pair and index triple of a dot, a component's
+    index, the slots of a vec, mat or bundle, a unary function's ufunc
+    and domain guard (``_UNARY``).
+    """
+    kind = node.kind
+    if kind == "func":
+        kind = "reciprocal" if len(slots) < len(node.args) else node.data
+    fn = _STEPS.get(kind)
+    if fn is None:
+        raise ExprError("unexpandable node %r reached evaluator"
+                        % node.kind)
+    if kind in ("const", "coord"):
+        return fn, node.data, None
+    if kind == "sym":
+        return fn, node.data[0], node.shape
+    if kind == "dot":
+        return (fn, tuple(slots),
+                _DOT[(node.args[0].shape, node.args[1].shape)][1])
+    if kind == "comp":
+        i, j = node.data
+        return fn, slots[0], i if j is None else (i, j)
+    if kind in ("vec", "mat", "bundle"):
+        return fn, tuple(slots), None
+    if kind in _UNARY:
+        return fn, slots[0], _UNARY[kind]
+    # the rest read the slots of their operands: none, one or two
+    return (fn, *slots, None, None)[:3]
 
 
 def _as_shape(val, shape, n):
@@ -744,97 +799,76 @@ def _as_shape(val, shape, n):
     return np.broadcast_to(val, full)
 
 
-# one op per node kind: op(node, arg_slots) -> step(vals, env)
+# the step functions: step(vals, env, a, b) -> the node's value
 
-def _op_const(node, _):
-    value = node.data
-    return lambda v, env: np.full(env[0], value)
-
-
-def _op_coord(node, _):
-    i = node.data
-    return lambda v, env: env[2][i]
+def _step_const(v, env, value, _):
+    return np.full(env[0], value)
 
 
-def _op_time(node, _):
-    return lambda v, env: env[1]
+def _step_coord(v, env, i, _):
+    return env[2][i]
 
 
-def _op_sym(node, _):
-    name, shape = node.data[0], node.shape
-
-    def step(v, env):
-        bindings = env[3]
-        if name not in bindings:
-            raise UnboundSymbolError("unbound symbol %r" % name)
-        return _as_shape(bindings[name], shape, env[0])
-    return step
+def _step_time(v, env, _a, _b):
+    return env[1]
 
 
-def _op_add(node, slots):
-    a, b = slots
-    return lambda v, env: v[a] + v[b]
+def _step_sym(v, env, name, shape):
+    bindings = env[3]
+    if name not in bindings:
+        raise UnboundSymbolError("unbound symbol %r" % name)
+    return _as_shape(bindings[name], shape, env[0])
 
 
-def _op_mul(node, slots):
-    a, b = slots
-    return lambda v, env: v[a] * v[b]
+def _step_add(v, env, a, b):
+    return v[a] + v[b]
 
 
-def _op_dot(node, slots):
-    a, b = slots
-    i, j, k = map(_DOT[(node.args[0].shape, node.args[1].shape)][1],
-                  range(3))
-
-    def dot(v, env):
-        # in place: at large N temporaries cost more than the arithmetic
-        x, y = v[a], v[b]
-        out = x[i] * y[0]
-        out += x[j] * y[1]
-        out += x[k] * y[2]
-        return out
-    return dot
+def _step_mul(v, env, a, b):
+    return v[a] * v[b]
 
 
-def _op_outer(node, slots):
-    a, b = slots
-    return lambda v, env: v[a][:, None] * v[b][None, :]
+def _step_dot(v, env, ab, ijk):
+    # in place: at large N temporaries cost more than the arithmetic
+    x, y = v[ab[0]], v[ab[1]]
+    i, j, k = ijk
+    out = x[i] * y[0]
+    out += x[j] * y[1]
+    out += x[k] * y[2]
+    return out
 
 
-def _op_transpose(node, slots):
-    a, = slots
-    return lambda v, env: v[a].swapaxes(0, 1)
+def _step_outer(v, env, a, b):
+    return v[a][:, None] * v[b][None, :]
 
 
-def _op_norm(node, slots):
-    a, = slots
-    return lambda v, env: np.sqrt(v[a][0] * v[a][0] + v[a][1] * v[a][1]
-                                  + v[a][2] * v[a][2])
+def _step_transpose(v, env, a, _):
+    return v[a].swapaxes(0, 1)
+
+
+def _step_norm(v, env, a, _):
+    w = v[a]
+    return np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
 
 
 # np.array of the (N,) entries: the values of np.stack at a third of
 # its per-call cost
 
-def _op_vec(node, slots):
-    a, b, c = slots
-    return lambda v, env: np.array([v[a], v[b], v[c]])
+def _step_vec(v, env, abc, _):
+    a, b, c = abc
+    return np.array([v[a], v[b], v[c]])
 
 
-def _op_mat(node, slots):
-    return lambda v, env: np.array([v[k] for k in slots]).reshape(
-        3, 3, env[0])
+def _step_mat(v, env, slots, _):
+    return np.array([v[k] for k in slots]).reshape(3, 3, env[0])
 
 
-def _op_bundle(node, slots):
-    return lambda v, env: tuple(v[k] for k in slots)
+def _step_bundle(v, env, slots, _):
+    return tuple(v[k] for k in slots)
 
 
-def _op_comp(node, slots):
-    a, = slots
-    i, j = node.data
-    if j is None:
-        return lambda v, env: v[a][i]
-    return lambda v, env: v[a][i, j]
+def _step_comp(v, env, a, index):
+    return v[a][index]
 
 
 _POWER_SINGULAR = ("power: reciprocal of a near-zero base (singularity "
@@ -844,54 +878,52 @@ _LOG_DOMAIN = "log of a non-positive value"
 _SQRT_DOMAIN = "sqrt of a negative value"
 
 
-def _op_func(node, slots):
-    name = node.data
-    if name == "power":
-        a = slots[0]
-        if len(slots) == 1:
-            # a reciprocal (``_reads``): numpy's pow loop rounds b**-1 away
-            # from the correctly rounded 1 / b on a few percent of bases
-            def reciprocal(v, env):
-                base = v[a]
-                if np.any(np.abs(base) < _SINGULARITY_EPS):
-                    raise EvalError(_POWER_SINGULAR)
-                return 1.0 / base
-            return reciprocal
-        b = slots[1]
-
-        def power(v, env):
-            base, expo = v[a], v[b]
-            if np.any((np.abs(base) < _SINGULARITY_EPS) & (expo < 0)):
-                raise EvalError(_POWER_SINGULAR)
-            with np.errstate(invalid="raise", divide="raise"):
-                try:
-                    return np.power(base, expo)
-                except FloatingPointError:
-                    raise EvalError(_POWER_DOMAIN) from None
-        return power
-    a, = slots
-    if name == "log":
-        def log(v, env):
-            if np.any(v[a] <= 0):
-                raise EvalError(_LOG_DOMAIN)
-            return np.log(v[a])
-        return log
-    if name == "sqrt":
-        def sqrt(v, env):
-            if np.any(v[a] < 0):
-                raise EvalError(_SQRT_DOMAIN)
-            return np.sqrt(v[a])
-        return sqrt
-    fn = getattr(np, name)   # sin, cos, exp, abs, sign
-    return lambda v, env: fn(v[a])
+def _step_reciprocal(v, env, a, _):
+    # numpy's pow loop rounds b**-1 away from the correctly rounded 1 / b
+    # on a few percent of bases
+    base = v[a]
+    if np.any(np.abs(base) < _SINGULARITY_EPS):
+        raise EvalError(_POWER_SINGULAR)
+    return 1.0 / base
 
 
-_OPS = {
-    "const": _op_const, "coord": _op_coord, "time": _op_time,
-    "sym": _op_sym, "add": _op_add, "mul": _op_mul, "dot": _op_dot,
-    "outer": _op_outer, "transpose": _op_transpose, "norm": _op_norm,
-    "vec": _op_vec, "mat": _op_mat, "comp": _op_comp, "func": _op_func,
-    "bundle": _op_bundle,
+def _step_power(v, env, a, b):
+    base, expo = v[a], v[b]
+    if np.any((np.abs(base) < _SINGULARITY_EPS) & (expo < 0)):
+        raise EvalError(_POWER_SINGULAR)
+    with np.errstate(invalid="raise", divide="raise"):
+        try:
+            return np.power(base, expo)
+        except FloatingPointError:
+            raise EvalError(_POWER_DOMAIN) from None
+
+
+# each unary function's ufunc and its domain guard: the comparison with
+# zero that flags a value outside the domain, and the error's message
+_UNARY = {
+    **{name: (getattr(np, name), None, None)
+       for name in ("sin", "cos", "exp", "abs", "sign")},
+    "log": (np.log, np.less_equal, _LOG_DOMAIN),
+    "sqrt": (np.sqrt, np.less, _SQRT_DOMAIN),
+}
+
+
+def _step_unary(v, env, a, b):
+    fn, outside, message = b
+    x = v[a]
+    if outside is not None and np.any(outside(x, 0.0)):
+        raise EvalError(message)
+    return fn(x)
+
+
+_STEPS = {
+    "const": _step_const, "coord": _step_coord, "time": _step_time,
+    "sym": _step_sym, "add": _step_add, "mul": _step_mul,
+    "dot": _step_dot, "outer": _step_outer, "transpose": _step_transpose,
+    "norm": _step_norm, "vec": _step_vec, "mat": _step_mat,
+    "comp": _step_comp, "bundle": _step_bundle,
+    "reciprocal": _step_reciprocal, "power": _step_power,
+    **dict.fromkeys(_UNARY, _step_unary),
 }
 
 

@@ -281,24 +281,49 @@ def inertial_force(spec, t, x_star, v_star, m, a=0.0):
             - a * fr.rotate(spin, dx))
 
 
+# points per block of ``check_noninertial_closure``: its transient holds
+# about a dozen (3, 3, block) arrays, not a dozen of the whole trajectory
+_CLOSURE_BLOCK = 512
+
+
+def _blocks(n, size):
+    """(start, stop) of consecutive blocks of ``size`` points covering
+    ``n``; a one-point tail joins the block before it, since the einsums
+    of ``inertial_force`` round one point differently from a wider
+    block."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return zip(starts, starts[1:] + [n])
+
+
 def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     """Starred equation residual along a transported trajectory.
 
     The inertial trajectory's own equation supplies xddot analytically,
     so the residual isolates the frame bookkeeping.  The drag
     contribution -a R Rdot^T (x*-c) carries the model's own ``drag``;
-    omitting it must break the balance of a model with drag.
+    omitting it must break the balance of a model with drag.  The
+    trajectory is walked in blocks of ``_CLOSURE_BLOCK`` points, each
+    residual computed as it would be over the whole trajectory.
     """
-    ts, xs, vs, rmat = spec.moved(traj.t, traj.x, traj.v)
-    rdot = spec.at(traj.t, 1)[0]
-    rddot, ddc = spec.at(traj.t, 2)
-    xdd = model.force_at(traj.t, traj.x, traj.v) / model.m
-    xdd_star = (fr.rotate(rddot, traj.x) + fr.rotate(2.0 * rdot, traj.v)
-                + fr.rotate(rmat, xdd) + ddc)
-    forces = model.carried(spec).force_at(ts, xs, vs)
-    fict = inertial_force(spec, ts, xs, vs, model.m,
-                          a=model.drag if include_drag_term else 0.0)
+    carried = model.carried(spec)
+    a = model.drag if include_drag_term else 0.0
+    n = traj.t.shape[0]
+    residual, t_new, x_new = np.empty(n), np.empty(n), np.empty((3, n))
+    for lo, hi in _blocks(n, _CLOSURE_BLOCK):
+        t, x, v = traj.t[lo:hi], traj.x[:, lo:hi], traj.v[:, lo:hi]
+        ts, xs, vs, rmat = spec.moved(t, x, v)
+        rdot = spec.at(t, 1)[0]
+        rddot, ddc = spec.at(t, 2)
+        xdd = model.force_at(t, x, v) / model.m
+        xdd_star = (fr.rotate(rddot, x) + fr.rotate(2.0 * rdot, v)
+                    + fr.rotate(rmat, xdd) + ddc)
+        fict = inertial_force(spec, ts, xs, vs, model.m, a=a)
+        residual[lo:hi] = np.max(np.abs(model.m * xdd_star
+                                        - carried.force_at(ts, xs, vs)
+                                        - fict), axis=0)
+        t_new[lo:hi], x_new[:, lo:hi] = ts, xs
     notes = () if include_drag_term else (
         "drag contribution of the inertial force omitted (expected FAIL)",)
-    return CheckPart.of(np.max(np.abs(model.m * xdd_star - forces - fict),
-                               axis=0), tol, points=(ts, xs), notes=notes)
+    return CheckPart.of(residual, tol, points=(t_new, x_new), notes=notes)

@@ -8,7 +8,8 @@ from invariance import expr as ex
 def _drop_compiled():
     for ref in list(ex._intern.values()):
         node = ref()
-        if node is not None:
+        # a node that has stored no derived value has no dict
+        if node is not None and node.derived is not None:
             node.derived.pop("tape", None)
             node.derived.pop("kernel", None)
 

@@ -242,8 +242,8 @@ class TestTape:
         """Every slot but the root's is dropped exactly once, at a step
         after its own, and no step reads a slot dropped earlier."""
         released = {}
-        for k, (step, dead) in enumerate(tape):
-            assert callable(step)
+        for k, (fn, _, _, dead) in enumerate(tape):
+            assert callable(fn)
             for slot in dead:
                 assert slot < k and slot not in released
                 released[slot] = k
@@ -310,17 +310,14 @@ class TestBundle:
     def test_a_shared_node_is_computed_once(self, monkeypatch,
                                             drop_compiled):
         calls = []
-        op_func = ex._OPS["func"]
+        step = ex._STEPS["sin"]
 
-        def counting(node, slots):
-            step = op_func(node, slots)
+        def counted(v, env, a, b):
+            calls.append(b[0].__name__)
+            return step(v, env, a, b)
 
-            def counted(v, env):
-                calls.append(node.data)
-                return step(v, env)
-            return counted
-
-        monkeypatch.setitem(ex._OPS, "func", counting)
+        for name in ("sin", "cos"):
+            monkeypatch.setitem(ex._STEPS, name, counted)
         shared = func("sin", comp(ex.x_vector(), 0))
         roots = (mul(shared, time()), add(shared, const(1.0)),
                  func("cos", shared))
@@ -665,6 +662,18 @@ class TestLifetime:
         assert root() is None
         assert len(ex._intern) == before
 
+    def test_derived_is_made_with_the_first_stored_value(self):
+        c = const(np.random.default_rng(0xD1C7).uniform(10.0, 11.0))
+        e = mul(c, coord(0))
+        assert e.derived is None and c.derived is None
+        evaluate_many(e, *point(0.5, (0.1, 0.2, 0.3)))
+        assert set(e.derived) == {"tape"}
+        # compiling a root stores nothing on its operands
+        assert c.derived is None
+        differentiate(e, 0)
+        assert set(e.derived) == {"tape", ("d", 0)}
+        assert set(c.derived) == {("d", 0)}
+
     def test_a_node_of_a_swapped_table_leaves_the_restored_one_alone(
             self, monkeypatch):
         kept = const(-0.0), const(0.0)
@@ -846,6 +855,16 @@ class TestShippedRoots:
                     if many[..., k].tobytes() != single[..., 0].tobytes():
                         differ.add(r)
         assert not differ, "%d of %d roots differ" % (len(differ), len(roots))
+
+    def test_every_step_is_a_shared_module_function(self, shipped_calls):
+        fns = {fn for root, _, _ in shipped_calls.values()
+               for fn, _, _, _ in root.derived["tape"]}
+        assert len(fns) > 10
+        for fn in fns:
+            assert fn.__module__ == ex.__name__ and fn.__closure__ is None
+            # the module's own function of that name: one object per step
+            # kind, whatever tape holds it
+            assert getattr(ex, fn.__qualname__) is fn
 
     def test_flags_match_their_oracles(self, shipped_calls):
         fields = [e for _, _, e in shipped_calls.values()]

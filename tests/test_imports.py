@@ -334,7 +334,7 @@ def test_the_check_sees_a_defaulted_setting(tmp_path):
 TEST_ONLY = {
     "expr.py": ("Node.__repr__", "Node.__setattr__", "ParseError.__init__",
                 "_emit_comp", "_emit_dot", "_emit_outer", "_emit_transpose",
-                "_op_outer", "outer"),
+                "_step_outer", "outer"),
     "ns/closure.py": ("nu_phi2_model",),
     "ns/residual.py": ("rigid_shear",),
     "report.py": ("_name_of", "_run_in_processes"),

@@ -145,6 +145,46 @@ class TestNoninertialClosure:
         return mech.check_noninertial_closure(model, self.spec, traj, 1e-5,
                                               include_drag_term)
 
+    def blocked(self, monkeypatch, size, include_drag_term):
+        """The closure check in blocks of ``size`` points: its part, the
+        residual array and points it judged, and the blocks it walked."""
+        got, of, blocks = {}, mech.CheckPart.of, mech._blocks
+
+        def judging(residuals, tol, points=None, notes=()):
+            got["residuals"], got["points"] = residuals, points
+            return of(residuals, tol, points, notes)
+
+        def walking(n, size):
+            got["blocks"] = list(blocks(n, size))
+            return got["blocks"]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mech, "_CLOSURE_BLOCK", size)
+            patch.setattr(mech, "_blocks", walking)
+            patch.setattr(mech.CheckPart, "of", judging)
+            got["part"] = mech.check_noninertial_closure(
+                self.model, self.spec, self.traj, 1e-5, include_drag_term)
+        return got
+
+    @pytest.mark.parametrize("include_drag_term", [True, False])
+    def test_blocks_give_the_bits_of_the_whole_trajectory(
+            self, monkeypatch, include_drag_term):
+        n = self.traj.t.shape[0]
+        whole = self.blocked(monkeypatch, n, include_drag_term)
+        assert whole["blocks"] == [(0, n)]
+        # 2 and 3 leave a one-point tail, which joins the block before it
+        for size in (2, 3, 7, 512, n + 5):
+            got = self.blocked(monkeypatch, size, include_drag_term)
+            starts, stops = zip(*got["blocks"])
+            assert starts[0] == 0 and stops[-1] == n
+            assert starts[1:] == stops[:-1]
+            assert all(hi - lo == size for lo, hi in got["blocks"][:-1])
+            assert 1 < stops[-1] - starts[-1] <= size + 1
+            assert got["residuals"].tobytes() == whole["residuals"].tobytes()
+            for value, want in zip(got["points"], whole["points"]):
+                assert value.tobytes() == want.tobytes()
+            assert got["part"] == whole["part"]
+
     def test_four_term_inertial_force_closes_the_balance(self):
         v = self.closure(self.model)
         assert v.passed and v.residual < 1e-10
