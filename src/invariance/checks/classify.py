@@ -235,8 +235,7 @@ def _transformed_inner(q):
 def _spin_const(base_spin):
     if base_spin is None:
         return matrix_const(np.zeros((3, 3)))
-    frame = base_spin.frame()
-    q, qdot = frame.at(0.0)[0], frame.at(0.0, 1)[0]
+    (q, _), (qdot, _), _ = base_spin.frame().at(0.0)
     return matrix_const(q @ qdot.T)           # Omega = Q Qdot^T, constant
 
 
@@ -269,11 +268,9 @@ def _built(q, base_spin):
 
 @lru_cache(maxsize=None)
 def _built_full(q):
-    """Closed-form field and its transform, for full frame-indifference."""
-    concrete = expand_derivatives(substitute(
-        q.expr, {(PHI if q.field_rule == "scalar" else U).data[0]:
-                 q.inner_field,
-                 "OMEGA": _spin_const(None)}))
+    """Closed-form field and its transform, for full frame-indifference:
+    the base value of ``_built`` without spin, and that value moved."""
+    concrete = _built(q, None)[0]
     moved = expand_derivatives(_rule_apply(
         q.rank, compose(concrete, _XS, time())))
     return concrete, moved

@@ -68,7 +68,8 @@ _SPHERICAL = ("vec(comp(x,1)*sin(comp(x,2))*cos(comp(x,3)),"
 _CYLINDRICAL = ("vec(comp(x,1)*cos(comp(x,2)), comp(x,1)*sin(comp(x,2)),"
                 " comp(x,3))")
 _BOX = ((-1.0, 1.0),) * 3
-_Q_FROZEN = fr.RotationSpec(axis=(1.0, 2.0, 0.5)).frame().at(0.7)[0]
+_Q_FROZEN = fr.at_times(fr.RotationSpec(axis=(1.0, 2.0, 0.5)).frame().q,
+                        0.7)
 
 CHARTS = {c.name: c for c in (
     Chart("identity", parse_field_expr("x"), _BOX),
@@ -188,7 +189,7 @@ def geometric_invariance_suite(n_points, tol, seed):
     dx, dchart = rng.uniform(-0.1, 0.1, (2, 3, n_points))
     dt = 0.1
     frame = fr.RotationSpec(axis=(0.0, 0.0, 1.0)).frame()
-    q, dq = frame.at(t)[0], frame.at(t, 1)[0]
+    _, _, u_new, ((q, _), (dq, _), _) = frame.moved(t, x, u)
     defect = fr.rotate(np.swapaxes(q, 0, 1),
                        fr.rotate(q, dx) + dt * fr.rotate(dq, x)) - dx
     c, s = np.cos(t), np.sin(t)
@@ -201,7 +202,7 @@ def geometric_invariance_suite(n_points, tol, seed):
         "time_dependent_3d_defect_identity": (
             defect - dt * np.stack([-x[1], x[0], np.zeros(n_points)]),
             on_frame),
-        "four_d_velocity_tensor": (frame.moved(t, x, u)[2] - np.stack([
+        "four_d_velocity_tensor": (u_new - np.stack([
             c * u[0] - s * u[1] - s * x[0] - c * x[1],
             s * u[0] + c * u[1] + c * x[0] - s * x[1], u[2]]), on_frame),
     }

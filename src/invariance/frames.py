@@ -7,12 +7,13 @@ constant rotation, c linear in t), ``FrameChange.euclidean`` (a uniform
 rotation and a path) and ``FrameChange.rotation`` (the Rodrigues form of
 a uniform rotation, with numbers or symbols as its parameters) build it.
 ``FrameChange.exprs`` gives Q, Q', Q'' and c, c', c'' as expressions,
-derived by ``differentiate``, and ``FrameChange.at`` evaluates them at
-given times.  ``FrameChange.moved`` is the one velocity rule,
-x~ = Q x + c and v~ = Q v + Q' x + c', over states at given times; the
-mechanics checks and the geometric suite read it.  The suite's
-difference cases, the classifiers' base spin and the closure screen's
-point map read ``at``, and the classifiers compose their point map with
+derived by ``differentiate``, and ``FrameChange.at(t)`` evaluates all six
+in one pass, the jet ((Q, c), (Q', c'), (Q'', c'')); a caller that needs
+only Q reads ``at_times(frame.q, t)``.  ``FrameChange.moved`` is the one
+velocity rule, x~ = Q x + c and v~ = Q v + Q' x + c', over states at
+given times, and returns the jet it read; the mechanics checks and the
+geometric suite read it.  The classifiers' base spin and the closure
+screen read ``at``, and the classifiers compose their point map with
 ``exprs``.
 ``FrameChange.carry`` moves reference values with the frame, and with a
 symmetry's scales, for the mechanics checks and every row of the closure
@@ -39,13 +40,14 @@ Conventions:
 """
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .expr import (
     Node, SCALAR, VEC, MAT,
-    const, time, add, sub, mul, neg, dot, transpose, vec, mat, comp,
+    bundle, const, time, add, sub, mul, neg, dot, transpose, vec, mat, comp,
     func, x_vector, vector_const, matrix_const, zero, parse_field_expr,
     expand_derivatives, compose, differentiate, evaluate_many,
 )
@@ -94,12 +96,15 @@ def rotate(m, a):
     return m[:, 0] * a[0] + m[:, 1] * a[1] + m[:, 2] * a[2]
 
 
-def at_times(e, t, bindings=None):
-    """An expression of time at the scalar ``t``, or at (N,) times with a
-    trailing point axis; ``bindings`` as for ``evaluate_many``."""
+def at_times(e, t):
+    """An expression of time, or the tuple of a ``bundle``'s roots, at the
+    scalar ``t``, or at (N,) times with a trailing point axis."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = evaluate_many(e, ts, np.zeros((3, ts.shape[0])), bindings)
-    return out[..., 0] if np.ndim(t) == 0 else out
+    out = evaluate_many(e, ts, np.zeros((3, ts.shape[0])))
+    if np.ndim(t):
+        return out
+    return (tuple(v[..., 0] for v in out) if isinstance(out, tuple)
+            else out[..., 0])
 
 
 def axis_cross_mat(axis):
@@ -166,7 +171,7 @@ class FrameChange:
         angle, v, c and tau from ``rng`` in that order."""
         rotation = RotationSpec(axis=rng.normal(size=3),
                                 phase=rng.uniform(0, 2 * np.pi))
-        return cls.galilei(r=rotation.frame().at(0.0)[0],
+        return cls.galilei(r=at_times(rotation.frame().q, 0.0),
                            v=rng.uniform(-1, 1, 3), c=rng.uniform(-1, 1, 3),
                            tau=rng.uniform(-1, 1))
 
@@ -194,23 +199,25 @@ class FrameChange:
         derivative is kept on the expression it derives from."""
         return _d_dt(self.q, order), _d_dt(self.c, order)
 
-    def at(self, t, order=0, bindings=None):
-        """Q^(k)(t) and c^(k)(t) for k = ``order`` (0, 1 or 2).
+    @cached_property
+    def _jet(self):
+        return bundle(*(e for k in range(3) for e in self.exprs(k)))
 
-        ``t`` is the old frame's time: a scalar gives (3, 3) and (3,), and
-        (N,) times give (3, 3, N) and (3, N).  ``bindings`` gives values
-        to the symbols of a parametrised frame, as for ``evaluate_many``.
-        """
-        q, c = self.exprs(order)
-        return at_times(q, t, bindings), at_times(c, t, bindings)
+    def at(self, t):
+        """The jet ((Q, c), (Q', c'), (Q'', c'')) at the old frame's time
+        ``t`` from one evaluation of the tape the frame holds: a scalar
+        gives (3, 3) and (3,) arrays, (N,) times (3, 3, N) and (3, N).  A
+        caller that needs only Q reads ``at_times(frame.q, t)``."""
+        q, c, dq, dc, ddq, ddc = at_times(self._jet, t)
+        return (q, c), (dq, dc), (ddq, ddc)
 
     def moved(self, t, x, v):
-        """New-frame (t, x, v) of states (3, N) at times (N,), and Q(t):
-        x~ = Q x + c and v~ = Q v + Q' x + c'."""
-        q, c = self.at(t)
-        dq, dc = self.at(t, 1)
+        """New-frame (t, x, v) of states (3, N) at times (N,), and the jet
+        ``at(t)``: x~ = Q x + c and v~ = Q v + Q' x + c'."""
+        jet = self.at(t)
+        (q, c), (dq, dc), _ = jet
         return (t + self.tau, rotate(q, x) + c,
-                rotate(q, v) + rotate(dq, x) + dc, q)
+                rotate(q, v) + rotate(dq, x) + dc, jet)
 
     def carry(self, x0, v0, lam=1.0, mu=1.0):
         """x0~ = lam Q x0 + c and v0~ = (lam Q v0 + c') / mu at the old
@@ -348,8 +355,8 @@ class Galilei(NSSymmetry):
     @classmethod
     def from_json(cls, d):
         ar = d.get("a_rotation")
-        a = (None if ar is None else RotationSpec(axis=ar["axis"]).frame()
-             .at(float(ar["angle"]))[0])
+        a = (None if ar is None else at_times(
+            RotationSpec(axis=ar["axis"]).frame().q, float(ar["angle"])))
         return super().from_json(d, a_mat=a)
 
 
@@ -381,7 +388,7 @@ class AcceleratedShift(NSSymmetry):
         if len(f) != 3:
             raise ValueError("S2 needs 3 components of f(t)")
         frame = FrameChange.euclidean(path=f)
-        if not np.any(frame.at(np.linspace(0, 1, 17), 2)[1]):
+        if not np.any(frame.at(np.linspace(0, 1, 17))[2][1]):
             raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
                              "Galilei boost)")
         g = 0.0 if self.g is None else self.g

@@ -2,9 +2,9 @@
 4th-order integrator, trajectory and reference transport under a
 ``frames.FrameChange``, and the fictitious-force closure check in
 accelerating frames.  Every frame change takes one path: states move by
-``FrameChange.moved`` and Q, c and their time derivatives come from
-``FrameChange.at``, so a Galilei boost is the Euclidean case with a
-constant Q and a linear c.
+``FrameChange.moved``, and Q, c and their first two time derivatives come
+together, as the jet of ``FrameChange.at(t)``, from one evaluation, so a
+Galilei boost is the Euclidean case with a constant Q and a linear c.
 
 Force laws are expressions over the invariant argument vocabulary
 (differences against transported reference values and their norms).
@@ -22,6 +22,7 @@ from . import expr as ex
 from . import frames as fr
 from .expr import Node, add, mul, sub, sym
 from .checks.verdict import CheckPart
+from .sampling import blocks
 
 __all__ = [
     "ForceModel", "Trajectory", "X_ABS", "V_ABS", "T_ABS",
@@ -238,7 +239,7 @@ def check_force_frame_indifference(model, spec, tol, seed, transport_refs,
     s = rng.uniform((0.0,) + (-1.0,) * 6, (2.0,) + (1.0,) * 6,
                     size=(n_points, 7))
     t, x, v = s[:, 0], s[:, 1:4].T, s[:, 4:7].T
-    t_new, x_new, v_new, q = spec.moved(t, x, v)
+    t_new, x_new, v_new, ((q, _), _, _) = spec.moved(t, x, v)
     moved = model.carried(spec) if transport_refs else model
     return CheckPart.of(
         np.max(np.abs(moved.force_at(t_new, x_new, v_new)
@@ -267,10 +268,7 @@ def inertial_force(spec, t, x_star, v_star, m, a=0.0):
 
     ``t`` is a scalar with (3,) states, or (B,) with (3, B) states.
     """
-    t_old = t - spec.tau
-    rmat, c = spec.at(t_old)
-    rdot, dc = spec.at(t_old, 1)
-    rddot, ddc = spec.at(t_old, 2)
+    (rmat, c), (rdot, dc), (rddot, ddc) = spec.at(t - spec.tau)
     dx = np.asarray(x_star, float) - c
     dv = np.asarray(v_star, float) - dc
     spin = np.einsum("ik...,jk...->ij...", rmat, rdot)       # R Rdot^T
@@ -284,17 +282,6 @@ def inertial_force(spec, t, x_star, v_star, m, a=0.0):
 # points per block of ``check_noninertial_closure``: its transient holds
 # about a dozen (3, 3, block) arrays, not a dozen of the whole trajectory
 _CLOSURE_BLOCK = 512
-
-
-def _blocks(n, size):
-    """(start, stop) of consecutive blocks of ``size`` points covering
-    ``n``; a one-point tail joins the block before it, since the einsums
-    of ``inertial_force`` round one point differently from a wider
-    block."""
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        del starts[-1]
-    return zip(starts, starts[1:] + [n])
 
 
 def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
@@ -311,11 +298,10 @@ def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     a = model.drag if include_drag_term else 0.0
     n = traj.t.shape[0]
     residual, t_new, x_new = np.empty(n), np.empty(n), np.empty((3, n))
-    for lo, hi in _blocks(n, _CLOSURE_BLOCK):
+    for lo, hi in blocks(n, _CLOSURE_BLOCK):
         t, x, v = traj.t[lo:hi], traj.x[:, lo:hi], traj.v[:, lo:hi]
-        ts, xs, vs, rmat = spec.moved(t, x, v)
-        rdot = spec.at(t, 1)[0]
-        rddot, ddc = spec.at(t, 2)
+        ts, xs, vs, ((rmat, _), (rdot, _), (rddot, ddc)) = spec.moved(
+            t, x, v)
         xdd = model.force_at(t, x, v) / model.m
         xdd_star = (fr.rotate(rddot, x) + fr.rotate(2.0 * rdot, v)
                     + fr.rotate(rmat, xdd) + ddc)

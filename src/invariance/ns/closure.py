@@ -109,7 +109,7 @@ def _ansatz(model, u, nu, t0, x0, u0):
 def _random_galilei(rng):
     """``FrameChange.random_galilei`` declared as a ``Galilei`` symmetry."""
     frame = fr.FrameChange.random_galilei(rng)
-    (a, c2), c1 = frame.at(0.0), frame.at(0.0, 1)[1]
+    (a, c2), (_, c1), _ = frame.at(0.0)
     return fr.Galilei(c0=frame.tau, a_mat=a, c1=c1, c2=c2)
 
 
@@ -124,7 +124,7 @@ def _row(model, flows, spec, rng, n_samples, tol):
     x0_new, u0_new = spec.frame.carry(X0, U0, lam, mu)
     t0_new = ex.add(ex.mul(ex.const(mu), T0), ex.const(tau))
     t, x, bind = _samples(rng, n_samples)
-    q, c = spec.frame.at(t)
+    q, c = spec.frame.at(t)[0]
     t_new, x_new = mu * t + tau, lam * fr.rotate(q, x) + c
     cases = []
     for state, v in flows.values():

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import expr as ex
 from ..checks.verdict import CheckPart
-from ..sampling import sample_points
+from ..frames import at_times
+from ..sampling import blocks, sample_points
 
 __all__ = ["Ensemble", "reynolds_tau", "check_decomposed_symmetry"]
 
@@ -59,9 +59,7 @@ def reynolds_tau(fluct):
 def _fluctuation_action(spec, t_arr):
     """(M at the sample times (P, 3, 3), s): the symmetry's velocity action
     without its offsets, which move only the mean flow."""
-    t_arr = np.atleast_1d(t_arr)
-    m = ex.evaluate_many(spec.matrix(), t_arr, np.zeros((3, t_arr.size)))
-    return np.moveaxis(m, 2, 0), spec.s
+    return np.moveaxis(at_times(spec.matrix(), t_arr), 2, 0), spec.s
 
 
 def check_decomposed_symmetry(ensemble, spec, tol, seed, n_points=200):
@@ -72,17 +70,14 @@ def check_decomposed_symmetry(ensemble, spec, tol, seed, n_points=200):
     points are walked in blocks of about ``_BLOCK_DOUBLES / (3 * members)``
     points, so no (points, 3, members) array outgrows one block, and every
     average sums the members along the contiguous axis.  Each point's
-    residual and mean equal those of one pass over all points bit for bit.
-    A block of one point would not (matmul rounds it on another path), so
-    a one-point tail joins the block before it.
+    residual and mean equal those of one pass over all points bit for bit,
+    since ``blocks`` leaves no block of one point.
     """
     t, x = sample_points(n_points, seed)
     mat, scale = _fluctuation_action(spec, t)
     step = max(2, _BLOCK_DOUBLES // (3 * ensemble.n_members))
     residual, mean_abs = np.empty((2, n_points))
-    lo = 0
-    while lo < n_points:
-        hi = n_points if n_points - lo <= step + 1 else lo + step
+    for lo, hi in blocks(n_points, step):
         fluct = ensemble.fluctuations(x[:, lo:hi])
         m = mat[lo:hi]
         moved = m @ fluct
@@ -92,7 +87,6 @@ def check_decomposed_symmetry(ensemble, spec, tol, seed, n_points=200):
         residual[lo:hi] = np.max(np.abs(reynolds_tau(moved) - tau_rule),
                                  axis=(1, 2))
         mean_abs[lo:hi] = np.max(np.abs(fluct.mean(axis=2)), axis=1)
-        lo = hi
     return CheckPart.of(residual, tol, points=(t, x),
                         notes=("fluctuation mean max-norm %.3e"
                                % np.max(mean_abs),))

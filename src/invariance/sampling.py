@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["sample_points", "DEFAULT_SEED", "EXCLUSION_RADIUS"]
+__all__ = ["sample_points", "blocks", "DEFAULT_SEED", "EXCLUSION_RADIUS"]
 
 DEFAULT_SEED = 0xC0FFEE
 EXCLUSION_RADIUS = 0.1
@@ -83,3 +83,14 @@ def sample_points(n=200, seed=DEFAULT_SEED, exclude_origin=True):
     """
     t, x = _points(n, seed, exclude_origin)
     return t.copy(), x.copy()
+
+
+def blocks(n, size):
+    """(start, stop) of consecutive blocks of ``size`` points covering
+    ``n``.  A one-point tail joins the block before it: numpy rounds a
+    one-point block on other paths than a wider one, so a blocked check
+    would not give the bits of one pass over all points."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return zip(starts, starts[1:] + [n])

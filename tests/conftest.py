@@ -22,3 +22,19 @@ def drop_compiled():
     _drop_compiled()
     yield _drop_compiled
     _drop_compiled()
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The root of each ``evaluate_many`` call made under the test, through
+    the expression module or the name the frames module imports."""
+    from invariance import frames as fr
+    calls, evaluate = [], ex.evaluate_many
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return evaluate(*args, **kw)
+
+    monkeypatch.setattr(ex, "evaluate_many", counted)
+    monkeypatch.setattr(fr, "evaluate_many", counted)
+    return calls

@@ -133,7 +133,7 @@ def closure_row(model, tag, n, seed):
     else:
         spec = ns.closure._SCALINGS[tag]
         frame, lam, mu = spec.frame, spec.lam, spec.mu
-    q, dc = frame.at(0.0)[0], frame.at(0.0, 1)[1]
+    q, dc = frame.at(0.0)[0][0], frame.at(0.0)[1][1]
     s, nu_scale = lam / mu, 1.0 if tag == "S5approx" else lam * lam / mu
     t = rng.uniform(0.0, 2.0, size=n)
     x = rng.uniform(-1.0, 1.0, size=(3, n))

@@ -44,7 +44,8 @@ def loop_scan(specs, comparisons, n_points, seed, tol):
             bind = {"rot_a1": spec.axis[0], "rot_a2": spec.axis[1],
                     "rot_a3": spec.axis[2], "rot_w": spec.rate,
                     "rot_ph": spec.phase}
-            q, c = classify_module._FRAME.at(t, 0, bind)
+            q, c = (ex.evaluate_many(e, t, x, bind)
+                    for e in classify_module._FRAME.exprs(0))
             xt = fr.rotate(q, x) + c
             va = ex.evaluate_many(ea, t, xt if ma else x, bind)
             vb = ex.evaluate_many(eb, t, xt if mb else x, bind)

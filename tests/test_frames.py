@@ -27,7 +27,7 @@ class TestRotationSpec:
         for _ in range(20):
             spec = random_rotation_spec(RNG)
             for t in np.linspace(-3, 3, 11):
-                q = spec.frame().at(t)[0]
+                q = spec.frame().at(t)[0][0]
                 assert np.max(np.abs(q @ q.T - np.eye(3))) < 1e-12
                 assert abs(np.linalg.det(q) - 1.0) < 1e-12
 
@@ -38,7 +38,7 @@ class TestRotationSpec:
             assert np.max(np.abs(omega + omega.T)) < 1e-12
             frame = spec.frame()
             for t in np.linspace(-2, 2, 7):
-                q, qd = frame.at(t)[0], frame.at(t, 1)[0]
+                q, qd = frame.at(t)[0][0], frame.at(t)[1][0]
                 assert np.max(np.abs(q @ qd.T - omega)) < 1e-12
 
     def test_spin_matches_finite_difference_qdot(self):
@@ -46,14 +46,14 @@ class TestRotationSpec:
         frame = spec.frame()
         h = 1e-7
         for t in (0.0, 0.5, 1.7):
-            qd_fd = (frame.at(t + h)[0] - frame.at(t - h)[0]) / (2 * h)
-            assert np.max(np.abs(qd_fd - frame.at(t, 1)[0])) < 1e-6
-            omega_fd = frame.at(t)[0] @ qd_fd.T
+            qd_fd = (frame.at(t + h)[0][0] - frame.at(t - h)[0][0]) / (2 * h)
+            assert np.max(np.abs(qd_fd - frame.at(t)[1][0])) < 1e-6
+            omega_fd = frame.at(t)[0][0] @ qd_fd.T
             assert np.max(np.abs(omega_fd - oracle.spin(spec))) < 1e-6
 
     def test_quarter_turn(self):
         spec = fr.RotationSpec(axis=(0, 0, 1), rate=np.pi / 2)
-        x = spec.frame().at(1.0)[0] @ np.array([1.0, 0, 0])
+        x = spec.frame().at(1.0)[0][0] @ np.array([1.0, 0, 0])
         assert np.allclose(x, [0, 1, 0], atol=1e-12)
 
     def test_q_expr_matches_numeric(self):
@@ -68,8 +68,8 @@ class TestRotationSpec:
         f1 = random_rotation_spec(RNG).frame()
         f2 = random_rotation_spec(RNG).frame()
         for t in (0.0, 0.8):
-            q1, q1d = f1.at(t)[0], f1.at(t, 1)[0]
-            q2, q2d = f2.at(t)[0], f2.at(t, 1)[0]
+            q1, q1d = f1.at(t)[0][0], f1.at(t)[1][0]
+            q2, q2d = f2.at(t)[0][0], f2.at(t)[1][0]
             q, qd = q2 @ q1, q2d @ q1 + q2 @ q1d
             omega_total = q @ qd.T
             omega_law = q2 @ (q1 @ q1d.T) @ q2.T + q2 @ q2d.T
@@ -90,10 +90,10 @@ class TestFrameChangeDerivatives:
             frame = spec.frame()
             want = oracle.rotation(spec.axis, spec.rate, spec.phase, self.T)
             for order in range(3):
-                got, c = frame.at(self.T, order)
+                got, c = frame.at(self.T)[order]
                 assert np.max(np.abs(got - want[order])) < 1e-12
                 assert not np.any(c)
-                one, _ = frame.at(self.T[3], order)
+                one, _ = frame.at(self.T[3])[order]
                 assert np.max(np.abs(one - want[order][..., 3])) < 1e-12
 
     def test_path_derivatives_match_closed_forms(self):
@@ -108,7 +108,7 @@ class TestFrameChangeDerivatives:
                 np.stack([3.0 * t, -4 * np.sin(2 * t),
                           0.09 * np.exp(0.3 * t)])]
         for order in range(3):
-            assert np.max(np.abs(spec.at(t, order)[1] - want[order])) < 1e-12
+            assert np.max(np.abs(spec.at(t)[order][1] - want[order])) < 1e-12
 
     def test_derivatives_match_central_differences(self):
         spec = fr.FrameChange.euclidean(
@@ -116,9 +116,9 @@ class TestFrameChangeDerivatives:
             path=("t*t - t", "cos(t)", "0.25"))
         h = 1e-6
         for order in (1, 2):
-            q_lo, c_lo = spec.at(self.T - h, order - 1)
-            q_hi, c_hi = spec.at(self.T + h, order - 1)
-            q, c = spec.at(self.T, order)
+            q_lo, c_lo = spec.at(self.T - h)[order - 1]
+            q_hi, c_hi = spec.at(self.T + h)[order - 1]
+            q, c = spec.at(self.T)[order]
             assert np.max(np.abs((q_hi - q_lo) / (2 * h) - q)) < 1e-7
             assert np.max(np.abs((c_hi - c_lo) / (2 * h) - c)) < 1e-7
 
@@ -128,16 +128,54 @@ class TestFrameChangeDerivatives:
         spec = fr.FrameChange.galilei(r=r, v=v, c=c, tau=0.4)
         t = self.T
         assert spec.tau == 0.4
-        np.testing.assert_array_equal(spec.at(t)[0],
+        np.testing.assert_array_equal(spec.at(t)[0][0],
                                       np.broadcast_to(r[:, :, None],
                                                       (3, 3, t.size)))
-        assert np.max(np.abs(spec.at(t)[1] - (np.outer(v, t)
+        assert np.max(np.abs(spec.at(t)[0][1] - (np.outer(v, t)
                                               + c[:, None]))) < 1e-15
-        np.testing.assert_array_equal(spec.at(t, 1)[1],
+        np.testing.assert_array_equal(spec.at(t)[1][1],
                                       np.repeat(v[:, None], t.size, axis=1))
         for order in (1, 2):
-            assert not np.any(spec.at(t, order)[0])
-        assert not np.any(spec.at(t, 2)[1])
+            assert not np.any(spec.at(t)[order][0])
+        assert not np.any(spec.at(t)[2][1])
+
+
+class TestJet:
+    """``FrameChange.at(t)`` is the jet ((Q, c), (Q', c'), (Q'', c'')) from
+    one evaluation, each entry with the bits of its root read alone."""
+
+    FRAMES = {
+        "galilei": lambda: fr.FrameChange.galilei(
+            r=oracle.matrix(fr.RotationSpec(axis=(2.0, 1.0, -1.0)), 0.9),
+            v=(0.3, -1.0, 2.0), c=(1.0, 0.5, -0.2), tau=0.4),
+        "euclidean": lambda: fr.FrameChange.euclidean(
+            rotation=fr.RotationSpec(axis=(1.0, -2.0, 0.5), rate=1.3,
+                                     phase=0.2),
+            path=("0.5*t*t*t", "sin(2*t)", "exp(0.3*t)"), tau=0.7),
+        "s2": lambda: fr.AcceleratedShift(
+            f=("0.5*t*t", "sin(t)", "0.0")).frame,
+    }
+
+    @pytest.mark.parametrize("t", (0.7, np.linspace(-2.0, 2.0, 9)),
+                             ids=("scalar", "times"))
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_each_order_has_the_bits_of_its_root(self, name, t):
+        frame = self.FRAMES[name]()
+        jet = frame.at(t)
+        assert len(jet) == 3
+        for k, pair in enumerate(jet):
+            for got, e in zip(pair, frame.exprs(k), strict=True):
+                dims = (3, 3) if e.shape == ex.MAT else (3,)
+                assert got.shape == dims + np.shape(t)
+                assert got.tobytes() == fr.at_times(e, t).tobytes(), (name, k)
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_one_evaluation_per_call(self, name, evaluations):
+        frame = self.FRAMES[name]()
+        for t in (0.3, np.linspace(0.0, 1.0, 5)):
+            del evaluations[:]
+            frame.at(t)
+            assert len(evaluations) == 1
 
 
 def moved(spec, t, x):
@@ -151,7 +189,7 @@ def moved(spec, t, x):
 
 def galilei_parts(g):
     """(R, v, c) of a Galilei frame x' = R x + v t + c, read at t = 0."""
-    (r, c), (_, v) = g.at(0.0), g.at(0.0, 1)
+    (r, c), (_, v) = g.at(0.0)[0], g.at(0.0)[1]
     return r, v, c
 
 
@@ -224,8 +262,8 @@ class TestEuclidean:
         spec = fr.FrameChange.euclidean(path=(parse_field_expr("0.5*t*t"),
                                               parse_field_expr("sin(t)"),
                                               const(0.0)))
-        assert np.allclose(spec.at(2.0, 1)[1], [2.0, np.cos(2.0), 0.0])
-        assert np.allclose(spec.at(2.0, 2)[1], [1.0, -np.sin(2.0), 0.0])
+        assert np.allclose(spec.at(2.0)[1][1], [2.0, np.cos(2.0), 0.0])
+        assert np.allclose(spec.at(2.0)[2][1], [1.0, -np.sin(2.0), 0.0])
 
     def test_round_trip(self):
         rotation = fr.RotationSpec(axis=(0, 1, 1), rate=0.6)

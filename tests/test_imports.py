@@ -327,26 +327,27 @@ def test_the_check_sees_a_defaulted_setting(tmp_path):
 
 
 # functions of ``src`` that the shipped use of the command line never
-# runs, so that only tests reach them: error paths, the worker pool of
-# ``--jobs``, the float kernel's emitters for node kinds that no force
-# law holds, and library entries that no shipped scenario names.  This
-# list may only shrink.
+# runs, so that only tests reach them: error paths, the float kernel's
+# emitters for node kinds that no force law holds, and library entries
+# that no shipped scenario names.  This list may only shrink.
 TEST_ONLY = {
     "expr.py": ("Node.__repr__", "Node.__setattr__", "ParseError.__init__",
                 "_emit_comp", "_emit_dot", "_emit_outer", "_emit_transpose",
                 "_step_outer", "outer"),
     "ns/closure.py": ("nu_phi2_model",),
     "ns/residual.py": ("rigid_shear",),
-    "report.py": ("_name_of", "_run_in_processes"),
+    "report.py": ("_name_of",),
 }
 
-# the shipped use: every shipped scenario, the demo list and one demo, and
-# one strict check, each through ``cli.main``
+# the shipped use: every shipped scenario, serial and in two worker
+# processes, the demo list and one demo, and one strict check, each
+# through ``cli.main``
 SHIPPED_USE = """
 from importlib import resources
 from invariance.cli import main
 scenarios = str(resources.files("invariance") / "scenarios")
 main(["suite", scenarios, "--json", "--no-timestamp"])
+main(["suite", scenarios, "--json", "--no-timestamp", "--jobs", "2"])
 main(["demo"])
 main(["demo", "classify_strain_rate"])
 main(["check", scenarios + "/classify_velocity.json", "--strict"])

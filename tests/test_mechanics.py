@@ -148,7 +148,7 @@ class TestNoninertialClosure:
     def blocked(self, monkeypatch, size, include_drag_term):
         """The closure check in blocks of ``size`` points: its part, the
         residual array and points it judged, and the blocks it walked."""
-        got, of, blocks = {}, mech.CheckPart.of, mech._blocks
+        got, of, blocks = {}, mech.CheckPart.of, mech.blocks
 
         def judging(residuals, tol, points=None, notes=()):
             got["residuals"], got["points"] = residuals, points
@@ -160,7 +160,7 @@ class TestNoninertialClosure:
 
         with monkeypatch.context() as patch:
             patch.setattr(mech, "_CLOSURE_BLOCK", size)
-            patch.setattr(mech, "_blocks", walking)
+            patch.setattr(mech, "blocks", walking)
             patch.setattr(mech.CheckPart, "of", judging)
             got["part"] = mech.check_noninertial_closure(
                 self.model, self.spec, self.traj, 1e-5, include_drag_term)
@@ -184,6 +184,16 @@ class TestNoninertialClosure:
             for value, want in zip(got["points"], whole["points"]):
                 assert value.tobytes() == want.tobytes()
             assert got["part"] == whole["part"]
+
+    def test_four_evaluations_per_block(self, monkeypatch, evaluations):
+        # each block reads the frame's jet once through ``moved`` and once
+        # in ``inertial_force``, and evaluates the force in each frame
+        n = self.traj.t.shape[0]
+        for size in (n, 512, 100):
+            monkeypatch.setattr(mech, "_CLOSURE_BLOCK", size)
+            del evaluations[:]
+            self.closure(self.model)
+            assert len(evaluations) == 4 * len(list(mech.blocks(n, size)))
 
     def test_four_term_inertial_force_closes_the_balance(self):
         v = self.closure(self.model)
@@ -349,7 +359,7 @@ class TestBatchedChecksAgainstLoops:
             r, vb, c, tau = loops.boost_parts(seed)
             spec = fr.FrameChange.random_galilei(
                 np.random.default_rng(seed))
-            (q, c0), (_, v0) = spec.at(0.0), spec.at(0.0, 1)
+            (q, c0), (_, v0) = spec.at(0.0)[0], spec.at(0.0)[1]
             assert np.max(np.abs(q - r)) < 1e-15
             np.testing.assert_array_equal(v0, vb)
             np.testing.assert_array_equal(c0, c)
