@@ -39,7 +39,7 @@ Conventions:
     for a uniform rotation), velocity u_tilde = Q u - Omega x_tilde.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -326,12 +326,6 @@ class NSSymmetry:
         """``psi`` is the analytic 2D stream function, or None."""
         return zero(SCALAR)
 
-    @classmethod
-    def from_json(cls, d, **extra):
-        """The symmetry a scenario's ``symmetry`` object describes."""
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d},
-                   **extra)
-
 
 @dataclass(frozen=True)
 class Galilei(NSSymmetry):
@@ -351,13 +345,6 @@ class Galilei(NSSymmetry):
         self._set(c0=float(self.c0), a_mat=a, c1=c1, c2=c2,
                   frame=FrameChange(matrix_const(a), _uniform_path(c1, c2),
                                     self.c0))
-
-    @classmethod
-    def from_json(cls, d):
-        ar = d.get("a_rotation")
-        a = (None if ar is None else at_times(
-            RotationSpec(axis=ar["axis"]).frame().q, float(ar["angle"])))
-        return super().from_json(d, a_mat=a)
 
 
 @dataclass(frozen=True)
@@ -413,10 +400,6 @@ class Reflection(NSSymmetry):
         d = np.ones(3)
         d[self.axis] = -1.0
         self._set(frame=FrameChange(matrix_const(np.diag(d)), zero(VEC)))
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(int(d["axis"]) - 1)
 
 
 @dataclass(frozen=True)

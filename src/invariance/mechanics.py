@@ -263,12 +263,13 @@ def check_galilei_covariance(model, spec, ic, dt, n_steps, tol):
                         tol, points=(again.t, again.x))
 
 
-def inertial_force(spec, t, x_star, v_star, m, a=0.0):
+def inertial_force(jet, x_star, v_star, m, a=0.0):
     """The four-term fictitious force in an accelerating frame.
 
-    ``t`` is a scalar with (3,) states, or (B,) with (3, B) states.
+    ``jet`` is the frame's ``FrameChange.at`` at the states' old time: a
+    scalar time with (3,) states, or (B,) times with (3, B) states.
     """
-    (rmat, c), (rdot, dc), (rddot, ddc) = spec.at(t - spec.tau)
+    (rmat, c), (rdot, dc), (rddot, ddc) = jet
     dx = np.asarray(x_star, float) - c
     dv = np.asarray(v_star, float) - dc
     spin = np.einsum("ik...,jk...->ij...", rmat, rdot)       # R Rdot^T
@@ -300,12 +301,12 @@ def check_noninertial_closure(model, spec, traj, tol, include_drag_term):
     residual, t_new, x_new = np.empty(n), np.empty(n), np.empty((3, n))
     for lo, hi in blocks(n, _CLOSURE_BLOCK):
         t, x, v = traj.t[lo:hi], traj.x[:, lo:hi], traj.v[:, lo:hi]
-        ts, xs, vs, ((rmat, _), (rdot, _), (rddot, ddc)) = spec.moved(
-            t, x, v)
+        ts, xs, vs, jet = spec.moved(t, x, v)
+        (rmat, _), (rdot, _), (rddot, ddc) = jet
         xdd = model.force_at(t, x, v) / model.m
         xdd_star = (fr.rotate(rddot, x) + fr.rotate(2.0 * rdot, v)
                     + fr.rotate(rmat, xdd) + ddc)
-        fict = inertial_force(spec, ts, xs, vs, model.m, a=a)
+        fict = inertial_force(jet, xs, vs, model.m, a=a)
         residual[lo:hi] = np.max(np.abs(model.m * xdd_star
                                         - carried.force_at(ts, xs, vs)
                                         - fict), axis=0)

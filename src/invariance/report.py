@@ -24,12 +24,13 @@ import time as _time
 import numpy as np
 
 from . import __version__
-from . import checks as ck
 from . import frames as fr
 from . import mechanics as mech
-from . import ns
 from . import expr as ex
 from .ns import closure as ns_closure
+from .ns import ensemble as ns_ensemble
+from .ns import residual as ns_residual
+from .checks import classify as ck
 from .checks import geometry as geo
 from .checks.verdict import CheckPart, meets
 from .sampling import DEFAULT_SEED
@@ -96,7 +97,8 @@ class _Payload:
             raise SchemaError("missing %r" % key)
         try:
             return read(value)
-        except (KeyError, TypeError, ValueError, ex.ExprError) as exc:
+        except (KeyError, TypeError, ValueError, ex.ExprError,
+                SchemaError) as exc:
             text = repr(value)
             if len(text) > 80:  # quote a bounded prefix, and the length
                 text = "%s... (%d characters)" % (text[:80], len(text))
@@ -163,12 +165,43 @@ _rotation = _reader(
 
 
 def _scalar_field(value):
+    if type(value) is not str:
+        raise ValueError("expected field-DSL text")
     phi = ex.parse_field_expr(value)
     return _reader("a scalar field", lambda e: e.shape == ex.SCALAR)(phi)
 
 
+# each symmetry's keys besides ``tag`` and their readers, a key left out
+# taking the class's default: G's A is ``a_rotation``, a rotation by
+# ``angle`` about ``axis``, S2's f(t) is one scalar field per component,
+# and S3's axis is numbered 1-3, as a scenario's axes are
+_SYMMETRY_KEYS = {
+    "G": {"c0": _real, "c1": _vector, "c2": _vector, "a_rotation": _reader(
+        "an object of an 'axis', a list of 3 numbers, and a numeric 'angle'",
+        lambda v: type(v) is dict and set(v) == {"axis", "angle"}
+        and _is_vector(v["axis"]) and _is_real(v["angle"]),
+        lambda v: fr.at_times(fr.RotationSpec(axis=v["axis"]).frame().q,
+                              float(v["angle"])))},
+    "S1": {"eps": _real},
+    "S2": {"f": _reader("a list of 3 strings",
+                        lambda v: type(v) is list and len(v) == 3,
+                        lambda v: tuple(map(_scalar_field, v))),
+           "g": _scalar_field},
+    "S3": {"axis": _reader("an integer from 1 to 3",
+                           lambda v: type(v) is int and 1 <= v <= 3,
+                           lambda v: v - 1)},
+    "S4": {}, "S5": {"a": _real}, "S6": {"omega": _real},
+    "R3D": {"rate": _real, "axis": _vector},
+}
+
+
 def _parse_ns_spec(d):
-    return fr.NS_SYMMETRIES[d["tag"]].from_json(d)
+    p = _Payload(_object(d))
+    tag = p.get("tag", _one_of(fr.NS_SYMMETRIES))
+    kw = {("a_mat" if key == "a_rotation" else key): p.get(key, read)
+          for key, read in _SYMMETRY_KEYS[tag].items() if key in d}
+    p.done()
+    return fr.NS_SYMMETRIES[tag](**kw)
 
 
 def _run_classify(p, tol, seed):
@@ -251,13 +284,13 @@ def _run_mechanics(p, tol, seed):
 
 
 def _run_ns_symmetry(p, tol, seed):
-    sol = p.get("solution", _one_of(ns.SOLUTIONS))
+    sol = p.get("solution", _one_of(ns_residual.SOLUTIONS))
     spec = p.get("symmetry", _parse_ns_spec)
     p.done()
-    state = ns.SOLUTIONS[sol]()
-    ns.certify(state)   # a non-solution is an error, not an expected FAIL
-    return {"symmetry": ns.check_ns_symmetry(state, spec, tol, seed)}, \
-        {"solution": sol}
+    state = ns_residual.SOLUTIONS[sol]()
+    ns_residual.certify(state)   # a non-solution is an error, not a FAIL
+    return {"symmetry": ns_residual.check_ns_symmetry(
+        state, spec, tol, seed)}, {"solution": sol}
 
 
 def _run_decomposed(p, tol, seed):
@@ -265,8 +298,8 @@ def _run_decomposed(p, tol, seed):
     n_members = p.get("members", _count(2), 4096)
     spec = p.get("symmetry", _parse_ns_spec)
     p.done()
-    return {"symmetry": ns.check_decomposed_symmetry(
-        ns.Ensemble.random(n_members, seed), spec, tol, seed)}, {}
+    return {"symmetry": ns_ensemble.check_decomposed_symmetry(
+        ns_ensemble.Ensemble.random(n_members, seed), spec, tol, seed)}, {}
 
 
 def _run_closure_screen(p, tol, seed):

@@ -10,8 +10,9 @@ import numpy as np
 from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
-from invariance import ns
 from invariance.checks.verdict import FAIL_FLOOR
+from invariance.ns import closure as ns_closure
+from invariance.ns import residual as ns_residual
 from invariance.sampling import sample_points
 
 import frame_oracle as oracle
@@ -91,7 +92,7 @@ def noninertial_closure(model, spec, traj, a, rotation, path):
         xdd = np.asarray(model.force_at(traj.t[k], x, v)) / model.m
         xdd_star = rddot @ x + 2.0 * rdot @ v + rmat @ xdd + ddc
         moved = carried(model, rmat, c, dc, spec.tau)
-        fict = mech.inertial_force(spec, ts, xs, vs, model.m, a=a)
+        fict = mech.inertial_force(spec.at(traj.t[k]), xs, vs, model.m, a=a)
         residuals.append(np.max(np.abs(model.m * xdd_star
                                        - moved.force_at(ts, xs, vs) - fict)))
         witnesses.append((float(ts), tuple(xs)))
@@ -102,12 +103,12 @@ def ns_symmetry(state, spec, n_points=200, seed=None):
     """The transformed flow's Navier-Stokes residual one sample point at
     a time: the larger of |continuity| and the largest |momentum|
     component."""
-    moved = ns.transform_flow(state, spec)
+    moved = ns_residual.transform_flow(state, spec)
     kw = {} if seed is None else {"seed": seed}
     t, x = sample_points(n_points, **kw)
     residuals, witnesses = [], []
     for k in range(n_points):
-        cont, mom = ns.ns_residual(moved, t[k:k + 1], x[:, k:k + 1])
+        cont, mom = ns_residual.ns_residual(moved, t[k:k + 1], x[:, k:k + 1])
         residuals.append(max(abs(cont[0]), np.max(np.abs(mom[:, 0]))))
         witnesses.append((t[k], tuple(x[:, k])))
     return residuals, witnesses
@@ -131,7 +132,7 @@ def closure_row(model, tag, n, seed):
     if tag == "G":
         frame, lam, mu = fr.FrameChange.random_galilei(rng), 1.0, 1.0
     else:
-        spec = ns.closure._SCALINGS[tag]
+        spec = ns_closure._SCALINGS[tag]
         frame, lam, mu = spec.frame, spec.lam, spec.mu
     q, dc = frame.at(0.0)[0][0], frame.at(0.0)[1][1]
     s, nu_scale = lam / mu, 1.0 if tag == "S5approx" else lam * lam / mu
@@ -140,7 +141,7 @@ def closure_row(model, tag, n, seed):
     t0 = rng.uniform(-1.0, 1.0, size=n)
     x0 = rng.uniform(-1.0, 1.0, size=(3, n))
     u0 = rng.uniform(-1.0, 1.0, size=(3, n))
-    relative = model.w is not ns.closure.MEAN_U
+    relative = model.w is not ns_closure.MEAN_U
 
     def ansatz(nu, dt0, dx, u, u_ref, grad, lap_u):
         w = u - u_ref if relative else u
@@ -155,7 +156,7 @@ def closure_row(model, tag, n, seed):
 
     residuals, witnesses = [], []
     for name in CLOSURE_FLOWS:
-        state = ns.SOLUTIONS[name]()
+        state = ns_residual.SOLUTIONS[name]()
         ubar, g, lap = (ex.evaluate_many(e, t, x) for e in (
             state.u, ex.grad(state.u), ex.lap(state.u)))
         for k in range(n):

@@ -10,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invariance import checks as ck
 from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
-from invariance import ns
+from invariance.checks import classify as ck
+from invariance.checks import geometry as geo
 from invariance.checks.verdict import meets
+from invariance.ns import closure as ns_closure
+from invariance.ns import ensemble as ns_ensemble
+from invariance.ns import residual as ns_residual
 from invariance.report import run_suite
 from invariance.sampling import DEFAULT_SEED, sample_points
 
@@ -79,14 +82,14 @@ def test_criterion_2_vorticity_offset_identity():
 def test_criterion_3_christoffel_and_covariant_derivative():
     worst = 0.0
     for name in ("spherical", "cylindrical"):
-        chart = ck.CHARTS[name]
+        chart = geo.CHARTS[name]
         pts = chart.sample(50, DEFAULT_SEED)
-        got = ck.christoffel_transform(*chart.at(pts)[1:])
-        ref = ck.closed_form_christoffel(name, pts)
+        got = geo.christoffel_transform(*chart.at(pts)[1:])
+        ref = geo.closed_form_christoffel(name, pts)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     phi = ex.parse_field_expr("dot(x, x) + sin(comp(x, 1))")
-    out = ck.check_covariant_derivative(phi, ck.CHARTS["spherical"], 50,
-                                        1e-9, DEFAULT_SEED)
+    out = geo.check_covariant_derivative(phi, geo.CHARTS["spherical"], 50,
+                                          1e-9, DEFAULT_SEED)
     gap = out["partial"].residual - out["covariant"].residual
     ok = worst < 1e-9 and out["covariant"].passed and gap >= 1e-3
     report(3, ok, "Christoffel match %.1e; covariant/partial gap %.1e"
@@ -96,7 +99,7 @@ def test_criterion_3_christoffel_and_covariant_derivative():
 def test_criterion_4_geometric_suite():
     expect = json.loads((SCENARIO_DIR / "geometric_suite.json").read_text()
                         )["expect"]
-    parts = ck.geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
+    parts = geo.geometric_invariance_suite(100, 1e-10, DEFAULT_SEED)
     met = [case for case, want in expect.items() if meets(parts[case], want)]
     residual_4d = parts["four_d_velocity_tensor"].residual
     dependent = sorted(case for case, part in parts.items()
@@ -151,7 +154,7 @@ def test_criterion_5_mechanics():
 
 
 def test_criterion_6_ns_symmetry_verdicts():
-    beltrami = ns.beltrami()
+    beltrami = ns_residual.beltrami()
     a = oracle.matrix(fr.RotationSpec(axis=(1.0, 1.0, 0.0)), 0.7)
     passing = [
         fr.Galilei(c0=0.3, a_mat=a, c1=(0.2, -0.1, 0.4)),
@@ -163,16 +166,18 @@ def test_criterion_6_ns_symmetry_verdicts():
     ]
     worst = 0.0
     for spec in passing:
-        v = ns.check_ns_symmetry(beltrami, spec, 1e-8, DEFAULT_SEED)
+        v = ns_residual.check_ns_symmetry(beltrami, spec, 1e-8, DEFAULT_SEED)
         assert v.passed, spec.tag
         worst = max(worst, v.residual)
-    s5 = ns.check_ns_symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25),
-                              1e-8, DEFAULT_SEED)
-    s6 = ns.check_ns_symmetry(ns.taylor_green(), fr.PlanarRotation(0.8),
-                              1e-8, DEFAULT_SEED)
-    neg = ns.check_ns_symmetry(beltrami,
-                               fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9),
-                               1e-8, DEFAULT_SEED)
+    s5 = ns_residual.check_ns_symmetry(ns_residual.beltrami(nu=0.0),
+                                       fr.EulerScaling(0.25), 1e-8,
+                                       DEFAULT_SEED)
+    s6 = ns_residual.check_ns_symmetry(ns_residual.taylor_green(),
+                                       fr.PlanarRotation(0.8), 1e-8,
+                                       DEFAULT_SEED)
+    neg = ns_residual.check_ns_symmetry(
+        beltrami, fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9), 1e-8,
+        DEFAULT_SEED)
     ok = worst < 1e-8 and s5.passed and s6.passed and neg.residual > 1e-2
     report(6, ok, "G,S1-S4 < %.1e; S5(Euler) %.1e; S6(TG+regauge) %.1e; "
            "3D control %.1e" % (worst, s5.residual, s6.residual,
@@ -180,12 +185,13 @@ def test_criterion_6_ns_symmetry_verdicts():
 
 
 def test_criterion_7_reynolds_decomposition():
-    ensemble = ns.Ensemble.random(4096, DEFAULT_SEED)
+    ensemble = ns_ensemble.Ensemble.random(4096, DEFAULT_SEED)
     a = oracle.matrix(fr.RotationSpec(axis=(0.0, 1.0, 1.0)), 0.6)
     galilei = fr.Galilei(c0=0.2, a_mat=a, c1=(0.1, 0.0, -0.3))
-    vg = ns.check_decomposed_symmetry(ensemble, galilei, 1e-13, DEFAULT_SEED)
-    vs1 = ns.check_decomposed_symmetry(ensemble, fr.Scaling(0.35), 1e-12,
-                                       DEFAULT_SEED)
+    vg = ns_ensemble.check_decomposed_symmetry(ensemble, galilei, 1e-13,
+                                               DEFAULT_SEED)
+    vs1 = ns_ensemble.check_decomposed_symmetry(ensemble, fr.Scaling(0.35),
+                                                1e-12, DEFAULT_SEED)
 
     t, x = sample_points(100)
     mean_worst = 0.0
@@ -211,12 +217,12 @@ def test_criterion_7_reynolds_decomposition():
 
 def test_criterion_8_closure_restriction_rows():
     def screen(model, tags):
-        return ns.screen_closure(model, tags, 1e-10, DEFAULT_SEED)
+        return ns_closure.screen_closure(model, tags, 1e-10, DEFAULT_SEED)
 
-    nu_row = screen(ns.nu_phi2_model(), ("S4",))
-    const_row = screen(ns.constant_phi2_model(), ("S4",))
-    bare_row = screen(ns.bare_mean_velocity_model(), ("G",))
-    compliant = screen(ns.compliant_model(),
+    nu_row = screen(ns_closure.nu_phi2_model(), ("S4",))
+    const_row = screen(ns_closure.constant_phi2_model(), ("S4",))
+    bare_row = screen(ns_closure.bare_mean_velocity_model(), ("G",))
+    compliant = screen(ns_closure.compliant_model(),
                        ("G", "S1", "S3", "S4", "S6approx"))
     ok = (nu_row["S4"].passed and not const_row["S4"].passed
           and not bare_row["G"].passed

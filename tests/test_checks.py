@@ -1,21 +1,17 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from invariance import checks as ck
 from invariance import expr as ex
 from invariance import frames as fr
 from invariance import report
+from invariance.checks import classify as ck
+from invariance.checks.verdict import CheckPart
 from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
 from defect_oracle import form_invariance_defect
-
-# the module, not the ``classify`` function that ``invariance.checks``
-# re-exports under the same name
-classify_module = importlib.import_module("invariance.checks.classify")
 
 SPECS = ck.random_rotations(10, seed=0xA11CE)
 BASE_SPIN = fr.RotationSpec(axis=(1.0, -1.0, 2.0), rate=0.8)
@@ -45,7 +41,7 @@ def loop_scan(specs, comparisons, n_points, seed, tol):
                     "rot_a3": spec.axis[2], "rot_w": spec.rate,
                     "rot_ph": spec.phase}
             q, c = (ex.evaluate_many(e, t, x, bind)
-                    for e in classify_module._FRAME.exprs(0))
+                    for e in ck._FRAME.exprs(0))
             xt = fr.rotate(q, x) + c
             va = ex.evaluate_many(ea, t, xt if ma else x, bind)
             vb = ex.evaluate_many(eb, t, xt if mb else x, bind)
@@ -55,8 +51,8 @@ def loop_scan(specs, comparisons, n_points, seed, tol):
             witnesses.append((float(t[i]), tuple(x[:, i])))
         k = int(np.argmax(worsts))
         top = float(worsts[k])
-        out.append(ck.CheckPart(passed=bool(np.isfinite(top) and top <= tol),
-                                residual=top, witness=witnesses[k]))
+        out.append(CheckPart(passed=bool(np.isfinite(top) and top <= tol),
+                             residual=top, witness=witnesses[k]))
     return out
 
 
@@ -193,16 +189,16 @@ class TestImplicationAudit:
         # of -inf, so the worse-of rule keeps the objectivity part.
         judged = []
 
-        class FailsTheTensorPart(ck.CheckPart):
+        class FailsTheTensorPart(CheckPart):
             @classmethod
             def of(cls, residuals, tol, points=None, notes=()):
-                judged.append(ck.CheckPart.of(residuals, tol, points, notes))
+                judged.append(CheckPart.of(residuals, tol, points, notes))
                 if len(judged) % 2:
                     return replace(judged[-1], passed=False,
                                    residual=-np.inf)
                 return judged[-1]
 
-        monkeypatch.setattr(classify_module, "CheckPart", FailsTheTensorPart)
+        monkeypatch.setattr(ck, "CheckPart", FailsTheTensorPart)
         with pytest.raises(RuntimeError, match="form-invariance failed"):
             verdict_for(ck.strain_rate_quantity)
         path = tmp_path / "strain_rate.json"
@@ -263,13 +259,12 @@ class TestOracles:
                                       phase=2.7 + 0.08 * k)
                       for k in range(10)]
         about_e1 = fr.RotationSpec(axis=(1.0, 0.0, 0.0), rate=1.1, phase=0.5)
-        assert len(half_turns) == classify_module._BATCH
-        full = [classify_module._pairs(q, "full", None)[1]]
+        assert len(half_turns) == ck._BATCH
+        full = [ck._pairs(q, "full", None)[1]]
         with pytest.warns(RuntimeWarning):
-            first, = classify_module._scan(half_turns, full, 200,
-                                           DEFAULT_SEED, TOL)
-            got, = classify_module._scan(half_turns + [about_e1], full, 200,
-                                         DEFAULT_SEED, TOL)
+            first, = ck._scan(half_turns, full, 200, DEFAULT_SEED, TOL)
+            got, = ck._scan(half_turns + [about_e1], full, 200,
+                            DEFAULT_SEED, TOL)
             want, = loop_scan(half_turns + [about_e1], full, 200,
                               DEFAULT_SEED, TOL)
         assert first.residual == np.inf
@@ -280,8 +275,8 @@ class TestOracles:
         # Python's max drops a NaN in second position and reported a
         # rounding-level residual for a failed part
         monkeypatch.setattr(
-            classify_module, "_scan",
-            lambda specs, pairs, n, seed, tol: [ck.CheckPart.of(r, tol)
+            ck, "_scan",
+            lambda specs, pairs, n, seed, tol: [CheckPart.of(r, tol)
                                                 for r in (1e-15, np.nan)])
         v = verdict_for(ck.strain_rate_quantity, objectivity_mode="explicit")
         assert v["tensor"].passed
@@ -298,9 +293,8 @@ class TestOracles:
                         (ck.strain_rate_quantity(), None),
                         (ck.velocity_relative_quantity(), BASE_SPIN),
                         (ck.velocity_relative_quantity(), still)]:
-            found = classify_module._scan(
-                specs, classify_module._pairs(q, "explicit", spin), 200, 7,
-                1e-9)
+            found = ck._scan(specs, ck._pairs(q, "explicit", spin), 200, 7,
+                             1e-9)
             v = ck.classify(q, specs, TOL, 7, base_spin=spin)
             if not q.relative:
                 found[1] = max(found, key=lambda part: part.residual)
@@ -335,11 +329,10 @@ class TestRandomRotations:
 def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
     # the comparisons and the point map of a batch share one tape
     q = ck.z_tensor_quantity()
-    pairs = (classify_module._pairs(q, "explicit", None)
-             + classify_module._pairs(q, "full", None))
+    pairs = ck._pairs(q, "explicit", None) + ck._pairs(q, "full", None)
     specs = ck.random_rotations(13, seed=3)
     calls = []
-    evaluate_many, at = classify_module.evaluate_many, fr.FrameChange.at
+    evaluate_many, at = ck.evaluate_many, fr.FrameChange.at
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -347,10 +340,10 @@ def test_a_scan_is_one_evaluator_call_per_batch(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(classify_module, "evaluate_many",
+    monkeypatch.setattr(ck, "evaluate_many",
                         counted("evaluate_many", evaluate_many))
     monkeypatch.setattr(fr.FrameChange, "at", counted("at", at))
-    found = classify_module._scan(specs, pairs, 200, 3, 1e-9)
+    found = ck._scan(specs, pairs, 200, 3, 1e-9)
     assert len(found) == 4 and found[0] == found[2]
     assert calls == ["evaluate_many"] * 2
 
@@ -370,20 +363,20 @@ class TestBatchInvariance:
                                                 monkeypatch):
         q = report.QUANTITIES[name]()
         specs = ck.random_rotations(13, seed=seed)
-        assert len(specs) % classify_module._BATCH
+        assert len(specs) % ck._BATCH
         if q.relative:
             still = fr.RotationSpec(axis=(0.0, 0.0, 1.0), rate=0.0)
             kws = [{"base_spin": spin} for spin in (BASE_SPIN, still)]
         else:
             kws = [{"objectivity_mode": mode} for mode in ("explicit", "full")]
-        pairs = [pair for kw in kws for pair in classify_module._pairs(
+        pairs = [pair for kw in kws for pair in ck._pairs(
             q, kw.get("objectivity_mode"), kw.get("base_spin"))]
         runs = [lambda kw=kw: ck.classify(q, specs, TOL, seed, **kw)
                 for kw in kws]
-        got_scan = classify_module._scan(specs, pairs, 200, seed, 1e-9)
+        got_scan = ck._scan(specs, pairs, 200, seed, 1e-9)
         got = [run() for run in runs]
         want_scan = loop_scan(specs, pairs, 200, seed, 1e-9)
-        monkeypatch.setattr(classify_module, "_scan", loop_scan)
+        monkeypatch.setattr(ck, "_scan", loop_scan)
         want = [run() for run in runs]
         assert bits(got_scan) == bits(want_scan)
         for verdict, oracle in zip(got, want):

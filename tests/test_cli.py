@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import invariance
+from invariance import frames as fr
 from invariance import mechanics as mech
-from invariance import ns
+from invariance.ns import residual as ns_residual
 from invariance.cli import _BUILTIN_HASHES, main
-from invariance.report import run_scenario, run_suite
+from invariance.report import _parse_ns_spec, run_scenario, run_suite
 
 SCENARIOS = Path(str(resources.files("invariance") / "scenarios"))
 
@@ -120,8 +121,8 @@ class TestRunScenario:
         # a Beltrami flow whose decay disagrees with its viscosity solves
         # nothing: the base flow's certificate must stop it before its 3D
         # rotation meets the negative control's expected FAIL
-        monkeypatch.setitem(ns.SOLUTIONS, "beltrami",
-                            lambda: replace(ns.beltrami(), nu=0.5))
+        monkeypatch.setitem(ns_residual.SOLUTIONS, "beltrami",
+                            lambda: replace(ns_residual.beltrami(), nu=0.5))
         report, code = run_scenario(shipped("ns_r3d_negative_control"),
                                     None, None)
         assert code == 3 and report["error_kind"] == "execution"
@@ -132,8 +133,21 @@ class TestRunScenario:
         {"tag": "S1"}, {"tag": "S3", "axis": 7}, "S1",
         {"tag": "S5", "a": "x"}, {"tag": "G", "c1": [1, 2]},
         {"tag": "S9"},
+        {"tag": "S3", "axis": 1.5}, {"tag": "S3", "axis": True},
+        {"tag": "S3", "axis": "2"}, {"tag": "S3", "axis": 0},
+        {"tag": "S1", "eps": "0.3"}, {"tag": "S1", "eps": True},
+        {"tag": "S1", "eps": 0.3, "bogus": 5},
+        {"tag": "S1", "eps": float("nan")}, {"tag": "G", "c0": "0.5"},
+        {"tag": "G", "a_rotation": {"axis": [0, 0, 1]}},
+        {"tag": "S2", "f": ["t*t", 1, "0"]},
+        {"tag": "S2", "f": ["t*t", "0", "0"], "g": 0.5},
+        {"tag": "S4", "eps": 0.3}, {"axis": 2},
     ], ids=["missing-eps", "bad-axis", "not-an-object", "non-numeric",
-            "short-vector", "unknown-tag"])
+            "short-vector", "unknown-tag", "fractional-axis", "boolean-axis",
+            "string-axis", "zero-axis", "string-eps", "boolean-eps",
+            "unknown-key", "nan-eps", "string-c0", "angle-missing",
+            "numeric-path", "numeric-g", "key-of-another-tag",
+            "missing-tag"])
     def test_malformed_symmetry_is_schema_error(self, tmp_path, symmetry):
         doc = {"schema": 1, "name": "bad", "kind": "ns-symmetry",
                "payload": {"solution": "beltrami", "symmetry": symmetry},
@@ -142,6 +156,32 @@ class TestRunScenario:
         p.write_text(json.dumps(doc))
         report, code = run_scenario(str(p), None, None)
         assert code == 2 and report["error_kind"] == "schema"
+
+    def test_every_symmetry_has_its_keys_read(self):
+        # each registered symmetry has a schema, and a key left out takes
+        # the class's default
+        least = {"G": {}, "S1": {"eps": 0.3}, "S2": {"f": ["t*t", "0", "0"]},
+                 "S3": {"axis": 1}, "S4": {}, "S5": {"a": 0.2},
+                 "S6": {"omega": 0.5}, "R3D": {"rate": 0.9}}
+        assert set(least) == set(fr.NS_SYMMETRIES)
+        for tag, keys in least.items():
+            spec = _parse_ns_spec(dict(keys, tag=tag))
+            assert type(spec) is fr.NS_SYMMETRIES[tag]
+
+    def test_reflection_axes_are_numbered_from_one(self, tmp_path):
+        # a scenario numbers the axes 1-3, and the refusal of 0 says so
+        p = tmp_path / "reflect.json"
+        for axis in (0, 1, 3):
+            p.write_text(json.dumps({
+                "schema": 1, "name": "reflect", "kind": "ns-symmetry",
+                "payload": {"solution": "beltrami",
+                            "symmetry": {"tag": "S3", "axis": axis}}}))
+            report, code = run_scenario(str(p), None, None)
+            if axis == 0:
+                assert code == 2
+                assert "expected an integer from 1 to 3" in report["error"]
+            else:
+                assert code == 0 and report["parts"] == {"symmetry": True}
 
     def test_zero_rotations_is_schema_error(self, tmp_path):
         # no rotation means nothing was compared: not a vacuous PASS

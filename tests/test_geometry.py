@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invariance import checks as ck
 from invariance import expr as ex
 from invariance import report
 from invariance.checks import geometry

@@ -9,9 +9,12 @@ keyed by ``id`` outlives the objects whose ids it holds, no check
 defaults the tolerance or the seed that a scenario sets, and every
 function that ``src`` defines runs in the shipped use of the command
 line unless it is an error path or a library entry that only tests
-reach."""
+reach.  Each name has one import path, its own module's: no package
+``__init__`` below ``src/invariance`` binds a name, and every module
+imports on its own, in a process that has imported no other."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -435,3 +438,115 @@ def test_the_check_sees_a_function_only_tests_reach(tmp_path):
     assert unreached_functions(package, "from pkg.a import C\nC().m()\n",
                                tmp_path) == ["a.py:spare", "a.py:C.n",
                                              "a.py:C.D.k"]
+
+
+def package_bindings(root):
+    """``path:name`` of each name that an ``__init__.py`` below ``root``
+    (the package's own aside) binds, by an import, an assignment, a def
+    or a class."""
+    found = []
+    for path in sorted(root.glob("*/**/__init__.py")):
+        where = path.relative_to(root).as_posix()
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                    str(path))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                found.append("%s:%s" % (where, n.id))
+            elif isinstance(n, ast.alias):
+                found.append("%s:%s" % (where, n.asname
+                                        or n.name.split(".")[0]))
+            elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                found.append("%s:%s" % (where, n.name))
+    return found
+
+
+def test_subpackages_bind_no_names():
+    assert len(list(SRC.glob("*/**/__init__.py"))) >= 2
+    assert package_bindings(SRC) == []
+
+
+def test_the_check_sees_a_name_a_subpackage_binds(tmp_path):
+    (tmp_path / "__init__.py").write_text('__version__ = "1"\n')
+    for sub in ("a", "b", "b/c"):
+        (tmp_path / sub).mkdir()
+    (tmp_path / "a" / "__init__.py").write_text('"""Only a docstring."""\n')
+    (tmp_path / "b" / "__init__.py").write_text(
+        "from .m import f, g as h\nimport os.path\n__all__ = ['f']\n")
+    (tmp_path / "b" / "c" / "__init__.py").write_text(
+        "if True:\n    def k():\n        pass\n")
+    assert package_bindings(tmp_path) == [
+        "b/__init__.py:f", "b/__init__.py:h", "b/__init__.py:os",
+        "b/__init__.py:__all__", "b/c/__init__.py:k"]
+
+
+def module_names(root):
+    """The dotted name of each module under the package ``root``, a
+    package by its ``__init__``."""
+    names = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        names.append(".".join(parts[:-1] if parts[-1] == "__init__"
+                              else parts))
+    return names
+
+
+def test_a_dotted_import_binds_the_module():
+    import invariance.checks.classify as m
+    assert isinstance(m, types.ModuleType)
+    assert m.__name__ == "invariance.checks.classify"
+    # ``import a.b.c as m`` reads the attribute ``c`` of ``a.b``: for each
+    # module that attribute path ends at the module itself
+    for name in module_names(SRC):
+        module = importlib.import_module(name)
+        top, *path = name.split(".")
+        reached = importlib.import_module(top)
+        for attr in path:
+            reached = getattr(reached, attr)
+        assert reached is module, name
+
+
+# imports each module named in argv[1:] in turn, after dropping every
+# module of its top-level package from ``sys.modules``, and prints the
+# name and error of each that fails
+_ALONE = r"""
+import importlib, sys
+for name in sys.argv[1:]:
+    top = name.split(".")[0]
+    for key in [k for k in sys.modules
+                if k == top or k.startswith(top + ".")]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        print("%s: %r" % (name, exc))
+"""
+
+
+def modules_failing_alone(root):
+    """``name: error`` of each module under the package ``root`` that
+    fails to import in a process where no other module of the package
+    has been imported."""
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    out = subprocess.run([sys.executable, "-c", _ALONE,
+                          *module_names(root)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.splitlines()
+
+
+def test_each_module_imports_on_its_own():
+    assert len(module_names(SRC)) >= 14
+    assert modules_failing_alone(SRC) == []
+
+
+def test_the_check_sees_an_import_order_dependency(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("Y = 1\n")
+    # ``b`` reads ``pkg.a`` without importing it, so it works only after
+    # something else, here the import of ``pkg.a`` before it, has
+    (package / "b.py").write_text("import pkg\nX = pkg.a.Y\n")
+    (package / "c.py").write_text("from . import a\nZ = a.Y\n")
+    failed = modules_failing_alone(package)
+    assert [line.split(": ")[0] for line in failed] == ["pkg.b"]
+    assert "AttributeError" in failed[0]

@@ -185,15 +185,15 @@ class TestNoninertialClosure:
                 assert value.tobytes() == want.tobytes()
             assert got["part"] == whole["part"]
 
-    def test_four_evaluations_per_block(self, monkeypatch, evaluations):
-        # each block reads the frame's jet once through ``moved`` and once
-        # in ``inertial_force``, and evaluates the force in each frame
+    def test_three_evaluations_per_block(self, monkeypatch, evaluations):
+        # each block reads the frame's jet once, through ``moved``, which
+        # ``inertial_force`` takes, and evaluates the force in each frame
         n = self.traj.t.shape[0]
         for size in (n, 512, 100):
             monkeypatch.setattr(mech, "_CLOSURE_BLOCK", size)
             del evaluations[:]
             self.closure(self.model)
-            assert len(evaluations) == 4 * len(list(mech.blocks(n, size)))
+            assert len(evaluations) == 3 * len(list(mech.blocks(n, size)))
 
     def test_four_term_inertial_force_closes_the_balance(self):
         v = self.closure(self.model)
@@ -223,7 +223,7 @@ class TestInertialForceOracles:
         path = (ex.parse_field_expr("t*t"), ex.const(0.0), ex.const(0.0))
         spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=0.0), path=path)
-        got = mech.inertial_force(spec, 1.3, np.zeros(3), np.zeros(3),
+        got = mech.inertial_force(spec.at(1.3), np.zeros(3), np.zeros(3),
                                   m=2.0)
         assert np.max(np.abs(got - np.array([4.0, 0.0, 0.0]))) < 1e-12
 
@@ -234,13 +234,13 @@ class TestInertialForceOracles:
         spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=omega))
         x_star = np.array([1.5, 0.0, 0.0])
-        got = mech.inertial_force(spec, 0.6, x_star, np.zeros(3), m=2.0)
+        got = mech.inertial_force(spec.at(0.6), x_star, np.zeros(3), m=2.0)
         assert abs(np.linalg.norm(got) - 2.0 * omega ** 2 * 1.5) < 1e-12
 
     def test_inertial_frame_gives_zero(self):
         spec = fr.FrameChange.euclidean(
             rotation=fr.RotationSpec(axis=(0, 0, 1), rate=0.0))
-        got = mech.inertial_force(spec, 0.6, RNG.normal(size=3),
+        got = mech.inertial_force(spec.at(0.6), RNG.normal(size=3),
                                   RNG.normal(size=3), m=1.0, a=0.7)
         assert np.max(np.abs(got)) < 1e-14
 
@@ -338,8 +338,8 @@ class TestBatchedForce:
                     fr.at_times(ref, t),
                     np.stack([fr.at_times(ref, tk) for tk in t], axis=1),
                     rtol=0, atol=1e-12)
-        got = mech.inertial_force(MOVING, t, x, v, m=1.5, a=0.4)
-        loop = np.stack([mech.inertial_force(MOVING, t[k], x[:, k],
+        got = mech.inertial_force(MOVING.at(t), x, v, m=1.5, a=0.4)
+        loop = np.stack([mech.inertial_force(MOVING.at(t[k]), x[:, k],
                                              v[:, k], m=1.5, a=0.4)
                          for k in range(self.B)], axis=1)
         np.testing.assert_allclose(got, loop, rtol=0, atol=1e-12)

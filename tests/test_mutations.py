@@ -25,7 +25,6 @@ expected outcome.
 """
 
 import functools
-import importlib
 import json
 import sys
 from dataclasses import replace
@@ -38,11 +37,12 @@ import pytest
 from invariance import expr as ex
 from invariance import frames as fr
 from invariance import mechanics as mech
-from invariance import ns
 from invariance import report
+from invariance.checks import classify as classify_module
 from invariance.checks import geometry as geo
 from invariance.checks import verdict
 from invariance.checks.verdict import CheckPart, meets
+from invariance.ns import residual as ns_residual
 from invariance.cli import main
 from invariance.expr import (
     MAT, VEC, const, matrix_const, mul, transpose, zero,
@@ -53,7 +53,6 @@ from invariance.sampling import DEFAULT_SEED
 import loop_oracles as loops
 
 SCENARIO_DIR = Path(str(resources.files("invariance") / "scenarios"))
-classify_module = importlib.import_module("invariance.checks.classify")
 
 
 def _zero_qdot(q, c, order):
@@ -178,7 +177,7 @@ def loop_samples(name):
                 for tag in payload["tags"]}
     if doc["kind"] == "ns-symmetry":
         return {"symmetry": loops.ns_symmetry(
-            ns.SOLUTIONS[payload["solution"]](),
+            ns_residual.SOLUTIONS[payload["solution"]](),
             report._parse_ns_spec(payload["symmetry"]), seed=seed)}
     model = report.MECHANICS_MODELS[payload["model"]](
         **payload.get("params", {}))

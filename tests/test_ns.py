@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invariance import frames as fr
-from invariance import ns
+from invariance.ns.residual import (
+    SOLUTIONS, beltrami, certify, check_ns_symmetry, taylor_green,
+    transform_flow,
+)
 from invariance.sampling import DEFAULT_SEED, sample_points
 
 import frame_oracle as oracle
@@ -11,18 +14,18 @@ import frame_oracle as oracle
 
 def symmetry(state, spec, **kw):
     """The symmetry check at the shipped scenarios' tolerance and seed."""
-    return ns.check_ns_symmetry(state, spec, 1e-8, DEFAULT_SEED, **kw)
+    return check_ns_symmetry(state, spec, 1e-8, DEFAULT_SEED, **kw)
 
 
 class TestSolutionLibrary:
-    @pytest.mark.parametrize("name", sorted(ns.SOLUTIONS))
+    @pytest.mark.parametrize("name", sorted(SOLUTIONS))
     def test_certified_exact(self, name):
-        assert ns.certify(ns.SOLUTIONS[name]()) < 1e-10
+        assert certify(SOLUTIONS[name]()) < 1e-10
 
     def test_taylor_green_stream_function_relations(self):
         # d1 psi = -u^2, d2 psi = u^1 must hold identically
         from invariance import expr as ex
-        state = ns.taylor_green()
+        state = taylor_green()
         t, x = sample_points(50)
         psi = ex.expand_derivatives(state.psi)
         g = ex.evaluate_many(ex.expand_derivatives(ex.grad(
@@ -33,10 +36,10 @@ class TestSolutionLibrary:
 
     def test_certify_rejects_broken_state(self):
         from dataclasses import replace
-        state = ns.taylor_green()
+        state = taylor_green()
         broken = replace(state, nu=state.nu * 2.0)
         with pytest.raises(ValueError):
-            ns.certify(broken)
+            certify(broken)
 
 
 def galilei_spec():
@@ -47,52 +50,52 @@ def galilei_spec():
 
 class TestSymmetryVerdicts:
     def test_galilei_passes(self):
-        v = symmetry(ns.beltrami(), galilei_spec())
+        v = symmetry(beltrami(), galilei_spec())
         assert v.passed and v.residual < 1e-8
 
     def test_s1_scaling_passes(self):
-        v = symmetry(ns.beltrami(), fr.Scaling(0.4))
+        v = symmetry(beltrami(), fr.Scaling(0.4))
         assert v.passed
 
     def test_s2_accelerating_shift_passes(self):
         from invariance import expr as ex
         f = [ex.parse_field_expr(s) for s in
              ("0.5*t*t", "sin(t)", "0.0")]
-        v = symmetry(ns.beltrami(), fr.AcceleratedShift(f))
+        v = symmetry(beltrami(), fr.AcceleratedShift(f))
         assert v.passed
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_s3_reflection_passes(self, axis):
-        v = symmetry(ns.beltrami(), fr.Reflection(axis))
+        v = symmetry(beltrami(), fr.Reflection(axis))
         assert v.passed
 
     def test_s4_time_reversal_passes(self):
-        v = symmetry(ns.beltrami(), fr.TimeReversal())
+        v = symmetry(beltrami(), fr.TimeReversal())
         assert v.passed
 
     def test_s5_passes_on_euler_only(self):
-        v = symmetry(ns.beltrami(nu=0.0), fr.EulerScaling(0.25))
+        v = symmetry(beltrami(nu=0.0), fr.EulerScaling(0.25))
         assert v.passed
         with pytest.raises(ValueError):
-            symmetry(ns.beltrami(), fr.EulerScaling(0.25))
+            symmetry(beltrami(), fr.EulerScaling(0.25))
 
     def test_s6_rotation_with_regauge_passes_on_taylor_green(self):
-        v = symmetry(ns.taylor_green(), fr.PlanarRotation(0.8))
+        v = symmetry(taylor_green(), fr.PlanarRotation(0.8))
         assert v.passed and v.residual < 1e-8
 
     def test_s6_requires_2d(self):
         with pytest.raises(ValueError):
-            symmetry(ns.beltrami(), fr.PlanarRotation(0.8))
+            symmetry(beltrami(), fr.PlanarRotation(0.8))
 
     def test_r3d_negative_control_fails(self):
         spec = fr.Rotation3D(axis=(0.0, 1.0, 1.0), rate=0.9)
-        v = symmetry(ns.beltrami(), spec)
+        v = symmetry(beltrami(), spec)
         assert not v.passed and v.residual > 1e-2
         assert any("negative control" in n for n in v.notes)
 
     def test_viscosity_flips_sign_under_time_reversal(self):
-        transformed = ns.transform_flow(ns.beltrami(), fr.TimeReversal())
-        assert transformed.nu == -ns.beltrami().nu
+        transformed = transform_flow(beltrami(), fr.TimeReversal())
+        assert transformed.nu == -beltrami().nu
 
 
 class TestDeadZoneProperty:
@@ -102,21 +105,20 @@ class TestDeadZoneProperty:
     def test_verdicts_sit_outside_the_tolerance_band(self, eps, omega):
         # residuals are either machine-level or macroscopic, never in
         # the ambiguous band between the PASS and FAIL thresholds
-        tg = ns.taylor_green()
+        tg = taylor_green()
         for spec in (fr.Scaling(eps), fr.PlanarRotation(omega)):
             v = symmetry(tg, spec, n_points=50)
             assert v.residual < 1e-8
         bad = fr.Rotation3D(axis=(1.0, 0.0, 0.5), rate=1.0 + abs(omega))
-        v = symmetry(ns.beltrami(), bad, n_points=50)
+        v = symmetry(beltrami(), bad, n_points=50)
         assert v.residual > 1e-3
 
     def test_one_parameter_group_composition(self):
         # S1(e1) then S1(e2) equals S1(e1+e2) on the check level
         t, x = sample_points(30)
-        once = ns.transform_flow(ns.transform_flow(ns.beltrami(),
-                                                   fr.Scaling(0.2)),
-                                 fr.Scaling(0.3))
-        direct = ns.transform_flow(ns.beltrami(), fr.Scaling(0.5))
+        once = transform_flow(transform_flow(beltrami(), fr.Scaling(0.2)),
+                              fr.Scaling(0.3))
+        direct = transform_flow(beltrami(), fr.Scaling(0.5))
         from invariance import expr as ex
         d_u = (ex.evaluate_many(once.u, t, x)
                - ex.evaluate_many(direct.u, t, x))
