@@ -25,8 +25,10 @@ phase): the Rodrigues declaration that ``RotationSpec.frame`` fills with
 numbers.  An expression of the rotated frame's coordinates is composed
 with that frame's own point map x~ = Q x + c, read from
 ``FrameChange.exprs``, so every comparison is one expression a - b of
-the raw sample points.  A scan evaluates the bundle of the differences
-of all parts for a batch of rotations per call: one point axis made of
+the raw sample points.  The rotated frame's spin Q Qdot^T and its
+velocity rule's offset, ``FrameChange.velocity_offset``, come from the
+same frame.  A scan evaluates the bundle of the differences of all
+parts for a batch of rotations per call: one point axis made of
 one block of the same sample points per rotation, with the parameters
 bound per point.  Checking 50 rotations thus costs five evaluator calls
 in all and no expression builds, and the one tape of a call computes Q,
@@ -42,7 +44,7 @@ import numpy as np
 from .. import frames as fr
 from ..expr import (
     Node, SCALAR, VEC, MAT,
-    add, bundle, comp, const, dot, grad, lap, mul, matrix_const, neg, norm,
+    add, bundle, comp, const, dot, grad, lap, mul, matrix_const, norm,
     sub, sym, time, transpose, x_vector,
     expand_derivatives, substitute, compose, evaluate_many, parse_field_expr,
 )
@@ -187,8 +189,7 @@ _A1, _A2, _A3 = sym("rot_a1"), sym("rot_a2"), sym("rot_a3")
 _W, _PH = sym("rot_w"), sym("rot_ph")
 _FRAME = fr.FrameChange.rotation((_A1, _A2, _A3), _W, _PH)
 _QE = _FRAME.q
-_K = fr.axis_cross_mat((_A1, _A2, _A3))
-_SPIN_FREE = mul(neg(_W), _K)       # Q Qdot^T of the relative rotation
+_SPIN = dot(_QE, transpose(_FRAME.exprs(1)[0]))     # Q Qdot^T
 _X_OLD = dot(transpose(_QE), x_vector())
 _XS = tuple(comp(_X_OLD, i) for i in range(3))
 
@@ -226,8 +227,8 @@ def _transformed_inner(q):
         return moved
     moved = dot(_QE, moved)
     if q.field_rule == "velocity":
-        # u~ = Q u - Omega x~ with Omega = Q Qdot^T = -w K
-        return add(moved, mul(_W, dot(_K, x_vector())))
+        # u~ = Q u + Qdot Q^T x~, the rotation frame's velocity rule
+        return add(moved, _FRAME.velocity_offset())
     return moved
 
 
@@ -239,21 +240,15 @@ def _spin_const(base_spin):
     return matrix_const(q @ qdot.T)           # Omega = Q Qdot^T, constant
 
 
-def _spin_tilde(base_spin):
-    if base_spin is None:
-        return _SPIN_FREE
-    om1 = _spin_const(base_spin)
-    return add(dot(_QE, dot(om1, transpose(_QE))), _SPIN_FREE)
-
-
 @lru_cache(maxsize=None)
 def _built(q, base_spin):
-    """Pre-expanded check expressions for one quantity."""
+    """Pre-expanded check expressions for one quantity.  The rotated
+    frame's spin is the base spin moved as a tensor plus Q Qdot^T."""
     inner_sym = PHI if q.field_rule == "scalar" else U
-    base_map = {inner_sym.data[0]: q.inner_field,
-                "OMEGA": _spin_const(base_spin)}
+    spin = _spin_const(base_spin)
+    base_map = {inner_sym.data[0]: q.inner_field, "OMEGA": spin}
     tilde_map = {inner_sym.data[0]: _transformed_inner(q),
-                 "OMEGA": _spin_tilde(base_spin), "Q": _QE}
+                 "OMEGA": add(_rule_apply(MAT, spin), _SPIN), "Q": _QE}
 
     base_value = expand_derivatives(substitute(q.expr, base_map))
     tilde_form = q.tilde_expr if q.tilde_expr is not None else q.expr
@@ -262,7 +257,7 @@ def _built(q, base_spin):
     # the base functional form fed the rotated observer's arguments,
     # with the base frame's own spin value: the objectivity comparison
     base_form_on_tilde = expand_derivatives(substitute(
-        q.expr, dict(tilde_map, OMEGA=_spin_const(base_spin))))
+        q.expr, dict(tilde_map, OMEGA=spin)))
     return base_value, tilde_value, rule_value, base_form_on_tilde
 
 

@@ -1,23 +1,23 @@
 """Catalogue of frame changes and of the Navier-Stokes symmetry group.
 
-Frame changes: every frame change is one ``FrameChange``, the Euclidean
-map x~ = Q(t) x + c(t), t~ = t + tau, declared once with Q a mat3 and c a
-vec3 expression of the old frame's time.  ``FrameChange.galilei`` (Q a
-constant rotation, c linear in t), ``FrameChange.euclidean`` (a uniform
-rotation and a path) and ``FrameChange.rotation`` (the Rodrigues form of
-a uniform rotation, with numbers or symbols as its parameters) build it.
+Every map is one ``FrameChange``, x~ = lam Q(t) x + c(t), t~ = mu t + tau,
+declared once with Q a mat3 and c a vec3 expression of the old frame's
+time, neither reading x, and two scales, both 1 for a frame change
+proper.  ``FrameChange.galilei`` (Q a constant rotation, c linear in t),
+``FrameChange.euclidean`` (a uniform rotation and a path) and
+``FrameChange.rotation`` (the Rodrigues form of a uniform rotation, with
+numbers or symbols as its parameters) build frame changes.
 ``FrameChange.exprs`` gives Q, Q', Q'' and c, c', c'' as expressions,
 derived by ``differentiate``, and ``FrameChange.at(t)`` evaluates all six
 in one pass, the jet ((Q, c), (Q', c'), (Q'', c'')); a caller that needs
 only Q reads ``at_times(frame.q, t)``.  ``FrameChange.moved`` is the one
-velocity rule, x~ = Q x + c and v~ = Q v + Q' x + c', over states at
-given times, and returns the jet it read; the mechanics checks and the
-geometric suite read it.  The classifiers' base spin and the closure
-screen read ``at``, and the classifiers compose their point map with
-``exprs``.
-``FrameChange.carry`` moves reference values with the frame, and with a
-symmetry's scales, for the mechanics checks and every row of the closure
-screen alike.
+velocity rule, v~ = (lam (Q v + Q' x) + c') / mu, over states at given
+times, and returns the jet it read; the mechanics checks, the geometric
+suite and the closure screen read it.  As expressions of the new frame's
+time, ``carry`` moves reference values with the map, the inverse map
+and ``pull`` compose a field with it, and ``matrix`` and
+``velocity_offset`` are the parts of a velocity field's action; the
+classifiers' velocity rule reads the same offset.
 Q times a vector is ``dot`` in expressions and ``rotate`` over arrays;
 both sum one component at a time, so neither depends on the batch size.
 A ``RotationSpec`` only names the axis, rate and phase of a uniform
@@ -25,21 +25,20 @@ rotation.
 
 Navier-Stokes symmetries: each of G, S1-S6 and the 3D rotation negative
 control R3D is one small frozen class in ``NS_SYMMETRIES`` that declares
-the map x~ = lam Q(t) x + c(t), t~ = mu t + tau as a ``FrameChange``
-(Q, c, tau) and two scales, plus S2's and S6's pressure offsets.
-``NSSymmetry`` derives the rest: the inverse map, the velocity action
-u~ = s M (u o phi^-1) + offset with s = lam / mu and M = Q, and the
-viscosity action lam^2 / mu.  ``transform_ns_fields``, the fluctuation
+its map as a ``FrameChange``, plus S2's and S6's pressure offsets.
+``NSSymmetry`` reads the velocity scale s = lam / mu and the viscosity
+action lam^2 / mu from it.  ``transform_ns_fields``, the fluctuation
 action (M, s) of the Reynolds-ensemble check, the closure screen's rows,
 the scenario parser and the residual guards all read the same classes,
 so adding a symmetry means adding one class.
 
 Conventions:
     x_tilde = Q x + c, spin Omega := Q Qdot^T (antisymmetric, constant
-    for a uniform rotation), velocity u_tilde = Q u - Omega x_tilde.
+    for a uniform rotation), velocity u_tilde = Q u - Omega x_tilde for
+    c = 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -54,13 +53,13 @@ from .expr import (
 
 __all__ = [
     "RotationSpec", "FrameChange",
-    "rodrigues_q", "axis_cross_mat", "rotate", "at_times",
+    "rotate", "at_times",
     "NS_SYMMETRIES", "transform_ns_fields",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Euclidean frame changes x~ = Q(t) x + c(t), t~ = t + tau
+# maps x~ = lam Q(t) x + c(t), t~ = mu t + tau
 # ---------------------------------------------------------------------------
 
 def _as_scalar(v):
@@ -107,26 +106,6 @@ def at_times(e, t):
             else out[..., 0])
 
 
-def axis_cross_mat(axis):
-    """[axis]x as a matrix expression; entries may be numbers or nodes."""
-    a1, a2, a3 = [_as_scalar(a) for a in axis]
-    z = const(0.0)
-    return mat([[z, neg(a3), a2], [a3, z, neg(a1)], [neg(a2), a1, z]])
-
-
-def rodrigues_q(axis, theta):
-    """Q = I + sin(theta) K + (1 - cos(theta)) K^2 as a matrix expression.
-
-    ``axis`` must be a unit vector (numbers or scalar nodes); ``theta`` a
-    scalar node or number.
-    """
-    theta = _as_scalar(theta)
-    k = axis_cross_mat(axis)
-    return add(matrix_const(np.eye(3)),
-               add(mul(func("sin", theta), k),
-                   mul(sub(const(1.0), func("cos", theta)), dot(k, k))))
-
-
 def _normalize(axis):
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
@@ -135,9 +114,23 @@ def _normalize(axis):
     return axis / n
 
 
+def _times(m, v):
+    """m v, with the identity skipped."""
+    return v if m is matrix_const(np.eye(3)) else dot(m, v)
+
+
+def _of_time(e, name):
+    """``e`` expanded, refused if it reads x: composed with another point,
+    an expression of time alone is itself."""
+    e = expand_derivatives(e)
+    if compose(e, (zero(SCALAR),) * 3, time()) is not e:
+        raise ValueError("%s must be a function of t alone" % name)
+    return e
+
+
 @dataclass(frozen=True)
 class FrameChange:
-    """The Euclidean frame change x~ = Q(t) x + c(t), t~ = t + tau.
+    """The map x~ = lam Q(t) x + c(t), t~ = mu t + tau.
 
     ``q`` is a mat3 and ``c`` a vec3 expression of the old frame's time
     (they may hold bound symbols, as the classifiers' rotation does).
@@ -147,13 +140,16 @@ class FrameChange:
     q: Node
     c: Node
     tau: float = 0.0
+    lam: float = 1.0
+    mu: float = 1.0
 
     def __post_init__(self):
         if self.q.shape != MAT or self.c.shape != VEC:
             raise ValueError("a frame change needs a mat3 Q and a vec3 c")
-        object.__setattr__(self, "q", expand_derivatives(self.q))
-        object.__setattr__(self, "c", expand_derivatives(self.c))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "q", _of_time(self.q, "Q(t)"))
+        object.__setattr__(self, "c", _of_time(self.c, "c(t)"))
+        for name in ("tau", "lam", "mu"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def galilei(cls, r=None, v=None, c=None, tau=0.0):
@@ -188,11 +184,18 @@ class FrameChange:
 
     @classmethod
     def rotation(cls, axis, rate, phase):
-        """x~ = Q(t) x with Q the Rodrigues rotation about the unit
-        ``axis`` by the angle rate t + phase; each parameter may be a
-        number or a scalar node."""
+        """x~ = Q(t) x with Q = I + sin(th) K + (1 - cos(th)) K^2 the
+        Rodrigues rotation about the unit ``axis``, K = [axis]x, by the
+        angle th = rate t + phase; each parameter may be a number or a
+        scalar node."""
         theta = add(mul(_as_scalar(rate), time()), _as_scalar(phase))
-        return cls(rodrigues_q(axis, theta), zero(VEC))
+        a1, a2, a3 = [_as_scalar(a) for a in axis]
+        z = const(0.0)
+        k = mat([[z, neg(a3), a2], [a3, z, neg(a1)], [neg(a2), a1, z]])
+        q = add(matrix_const(np.eye(3)),
+                add(mul(func("sin", theta), k),
+                    mul(sub(const(1.0), func("cos", theta)), dot(k, k))))
+        return cls(q, zero(VEC))
 
     def exprs(self, order=0):
         """(Q^(k), c^(k)) as expressions for k = ``order``; each
@@ -213,25 +216,56 @@ class FrameChange:
 
     def moved(self, t, x, v):
         """New-frame (t, x, v) of states (3, N) at times (N,), and the jet
-        ``at(t)``: x~ = Q x + c and v~ = Q v + Q' x + c'."""
+        ``at(t)``: x~ = lam Q x + c and v~ = (lam (Q v + Q' x) + c') / mu;
+        a scale of 1 leaves every bit as it is."""
         jet = self.at(t)
         (q, c), (dq, dc), _ = jet
-        return (t + self.tau, rotate(q, x) + c,
-                rotate(q, v) + rotate(dq, x) + dc, jet)
+        return (self.mu * t + self.tau, self.lam * rotate(q, x) + c,
+                (self.lam * (rotate(q, v) + rotate(dq, x)) + dc) / self.mu,
+                jet)
 
-    def carry(self, x0, v0, lam=1.0, mu=1.0):
+    def _old_time(self):
+        """t = (t~ - tau) / mu, an expression of the new frame's time."""
+        return mul(const(1.0 / self.mu), sub(time(), const(self.tau)))
+
+    def _at_old_time(self, order):
+        """(Q^(k), c^(k)) at the old time, as expressions of t~."""
+        return [compose(e, (), self._old_time()) for e in self.exprs(order)]
+
+    def carry(self, x0, v0):
         """x0~ = lam Q x0 + c and v0~ = (lam Q v0 + c') / mu at the old
-        time (t~ - tau) / mu, as vec3 expressions of t~; ``x0`` and ``v0``
-        are vec3 expressions or three numbers each.  ``lam`` and ``mu``
-        scale a Navier-Stokes symmetry; at 1 their products fold away."""
+        time, as vec3 expressions of t~; ``x0`` and ``v0`` are vec3
+        expressions of time or three numbers each."""
         q, c = self.exprs(0)
         dc = self.exprs(1)[1]
-        back = mul(const(1.0 / mu), sub(time(), const(self.tau)))
-        x0, v0 = (mul(const(lam), dot(q, ref if isinstance(ref, Node)
-                                      else vector_const(ref)))
+        x0, v0 = (mul(const(self.lam), dot(q, ref if isinstance(ref, Node)
+                                           else vector_const(ref)))
                   for ref in (x0, v0))
+        back = self._old_time()
         return (compose(add(x0, c), (), back),
-                compose(mul(const(1.0 / mu), add(v0, dc)), (), back))
+                compose(mul(const(1.0 / self.mu), add(v0, dc)), (), back))
+
+    def inverse_map_exprs(self):
+        """(x-exprs, t-expr): x = Q^T (x~ - c) / lam at the old time t."""
+        q, c = self._at_old_time(0)
+        x = mul(const(1.0 / self.lam), _times(transpose(q),
+                                              sub(x_vector(), c)))
+        return [comp(x, i) for i in range(3)], self._old_time()
+
+    def pull(self, e):
+        """``e`` composed with the inverse map (a new-frame expression)."""
+        return compose(expand_derivatives(e), *self.inverse_map_exprs())
+
+    def matrix(self):
+        """M = Q at the old time: a velocity action's matrix."""
+        return self._at_old_time(0)[0]
+
+    def velocity_offset(self):
+        """(Q' Q^T (x~ - c) + c') / mu at the old time: the part of v~ that
+        ``moved`` adds to lam Q v / mu, at x = Q^T (x~ - c) / lam."""
+        (q, c), (dq, dc) = self._at_old_time(0), self._at_old_time(1)
+        spin = dot(dot(dq, transpose(q)), sub(x_vector(), c))
+        return mul(const(1.0 / self.mu), add(spin, dc))
 
 
 @dataclass(frozen=True)
@@ -252,28 +286,18 @@ class RotationSpec:
 
 
 # ---------------------------------------------------------------------------
-# Navier-Stokes symmetries x~ = lam Q(t) x + c(t), t~ = mu t + tau
+# Navier-Stokes symmetries
 # ---------------------------------------------------------------------------
-
-def _split_vec(v):
-    return [comp(v, i) for i in range(3)]
-
-
-def _times(m, v):
-    """m v, with the identity skipped."""
-    return v if m is matrix_const(np.eye(3)) else dot(m, v)
-
 
 class NSSymmetry:
     """x~ = lam Q(t) x + c(t), t~ = mu t + tau with ``frame`` the
-    ``FrameChange`` (Q, c, tau); a subclass sets only what is not the
+    ``FrameChange`` of the map; a subclass sets only what is not the
     identity.  ``tag`` names it in reports, ``json_tag`` in scenarios;
     ``euler_only`` / ``planar_only`` restrict the flows it maps to
     solutions, and ``note`` is attached to its verdicts."""
 
     tag = json_tag = None
     frame = FrameChange(matrix_const(np.eye(3)), zero(VEC))
-    lam = mu = 1.0
     euler_only = planar_only = False
     note = None
 
@@ -284,43 +308,12 @@ class NSSymmetry:
     @property
     def s(self):
         """The velocity scale lam / mu."""
-        return self.lam / self.mu
+        return self.frame.lam / self.frame.mu
 
     @property
     def nu_action(self):
         """nu~ / nu = lam^2 / mu: the viscosity scales as length^2 / time."""
-        return self.lam * self.lam / self.mu
-
-    def _old_time(self):
-        """t = (t~ - tau) / mu."""
-        return mul(const(1.0 / self.mu), sub(time(), const(self.frame.tau)))
-
-    def _at_old_time(self, order):
-        """(Q^(k), c^(k)) at the old time, as expressions of t~."""
-        x, t = _split_vec(x_vector()), self._old_time()
-        return [compose(e, x, t) for e in self.frame.exprs(order)]
-
-    def inverse_map_exprs(self):
-        """(x-exprs, t-expr): x = Q^T (x~ - c) / lam at the old time t."""
-        q, c = self._at_old_time(0)
-        x = _times(transpose(q), sub(x_vector(), c))
-        return _split_vec(mul(const(1.0 / self.lam), x)), self._old_time()
-
-    def pull(self, e):
-        """``e`` composed with the inverse map (a new-frame expression)."""
-        return compose(expand_derivatives(e), *self.inverse_map_exprs())
-
-    def matrix(self):
-        """M(t) = Q at the old time: the velocity action's matrix, over
-        the new frame's time."""
-        return self._at_old_time(0)[0]
-
-    def velocity_offset(self):
-        """(Q' Q^T (x~ - c) + c') / mu at the old time, so that
-        u~ = s M (u o phi^-1) + offset is dx~/dt~ of a comoving particle."""
-        (q, c), (dq, dc) = self._at_old_time(0), self._at_old_time(1)
-        spin = dot(dot(dq, transpose(q)), sub(x_vector(), c))
-        return mul(const(1.0 / self.mu), add(spin, dc))
+        return self.frame.lam * self.frame.lam / self.frame.mu
 
     def pressure_offset(self, psi):
         """``psi`` is the analytic 2D stream function, or None."""
@@ -356,7 +349,8 @@ class Scaling(NSSymmetry):
 
     def __post_init__(self):
         eps = float(self.eps)
-        self._set(eps=eps, lam=float(np.exp(eps)), mu=float(np.exp(2 * eps)))
+        self._set(eps=eps, frame=replace(self.frame, lam=np.exp(eps),
+                                         mu=np.exp(2 * eps)))
 
 
 @dataclass(frozen=True)
@@ -374,17 +368,19 @@ class AcceleratedShift(NSSymmetry):
         f = tuple(_as_scalar(c) for c in self.f)
         if len(f) != 3:
             raise ValueError("S2 needs 3 components of f(t)")
+        _of_time(vec(*f), "S2's f(t)")
         frame = FrameChange.euclidean(path=f)
         if not np.any(frame.at(np.linspace(0, 1, 17))[2][1]):
             raise ValueError("S2 requires f''(t) != 0 (otherwise it is a "
                              "Galilei boost)")
-        g = 0.0 if self.g is None else self.g
-        self._set(f=f, g=_as_scalar(g), frame=frame)
+        g = _of_time(_as_scalar(0.0 if self.g is None else self.g),
+                     "S2's g(t)")
+        self._set(f=f, g=g, frame=frame)
 
     def pressure_offset(self, psi):
-        x_old = vec(*self.inverse_map_exprs()[0])
-        fdd = self._at_old_time(2)[1]
-        return add(neg(dot(x_old, fdd)), self.pull(self.g))
+        x_old = vec(*self.frame.inverse_map_exprs()[0])
+        fdd = self.frame._at_old_time(2)[1]
+        return add(neg(dot(x_old, fdd)), self.frame.pull(self.g))
 
 
 @dataclass(frozen=True)
@@ -407,7 +403,7 @@ class TimeReversal(NSSymmetry):
     """S4: t~ = -t; u~ = -u and nu -> -nu."""
 
     tag = json_tag = "S4"
-    mu = -1.0
+    frame = replace(NSSymmetry.frame, mu=-1.0)
 
 
 @dataclass(frozen=True)
@@ -423,7 +419,8 @@ class EulerScaling(NSSymmetry):
     nu_action = 1.0
 
     def __post_init__(self):
-        self._set(a=float(self.a), lam=float(np.exp(self.a)))
+        self._set(a=float(self.a), frame=replace(self.frame,
+                                                 lam=np.exp(self.a)))
 
 
 @dataclass(frozen=True)
@@ -452,7 +449,7 @@ class PlanarRotation(NSSymmetry):
         # oracle on the vortex solution and by the group property
         # S6(w) o S6(w') = S6(w+w')).
         return add(mul(const(0.5 * w * w), planar),
-                   mul(const(-2.0 * w), self.pull(psi)))
+                   mul(const(-2.0 * w), self.frame.pull(psi)))
 
 
 @dataclass(frozen=True)
@@ -482,8 +479,8 @@ def transform_ns_fields(u_expr, p_expr, spec, psi_expr=None):
     pressure offset; ``psi_expr`` is the analytic 2D stream function,
     required by S6's pressure regauge.
     """
-    s = spec.s
-    u_t = mul(const(s), _times(spec.matrix(), spec.pull(u_expr)))
-    p_t = mul(const(s * s), spec.pull(p_expr))
-    return (add(u_t, spec.velocity_offset()),
+    frame, s = spec.frame, spec.s
+    u_t = mul(const(s), _times(frame.matrix(), frame.pull(u_expr)))
+    p_t = mul(const(s * s), frame.pull(p_expr))
+    return (add(u_t, frame.velocity_offset()),
             add(p_t, spec.pressure_offset(psi_expr)), spec.nu_action)

@@ -7,12 +7,12 @@ A model proposes the divergence of the second-moment tensor as
 
 with scalar coefficients phi_i(nu, t - t0, r, s, q) of the invariant
 arguments r = |x - x0|, s = |w|, q = w . (x - x0).  Every row is
-evaluated: the G, S1, S3, S4 and S5approx rows each take a symmetry x~ =
-lam Q x + c, t~ = mu t + tau of ``frames.NS_SYMMETRIES``, the declaration
-the Navier-Stokes checks use, move the mean flow by it, carry the
-reference point (t0, x0, u0) with it and compare v over both frames at
-sampled points.  The S6approx row reads the model's declared planar
-limits at the same points.
+evaluated: the G, S1, S3, S4 and S5approx rows each take a symmetry of
+``frames.NS_SYMMETRIES``, whose ``FrameChange`` x~ = lam Q x + c,
+t~ = mu t + tau is the declaration the Navier-Stokes checks use, move
+the mean flow and the sample points by it, carry the reference point
+(t0, x0, u0) with it and compare v over both frames.  The S6approx row
+reads the model's declared planar limits at the same points.
 """
 
 from dataclasses import dataclass, replace
@@ -119,13 +119,13 @@ def _row(model, flows, spec, rng, n_samples, tol):
     flow: (state, untransformed ansatz v)}: <u> transformed by
     ``frames.transform_ns_fields``, nu~ = (nu action) nu, t0~ = mu t0 +
     tau and (x0~, u0~) from ``FrameChange.carry``; v~ is evaluated at the
-    mapped points phi(t, x) = (mu t + tau, lam Q x + c)."""
-    lam, mu, tau = spec.lam, spec.mu, spec.frame.tau
-    x0_new, u0_new = spec.frame.carry(X0, U0, lam, mu)
-    t0_new = ex.add(ex.mul(ex.const(mu), T0), ex.const(tau))
+    points phi(t, x) that ``FrameChange.moved`` maps the samples to."""
+    frame = spec.frame
+    lam, mu = frame.lam, frame.mu
+    x0_new, u0_new = frame.carry(X0, U0)
+    t0_new = ex.add(ex.mul(ex.const(mu), T0), ex.const(frame.tau))
     t, x, bind = _samples(rng, n_samples)
-    q, c = spec.frame.at(t)[0]
-    t_new, x_new = mu * t + tau, lam * fr.rotate(q, x) + c
+    t_new, x_new, _, ((q, _), _, _) = frame.moved(t, x, np.zeros_like(x))
     cases = []
     for state, v in flows.values():
         u_new = fr.transform_ns_fields(state.u, state.p, spec)[0]

@@ -59,7 +59,7 @@ def reynolds_tau(fluct):
 def _fluctuation_action(spec, t_arr):
     """(M at the sample times (P, 3, 3), s): the symmetry's velocity action
     without its offsets, which move only the mean flow."""
-    return np.moveaxis(at_times(spec.matrix(), t_arr), 2, 0), spec.s
+    return np.moveaxis(at_times(spec.frame.matrix(), t_arr), 2, 0), spec.s
 
 
 def check_decomposed_symmetry(ensemble, spec, tol, seed, n_points=200):

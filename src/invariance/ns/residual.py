@@ -21,7 +21,7 @@ __all__ = [
     "rigid_shear", "transform_flow", "check_ns_symmetry", "SOLUTIONS",
 ]
 
-CERTIFY_TOL = 1e-10
+CERTIFY_POINTS, CERTIFY_TOL = 200, 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,12 @@ def ns_residual(state, t_arr, x_arr):
 
 
 @lru_cache(maxsize=None)
-def certify(state, n_points=200, tol=CERTIFY_TOL):
+def certify(state):
     """Verify, once per state, that it solves the equations; raise if not."""
-    t, x = sample_points(n_points)
+    t, x = sample_points(CERTIFY_POINTS)
     cont, mom = ns_residual(state, t, x)
     part = CheckPart.of(
-        np.max([np.max(np.abs(cont)), np.max(np.abs(mom))]), tol)
+        np.max([np.max(np.abs(cont)), np.max(np.abs(mom))]), CERTIFY_TOL)
     if not part.passed:
         raise ValueError("state %r is not an exact solution "
                          "(residual %.3e)" % (state.name, part.residual))

@@ -14,6 +14,7 @@ notes.  Reports are deterministic: with timestamps disabled, two runs
 over the same inputs are byte-identical.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -172,9 +173,9 @@ def _scalar_field(value):
 
 
 # each symmetry's keys besides ``tag`` and their readers, a key left out
-# taking the class's default: G's A is ``a_rotation``, a rotation by
-# ``angle`` about ``axis``, S2's f(t) is one scalar field per component,
-# and S3's axis is numbered 1-3, as a scenario's axes are
+# taking the class's default where it has one: G's A is ``a_rotation``, a
+# rotation by ``angle`` about ``axis``, S2's f(t) is one scalar field per
+# component, and S3's axis is numbered 1-3, as a scenario's axes are
 _SYMMETRY_KEYS = {
     "G": {"c0": _real, "c1": _vector, "c2": _vector, "a_rotation": _reader(
         "an object of an 'axis', a list of 3 numbers, and a numeric 'angle'",
@@ -198,10 +199,16 @@ _SYMMETRY_KEYS = {
 def _parse_ns_spec(d):
     p = _Payload(_object(d))
     tag = p.get("tag", _one_of(fr.NS_SYMMETRIES))
+    cls = fr.NS_SYMMETRIES[tag]
+    # a field without a default is read without one, so a missing key is
+    # named as missing
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING}
     kw = {("a_mat" if key == "a_rotation" else key): p.get(key, read)
-          for key, read in _SYMMETRY_KEYS[tag].items() if key in d}
+          for key, read in _SYMMETRY_KEYS[tag].items()
+          if key in d or key in required}
     p.done()
-    return fr.NS_SYMMETRIES[tag](**kw)
+    return cls(**kw)
 
 
 def _run_classify(p, tol, seed):

@@ -129,11 +129,9 @@ def closure_row(model, tag, n, seed):
     Q grad Q^T / mu, lap~ = Q lap / (lam mu), nu~ = (lam^2 / mu) nu (nu
     held fixed by the Euler-only S5approx) and t - t0 scaled by mu."""
     rng = np.random.default_rng(seed)
-    if tag == "G":
-        frame, lam, mu = fr.FrameChange.random_galilei(rng), 1.0, 1.0
-    else:
-        spec = ns_closure._SCALINGS[tag]
-        frame, lam, mu = spec.frame, spec.lam, spec.mu
+    frame = (fr.FrameChange.random_galilei(rng) if tag == "G"
+             else ns_closure._SCALINGS[tag].frame)
+    lam, mu = frame.lam, frame.mu
     q, dc = frame.at(0.0)[0][0], frame.at(0.0)[1][1]
     s, nu_scale = lam / mu, 1.0 if tag == "S5approx" else lam * lam / mu
     t = rng.uniform(0.0, 2.0, size=n)

@@ -142,12 +142,20 @@ class TestRunScenario:
         {"tag": "S2", "f": ["t*t", 1, "0"]},
         {"tag": "S2", "f": ["t*t", "0", "0"], "g": 0.5},
         {"tag": "S4", "eps": 0.3}, {"axis": 2},
+        {"tag": "S2"}, {"tag": "S3"}, {"tag": "S5"}, {"tag": "S6"},
+        {"tag": "R3D"},
+        {"tag": "S2", "f": ["t*t", "comp(x, 1)", "0"]},
+        {"tag": "S2", "f": ["t*t", "0", "0"], "g": "comp(x, 2)"},
+        {"tag": "S2", "f": ["t*t", "p", "0"]},
+        {"tag": "S2", "f": ["t*t", "comp(u, 1)", "0"]},
     ], ids=["missing-eps", "bad-axis", "not-an-object", "non-numeric",
             "short-vector", "unknown-tag", "fractional-axis", "boolean-axis",
             "string-axis", "zero-axis", "string-eps", "boolean-eps",
             "unknown-key", "nan-eps", "string-c0", "angle-missing",
             "numeric-path", "numeric-g", "key-of-another-tag",
-            "missing-tag"])
+            "missing-tag", "missing-f", "missing-axis", "missing-a",
+            "missing-omega", "missing-rate", "path-reads-x", "g-reads-x",
+            "path-reads-p", "path-reads-u"])
     def test_malformed_symmetry_is_schema_error(self, tmp_path, symmetry):
         doc = {"schema": 1, "name": "bad", "kind": "ns-symmetry",
                "payload": {"solution": "beltrami", "symmetry": symmetry},
@@ -156,6 +164,26 @@ class TestRunScenario:
         p.write_text(json.dumps(doc))
         report, code = run_scenario(str(p), None, None)
         assert code == 2 and report["error_kind"] == "schema"
+        # the message speaks of the scenario, not of a Python signature
+        assert "positional argument" not in report["error"]
+
+    @pytest.mark.parametrize("symmetry, message", [
+        ({"tag": "S1"}, "missing 'eps'"), ({"tag": "S2"}, "missing 'f'"),
+        ({"tag": "S3"}, "missing 'axis'"), ({"tag": "S5"}, "missing 'a'"),
+        ({"tag": "S6"}, "missing 'omega'"), ({"tag": "R3D"}, "missing 'rate'"),
+        ({"tag": "S2", "f": ["t*t", "comp(x, 1)", "0"]},
+         "f(t) must be a function of t alone"),
+        ({"tag": "S2", "f": ["t*t", "0", "0"], "g": "comp(x, 2)"},
+         "g(t) must be a function of t alone"),
+    ])
+    def test_symmetry_error_names_what_is_wrong(self, tmp_path, capsys,
+                                                symmetry, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "schema": 1, "name": "bad", "kind": "ns-symmetry",
+            "payload": {"solution": "beltrami", "symmetry": symmetry}}))
+        assert main(["check", str(p), "--json"]) == 2
+        assert message in json.loads(capsys.readouterr().out)["error"]
 
     def test_every_symmetry_has_its_keys_read(self):
         # each registered symmetry has a schema, and a key left out takes

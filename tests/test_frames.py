@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -244,7 +246,8 @@ class TestGalilei:
         x0, v0 = np.array([0.3, -0.2, 0.1]), np.array([0.2, 0.1, 0.0])
         t_new = np.linspace(-1.0, 2.0, 7)
         t = (t_new - g.tau) / mu
-        got = [fr.at_times(e, t_new) for e in g.carry(x0, v0, lam, mu)]
+        scaled = fr.FrameChange(g.q, g.c, g.tau, lam=lam, mu=mu)
+        got = [fr.at_times(e, t_new) for e in scaled.carry(x0, v0)]
         assert np.allclose(got[0], lam * (r @ x0)[:, None] + np.outer(v, t)
                            + c[:, None], rtol=0, atol=1e-14)
         assert np.allclose(got[1], ((lam * r @ v0 + v) / mu)[:, None],
@@ -252,6 +255,18 @@ class TestGalilei:
 
 
 class TestEuclidean:
+    @pytest.mark.parametrize("build, name", [
+        (lambda: fr.FrameChange.euclidean(path=("t*t", "comp(x, 1)", "0")),
+         "c(t)"),
+        (lambda: fr.FrameChange.rotation((0.0, 0.0, 1.0), 1.0,
+                                         parse_field_expr("comp(x, 2)")),
+         "Q(t)"),
+    ], ids=["path", "rotation"])
+    def test_refuses_a_map_that_reads_x(self, build, name):
+        with pytest.raises(ValueError, match=r"%s must be a function of t "
+                           "alone" % re.escape(name)):
+            build()
+
     def test_parabolic_path_example(self):
         spec = fr.FrameChange.euclidean(path=(parse_field_expr("t*t"),
                                               const(0.0), const(0.0)))
@@ -333,11 +348,27 @@ class TestNSSpecs:
         # the declared inverse map undoes the forward map written above
         t, x = sample_points(200)
         tt, xt = FORWARD_MAPS[spec.tag](spec, t, x)
-        x_exprs, t_expr = spec.inverse_map_exprs()
+        x_exprs, t_expr = spec.frame.inverse_map_exprs()
         tb = ex.evaluate_many(t_expr, tt, xt)
         xb = np.stack([ex.evaluate_many(e, tt, xt) for e in x_exprs])
         assert np.max(np.abs(tb - t)) <= 1e-10
         assert np.max(np.abs(xb - x)) <= 1e-10
+
+    @pytest.mark.parametrize("spec", all_ns_specs(), ids=lambda s: s.tag)
+    def test_moved_is_the_declared_map(self, spec):
+        # the frame moves points as the forward map written above does,
+        # and its v~ is the slope dx~/dt~ of that map along x + v t
+        forward = FORWARD_MAPS[spec.tag]
+        t, x = sample_points(200)
+        v = np.random.default_rng(3).uniform(-1.0, 1.0, size=x.shape)
+        t_new, x_new, v_new, _ = spec.frame.moved(t, x, v)
+        tt, xt = forward(spec, t, x)
+        assert np.max(np.abs(t_new - tt)) <= 1e-12
+        assert np.max(np.abs(x_new - xt)) <= 1e-12
+        h = 1e-5
+        (ta, xa), (tb, xb) = [forward(spec, t + d, x + d * v)
+                              for d in (h, -h)]
+        assert np.max(np.abs(v_new - (xa - xb) / (ta - tb))) < 1e-7
 
     def test_registry_covers_every_symmetry(self):
         assert sorted(fr.NS_SYMMETRIES) == sorted(

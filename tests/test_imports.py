@@ -278,9 +278,8 @@ def test_the_check_sees_an_id_call(tmp_path):
 
 
 # the functions of ``src`` that may default a ``tol`` or a ``seed``: the
-# sampler's own seed, the fixed ensemble's seed and the certificate's fixed
-# tolerance, none of which a scenario sets.  This list may only shrink.
-DEFAULTED_SETTINGS = ("sample_points", "certify")
+# sampler's own seed, which no scenario sets.  This list may only shrink.
+DEFAULTED_SETTINGS = ("sample_points",)
 
 
 def defaulted_settings(root):

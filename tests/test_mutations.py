@@ -8,11 +8,12 @@ checks, not a test to skip.
 
 Frame side: ``FrameChange.exprs`` gives every frame change's Q, c and
 their time derivatives as expressions.  ``FrameChange.at`` evaluates
-them for ``FrameChange.moved`` (the velocity rule of the mechanics checks
-and the geometric suite), for the geometric suite's difference cases,
-for the classifiers' base spin and for the closure screen's point map,
-the classifiers compose their point map with them, and each
-Navier-Stokes symmetry derives its inverse map from them.  Chart side:
+them for ``FrameChange.moved`` (the velocity rule of the mechanics checks,
+the geometric suite and the closure screen's point map), for the
+geometric suite's difference cases and for the classifiers' base spin.
+The classifiers compose their point map, their rotated frame's spin and
+their velocity offset with them, and each Navier-Stokes symmetry's frame
+derives its inverse map, M and velocity offset from them.  Chart side:
 ``Chart.at`` gives a chart's Jacobian to the connection, the covariant
 derivative and the geometric suite.  ``FrameChange.carry`` transports
 the reference values of the mechanics checks, through
@@ -68,9 +69,14 @@ def _triple_qdot(q, c, order):
 
 
 # name -> (change of the expressions (Q^(k), c^(k), k), shipped scenarios
-# it must flip)
+# it must flip).  The classifiers build their rotation's Q and spin
+# Q Qdot^T once, on import, so a mutation reaches their point map and
+# velocity offset only: a tripled Qdot then disagrees with the spin,
+# which the relative quantities see.
 FRAME_MUTATIONS = {
-    "zero_qdot": (_zero_qdot, ("classify_velocity_relative",
+    "zero_qdot": (_zero_qdot, ("classify_velocity",
+                               "classify_velocity_relative",
+                               "classify_vorticity",
                                "classify_vorticity_relative",
                                "geometric_suite", "mech_noninertial_closure",
                                "ns_s6_rotation_taylor_green")),
@@ -83,7 +89,9 @@ FRAME_MUTATIONS = {
                                    "classify_z_tensor", "geometric_suite",
                                    "mech_noninertial_closure",
                                    "ns_s6_rotation_taylor_green")),
-    "triple_qdot": (_triple_qdot, ("geometric_suite",
+    "triple_qdot": (_triple_qdot, ("classify_velocity_relative",
+                                   "classify_vorticity_relative",
+                                   "geometric_suite",
                                    "mech_noninertial_closure",
                                    "ns_s6_rotation_taylor_green")),
 }
@@ -95,24 +103,34 @@ SCALED_JACOBIAN = ("christoffel_cylindrical", "christoffel_spherical",
                    "covariant_derivative_spherical", "geometric_suite")
 
 
-# name -> (patched attribute of NSSymmetry, its mutated value, shipped
-# scenarios it must flip).  Without the velocity offset the bare mean
-# velocity transforms as <u> - u0 does, so the G row passes it.  A unit
-# velocity scale moves the transformed mean flow but not the carried u0,
-# which the scaling rows see.
+# name -> (patched class, attribute, its mutated value, shipped scenarios
+# it must flip).  The velocity offset and M belong to the map, the
+# ``FrameChange``; the scales s and nu action to the symmetry.  Without
+# the velocity offset the bare mean velocity transforms as <u> - u0 does,
+# so the G row passes it; the classifiers' velocity rule reads the same
+# offset.  A unit velocity scale moves the transformed mean flow but not
+# the carried u0, which the scaling rows see.
 NS_MUTATIONS = {
-    "zero_velocity_offset": ("velocity_offset", lambda self: zero(VEC),
-                             ("closure_bare_mean_velocity",
+    "zero_velocity_offset": (fr.FrameChange, "velocity_offset",
+                             lambda self: zero(VEC),
+                             ("classify_velocity",
+                              "classify_velocity_relative",
+                              "classify_vorticity",
+                              "classify_vorticity_relative",
+                              "closure_bare_mean_velocity",
                               "closure_compliant", "ns_galilei_beltrami",
                               "ns_s2_acceleration_beltrami",
                               "ns_s6_rotation_taylor_green")),
-    "identity_m": ("matrix", lambda self: matrix_const(np.eye(3)),
+    "identity_m": (fr.FrameChange, "matrix",
+                   lambda self: matrix_const(np.eye(3)),
                    ("closure_compliant", "ns_galilei_beltrami",
                     "ns_s3_reflection_beltrami",
                     "ns_s6_rotation_taylor_green")),
-    "unit_nu_action": ("nu_action", property(lambda self: 1.0),
+    "unit_nu_action": (fr.NSSymmetry, "nu_action",
+                       property(lambda self: 1.0),
                        ("closure_compliant", "ns_s4_time_reversal_beltrami")),
-    "unit_s": ("s", property(lambda self: 1.0), ("closure_compliant",)),
+    "unit_s": (fr.NSSymmetry, "s", property(lambda self: 1.0),
+               ("closure_compliant",)),
 }
 
 # shipped scenarios that a carried reference velocity without c' must
@@ -273,10 +291,12 @@ def test_chart_jacobian_mutation_flips_shipped_verdicts(monkeypatch):
 
 
 @pytest.mark.parametrize("mutation", sorted(NS_MUTATIONS))
-def test_ns_mutation_flips_shipped_verdicts(mutation, monkeypatch):
-    attr, value, scenarios = NS_MUTATIONS[mutation]
+def test_ns_mutation_flips_shipped_verdicts(mutation, monkeypatch,
+                                            fresh_classify_builds):
+    cls, attr, value, scenarios = NS_MUTATIONS[mutation]
     assert all(expectation_met(name) for name in scenarios)
-    monkeypatch.setattr(fr.NSSymmetry, attr, value)
+    monkeypatch.setattr(cls, attr, value)
+    clear_classify_builds()
     assert not any(expectation_met(name) for name in scenarios)
 
 
@@ -284,11 +304,10 @@ _CARRY = fr.FrameChange.carry
 _CARRIED = mech.ForceModel.carried
 
 
-def _carry_without_c_dot(self, x0, v0, lam=1.0, mu=1.0):
+def _carry_without_c_dot(self, x0, v0):
     # the same frame with its origin held still carries v0 as lam Q v0 / mu
-    still = fr.FrameChange(self.q, zero(VEC), self.tau)
-    return (_CARRY(self, x0, v0, lam, mu)[0],
-            _CARRY(still, x0, v0, lam, mu)[1])
+    still = replace(self, c=zero(VEC))
+    return _CARRY(self, x0, v0)[0], _CARRY(still, x0, v0)[1]
 
 
 def _carried_without_tau(self, spec):
